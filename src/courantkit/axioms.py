@@ -34,7 +34,6 @@ from courantkit.kerforms import (
     cov_derivative,
     rho_tilde,
     tilde_split,
-    tilde_split_basis,
 )
 from courantkit.rand import rand_scalar, rand_section
 from courantkit.structure import (
@@ -163,19 +162,6 @@ def _rho(spec: AlgebroidSpec, psi: Section, f: Scalar, cd: bool) -> Scalar:
     return rho_apply(spec, psi, f)
 
 
-def _twist_split_basis(spec: AlgebroidSpec, phi: Section, psi1: Section,
-                       psi2: Section) -> Section:
-    """H̃(φ,ψ₁,ψ₂) via the canonical splitting of the twist."""
-    args = (phi, psi1, psi2)
-    if all(sum(1 for c in s.coeffs if not c.is_zero()) == 1 and
-           all(c.is_zero() or c == Scalar.rational(1) for c in s.coeffs)
-           for s in args):
-        idx = tuple(next(i for i, c in enumerate(s.coeffs) if not c.is_zero())
-                    for s in args)
-        return tilde_split_basis(spec, spec.twist, idx)
-    return tilde_split(spec, spec.twist)(phi, psi1, psi2)
-
-
 # -- axiom checkers --------------------------------------------------------------
 # Each returns a witness dict on first failure, or None.
 
@@ -189,9 +175,9 @@ def _ax_jacobi(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
 
 
 def _ax_twisted_jacobi(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+    h = tilde_split(spec, spec.twist)
     for phi, psi1, psi2 in pool.triples():
-        defect = jacobiator(spec, phi, psi1, psi2) - _twist_split_basis(
-            spec, phi, psi1, psi2)
+        defect = jacobiator(spec, phi, psi1, psi2) - h(phi, psi1, psi2)
         if not defect.is_zero():
             return witness({"phi": phi, "psi1": psi1, "psi2": psi2}, defect)
     return None

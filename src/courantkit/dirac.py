@@ -19,11 +19,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from courantkit.axioms import AxiomCheck, CheckReport, witness
-from courantkit.exact import Matrix, Scalar, ZERO, rref
-from courantkit.kerforms import tilde_split
+from courantkit.exact import Matrix, Scalar, ZERO
+from courantkit.kerforms import tilde_split, zero_form
 from courantkit.rand import rand_scalar
 from courantkit.structure import (
     AlgebroidSpec,
@@ -35,10 +34,6 @@ from courantkit.structure import (
     pairing,
     rho_apply,
 )
-
-_GENERIC_POINT = [Fraction(p) for p in
-                  (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]
-
 
 class MembershipError(ValueError):
     """Span membership is undecidable without a constant invertible block."""
@@ -56,13 +51,14 @@ class Subbundle:
             self.spec.validate_section(g, "subbundle generator")
         if not self.generators:
             raise SpecInvariantError("a subbundle needs at least one generator")
-        point = _GENERIC_POINT[: self.spec.nvars]
-        grid = [[Scalar.rational(c.substitute(point)) for c in g.coeffs]
-                for g in self.generators]
-        _, rank, _ = rref(Matrix(grid))
-        if rank != len(self.generators):
-            raise SpecInvariantError(
-                "subbundle generators are dependent at a generic point")
+        # independent over the fraction field iff some g×g minor is a nonzero
+        # polynomial; columns that vanish on every generator are never needed
+        cols = [c for c in range(self.spec.rank)
+                if any(not g.coeffs[c].is_zero() for g in self.generators)]
+        if all(Matrix([[g.coeffs[c] for c in chosen]
+                       for g in self.generators]).det().is_zero()
+               for chosen in itertools.combinations(cols, self.dim)):
+            raise SpecInvariantError("subbundle generators are dependent")
 
     @property
     def dim(self) -> int:
@@ -227,18 +223,6 @@ def check_dirac(spec: AlgebroidSpec, sub: Subbundle) -> CheckReport:
 # -- the inherited twisted Lie algebroid -------------------------------------------
 
 
-def _restricted_twist_values(spec: AlgebroidSpec,
-                             sub: Subbundle) -> dict[tuple[int, int, int], Section]:
-    if spec.twist is None or spec.twist.is_zero():
-        return {}
-    out = {}
-    split = tilde_split(spec, spec.twist)
-    for a, b, c in itertools.combinations(range(sub.dim), 3):
-        value = split(sub.generators[a], sub.generators[b], sub.generators[c])
-        out[(a, b, c)] = value
-    return out
-
-
 def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
                  seed: int = 0, degree: int = 2) -> tuple[dict, CheckReport]:
     """The twisted Lie algebroid structure a Dirac subbundle inherits.
@@ -267,7 +251,9 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     for i, j in itertools.product(range(g), repeat=2):
         coeffs, _ = express_in_generators(spec, sub, bracket(spec, gens[i], gens[j]))
         struct[(i, j)] = coeffs
-    twist_vals = _restricted_twist_values(spec, sub)
+    h = tilde_split(spec, spec.twist or zero_form(spec, 4))
+    twist_vals = {key: h(*(gens[k] for k in key))
+                  for key in itertools.combinations(range(g), 3)}
 
     fail = None
     for key, value in twist_vals.items():
@@ -303,20 +289,12 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
         return total
 
     randoms = [random_l_section() for _ in range(3)]
-    split = (tilde_split(spec, spec.twist)
-             if spec.twist is not None and not spec.twist.is_zero() else None)
-
-    def h_of(x: Section, y: Section, z: Section) -> Section:
-        if split is None:
-            return Section.zero(spec.rank)
-        return split(x, y, z)
-
     fail = None
     triples = list(itertools.combinations(gens, 3))
     triples += [(randoms[0], randoms[1], randoms[2]),
                 (randoms[0], gens[0], gens[-1])]
     for x, y, z in triples:
-        defect = jacobiator(spec, x, y, z) - h_of(x, y, z)
+        defect = jacobiator(spec, x, y, z) - h(x, y, z)
         if not defect.is_zero():
             fail = witness({"x": x, "y": y, "z": z}, defect)
             break
@@ -342,11 +320,11 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
         qgens = [gens[q] for q in quad]
         for k in range(4):
             rest = [qgens[m] for m in range(4) if m != k]
-            value = bracket(spec, qgens[k], h_of(*rest))
+            value = bracket(spec, qgens[k], h(*rest))
             total = total + (value if k % 2 == 0 else -value)
         for k, l in itertools.combinations(range(4), 2):
             rest = [qgens[m] for m in range(4) if m != k and m != l]
-            value = h_of(bracket(spec, qgens[k], qgens[l]), rest[0], rest[1])
+            value = h(bracket(spec, qgens[k], qgens[l]), rest[0], rest[1])
             total = total + (value if (k + l) % 2 == 0 else -value)
         if not total.is_zero():
             fail = witness({"quad": str(quad)}, total)

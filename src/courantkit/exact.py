@@ -269,11 +269,6 @@ ONE = Scalar.rational(1)
 HALF = Scalar.rational(Fraction(1, 2))
 
 
-def partial_derivative(p: Scalar, var: int) -> Scalar:
-    """Exact partial derivative ∂p/∂x_{var+1}; satisfies the Leibniz rule."""
-    return p.partial(var)
-
-
 _RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
 _VAR_RE = re.compile(r"^x(\d+)(\^(\d+))?$")
 
@@ -440,28 +435,18 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """Exact inverse.  Requires the determinant to be a nonzero rational
-        (a unit of ℚ[x]); uses Gauss-Jordan over ℚ when all entries are
-        rational and the adjugate otherwise."""
+        (a unit of ℚ[x]); reduces [A | I] to [I | A⁻¹] with rref when all
+        entries are rational and uses the adjugate otherwise."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         if self.is_rational():
-            grid = self.fraction_grid()
-            aug = [row + [Fraction(int(i == j)) for j in range(n)]
-                   for i, row in enumerate(grid)]
-            for col in range(n):
-                pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-                if pivot is None:
-                    raise ExactError("matrix is singular")
-                aug[col], aug[pivot] = aug[pivot], aug[col]
-                inv = 1 / aug[col][col]
-                aug[col] = [v * inv for v in aug[col]]
-                for r in range(n):
-                    if r != col and aug[r][col] != 0:
-                        f = aug[r][col]
-                        aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-            return Matrix([[Scalar.rational(aug[i][n + j]) for j in range(n)]
-                           for i in range(n)])
+            reduced, _, pivots = rref(Matrix(
+                [row + tuple(ONE if i == j else ZERO for j in range(n))
+                 for i, row in enumerate(self.entries)]))
+            if pivots and pivots[-1] >= n:
+                raise ExactError("matrix is singular")
+            return Matrix([row[n:] for row in reduced.entries])
         d = self.det()
         if not d.is_rational() or d.is_zero():
             raise ExactError("polynomial matrix inverse needs a nonzero "

@@ -54,6 +54,11 @@ def _parse_poly(text, location: str) -> Scalar:
         raise StructureFileError(f"bad polynomial: {exc}", location) from exc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_matrix(rows, location: str) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise StructureFileError("expected a list of rows", location)
@@ -70,12 +75,12 @@ def spec_from_dict(doc: dict) -> AlgebroidSpec:
                                  '{"type":"polynomial","vars":n}', "$.ring")
     if ring["type"] == "polynomial":
         nvars = ring.get("vars")
-        if not isinstance(nvars, int) or nvars < 1:
+        if not _is_int(nvars) or nvars < 1:
             raise StructureFileError("polynomial ring needs vars >= 1", "$.ring.vars")
     else:
         nvars = 0
     rank = doc.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise StructureFileError("rank must be a positive integer", "$.rank")
     if "gram" not in doc:
         raise StructureFileError("missing gram matrix", "$.gram")
@@ -121,7 +126,7 @@ def form_from_entries(spec: AlgebroidSpec, entries, degree: int | None = None,
             raise StructureFileError('form term needs "indices" and "coeff"', loc)
         idx = item["indices"]
         if (not isinstance(idx, list)
-                or any(not isinstance(i, int) for i in idx)
+                or any(not _is_int(i) for i in idx)
                 or any(a >= b for a, b in zip(idx, idx[1:]))):
             raise StructureFileError(
                 "indices must be a strictly increasing integer list", loc)

@@ -385,6 +385,25 @@ def contract(spec: AlgebroidSpec, form: KerForm,
 BracketFn = Callable[[int, int], Section]
 
 
+def solve_wedge_values(spec: AlgebroidSpec, degree: int,
+                       values: dict[Wedge, Scalar]) -> KerForm:
+    """The degree-p form whose pairings with the basis wedges are ``values``.
+
+    Solves ⟨α, e_J⟩ = values[J] (absent wedges pair to zero) through the
+    Λ-Gram system, whose inverse entries are the minors of gram⁻¹.
+    """
+    coeffs: dict[Wedge, Scalar] = {}
+    for I in wedge_indices(spec.rank, degree):
+        total = ZERO
+        for J, val in values.items():
+            w = spec.inv_gram_minor(I, J)
+            if not w.is_zero():
+                total = total + w * val
+        if not total.is_zero():
+            coeffs[I] = total
+    return KerForm(spec, degree, coeffs)
+
+
 def eval_covariant(spec: AlgebroidSpec, form: KerForm,
                    bracket_fn: BracketFn | None,
                    use_anchor: bool) -> KerForm:
@@ -395,12 +414,9 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
     degree p+1, then solves the coefficients back through the Λ-Gram system.
     """
     p = form.degree
-    target = wedge_indices(spec.rank, p + 1)
-    if not target:
-        return zero_form(spec, p + 1)
     values: dict[Wedge, Scalar] = {}
     anchored = use_anchor and spec.anchor is not None
-    for J in target:
+    for J in wedge_indices(spec.rank, p + 1):
         val = ZERO
         if anchored:
             for pos, idx in enumerate(J):
@@ -425,16 +441,7 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
                 val = val + term if (a + b) % 2 == 0 else val - term
         if not val.is_zero():
             values[J] = val
-    coeffs: dict[Wedge, Scalar] = {}
-    for I in target:
-        total = ZERO
-        for J, val in values.items():
-            w = spec.inv_gram_minor(I, J)
-            if not w.is_zero():
-                total = total + w * val
-        if not total.is_zero():
-            coeffs[I] = total
-    return KerForm(spec, p + 1, coeffs)
+    return solve_wedge_values(spec, p + 1, values)
 
 
 def cov_derivative(spec: AlgebroidSpec, form: KerForm) -> KerForm:
@@ -459,31 +466,48 @@ def leibniz_defect(spec: AlgebroidSpec, alpha: KerForm, beta: KerForm) -> KerFor
 
 
 def tilde_split(spec: AlgebroidSpec, form: KerForm) -> Callable[..., Section]:
-    """The canonical splitting α̃ through the Gram system.
+    """The canonical splitting α̃, with ⟨α̃(ψ1,…,ψ_{p−1}), χ⟩ = ⟨α, ψ1∧…∧ψ_{p−1}∧χ⟩.
 
-    Returns the multilinear map with ⟨α̃(ψ1,…,ψ_{p−1}), χ⟩ = ⟨α, ψ1∧…∧ψ_{p−1}∧χ⟩
-    for all χ.  For degree 1 the map has no arguments and returns the form's
-    own section (the Gram solve is the identity under the multivector
-    convention).
+    α̃ is R-multilinear and alternating, so its values on increasing basis
+    tuples determine it: those are tabulated once (nonzero entries only), and
+    the returned map expands its sections over the table.  For degree 1 the
+    map has no arguments and returns the form's own section.
     """
     if form.degree < 1:
         raise ValueError("splitting is defined for degree >= 1")
-    p = form.degree
-    gram_inv = spec.gram_inverse()
+    k = form.degree - 1
+    table: dict[Wedge, Section] = {}
+    for key in wedge_indices(spec.rank, k):
+        value = tilde_split_basis(spec, form, key)
+        if not value.is_zero():
+            table[key] = value
 
     def split(*sections: Section) -> Section:
-        if len(sections) != p - 1:
-            raise ValueError(f"expected {p - 1} sections, got {len(sections)}")
-        w = [pair_sections(spec, form, list(sections) + [Section.basis(j, spec.rank)])
-             for j in range(spec.rank)]
-        return Section(gram_inv.matvec(w))
+        if len(sections) != k:
+            raise ValueError(f"expected {k} sections, got {len(sections)}")
+        weights: dict[Wedge, Scalar] = {}
+        supports = [[(i, c) for i, c in enumerate(sec.coeffs) if not c.is_zero()]
+                    for sec in sections]
+        for terms in itertools.product(*supports):
+            key, sign = _sort_wedge([i for i, _ in terms])
+            if sign == 0 or key not in table:
+                continue
+            weight = terms[0][1] if terms else ONE
+            for _, c in terms[1:]:
+                weight = weight * c
+            _accumulate(weights, key, weight if sign > 0 else -weight)
+        out = Section.zero(spec.rank)
+        for key, weight in weights.items():
+            if not weight.is_zero():
+                out = out + table[key].scale(weight)
+        return out
 
     return split
 
 
 def tilde_split_basis(spec: AlgebroidSpec, form: KerForm,
                       indices: Sequence[int]) -> Section:
-    """α̃ evaluated on basis sections, via cached Gram minors (fast path)."""
+    """α̃ on the basis sections e_{indices}, via cached Gram minors."""
     p = form.degree
     if len(indices) != p - 1:
         raise ValueError(f"expected {p - 1} indices, got {len(indices)}")

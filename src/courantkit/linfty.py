@@ -64,12 +64,6 @@ class LInftyData:
     act: Callable               # ▷: V0 ⊗ V1 → V1
     l3: Callable                # Λ³V0 → V1
 
-    def v1_zero(self):
-        return ZERO if self.classical else Section.zero(self.spec.rank)
-
-    def v1_is_zero(self, value) -> bool:
-        return value.is_zero()
-
 
 def _l2(spec: AlgebroidSpec, x: Section, y: Section) -> Section:
     return bracket(spec, x, y) - d0(spec, pairing(spec, x, y)).scale(HALF)
@@ -109,16 +103,13 @@ def build_twisted(spec: AlgebroidSpec) -> LInftyData:
         v1 = spec.basis_sections()
     else:
         v1 = [form.as_section() for form in kerform_basis(spec, 1, max_degree=0)]
-    split = tilde_split(spec, spec.twist) if not spec.twist.is_zero() else None
+    split = tilde_split(spec, spec.twist)
 
     def l3(x: Section, y: Section, z: Section) -> Section:
         total = Section.zero(spec.rank)
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             total = total + d0(spec, pairing(spec, _l2(spec, a, b), c))
-        total = total.scale(_MINUS_SIXTH)
-        if split is not None:
-            total = total + split(x, y, z)
-        return total
+        return total.scale(_MINUS_SIXTH) + split(x, y, z)
 
     return LInftyData(spec, False, spec.basis_sections(), v1,
                       boundary=lambda v: v,

@@ -19,7 +19,8 @@ from courantkit.kerforms import (
     _accumulate,
     eval_covariant,
     cov_derivative,
-    tilde_split_basis,
+    solve_wedge_values,
+    tilde_split,
     zero_form,
 )
 from courantkit.structure import (
@@ -51,17 +52,6 @@ def de_rham(form: BaseForm, nvars: int) -> BaseForm:
             df = value.partial(j)
             if not df.is_zero():
                 _accumulate(out, (j,) + key, df)
-    return out
-
-
-def base_contract(form: BaseForm, j: int) -> BaseForm:
-    """Interior product ι_{∂ⱼ} of a base form."""
-    out: BaseForm = {}
-    for key, value in form.items():
-        for pos, idx in enumerate(key):
-            if idx == j:
-                _accumulate(out, key[:pos] + key[pos + 1:],
-                            value if pos % 2 == 0 else -value)
     return out
 
 
@@ -160,61 +150,23 @@ def make_point(rank: int, gram: Matrix,
 # -- the twist ansatz --------------------------------------------------------------
 
 
-def btilde_table(spec: AlgebroidSpec, b: KerForm) -> list[list[Section]]:
-    """B̃(eᵢ,eⱼ) on all basis pairs (skew in (i,j))."""
-    r = spec.rank
-    return [[tilde_split_basis(spec, b, (i, j)) for j in range(r)]
-            for i in range(r)]
-
-
-def btilde_apply(spec: AlgebroidSpec, table: list[list[Section]],
-                 phi: Section, psi: Section) -> Section:
-    """B̃(φ,ψ) by bilinear expansion over the cached basis table."""
-    out = Section.zero(spec.rank)
-    for i, fi in enumerate(phi.coeffs):
-        if fi.is_zero():
-            continue
-        for j, gj in enumerate(psi.coeffs):
-            if gj.is_zero():
-                continue
-            entry = table[i][j]
-            if not entry.is_zero():
-                out = out + entry.scale(fi * gj)
-    return out
-
-
 def btilde_squared_form(spec: AlgebroidSpec, b: KerForm) -> KerForm:
     """The 4-form whose splitting is B̃²(ψ₁,ψ₂,ψ₃) = B̃(B̃(ψ₁,ψ₂),ψ₃) + cycl.
 
     Values W(a,b,c,d) = ⟨B̃²(e_a,e_b,e_c), e_d⟩ are evaluated on increasing
     basis 4-tuples and solved back through the Λ⁴ Gram system.
     """
-    table = btilde_table(spec, b)
-
-    def w(a: int, b_: int, c: int, d: int) -> Scalar:
-        total = ZERO
-        for x, y, z in ((a, b_, c), (b_, c, a), (c, a, b_)):
-            inner = table[x][y]
-            outer = btilde_apply(spec, table, inner, Section.basis(z, spec.rank))
-            total = total + pairing(spec, outer, Section.basis(d, spec.rank))
-        return total
-
+    bt = tilde_split(spec, b)
+    e = spec.basis_sections()
     values = {}
-    target = wedge_indices(spec.rank, 4)
-    for J in target:
-        val = w(*J)
+    for J in wedge_indices(spec.rank, 4):
+        i, j, k, l = J
+        val = ZERO
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            val = val + pairing(spec, bt(bt(e[x], e[y]), e[z]), e[l])
         if not val.is_zero():
             values[J] = val
-    coeffs = {}
-    for I in target:
-        total = ZERO
-        for J, val in values.items():
-            weight = spec.inv_gram_minor(I, J)
-            if not weight.is_zero():
-                total = total + weight * val
-        if not total.is_zero():
-            coeffs[I] = total
-    return KerForm(spec, 4, coeffs)
+    return solve_wedge_values(spec, 4, values)
 
 
 def curvature_H(spec0: AlgebroidSpec, b: KerForm) -> KerForm:
@@ -231,15 +183,16 @@ def curvature_H(spec0: AlgebroidSpec, b: KerForm) -> KerForm:
 
 
 def twist_bracket(spec0: AlgebroidSpec, b: KerForm) -> AlgebroidSpec:
-    """New structure with bracket [eᵢ,eⱼ]₀ + B̃(eᵢ,eⱼ) and twist H = D₀B + B̃²."""
+    """New structure with bracket [eᵢ,eⱼ]₀ + B̃(eᵢ,eⱼ) and twist H = D₀B − B̃²."""
     b.require_certified("twisting 3-form")
     if b.degree != 3:
         raise ValueError("the twisting form must have degree 3")
-    table = btilde_table(spec0, b)
+    bt = tilde_split(spec0, b)
+    e = spec0.basis_sections()
     new_table: dict[tuple[int, int], Section] = {}
     for i in range(spec0.rank):
         for j in range(spec0.rank):
-            entry = spec0.table_bracket(i, j) + table[i][j]
+            entry = spec0.table_bracket(i, j) + bt(e[i], e[j])
             if not entry.is_zero():
                 new_table[(i, j)] = entry
     h = curvature_H(spec0, b)
@@ -253,8 +206,9 @@ def iota_btilde(spec: AlgebroidSpec, b: KerForm, form: KerForm) -> KerForm:
     """Degree-+1 insertion of B̃ into a form: the bracket-sum of the
     covariant-derivative formula with B̃ in place of the bracket and no
     anchor terms."""
-    table = btilde_table(spec, b)
-    return eval_covariant(spec, form, lambda i, j: table[i][j], use_anchor=False)
+    bt = tilde_split(spec, b)
+    e = spec.basis_sections()
+    return eval_covariant(spec, form, lambda i, j: bt(e[i], e[j]), use_anchor=False)
 
 
 def integrability_defect(spec0: AlgebroidSpec, b: KerForm) -> KerForm:

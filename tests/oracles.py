@@ -3,8 +3,10 @@
 Each oracle is a separate implementation path from the package code it
 checks: the Dorfman oracle works on vector-calculus components, the
 Chevalley–Eilenberg oracle works in dual coordinates with explicit Koszul
-bookkeeping, and the subset-insertion oracle evaluates the twist insertion
-through pairings and a Gram solve instead of the derivation extension.
+bookkeeping, the subset-insertion oracle evaluates the twist insertion
+through pairings and a Gram solve instead of the derivation extension, and
+the Gram-solve splitting evaluates α̃ on each call through determinant
+pairings instead of a table of basis values.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from courantkit.exact import Matrix, Scalar, ZERO, wedge_indices
-from courantkit.kerforms import KerForm, pair_prefixed, tilde_split_basis
+from courantkit.kerforms import KerForm, pair_prefixed, pair_sections, tilde_split_basis
 from courantkit.structure import AlgebroidSpec, Section
 
 
@@ -131,3 +133,19 @@ def ins_subset_oracle(spec: AlgebroidSpec, form: KerForm) -> KerForm:
         if not total.is_zero():
             coeffs[I] = total
     return KerForm(spec, p + 2, coeffs)
+
+
+def gram_solve_split(spec: AlgebroidSpec, form: KerForm):
+    """α̃ solved through the Gram system on every call.
+
+    ⟨α̃(ψ1,…,ψ_{p−1}), e_j⟩ = ⟨α, ψ1∧…∧ψ_{p−1}∧e_j⟩ by determinant pairings
+    of the given sections, then α̃ = gram⁻¹·w.
+    """
+    gram_inv = spec.gram_inverse()
+
+    def split(*sections: Section) -> Section:
+        w = [pair_sections(spec, form, list(sections) + [Section.basis(j, spec.rank)])
+             for j in range(spec.rank)]
+        return Section(gram_inv.matvec(w))
+
+    return split

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import hashlib
 import json
 
 import pytest
@@ -175,3 +176,42 @@ class TestLinfty:
     def test_force_classical_rejects_twisted(self, capsys, ctwist_file):
         code, out, err = run(capsys, "linfty", ctwist_file, "--classical")
         assert code == 2 and "untwisted" in err
+
+
+class TestGolden:
+    """The README commands print exactly what they printed when pinned.
+
+    Each pin is the SHA-256 of the command's stdout at ``--seed 0``.  A
+    refactor that keeps the mathematics must keep these bytes; a deliberate
+    change to a report's content or format updates the pins with it.
+    """
+
+    PINS = {
+        "verify-h-twisted": (0,
+            "5c1e8c76ec7c7e160f13c0520862c36a1c021da882c2faaa4fe53983740838ed"),
+        "verify-courant": (1,
+            "a178a29655b70a58b37d80209be9f5fd7e4ea237b9479a237d522ed3e7c991a3"),
+        "linfty": (0,
+            "3aee430eb7a38f9b49399d2c5c7a0b9eb360380393684ef564e64b538e888551"),
+        "dirac-subspace": (0,
+            "fa6df628acd18b26d7045afa665ab25b393e790d7d530cc9b3e292af661d413a"),
+        "cohomology": (0,
+            "dc735092d3a45f8ac0facc812fd95671a97597b69ee8f1407d7cfc411a43e51d"),
+    }
+
+    @pytest.fixture()
+    def commands(self, ctwist_file, std2_file, so3_file):
+        return {
+            "verify-h-twisted": ["verify", ctwist_file, "--suite", "h-twisted"],
+            "verify-courant": ["verify", ctwist_file, "--suite", "courant"],
+            "linfty": ["linfty", ctwist_file],
+            "dirac-subspace": ["dirac", std2_file, "--subspace",
+                               "e1 + x1*dx2; e2 - x1*dx1"],
+            "cohomology": ["cohomology", so3_file, "--max-degree", "3"],
+        }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_stdout_pinned(self, capsys, commands, name):
+        code, out, _ = run(capsys, *commands[name], "--seed", "0")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == self.PINS[name]

@@ -33,6 +33,12 @@ class TestSubbundle:
             Subbundle(std2, [Section.basis(0, 4),
                              Section.basis(0, 4).scale(Scalar.rational(2))])
 
+    def test_generically_independent_generators_accepted(self, std1):
+        # (x1−2)·e1 vanishes at x1 = 2, yet the pair is independent: its
+        # 2×2 minor is the nonzero polynomial x1 − 2
+        sub = Subbundle(std1, [Section.make([x(0) - 2, ZERO]), Section.basis(1, 2)])
+        assert sub.dim == 2
+
     def test_membership_through_constant_block(self, std2):
         sub = Subbundle(std2, [Section.basis(2, 4), Section.basis(3, 4)])
         target = Section.make([ZERO, ZERO, x(0), x(1) ** 2])

@@ -215,6 +215,10 @@ class TestMatrix:
         m = Matrix([[ONE, x(0)], [x(0), x(0) ** 2 + 1]])
         assert m.matmul(m.inverse()) == Matrix.identity(2)
 
+    def test_inverse_singular_rejected(self):
+        with pytest.raises(ExactError, match="singular"):
+            mat([[1, 2], [2, 4]]).inverse()
+
     def test_inverse_non_unit_rejected(self):
         m = Matrix([[x(0), ZERO], [ZERO, ONE]])
         with pytest.raises(ExactError):

@@ -62,6 +62,27 @@ class TestLoad:
         with pytest.raises(StructureFileError, match="bracket key"):
             spec_from_dict(doc)
 
+    def test_boolean_rank_rejected(self):
+        doc = so3_doc()
+        doc["rank"] = True
+        with pytest.raises(StructureFileError, match=r"\$\.rank"):
+            spec_from_dict(doc)
+
+    def test_boolean_vars_rejected(self):
+        doc = so3_doc()
+        doc["ring"] = {"type": "polynomial", "vars": True}
+        with pytest.raises(StructureFileError, match=r"\$\.ring\.vars"):
+            spec_from_dict(doc)
+
+    def test_boolean_twist_index_rejected(self):
+        doc = so3_doc()
+        doc["rank"] = 4
+        doc["gram"] = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+        doc["bracket"] = {}
+        doc["twist"] = [{"indices": [False, 1, 2, 3], "coeff": "1"}]
+        with pytest.raises(StructureFileError, match=r"\$\.twist\[0\]"):
+            spec_from_dict(doc)
+
     def test_standard_round_trip(self, std2, tmp_path):
         path = tmp_path / "std2.json"
         save_spec(std2, str(path))

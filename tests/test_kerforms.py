@@ -1,10 +1,12 @@
 """Tests for ker-ρ forms, the covariant derivative, splitting, and insertion."""
 
+import itertools
 import random
 
 import pytest
 
-from oracles import ins_subset_oracle
+from conftest import corrupt_gram
+from oracles import gram_solve_split, ins_subset_oracle
 
 from courantkit.exact import ONE, Scalar, ZERO
 from courantkit.kerforms import (
@@ -24,7 +26,7 @@ from courantkit.kerforms import (
     tilde_split_basis,
     zero_form,
 )
-from courantkit.rand import rand_wedge_coeffs
+from courantkit.rand import rand_section, rand_wedge_coeffs
 from courantkit.structure import Section
 from courantkit.twist import pullback, base_form
 
@@ -175,6 +177,44 @@ class TestTildeSplit:
 
         value = tilde_split_basis(ctwist4, ctwist4.twist, (0, 1, 3))
         assert all(c.is_zero() for c in anchor_apply(ctwist4, value))
+
+
+class TestTildeSplitTable:
+    """The basis-table splitting equals the Gram solve on every call, exactly:
+    on every ordered basis tuple (repeats included) and on seeded random
+    polynomial tuples."""
+
+    @staticmethod
+    def cases(ctwist4, split4):
+        b3 = (basis_wedge_form(split4, (0, 1, 2))
+              + basis_wedge_form(split4, (1, 2, 3)).scale(Scalar.rational(2))
+              - basis_wedge_form(split4, (0, 1, 3)))
+        poly_gram = corrupt_gram(ctwist4, 0, x(0))
+        return {"ctwist4": (ctwist4, ctwist4.twist),
+                "split4-degree-3": (split4, b3),
+                "ctwist4-polynomial-gram": (poly_gram, poly_gram.twist),
+                "ctwist4-zero-form": (ctwist4, zero_form(ctwist4, 4))}
+
+    @pytest.mark.parametrize("case", ["ctwist4", "split4-degree-3",
+                                      "ctwist4-polynomial-gram",
+                                      "ctwist4-zero-form"])
+    def test_matches_gram_solve(self, ctwist4, split4, case):
+        spec, form = self.cases(ctwist4, split4)[case]
+        k = form.degree - 1
+        table, reference = tilde_split(spec, form), gram_solve_split(spec, form)
+        basis = spec.basis_sections()
+        for idx in itertools.product(range(spec.rank), repeat=k):
+            args = [basis[i] for i in idx]
+            assert table(*args) == reference(*args), idx
+        rng = random.Random(7)
+        degree = 2 if spec.nvars else 0
+        for _ in range(12):
+            args = [rand_section(rng, spec, degree) for _ in range(k)]
+            assert table(*args) == reference(*args), args
+
+    def test_wrong_arity_rejected(self, ctwist4):
+        with pytest.raises(ValueError, match="expected 3 sections"):
+            tilde_split(ctwist4, ctwist4.twist)(Section.basis(0, 8))
 
 
 class TestSquareAndInsertion:
