@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from courantkit.exact import HALF, Scalar
@@ -76,6 +77,33 @@ def witness(inputs: dict, defect) -> dict:
             "defect": _render(defect)}
 
 
+def _is_zero(defect) -> bool:
+    """None passes and a message fails; a tuple is zero componentwise."""
+    if defect is None:
+        return True
+    if isinstance(defect, str):
+        return False
+    if isinstance(defect, tuple):
+        return all(c.is_zero() for c in defect)
+    return defect.is_zero()
+
+
+def first_failure(tuples: Iterable[tuple], names: Sequence[str],
+                  defect: Callable) -> dict | None:
+    """Witness of the first tuple whose defect is nonzero, or None.
+
+    Tuples are drawn lazily and evaluation stops at the first failure, so a
+    check's witness is fixed by the order of its tuples.  ``names`` label the
+    leading entries of a tuple in the witness; entries past them reach
+    ``defect`` but stay out of the witness.
+    """
+    for t in tuples:
+        value = defect(*t)
+        if not _is_zero(value):
+            return witness(dict(zip(names, t)), value)
+    return None
+
+
 @dataclass
 class AxiomCheck:
     axiom: str
@@ -90,6 +118,11 @@ class AxiomCheck:
 class CheckReport:
     suite: str
     checks: list[AxiomCheck] = field(default_factory=list)
+
+    def add(self, axiom: str, failure: dict | None) -> None:
+        """Record a check: it passes exactly when there is no witness."""
+        self.checks.append(
+            AxiomCheck(axiom, "pass" if failure is None else "fail", failure))
 
     @property
     def passed(self) -> bool:
@@ -110,7 +143,6 @@ class CheckReport:
 class _Pool:
     """Basis and seeded random test data shared by the axiom checkers."""
 
-    spec: AlgebroidSpec
     basis: list[Section]
     randoms: list[Section]
     functions: list[Scalar]
@@ -143,12 +175,12 @@ def make_pool(spec: AlgebroidSpec, sections: Sequence[Section] | None,
     rng = random.Random(seed)
     randoms = list(sections) if sections else []
     for _ in range(samples):
-        randoms.append(rand_section(rng, spec, degree if spec.nvars else 0))
-    functions = [rand_scalar(rng, spec.nvars, degree if spec.nvars else 0)
+        randoms.append(rand_section(rng, spec, degree))
+    functions = [rand_scalar(rng, spec.nvars, degree)
                  for _ in range(max(2, samples))]
     for j in range(spec.nvars):
         functions.append(Scalar.variable(j))
-    return _Pool(spec, spec.basis_sections(), randoms, functions)
+    return _Pool(spec.basis_sections(), randoms, functions)
 
 
 # -- defect helpers ------------------------------------------------------------
@@ -167,174 +199,139 @@ def _rho(spec: AlgebroidSpec, psi: Section, f: Scalar, cd: bool) -> Scalar:
 
 
 def _ax_jacobi(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    for phi, psi1, psi2 in pool.triples():
-        defect = jacobiator(spec, phi, psi1, psi2)
-        if not defect.is_zero():
-            return witness({"phi": phi, "psi1": psi1, "psi2": psi2}, defect)
-    return None
+    return first_failure(pool.triples(), ("phi", "psi1", "psi2"),
+                         lambda *t: jacobiator(spec, *t))
 
 
 def _ax_twisted_jacobi(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
     h = tilde_split(spec, spec.twist)
-    for phi, psi1, psi2 in pool.triples():
-        defect = jacobiator(spec, phi, psi1, psi2) - h(phi, psi1, psi2)
-        if not defect.is_zero():
-            return witness({"phi": phi, "psi1": psi1, "psi2": psi2}, defect)
-    return None
+    return first_failure(pool.triples(), ("phi", "psi1", "psi2"),
+                         lambda *t: jacobiator(spec, *t) - h(*t))
 
 
 def _ax_twist_membership(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    image = rho_tilde(spec, spec.twist)
-    if image:
-        (j, rest), value = next(iter(image.items()))
-        return witness({"twist": spec.twist,
-                        "component": f"d/dx{j + 1} ⊗ e{list(rest)}"}, value)
-    return None
+    # ρ̃ lists nonzero components only, so the first one is the witness
+    return first_failure(
+        ((spec.twist, f"d/dx{j + 1} ⊗ e{list(rest)}", value)
+         for (j, rest), value in rho_tilde(spec, spec.twist).items()),
+        ("twist", "component"), lambda twist, component, value: value)
 
 
 def _ax_twist_closed(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
     try:
         defect = cov_derivative(spec, spec.twist)
     except UncertifiedFormError:
-        return witness({"twist": spec.twist}, "twist is not in ker ρ̃")
-    if not defect.is_zero():
-        return witness({"twist": spec.twist}, defect)
-    return None
+        defect = "twist is not in ker ρ̃"
+    return first_failure([(spec.twist,)], ("twist",), lambda twist: defect)
 
 
-def _make_leibniz(cd: bool):
-    def check(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-        for phi, psi in pool.pairs():
-            for f in pool.functions:
-                defect = (bracket(spec, phi, psi.scale(f))
-                          - psi.scale(_rho(spec, phi, f, cd))
-                          - bracket(spec, phi, psi).scale(f))
-                if not defect.is_zero():
-                    return witness({"phi": phi, "f": f, "psi": psi}, defect)
-        return None
-
-    return check
+def _ax_leibniz(spec: AlgebroidSpec, pool: _Pool, cd: bool = False) -> dict | None:
+    return first_failure(
+        ((phi, f, psi) for phi, psi in pool.pairs() for f in pool.functions),
+        ("phi", "f", "psi"),
+        lambda phi, f, psi: (bracket(spec, phi, psi.scale(f))
+                             - psi.scale(_rho(spec, phi, f, cd))
+                             - bracket(spec, phi, psi).scale(f)))
 
 
 def _ax_symmetric_part(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    for phi, psi in pool.pairs():
-        defect = (bracket(spec, phi, psi) + bracket(spec, psi, phi)
-                  - d0(spec, pairing(spec, phi, psi)))
-        if not defect.is_zero():
-            return witness({"phi": phi, "psi": psi}, defect)
-    for psi in pool.singles():
-        defect = bracket(spec, psi, psi) - d0(spec, pairing(spec, psi, psi)).scale(HALF)
-        if not defect.is_zero():
-            return witness({"psi": psi}, defect)
-    return None
+    return first_failure(
+        pool.pairs(), ("phi", "psi"),
+        lambda phi, psi: (bracket(spec, phi, psi) + bracket(spec, psi, phi)
+                          - d0(spec, pairing(spec, phi, psi)))
+    ) or first_failure(
+        ((psi,) for psi in pool.singles()), ("psi",),
+        lambda psi: (bracket(spec, psi, psi)
+                     - d0(spec, pairing(spec, psi, psi)).scale(HALF)))
 
 
-def _make_invariance(cd: bool):
-    def check(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-        for phi, psi1, psi2 in pool.triples():
-            defect = (_rho(spec, phi, pairing(spec, psi1, psi2), cd)
-                      - pairing(spec, bracket(spec, phi, psi1), psi2)
-                      - pairing(spec, psi1, bracket(spec, phi, psi2)))
-            if not defect.is_zero():
-                return witness({"phi": phi, "psi1": psi1, "psi2": psi2}, defect)
-        return None
-
-    return check
+def _ax_invariance(spec: AlgebroidSpec, pool: _Pool,
+                   cd: bool = False) -> dict | None:
+    return first_failure(
+        pool.triples(), ("phi", "psi1", "psi2"),
+        lambda phi, psi1, psi2: (_rho(spec, phi, pairing(spec, psi1, psi2), cd)
+                                 - pairing(spec, bracket(spec, phi, psi1), psi2)
+                                 - pairing(spec, psi1, bracket(spec, phi, psi2))))
 
 
 def _ax_anchor_morphism(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    for phi, psi in pool.pairs():
-        defect = anchor_morphism_defect(spec, phi, psi)
-        if any(not c.is_zero() for c in defect):
-            return witness({"phi": phi, "psi": psi}, defect)
-    return None
+    return first_failure(pool.pairs(), ("phi", "psi"),
+                         lambda *t: anchor_morphism_defect(spec, *t))
 
 
 def _ax_derivation_bracket(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    for f in pool.functions:
-        df = d0(spec, f)
-        for phi in pool.singles():
-            defect = bracket(spec, df, phi)
-            if not defect.is_zero():
-                return witness({"f": f, "phi": phi}, defect)
-    return None
+    # D₀f is computed once per f and rides along unnamed
+    return first_failure(
+        ((f, phi, df) for f in pool.functions for df in [d0(spec, f)]
+         for phi in pool.singles()),
+        ("f", "phi"), lambda f, phi, df: bracket(spec, df, phi))
 
 
 def _ax_derivation_isotropy(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    for f in pool.functions:
-        for g in pool.functions:
-            defect = pairing(spec, d0(spec, f), d0(spec, g))
-            if not defect.is_zero():
-                return witness({"f": f, "g": g}, defect)
-    return None
+    return first_failure(
+        ((f, g) for f in pool.functions for g in pool.functions), ("f", "g"),
+        lambda f, g: pairing(spec, d0(spec, f), d0(spec, g)))
 
 
 def _ax_anchor_compatibility(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
     # ⟨[ψ,φ],D₀f⟩ = ⟨ψ,D₀⟨φ,D₀f⟩⟩ − ⟨φ,D₀⟨ψ,D₀f⟩⟩: the ring/module form of
     # the anchor-morphism rule (the commutator orientation is forced by it)
-    for psi, phi in pool.pairs():
-        for f in pool.functions:
-            df = d0(spec, f)
-            defect = (pairing(spec, bracket(spec, psi, phi), df)
-                      - pairing(spec, psi, d0(spec, pairing(spec, phi, df)))
-                      + pairing(spec, phi, d0(spec, pairing(spec, psi, df))))
-            if not defect.is_zero():
-                return witness({"psi": psi, "phi": phi, "f": f}, defect)
-    return None
+    return first_failure(
+        ((psi, phi, f, d0(spec, f))
+         for psi, phi in pool.pairs() for f in pool.functions),
+        ("psi", "phi", "f"),
+        lambda psi, phi, f, df: (
+            pairing(spec, bracket(spec, psi, phi), df)
+            - pairing(spec, psi, d0(spec, pairing(spec, phi, df)))
+            + pairing(spec, phi, d0(spec, pairing(spec, psi, df)))))
 
 
 def _ax_antisymmetry(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    for phi, psi in pool.pairs():
-        defect = bracket(spec, phi, psi) + bracket(spec, psi, phi)
-        if not defect.is_zero():
-            return witness({"phi": phi, "psi": psi}, defect)
-    return None
+    return first_failure(
+        pool.pairs(), ("phi", "psi"),
+        lambda phi, psi: bracket(spec, phi, psi) + bracket(spec, psi, phi))
 
 
 def _ax_cyclic_jacobi(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    for a, b, c in pool.triples():
-        defect = (bracket(spec, a, bracket(spec, b, c))
-                  + bracket(spec, b, bracket(spec, c, a))
-                  + bracket(spec, c, bracket(spec, a, b)))
-        if not defect.is_zero():
-            return witness({"psi1": a, "psi2": b, "psi3": c}, defect)
-    return None
+    return first_failure(
+        pool.triples(), ("psi1", "psi2", "psi3"),
+        lambda a, b, c: (bracket(spec, a, bracket(spec, b, c))
+                         + bracket(spec, b, bracket(spec, c, a))
+                         + bracket(spec, c, bracket(spec, a, b))))
 
 
 def _ax_anchor_representation(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    for phi, psi in pool.pairs():
-        for g in pool.functions:
-            defect = (rho_apply(spec, bracket(spec, phi, psi), g)
-                      - rho_apply(spec, phi, rho_apply(spec, psi, g))
-                      + rho_apply(spec, psi, rho_apply(spec, phi, g)))
-            if not defect.is_zero():
-                return witness({"phi": phi, "psi": psi, "g": g}, defect)
-    return None
+    return first_failure(
+        ((phi, psi, g) for phi, psi in pool.pairs() for g in pool.functions),
+        ("phi", "psi", "g"),
+        lambda phi, psi, g: (rho_apply(spec, bracket(spec, phi, psi), g)
+                             - rho_apply(spec, phi, rho_apply(spec, psi, g))
+                             + rho_apply(spec, psi, rho_apply(spec, phi, g))))
 
 
-_CD_LEIBNIZ = _make_leibniz(cd=True)
-_CD_INVARIANCE = _make_invariance(cd=True)
+_CD_LEIBNIZ = partial(_ax_leibniz, cd=True)
+_CD_INVARIANCE = partial(_ax_invariance, cd=True)
 
 SUITES: dict[str, list[tuple[str, Callable]]] = {
     "courant": [
         ("jacobi", _ax_jacobi),
-        ("leibniz", _make_leibniz(cd=False)),
+        ("leibniz", _ax_leibniz),
         ("symmetric-part", _ax_symmetric_part),
-        ("invariance", _make_invariance(cd=False)),
+        ("invariance", _ax_invariance),
     ],
     "strongly-anchored": [
         ("anchor-morphism", _ax_anchor_morphism),
-        ("leibniz", _make_leibniz(cd=False)),
+        ("leibniz", _ax_leibniz),
         ("symmetric-part", _ax_symmetric_part),
-        ("invariance", _make_invariance(cd=False)),
+        ("invariance", _ax_invariance),
     ],
     "h-twisted": [
         ("twist-membership", _ax_twist_membership),
         ("twisted-jacobi", _ax_twisted_jacobi),
         ("twist-closed", _ax_twist_closed),
-        ("leibniz", _make_leibniz(cd=False)),
+        ("leibniz", _ax_leibniz),
         ("symmetric-part", _ax_symmetric_part),
-        ("invariance", _make_invariance(cd=False)),
+        ("invariance", _ax_invariance),
     ],
     "courant-dorfman": [
         ("leibniz", _CD_LEIBNIZ),
@@ -367,7 +364,7 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
     "lie-rinehart": [
         ("antisymmetry", _ax_antisymmetry),
         ("jacobi-cyclic", _ax_cyclic_jacobi),
-        ("leibniz", _make_leibniz(cd=False)),
+        ("leibniz", _ax_leibniz),
         ("anchor-representation", _ax_anchor_representation),
     ],
 }
@@ -393,6 +390,5 @@ def check_axioms(spec: AlgebroidSpec, suite: str,
     pool = make_pool(spec, sections, seed, degree, samples)
     report = CheckReport(suite=suite)
     for axiom, checker in SUITES[suite]:
-        w = checker(spec, pool)
-        report.checks.append(AxiomCheck(axiom, "pass" if w is None else "fail", w))
+        report.add(axiom, checker(spec, pool))
     return report

@@ -2,13 +2,15 @@
 
 All reports are JSON with a stable schema version field; identical
 invocations with identical seeds produce byte-identical output.  Exit codes:
-0 all checks pass, 1 a check failed, 2 parse or invariant error.
+0 all checks pass, 1 a check failed, 2 parse, usage or invariant error,
+3 internal error (a bug: the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from courantkit import fileio
 from courantkit.axioms import SUITES, SuiteNotApplicableError, UnknownSuiteError, check_axioms
@@ -22,15 +24,21 @@ from courantkit.dirac import (
 )
 from courantkit.exact import ExactError, ParseError
 from courantkit.fileio import StructureFileError, dumps_canonical
+from courantkit.kerforms import UncertifiedFormError
 from courantkit.linfty import build_classical, build_twisted, verify_linfty
 from courantkit.structure import SpecInvariantError
 from courantkit.twist import c_twist, make_standard, twist_bracket
 
 SCHEMA = 1
 
+
+class UsageError(Exception):
+    """The command line lacks an argument or combines arguments wrongly."""
+
+
 _USER_ERRORS = (StructureFileError, SpecInvariantError, ParseError, ExactError,
                 UnknownSuiteError, SuiteNotApplicableError, MembershipError,
-                ValueError, OSError)
+                UncertifiedFormError, UsageError, OSError)
 
 
 def _emit(doc: dict, args) -> None:
@@ -77,18 +85,18 @@ def cmd_make(args) -> int:
         spec = make_standard(args.n)
     elif args.what == "ctwist":
         if args.c is None:
-            raise ValueError("make ctwist needs --c <base 3-form>")
+            raise UsageError("make ctwist needs --c <base 3-form>")
         c3 = fileio.parse_inline_baseform(args.n, args.c)
         if any(len(k) != 3 for k in c3):
-            raise ValueError("--c must be a base 3-form")
+            raise UsageError("--c must be a base 3-form")
         spec = c_twist(args.n, c3)
     elif args.what == "twist":
         if args.base is None or args.b is None:
-            raise ValueError("make twist needs --base <file> and --b <3-form>")
+            raise UsageError("make twist needs --base <file> and --b <3-form>")
         spec0 = fileio.load_spec(args.base)
         b = fileio.parse_inline_kerform(spec0, args.b)
         if b.degree != 3:
-            raise ValueError("--b must have degree 3")
+            raise UsageError("--b must have degree 3")
         spec = twist_bracket(spec0, b)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown constructor {args.what!r}")
@@ -98,6 +106,10 @@ def cmd_make(args) -> int:
 
 def cmd_cohomology(args) -> int:
     spec = fileio.load_spec(args.file)
+    if args.truncate is None and not spec.is_point():
+        raise UsageError("cohomology over a polynomial base needs --truncate "
+                         "(a monomial truncation bound; Betti numbers are "
+                         "point-only)")
     summary = complex_summary(spec, args.max_degree, args.truncate)
     doc = {"schema": SCHEMA, "command": "cohomology", **summary}
     _emit(doc, args)
@@ -112,16 +124,11 @@ def cmd_dirac(args) -> int:
                [sub.to_json() for sub in found]}, args)
         return 0
     if not args.subspace:
-        raise ValueError("dirac needs --subspace <file|inline> or --search")
-    if args.subspace.lstrip().startswith("{") or args.subspace.endswith(".json"):
-        import json
-
-        if args.subspace.endswith(".json"):
-            with open(args.subspace, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.loads(args.subspace)
-        gens = fileio.parse_subbundle_document(spec, doc)
+        raise UsageError("dirac needs --subspace <file|inline> or --search")
+    if args.subspace.endswith(".json"):
+        gens = fileio.parse_subbundle_document(spec, fileio.read_json(args.subspace))
+    elif args.subspace.lstrip().startswith("{"):
+        gens = fileio.parse_subbundle_document(spec, fileio.parse_json(args.subspace))
     else:
         gens = [fileio.parse_inline_section(spec, chunk)
                 for chunk in args.subspace.split(";") if chunk.strip()]
@@ -155,13 +162,25 @@ def cmd_linfty(args) -> int:
     return 0 if report.passed else 1
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
     """Global flags, accepted both before and after the subcommand."""
     suppress = {} if top_level else {"default": argparse.SUPPRESS}
     parser.add_argument("--seed", type=int,
                         **({"default": 0} if top_level else suppress),
                         help="seed for randomised test sections (default 0)")
-    parser.add_argument("--degree", type=int,
+    parser.add_argument("--degree", type=_at_least(0),
                         **({"default": 2} if top_level else suppress),
                         help="polynomial degree of random sections (default 2)")
     parser.add_argument("--json", dest="text", action="store_false",
@@ -183,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an axiom suite on a structure file")
     p.add_argument("file")
     p.add_argument("--suite", default="courant", choices=sorted(SUITES))
-    p.add_argument("--tuples", type=int, default=3,
+    p.add_argument("--tuples", type=_at_least(0), default=3,
                    help="number of random test sections (default 3)")
     _add_common(p, top_level=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("make", help="construct a structure file")
     p.add_argument("what", choices=("standard", "ctwist", "twist"))
-    p.add_argument("--n", type=int, default=2, help="base variables")
+    p.add_argument("--n", type=_at_least(1), default=2, help="base variables")
     p.add_argument("--c", default=None, help="base 3-form, e.g. 'x1*dx2^dx3^dx4'")
     p.add_argument("--base", default=None, help="structure file to twist")
     p.add_argument("--b", default=None, help="twisting 3-form, e.g. 'e1^e2^e3'")
@@ -200,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="cochain dimensions and Betti numbers")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--truncate", type=int, default=None,
+    p.add_argument("--max-degree", type=_at_least(0), required=True)
+    p.add_argument("--truncate", type=_at_least(0), default=None,
                    help="monomial truncation bound (polynomial bases)")
     _add_common(p, top_level=False)
     p.set_defaults(func=cmd_cohomology)
@@ -218,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--classical", action="store_true",
                    help="force the classical packaging")
-    p.add_argument("--tuples", type=int, default=3)
+    p.add_argument("--tuples", type=_at_least(0), default=3)
     _add_common(p, top_level=False)
     p.set_defaults(func=cmd_linfty)
     return parser
@@ -236,6 +255,10 @@ def main(argv=None) -> int:
     except _USER_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception:
+        sys.stderr.write("internal error (a bug in courantkit):\n")
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

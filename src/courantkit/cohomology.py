@@ -161,8 +161,13 @@ def differential_matrix(spec: AlgebroidSpec, degree: int) -> Matrix:
     """
     if not spec.is_point():
         raise ValueError("differential matrices are computed over a point")
-    source = cochain_basis(spec, degree)
-    target = cochain_basis(spec, degree + 1)
+    return _differential(spec, degree, cochain_basis(spec, degree),
+                         cochain_basis(spec, degree + 1))
+
+
+def _differential(spec: AlgebroidSpec, degree: int, source: list[KerForm],
+                  target: list[KerForm]) -> Matrix:
+    """differential_matrix on the given bases of C^p and C^{p+1}."""
     if not source:
         return Matrix.zeros(len(target), 0) if target else Matrix.zeros(0, 0)
     target_axes, target_cols = (None, [])
@@ -194,23 +199,36 @@ def differential_matrix(spec: AlgebroidSpec, degree: int) -> Matrix:
                    for r in range(len(target))])
 
 
+def _point_complex(spec: AlgebroidSpec,
+                   p_max: int) -> tuple[list[list[KerForm]], list[Matrix]]:
+    """Bases of C⁰..C^{p_max+1} and the matrices of D between them, each
+    built once."""
+    bases = [cochain_basis(spec, p) for p in range(p_max + 2)]
+    mats = [_differential(spec, p, bases[p], bases[p + 1])
+            for p in range(p_max + 1)]
+    return bases, mats
+
+
 def _matrix_rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     return rref(m)[1]
 
 
+def _betti(bases: list[list[KerForm]], mats: list[Matrix]) -> list[int]:
+    ranks = [_matrix_rank(m) for m in mats]
+    out = []
+    for p in range(len(mats)):
+        prev_rank = ranks[p - 1] if p > 0 else 0
+        out.append(len(bases[p]) - ranks[p] - prev_rank)
+    return out
+
+
 def betti(spec: AlgebroidSpec, p_max: int) -> list[int]:
     """β^p = dim ker(d_p) − rank(d_{p−1}) for p = 0..p_max, exactly."""
     if not spec.is_point():
         raise ValueError("Betti numbers are computed over a point")
-    dims = [len(cochain_basis(spec, p)) for p in range(p_max + 2)]
-    ranks = [_matrix_rank(differential_matrix(spec, p)) for p in range(p_max + 1)]
-    out = []
-    for p in range(p_max + 1):
-        prev_rank = ranks[p - 1] if p > 0 else 0
-        out.append(dims[p] - ranks[p] - prev_rank)
-    return out
+    return _betti(*_point_complex(spec, p_max))
 
 
 def cd_cochain_membership(spec: AlgebroidSpec, form: KerForm) -> bool:
@@ -235,8 +253,7 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
                     max_degree: int | None = None) -> dict:
     """Dims, Betti numbers (point only), d²=0, and reading agreement."""
     if spec.is_point():
-        dims = [len(cochain_basis(spec, p)) for p in range(p_max + 1)]
-        mats = [differential_matrix(spec, p) for p in range(p_max + 1)]
+        bases, mats = _point_complex(spec, p_max)
         d_squared_zero = True
         for p in range(p_max):
             if mats[p].cols and mats[p + 1].rows:
@@ -244,10 +261,11 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
                 if any(not e.is_zero() for row in prod.entries for e in row):
                     d_squared_zero = False
         return {
-            "dims": dims,
-            "betti": betti(spec, p_max),
+            "dims": [len(bases[p]) for p in range(p_max + 1)],
+            "betti": _betti(bases, mats),
             "d_squared_zero": d_squared_zero,
-            "readings_agree": all(readings_agree(spec, p) for p in range(p_max + 1)),
+            "readings_agree": all(len(bases[p]) == weak_kernel_dimension(spec, p)
+                                  for p in range(p_max + 1)),
         }
     if max_degree is None:
         raise ValueError(

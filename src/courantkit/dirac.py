@@ -20,10 +20,10 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from courantkit.axioms import AxiomCheck, CheckReport, witness
+from courantkit.axioms import CheckReport, first_failure, witness
 from courantkit.exact import Matrix, Scalar, ZERO
 from courantkit.kerforms import tilde_split, zero_form
-from courantkit.rand import rand_scalar
+from courantkit.rand import rand_combination, rand_scalar
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
@@ -200,23 +200,15 @@ def integrability_defect(spec: AlgebroidSpec,
 def check_dirac(spec: AlgebroidSpec, sub: Subbundle) -> CheckReport:
     """Isotropic + Lagrangean + integrable, with witnesses."""
     report = CheckReport(suite="dirac")
-    iso = is_isotropic(spec, sub)
-    report.checks.append(AxiomCheck(
-        "isotropic", "pass" if iso else "fail",
-        None if iso else witness(
-            {"generators": [g.to_text() for g in sub.generators]},
-            "a generator pair has nonzero pairing")))
-    lag = is_lagrangean(spec, sub)
-    report.checks.append(AxiomCheck(
-        "lagrangean", "pass" if lag else "fail",
-        None if lag else witness(
-            {"dim": str(sub.dim), "rank": str(spec.rank)},
-            "not isotropic of half rank")))
+    report.add("isotropic", None if is_isotropic(spec, sub) else witness(
+        {"generators": [g.to_text() for g in sub.generators]},
+        "a generator pair has nonzero pairing"))
+    report.add("lagrangean", None if is_lagrangean(spec, sub) else witness(
+        {"dim": str(sub.dim), "rank": str(spec.rank)},
+        "not isotropic of half rank"))
     defects = integrability_defect(spec, sub)
-    report.checks.append(AxiomCheck(
-        "integrable", "pass" if not defects else "fail",
-        None if not defects else witness(
-            {"pair": str(defects[0][0])}, defects[0][1])))
+    report.add("integrable", witness({"pair": str(defects[0][0])}, defects[0][1])
+               if defects else None)
     return report
 
 
@@ -255,67 +247,42 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     twist_vals = {key: h(*(gens[k] for k in key))
                   for key in itertools.combinations(range(g), 3)}
 
-    fail = None
-    for key, value in twist_vals.items():
-        _, residual = express_in_generators(spec, sub, value)
-        in_l = residual.is_zero()
+    def escapes(value: Section) -> str | None:
+        in_l = express_in_generators(spec, sub, value)[1].is_zero()
         in_ker = all(c.is_zero() for c in anchor_apply(spec, value))
-        if not (in_l and in_ker):
-            fail = witness({"triple": str(key), "value": value},
-                           "restricted twist value escapes ker ρ ∩ L")
-            break
-    report.checks.append(AxiomCheck(
-        "twist-values-in-kernel", "fail" if fail else "pass", fail))
+        return None if in_l and in_ker else "restricted twist value escapes ker ρ ∩ L"
 
-    fail = None
-    for i, j in itertools.combinations(range(g), 2):
-        defect = bracket(spec, gens[i], gens[j]) + bracket(spec, gens[j], gens[i])
-        if not defect.is_zero():
-            fail = witness({"pair": str((i, j))}, defect)
-            break
-    for i in range(g):
-        defect = bracket(spec, gens[i], gens[i])
-        if fail is None and not defect.is_zero():
-            fail = witness({"generator": str(i)}, defect)
-    report.checks.append(AxiomCheck(
-        "antisymmetry", "fail" if fail else "pass", fail))
+    report.add("twist-values-in-kernel", first_failure(
+        ((str(key), value) for key, value in twist_vals.items()),
+        ("triple", "value"), lambda key, value: escapes(value)))
+
+    # the label leads each tuple; the sections ride along unnamed
+    report.add("antisymmetry", first_failure(
+        ((str((i, j)), gens[i], gens[j])
+         for i, j in itertools.combinations(range(g), 2)),
+        ("pair",), lambda _, x, y: bracket(spec, x, y) + bracket(spec, y, x),
+    ) or first_failure(
+        ((str(i), gens[i]) for i in range(g)),
+        ("generator",), lambda _, x: bracket(spec, x, x)))
 
     # random L-sections: polynomial combinations of the generators
-    def random_l_section() -> Section:
-        total = Section.zero(spec.rank)
-        for gen in gens:
-            total = total + gen.scale(rand_scalar(rng, spec.nvars,
-                                                  degree if spec.nvars else 0))
-        return total
-
-    randoms = [random_l_section() for _ in range(3)]
-    fail = None
+    randoms = [rand_combination(rng, spec, gens, degree) for _ in range(3)]
+    fns = [rand_scalar(rng, spec.nvars, degree) for _ in range(2)]
     triples = list(itertools.combinations(gens, 3))
     triples += [(randoms[0], randoms[1], randoms[2]),
                 (randoms[0], gens[0], gens[-1])]
-    for x, y, z in triples:
-        defect = jacobiator(spec, x, y, z) - h(x, y, z)
-        if not defect.is_zero():
-            fail = witness({"x": x, "y": y, "z": z}, defect)
-            break
-    report.checks.append(AxiomCheck("jacobi", "fail" if fail else "pass", fail))
+    report.add("jacobi", first_failure(
+        triples, ("x", "y", "z"),
+        lambda x, y, z: jacobiator(spec, x, y, z) - h(x, y, z)))
 
-    fail = None
-    fns = [rand_scalar(rng, spec.nvars, degree if spec.nvars else 0)
-           for _ in range(2)]
-    for x in gens:
-        for y in gens + randoms[:1]:
-            for f in fns:
-                defect = (bracket(spec, x, y.scale(f))
-                          - y.scale(rho_apply(spec, x, f))
-                          - bracket(spec, x, y).scale(f))
-                if not defect.is_zero():
-                    fail = witness({"x": x, "f": f, "y": y}, defect)
-                    break
-    report.checks.append(AxiomCheck("leibniz", "fail" if fail else "pass", fail))
+    report.add("leibniz", first_failure(
+        ((x, f, y) for x in gens for y in gens + randoms[:1] for f in fns),
+        ("x", "f", "y"),
+        lambda x, f, y: (bracket(spec, x, y.scale(f))
+                         - y.scale(rho_apply(spec, x, f))
+                         - bracket(spec, x, y).scale(f))))
 
-    fail = None
-    for quad in itertools.combinations(range(g), 4):
+    def closedness(quad: tuple[int, ...]) -> Section:
         total = Section.zero(spec.rank)
         qgens = [gens[q] for q in quad]
         for k in range(4):
@@ -326,10 +293,11 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
             rest = [qgens[m] for m in range(4) if m != k and m != l]
             value = h(bracket(spec, qgens[k], qgens[l]), rest[0], rest[1])
             total = total + (value if (k + l) % 2 == 0 else -value)
-        if not total.is_zero():
-            fail = witness({"quad": str(quad)}, total)
-            break
-    report.checks.append(AxiomCheck("twist-closed", "fail" if fail else "pass", fail))
+        return total
+
+    report.add("twist-closed", first_failure(
+        ((str(quad), quad) for quad in itertools.combinations(range(g), 4)),
+        ("quad",), lambda _, quad: closedness(quad)))
 
     data = {
         "kind": "h-twisted-lie",

@@ -112,9 +112,6 @@ class Scalar:
         """Largest 0-based variable index occurring, or -1 for constants."""
         return max((len(exp) for exp in self.terms), default=0) - 1
 
-    def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.terms), default=0)
-
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
@@ -223,17 +220,6 @@ class Scalar:
                 out[_trim(new)] = out.get(_trim(new), _ZERO) + coeff * exp[var]
         return Scalar(out)
 
-    def substitute(self, values: Sequence[Fraction]) -> Fraction:
-        """Evaluate at a rational point (one value per variable)."""
-        total = _ZERO
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exp):
-                if e:
-                    term *= values[i] ** e
-            total += term
-        return total
-
     # -- text form -------------------------------------------------------
 
     def to_text(self) -> str:
@@ -320,7 +306,10 @@ def parse_scalar(text: str) -> Scalar:
             if not factor:
                 raise ParseError("empty factor", text, pos)
             if _RATIONAL_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator", text, pos) from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:

@@ -32,7 +32,7 @@ import re
 
 from courantkit.exact import Matrix, ParseError, Scalar, ZERO, parse_scalar
 from courantkit.kerforms import KerForm, _sort_wedge
-from courantkit.structure import AlgebroidSpec, Section
+from courantkit.structure import AlgebroidSpec, Section, SpecInvariantError
 from courantkit.twist import BaseForm, base_form
 
 
@@ -62,6 +62,8 @@ def _is_int(value) -> bool:
 def _parse_matrix(rows, location: str) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise StructureFileError("expected a list of rows", location)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise StructureFileError("rows differ in length", location)
     return Matrix([[_parse_poly(e, f"{location}[{i}][{j}]")
                     for j, e in enumerate(row)] for i, row in enumerate(rows)])
 
@@ -169,14 +171,29 @@ def dumps_canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def parse_json(text: str):
+    """The document in a JSON text; malformed text is a StructureFileError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructureFileError(
+            f"invalid JSON: {exc.msg}", f"line {exc.lineno} col {exc.colno}")
+
+
+def read_json(path: str):
+    """The document in a UTF-8 JSON file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StructureFileError(f"file is not UTF-8 text: {exc.reason}",
+                                 f"byte {exc.start}")
+    return parse_json(text)
+
+
 def load_spec(path: str) -> AlgebroidSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructureFileError(
-                f"invalid JSON: {exc.msg}", f"line {exc.lineno} col {exc.colno}")
-    return spec_from_dict(doc)
+    return spec_from_dict(read_json(path))
 
 
 def save_spec(spec: AlgebroidSpec, path: str) -> None:
@@ -252,7 +269,10 @@ def parse_inline_kerform(spec: AlgebroidSpec, text: str) -> KerForm:
         if wsign < 0:
             value = -value
         coeffs[key] = coeffs.get(key, ZERO) + value
-    return KerForm(spec, degree or 0, coeffs)
+    try:
+        return KerForm(spec, degree or 0, coeffs)
+    except SpecInvariantError as exc:
+        raise ParseError(str(exc), text) from exc
 
 
 def parse_inline_baseform(nvars: int, text: str) -> BaseForm:
@@ -294,7 +314,7 @@ def parse_inline_section(spec: AlgebroidSpec, text: str) -> Section:
 
 
 def parse_subbundle_document(spec: AlgebroidSpec, doc: dict) -> list[Section]:
-    if not isinstance(doc, dict) or "generators" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("generators"), list):
         raise StructureFileError('subspace file needs a "generators" list')
     gens = []
     for i, row in enumerate(doc["generators"]):

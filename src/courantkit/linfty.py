@@ -28,12 +28,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
-from courantkit.axioms import AxiomCheck, CheckReport, witness
+from courantkit.axioms import CheckReport, first_failure
 from courantkit.exact import HALF, Scalar, ZERO
 from courantkit.kerforms import kerform_basis, tilde_split
-from courantkit.rand import rand_scalar, rand_section
+from courantkit.rand import rand_combination, rand_scalar, rand_section
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
@@ -152,7 +153,7 @@ def _eq_action_jacobi(data: LInftyData, x, y, v) -> object:
             - data.act(data.l2(x, y), v) - data.l3(x, y, data.boundary(v)))
 
 
-def _eq_higher_coherence(data: LInftyData, xs: Sequence[Section]) -> object:
+def _eq_higher_coherence(data: LInftyData, *xs: Section) -> object:
     """Σ_(2,2) sgn·l3(l2(·,·),·,·) + Σ_(1,3) sgn·(·)▷l3(·,·,·)."""
     total = None
     for (a, b), (c, d), sign in _UNSHUFFLES_22:
@@ -181,105 +182,76 @@ def verify_linfty(data: LInftyData, sections: Sequence[Section] | None = None,
     rng = random.Random(seed)
     randoms = list(sections) if sections else []
     for _ in range(samples):
-        randoms.append(rand_section(rng, spec, degree if spec.nvars else 0))
+        randoms.append(rand_section(rng, spec, degree))
     v0 = data.v0_basis + randoms
     if data.classical:
-        rand_v1 = [rand_scalar(rng, spec.nvars, degree if spec.nvars else 0)
-                   for _ in range(2)]
+        rand_v1 = [rand_scalar(rng, spec.nvars, degree) for _ in range(2)]
     else:
-        rand_v1 = [_random_kernel_section(rng, data, degree) for _ in range(2)]
+        rand_v1 = [rand_combination(rng, spec, data.v1_basis, degree)
+                   for _ in range(2)]
     v1 = data.v1_basis + rand_v1
     report = CheckReport(suite="l-infinity")
-
-    def run(axiom: str, failure) -> None:
-        report.checks.append(AxiomCheck(axiom, "fail" if failure else "pass",
-                                        failure))
-
-    run("l2-skew", _check_l2_skew(data, v0))
-    run("l3-alternating", _check_l3_alternating(data, v0, rng))
+    report.add("l2-skew", first_failure(((x,) for x in v0), ("x",),
+                                        lambda x: data.l2(x, x)))
+    report.add("l3-alternating", _check_l3_alternating(data, v0))
     if not data.classical:
-        run("values-in-v1", _check_values_in_v1(data, v0, v1))
-    run("bracket-vs-boundary", _first_failure(
-        ((x, v) for x in v0 for v in v1),
-        lambda t: _eq_bracket_vs_boundary(data, *t), ("x", "v")))
-    run("boundary-action-symmetry", _first_failure(
-        itertools.combinations_with_replacement(v1, 2),
-        lambda t: _eq_boundary_action(data, *t), ("v", "w")))
+        report.add("values-in-v1", _check_values_in_v1(data, v0, v1))
+    report.add("bracket-vs-boundary", first_failure(
+        ((x, v) for x in v0 for v in v1), ("x", "v"),
+        partial(_eq_bracket_vs_boundary, data)))
+    report.add("boundary-action-symmetry", first_failure(
+        itertools.combinations_with_replacement(v1, 2), ("v", "w"),
+        partial(_eq_boundary_action, data)))
     triples = list(itertools.combinations(data.v0_basis, 3))
     triples += [tuple(randoms[i % len(randoms)] for i in (t, t + 1, t + 2))
                 for t in range(len(randoms))] if randoms else []
     triples += [(randoms[0], data.v0_basis[0], data.v0_basis[-1])] if randoms else []
-    run("jacobi-up-to-boundary", _first_failure(
-        triples, lambda t: _eq_jacobi_boundary(data, *t), ("x", "y", "z")))
-    run("action-jacobi", _first_failure(
+    report.add("jacobi-up-to-boundary", first_failure(
+        triples, ("x", "y", "z"), partial(_eq_jacobi_boundary, data)))
+    report.add("action-jacobi", first_failure(
         ((x, y, v) for x, y in itertools.combinations(v0, 2) for v in v1),
-        lambda t: _eq_action_jacobi(data, *t), ("x", "y", "v")))
+        ("x", "y", "v"), partial(_eq_action_jacobi, data)))
     quads = list(itertools.combinations(data.v0_basis, 4))
     if randoms:
         pool = randoms + data.v0_basis
         quads += [tuple(pool[(t + i) % len(pool)] for i in range(4))
                   for t in range(len(randoms))]
-    run("higher-coherence", _first_failure(
-        quads, lambda t: _eq_higher_coherence(data, t), ("x1", "x2", "x3", "x4")))
+    report.add("higher-coherence", first_failure(
+        quads, ("x1", "x2", "x3", "x4"), partial(_eq_higher_coherence, data)))
     return report
 
 
-def _random_kernel_section(rng: random.Random, data: LInftyData,
-                           degree: int) -> Section:
-    """Random R-combination of the V1 basis (stays in ker ρ)."""
-    spec = data.spec
-    total = Section.zero(spec.rank)
-    for v in data.v1_basis:
-        total = total + v.scale(rand_scalar(rng, spec.nvars,
-                                            degree if spec.nvars else 0))
-    return total
-
-
-def _first_failure(tuples, evaluate, names) -> dict | None:
-    for t in tuples:
-        defect = evaluate(t)
-        if not defect.is_zero():
-            return witness(dict(zip(names, t)), defect)
-    return None
-
-
-def _check_l2_skew(data: LInftyData, v0: Sequence[Section]) -> dict | None:
-    for x in v0:
-        defect = data.l2(x, x)
-        if not defect.is_zero():
-            return witness({"x": x}, defect)
-    return None
-
-
-def _check_l3_alternating(data: LInftyData, v0: Sequence[Section],
-                          rng: random.Random) -> dict | None:
-    candidates = list(itertools.combinations(v0[: min(len(v0), 5)], 3))
-    for x, y, z in candidates:
+def _check_l3_alternating(data: LInftyData,
+                          v0: Sequence[Section]) -> dict | None:
+    # each candidate triple (x, y, z) is followed by the pair (x, y), whose
+    # defect is l3(x, x, y)
+    def defect(x, y, z=None):
+        if z is None:
+            return data.l3(x, x, y)
         base = data.l3(x, y, z)
-        for perm, sign in (((y, x, z), -1), ((x, z, y), -1), ((y, z, x), 1)):
-            other = data.l3(*perm)
-            defect = base - other if sign > 0 else base + other
-            if not defect.is_zero():
-                return witness({"x": x, "y": y, "z": z}, defect)
-        defect = data.l3(x, x, y)
-        if not defect.is_zero():
-            return witness({"x": x, "y": y}, defect)
-    return None
+        values = (base + data.l3(y, x, z), base + data.l3(x, z, y),
+                  base - data.l3(y, z, x))
+        return next((v for v in values if not v.is_zero()), None)
+
+    candidates = itertools.combinations(v0[:5], 3)
+    return first_failure(
+        (t for x, y, z in candidates for t in ((x, y, z), (x, y))),
+        ("x", "y", "z"), defect)
 
 
 def _check_values_in_v1(data: LInftyData, v0: Sequence[Section],
                         v1: Sequence[Section]) -> dict | None:
-    spec = data.spec
-    for v in v1:
-        if any(not c.is_zero() for c in anchor_apply(spec, v)):
-            return witness({"v": v}, "V1 element not in ker ρ")
-    for x in v0[: min(len(v0), 6)]:
-        for v in v1[:3]:
-            value = data.act(x, v)
-            if any(not c.is_zero() for c in anchor_apply(spec, value)):
-                return witness({"x": x, "v": v}, value)
-    for t in itertools.combinations(v0[: min(len(v0), 5)], 3):
-        value = data.l3(*t)
-        if any(not c.is_zero() for c in anchor_apply(spec, value)):
-            return witness({"x": t[0], "y": t[1], "z": t[2]}, value)
-    return None
+    def escaping(value: Section) -> Section | None:
+        """The value itself when it leaves ker ρ."""
+        in_ker = all(c.is_zero() for c in anchor_apply(data.spec, value))
+        return None if in_ker else value
+
+    return first_failure(
+        ((v,) for v in v1), ("v",),
+        lambda v: None if escaping(v) is None else "V1 element not in ker ρ",
+    ) or first_failure(
+        ((x, v) for x in v0[:6] for v in v1[:3]), ("x", "v"),
+        lambda x, v: escaping(data.act(x, v)),
+    ) or first_failure(
+        itertools.combinations(v0[:5], 3), ("x", "y", "z"),
+        lambda *t: escaping(data.l3(*t)))

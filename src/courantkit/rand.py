@@ -11,15 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from courantkit.exact import Scalar
+from courantkit.exact import Scalar, wedge_indices
 from courantkit.structure import AlgebroidSpec, Section
 
 
-def rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
-    while True:
-        q = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
-        if q or not nonzero:
-            return q
+def rand_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
 
 
 def rand_scalar(rng: random.Random, nvars: int, degree: int,
@@ -50,11 +47,18 @@ def rand_section(rng: random.Random, spec: AlgebroidSpec,
     return Section(tuple(coeffs))
 
 
+def rand_combination(rng: random.Random, spec: AlgebroidSpec,
+                     sections: list[Section], degree: int) -> Section:
+    """Random R-combination of the given sections: stays in their span."""
+    total = Section.zero(spec.rank)
+    for sec in sections:
+        total = total + sec.scale(rand_scalar(rng, spec.nvars, degree))
+    return total
+
+
 def rand_wedge_coeffs(rng: random.Random, spec: AlgebroidSpec, degree: int,
                       poly_degree: int = 0) -> dict:
     """Random coefficients on the basis wedges of Λ^degree (sparse-ish)."""
-    from courantkit.exact import wedge_indices
-
     out = {}
     for key in wedge_indices(spec.rank, degree):
         if rng.random() < 0.5:

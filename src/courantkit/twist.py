@@ -239,7 +239,7 @@ def c_twist(n: int, c3: BaseForm) -> AlgebroidSpec:
     of dC; for closed C the twist vanishes and the structure stays untwisted.
     """
     if n < 3:
-        raise ValueError("c_twist needs n >= 3 for a base 3-form")
+        raise SpecInvariantError("c_twist needs n >= 3 for a base 3-form")
     spec0 = make_standard(n)
     b = pullback(spec0, c3, 3)
     return twist_bracket(spec0, b)

@@ -9,9 +9,10 @@ from courantkit.axioms import (
     SuiteNotApplicableError,
     UnknownSuiteError,
     check_axioms,
+    first_failure,
 )
-from courantkit.exact import ONE, Scalar
-from courantkit.kerforms import zero_form
+from courantkit.exact import ONE, Scalar, ZERO
+from courantkit.kerforms import basis_wedge_form, zero_form
 from courantkit.structure import Section
 from courantkit.twist import twist_bracket
 
@@ -195,3 +196,37 @@ class TestReportJson:
             "courant", "strongly-anchored", "h-twisted", "courant-dorfman",
             "almost-courant-dorfman", "sa-courant-dorfman", "h-twisted-cd",
             "lie-rinehart"}
+
+
+class TestFirstFailure:
+    def test_stops_at_first_failure(self):
+        calls = []
+
+        def defect(a, b):
+            calls.append((a, b))
+            return Scalar.rational(a * b)
+
+        def tuples():
+            yield 0, 1
+            yield 2, 3
+            raise AssertionError("drew a tuple past the first failure")
+
+        found = first_failure(tuples(), ("a", "b"), defect)
+        assert calls == [(0, 1), (2, 3)]
+        assert found == {"inputs": {"a": "2", "b": "3"}, "defect": "6"}
+
+    def test_unnamed_entries_stay_out_of_the_witness(self):
+        found = first_failure([("label", ONE)], ("pair",), lambda _, v: v)
+        assert found == {"inputs": {"pair": "label"}, "defect": "1"}
+
+    @pytest.mark.parametrize("defect,fails", [
+        (None, False), ("a message", True), (ZERO, False), (ONE, True),
+        (sec(0, 0), False), (sec(0, 1), True),
+        ((ZERO, ZERO), False), ((ZERO, ONE), True)])
+    def test_zero_test_per_defect_type(self, defect, fails):
+        assert (first_failure([()], (), lambda: defect) is not None) == fails
+
+    def test_zero_test_on_forms(self, split4):
+        assert first_failure([()], (), lambda: zero_form(split4, 3)) is None
+        assert first_failure(
+            [()], (), lambda: basis_wedge_form(split4, (0, 1, 2))) is not None

@@ -178,6 +178,71 @@ class TestLinfty:
         assert code == 2 and "untwisted" in err
 
 
+class TestErrorExits:
+    """Malformed input exits 2 with a one-line error; a bug exits 3."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, std2_file):
+        ragged = tmp_path / "ragged.json"
+        ragged.write_text(json.dumps({"ring": {"type": "point"}, "rank": 2,
+                                      "gram": [["1", "0"], ["0"]]}))
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"kind": "é"}'.encode("latin-1"))
+        return {"<std2>": std2_file, "<ragged>": str(ragged),
+                "<latin1>": str(latin1)}
+
+    CASES = {
+        "ragged-gram": (["verify", "<ragged>"], "rows differ"),
+        "not-utf8": (["verify", "<latin1>"], "UTF-8"),
+        "standard-n0": (["make", "standard", "--n", "0"], "--n"),
+        "ctwist-n2": (["make", "ctwist", "--n", "2", "--c", "0"], "n >= 3"),
+        "ctwist-2form": (["make", "ctwist", "--n", "2", "--c", "dx1^dx2"],
+                         "3-form"),
+        "ctwist-no-c": (["make", "ctwist", "--n", "4"], "--c"),
+        "zero-denominator": (["make", "ctwist", "--n", "4",
+                              "--c", "1/0*dx1^dx2^dx3"], "zero denominator"),
+        "dirac-no-subspace": (["dirac", "<std2>"], "--subspace"),
+        "dirac-generators-not-list": (
+            ["dirac", "<std2>", "--subspace", '{"generators": 5}'],
+            "generators"),
+        "dirac-bad-json": (["dirac", "<std2>", "--subspace", "{]"],
+                           "invalid JSON"),
+        "cohomology-no-truncate": (["cohomology", "<std2>", "--max-degree", "2"],
+                                   "--truncate"),
+        "degree-negative": (["verify", "<std2>", "--degree", "-1"], "--degree"),
+        "tuples-negative": (["verify", "<std2>", "--tuples", "-3"], "--tuples"),
+        "linfty-tuples-negative": (["linfty", "<std2>", "--tuples", "-3"],
+                                   "--tuples"),
+        "max-degree-negative": (["cohomology", "<std2>", "--max-degree", "-1",
+                                 "--truncate", "1"], "--max-degree"),
+        "truncate-negative": (["cohomology", "<std2>", "--max-degree", "1",
+                               "--truncate", "-1"], "--truncate"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exit_two(self, capsys, files, name):
+        argv, message = self.CASES[name]
+        try:
+            code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code, out, err = exc.code, "", capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "error" in err and message in err
+        assert "Traceback" not in err
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch, std2_file):
+        import courantkit.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("an internal defect")
+
+        monkeypatch.setattr(cli, "check_axioms", broken)
+        code, out, err = run(capsys, "verify", std2_file)
+        assert code == 3 and out == ""
+        assert "internal error" in err and "Traceback" in err
+        assert "an internal defect" in err
+
+
 class TestGolden:
     """The README commands print exactly what they printed when pinned.
 

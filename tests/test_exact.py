@@ -111,10 +111,6 @@ class TestScalar:
             rhs = p * r.partial(var) + r * p.partial(var)
             assert lhs == rhs
 
-    def test_substitute(self):
-        p = x(0) ** 2 + q(1, 2) * x(1)
-        assert p.substitute([Fraction(2), Fraction(4)]) == Fraction(6)
-
 
 class TestText:
     @pytest.mark.parametrize(

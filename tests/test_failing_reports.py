@@ -1,0 +1,151 @@
+"""Failing reports print exactly what they printed when pinned.
+
+Each pin is the list of failing checks and the SHA-256 of the report's
+canonical JSON at seed 0.  Witnesses depend on the order in which a check
+draws and evaluates its tuples, so these pins guard that order for every
+check that has a failing structure here: all eight suites, both homotopy
+packagings (every equation except ``values-in-v1``, which no structure here
+breaks) and the induced Dirac algebroid.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from conftest import corrupt_bracket, corrupt_twist, sec
+
+from courantkit.axioms import SUITES, check_axioms
+from courantkit.dirac import Subbundle, induced_htla
+from courantkit.exact import Matrix, ONE, Scalar, ZERO
+from courantkit.kerforms import basis_wedge_form
+from courantkit.linfty import build_classical, build_twisted, verify_linfty
+from courantkit.structure import AlgebroidSpec, Section
+from courantkit.twist import twist_bracket
+
+x = Scalar.variable
+
+
+def digest(report) -> str:
+    text = json.dumps(report.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def assert_pinned(report, failing, sha):
+    assert (report.failing(), digest(report)) == (failing, sha)
+
+
+BRACKET_PINS = {
+    "almost-courant-dorfman": (
+        ["invariance", "symmetric-part"],
+        "fea5dd43f5c8f2d3c77673a2055013377be633b9f7d63f5b3058e73584e5262b"),
+    "courant": (
+        ["jacobi", "symmetric-part", "invariance"],
+        "269e4380c7d82eece341cbfec20a0e855a08144aecf359c359052d3436961666"),
+    "courant-dorfman": (
+        ["invariance", "symmetric-part", "jacobi"],
+        "b354ae04be2c9b9debf677cc88c14acc19b70cb49e39b94cb3d23337e0237cda"),
+    "h-twisted": (
+        ["twisted-jacobi", "symmetric-part", "invariance"],
+        "08d9edaa7a2f495c89f127b684dad953738c6591f56b55cd1049d63c265a8c80"),
+    "h-twisted-cd": (
+        ["invariance", "symmetric-part", "twisted-jacobi"],
+        "1f3aaf96e563c486130b1ac5a5960f063cf19f07c3959f9ed20b152e01bb0368"),
+    "lie-rinehart": (
+        ["antisymmetry", "jacobi-cyclic"],
+        "0ed3c44bfd3be0f6797be2720ea872f86d456751ff753d53673871d6058327a3"),
+    "sa-courant-dorfman": (
+        ["invariance", "symmetric-part"],
+        "e4f4a5920aea298187ae475ffabf60ff6bbdfe4be5480d2d2a1549f525dba6c9"),
+    "strongly-anchored": (
+        ["symmetric-part", "invariance"],
+        "f806226375930c6a9e641a3328c2027f8763260ca14386692957ff43ac1cf894"),
+}
+
+
+class TestSuitePins:
+    def test_every_suite_is_pinned(self):
+        assert sorted(BRACKET_PINS) == sorted(SUITES)
+
+    @pytest.mark.parametrize("suite", sorted(BRACKET_PINS))
+    def test_corrupted_bracket(self, ctwist4, suite):
+        bad = corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
+        assert_pinned(check_axioms(bad, suite, seed=0), *BRACKET_PINS[suite])
+
+    @pytest.mark.parametrize("suite,failing,sha", [
+        ("courant", ["jacobi"],
+         "57eb143127bbbbc30380cd8478136d0efcd76ebb43e40aced6582a7380bf57b6"),
+        ("lie-rinehart", ["antisymmetry", "jacobi-cyclic"],
+         "a12bfb8ae3c829ed1ca9451374dddfbd9183fc9e45cd05c18988c1a80e00cf86"),
+    ])
+    def test_twisted_structure_under_untwisted_suites(self, ctwist4, suite,
+                                                     failing, sha):
+        assert_pinned(check_axioms(ctwist4, suite, seed=0), failing, sha)
+
+    @pytest.mark.parametrize("key,value,suite,failing,sha", [
+        ((4, 5, 6, 7), ONE, "h-twisted", ["twisted-jacobi"],
+         "7827fcac7dc4494000a714e54045e749ca36ad121514345c8bc884b40a4c835b"),
+        ((4, 5, 6, 7), ONE, "h-twisted-cd", ["twisted-jacobi"],
+         "937bbf415395d9420133c1a9bdf1395c2f901cf8b2e9afff2288bef24745dc8f"),
+        ((0, 1, 2, 3), x(0), "h-twisted",
+         ["twist-membership", "twisted-jacobi", "twist-closed"],
+         "18fb1f9842799b1d1b784b6bf77c3d8350d22e8009ad9604d12b19098b64a692"),
+        ((0, 1, 2, 3), x(0), "h-twisted-cd", ["twisted-jacobi", "twist-closed"],
+         "a64f3def3dc302fb82636bd0485a3fc142a16d79f39770c00b973efcd390f33c"),
+    ])
+    def test_corrupted_twist(self, ctwist4, key, value, suite, failing, sha):
+        bad = corrupt_twist(ctwist4, key, value)
+        assert_pinned(check_axioms(bad, suite, seed=0), failing, sha)
+
+
+class TestLinftyPins:
+    @pytest.fixture()
+    def split4_b_corrupted(self, split4):
+        twisted = twist_bracket(split4, basis_wedge_form(split4, (0, 1, 2)))
+        return corrupt_bracket(twisted, 0, 1, sec(0, 0, 2, 0))
+
+    def test_classical_std2(self, std2):
+        bad = corrupt_bracket(std2, 0, 2, Section.basis(3, 4))
+        assert_pinned(
+            verify_linfty(build_classical(bad), seed=0),
+            ["l2-skew", "l3-alternating", "bracket-vs-boundary",
+             "jacobi-up-to-boundary", "action-jacobi", "higher-coherence"],
+            "9565dcc1b9a862a1b85a4e77c075a34c5a8f1744e7e074361221cb2a1d1310f0")
+
+    def test_classical_split4_b(self, split4_b_corrupted):
+        assert_pinned(
+            verify_linfty(build_classical(split4_b_corrupted), seed=0),
+            ["l2-skew", "l3-alternating", "jacobi-up-to-boundary",
+             "higher-coherence"],
+            "5d24f5a99df3bc50880c6905e8aae235227d0a42aeb9766e6caebfdb0002c966")
+
+    def test_twisted_split4_b(self, split4_b_corrupted):
+        assert_pinned(
+            verify_linfty(build_twisted(split4_b_corrupted), seed=0),
+            ["l2-skew", "boundary-action-symmetry", "jacobi-up-to-boundary",
+             "action-jacobi"],
+            "688fb55c275797586680e19aa4e31290fe475a584e268b67241212381a1d3e37")
+
+
+class TestInducedPins:
+    def test_twist_values_and_jacobi(self, ctwist4):
+        bad = corrupt_twist(ctwist4, (0, 1, 2, 3), x(0))
+        sub = Subbundle(bad, [Section.basis(i, 8) for i in range(4, 8)])
+        _, report = induced_htla(bad, sub, seed=0)
+        assert_pinned(
+            report, ["twist-values-in-kernel", "jacobi"],
+            "e6a515979af03d7bd28a9bd6071b546c49f9ca4eacacb3a892eb95923cdbf74d")
+
+    def test_antisymmetry(self):
+        # the rank-6 hyperbolic pairing of test_dirac's TestNonzeroInheritedForm,
+        # with a bracket that is not skew on span(e0, e1, e5)
+        gram = Matrix([[ONE if abs(i - j) == 3 else ZERO for j in range(6)]
+                       for i in range(6)])
+        table = {(0, 1): Section.basis(5, 6), (1, 0): Section.basis(1, 6),
+                 (5, 5): Section.basis(0, 6)}
+        spec = AlgebroidSpec("point", 0, 6, gram, None, table)
+        sub = Subbundle(spec, [Section.basis(i, 6) for i in (0, 1, 5)])
+        _, report = induced_htla(spec, sub, seed=0)
+        assert_pinned(
+            report, ["antisymmetry", "jacobi"],
+            "b9459829bbe22cfc045dcd69c3ff8a46b374eb6e2d1874a03df8add69504bbff")

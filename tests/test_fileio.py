@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from courantkit.exact import ParseError, Scalar, ONE, ZERO
+from courantkit.exact import ParseError, Scalar, ONE, ZERO, parse_scalar
 from courantkit.fileio import (
     StructureFileError,
     dumps_canonical,
@@ -200,3 +200,69 @@ class TestDeterminism:
         assert a == b
         rebuilt = spec_from_dict(json.loads(a))
         assert dumps_canonical(spec_to_dict(rebuilt)) == a
+
+
+class TestFuzz:
+    """Malformed text and documents end in the package's typed errors.
+
+    A document that parses but describes an invalid structure (a singular
+    Gram matrix, say) raises SpecInvariantError, as TestLoad pins.
+    """
+
+    TYPED = (ParseError, StructureFileError)
+    DOCUMENT = TYPED + (SpecInvariantError,)
+    # the characters of the inline syntax, plus a few strangers
+    INLINE = st.text(alphabet="ex0123456789dx^*+-/() .é", max_size=24)
+
+    @given(INLINE)
+    @settings(max_examples=150, deadline=None)
+    def test_parse_scalar(self, text):
+        try:
+            parse_scalar(text)
+        except self.TYPED:
+            pass
+
+    @given(INLINE)
+    @settings(max_examples=150, deadline=None)
+    def test_parse_inline_kerform(self, std2, text):
+        try:
+            parse_inline_kerform(std2, text)
+        except self.TYPED:
+            pass
+
+    @given(INLINE)
+    @settings(max_examples=150, deadline=None)
+    def test_parse_inline_section(self, std2, text):
+        try:
+            parse_inline_section(std2, text)
+        except self.TYPED:
+            pass
+
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False)
+        | st.sampled_from(["0", "1", "x1", "x^", "point", "polynomial", "0,1"]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(
+            ["ring", "type", "vars", "rank", "gram", "anchor", "bracket",
+             "twist", "kind", "indices", "coeff", "0,1"]), inner, max_size=5),
+        max_leaves=12)
+
+    @given(JSON)
+    @settings(max_examples=150, deadline=None)
+    def test_spec_from_dict_arbitrary(self, doc):
+        try:
+            spec_from_dict(doc)
+        except self.DOCUMENT:
+            pass
+
+    @given(st.fixed_dictionaries({
+        "ring": st.sampled_from([{"type": "point"},
+                                 {"type": "polynomial", "vars": 1}]),
+        "rank": st.integers(1, 3),
+        "gram": JSON, "bracket": JSON, "twist": JSON, "anchor": JSON}))
+    @settings(max_examples=150, deadline=None)
+    def test_spec_from_dict_fields(self, doc):
+        try:
+            spec_from_dict(doc)
+        except self.DOCUMENT:
+            pass
