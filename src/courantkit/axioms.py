@@ -226,12 +226,14 @@ def _ax_twist_closed(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
 
 
 def _ax_leibniz(spec: AlgebroidSpec, pool: _Pool, cd: bool = False) -> dict | None:
+    # [φ,ψ] is computed once per pair and rides along unnamed
     return first_failure(
-        ((phi, f, psi) for phi, psi in pool.pairs() for f in pool.functions),
+        ((phi, f, psi, br) for phi, psi in pool.pairs()
+         for br in [bracket(spec, phi, psi)] for f in pool.functions),
         ("phi", "f", "psi"),
-        lambda phi, f, psi: (bracket(spec, phi, psi.scale(f))
-                             - psi.scale(_rho(spec, phi, f, cd))
-                             - bracket(spec, phi, psi).scale(f)))
+        lambda phi, f, psi, br: (bracket(spec, phi, psi.scale(f))
+                                 - psi.scale(_rho(spec, phi, f, cd))
+                                 - br.scale(f)))
 
 
 def _ax_symmetric_part(spec: AlgebroidSpec, pool: _Pool) -> dict | None:

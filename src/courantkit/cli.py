@@ -18,8 +18,8 @@ from courantkit.cohomology import CochainEscapeError, complex_summary
 from courantkit.dirac import (
     MembershipError,
     Subbundle,
+    _build_induced_htla,
     check_dirac,
-    induced_htla,
     search_coordinate_dirac,
 )
 from courantkit.exact import ExactError, ParseError
@@ -137,8 +137,9 @@ def cmd_dirac(args) -> int:
     doc = {"schema": SCHEMA, "command": "dirac", "report": report.to_json(),
            "induced": None}
     if report.passed:
-        data, induced_report = induced_htla(spec, sub, seed=args.seed,
-                                            degree=args.degree)
+        # the check above is induced_htla's precondition; do not repeat it
+        data, induced_report = _build_induced_htla(spec, sub, args.seed,
+                                                   args.degree)
         doc["induced"] = data
         doc["induced_report"] = induced_report.to_json()
         _emit(doc, args)

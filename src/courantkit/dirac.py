@@ -233,6 +233,12 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     if not dirac.passed:
         raise SpecInvariantError(
             f"induced structure needs a Dirac subbundle; failing: {dirac.failing()}")
+    return _build_induced_htla(spec, sub, seed, degree)
+
+
+def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, seed: int,
+                        degree: int) -> tuple[dict, CheckReport]:
+    """induced_htla on a subbundle that has already passed check_dirac."""
     rng = random.Random(seed)
     gens = sub.generators
     g = sub.dim

@@ -13,9 +13,10 @@ with two normalisation rules that make the representation *unique*:
     key no matter how many ring variables are nominally around.
 
 Equal scalars therefore have identical representations and ``==`` is exact
-value equality.  Term iteration order is canonicalised to graded
-lexicographic (descending), which also fixes the printed form.  All
-arithmetic is closed and exact; nothing is ever rounded.
+value equality.  The term dictionary keeps no particular order: hashing is
+order-free, and the printed form fixes the order only when it is written,
+graded lexicographic (descending).  All arithmetic is closed and exact;
+nothing is ever rounded.
 
 Variables are named x1, x2, ... in text form (x1 is exponent position 0).
 """
@@ -42,6 +43,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, text: str, position: int = 0):
         super().__init__(f"{message} at position {position} in {text!r}")
+        self.message = message
         self.text = text
         self.position = position
 
@@ -67,10 +69,15 @@ class Scalar:
         merged: dict[Exponent, Fraction] = {}
         if terms:
             # keys may arrive untrimmed; same-monomial keys merge additively
-            for exp in sorted(terms, key=_grlex_key, reverse=True):
-                key = _trim(exp)
-                merged[key] = merged.get(key, _ZERO) + terms[exp]
-        canonical = {exp: coeff for exp, coeff in merged.items() if coeff != 0}
+            for exp, coeff in terms.items():
+                if exp and not exp[-1]:
+                    exp = _trim(exp)
+                if exp in merged:
+                    merged[exp] += coeff
+                else:
+                    merged[exp] = (coeff if coeff.__class__ is Fraction
+                                   else Fraction(coeff))
+        canonical = {exp: coeff for exp, coeff in merged.items() if coeff}
         object.__setattr__(self, "terms", canonical)
         object.__setattr__(self, "_hash", None)
 
@@ -98,7 +105,8 @@ class Scalar:
         return not self.terms
 
     def is_rational(self) -> bool:
-        return all(exp == () for exp in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and () in t)
 
     def as_fraction(self) -> Fraction:
         if not self.terms:
@@ -110,7 +118,7 @@ class Scalar:
     @property
     def max_var_index(self) -> int:
         """Largest 0-based variable index occurring, or -1 for constants."""
-        return max((len(exp) for exp in self.terms), default=0) - 1
+        return max(map(len, self.terms), default=0) - 1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -132,7 +140,10 @@ class Scalar:
             return self
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, _ZERO) + coeff
+            if exp in out:
+                out[exp] += coeff
+            else:
+                out[exp] = coeff
         return Scalar(out)
 
     __radd__ = __add__
@@ -144,13 +155,21 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for exp, coeff in other.terms.items():
+            if exp in out:
+                out[exp] -= coeff
+            else:
+                out[exp] = -coeff
+        return Scalar(out)
 
     def __rsub__(self, other) -> "Scalar":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Scalar":
         other = self._coerce(other)
@@ -169,7 +188,10 @@ class Scalar:
                     exp = tuple(x + y for x, y in zip(ea, eb_p))
                 else:
                     exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, _ZERO) + ca * cb
+                if exp in out:
+                    out[exp] += ca * cb
+                else:
+                    out[exp] = ca * cb
         return Scalar(out)
 
     __rmul__ = __mul__
@@ -204,7 +226,7 @@ class Scalar:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(tuple(self.terms.items()))
+            h = hash(frozenset(self.terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -212,12 +234,13 @@ class Scalar:
 
     def partial(self, var: int) -> "Scalar":
         """∂/∂x_{var+1}, exact.  Constants (and rationals) differentiate to 0."""
+        # lowering one exponent is injective on monomials: nothing merges
         out: dict[Exponent, Fraction] = {}
         for exp, coeff in self.terms.items():
             if var < len(exp) and exp[var] > 0:
                 new = list(exp)
                 new[var] -= 1
-                out[_trim(new)] = out.get(_trim(new), _ZERO) + coeff * exp[var]
+                out[tuple(new)] = coeff * exp[var]
         return Scalar(out)
 
     # -- text form -------------------------------------------------------
@@ -227,7 +250,8 @@ class Scalar:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for exp, coeff in self.terms.items():
+        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
+            coeff = self.terms[exp]
             factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                        for i, e in enumerate(exp) if e]
             mag = coeff if coeff > 0 else -coeff

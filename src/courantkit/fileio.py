@@ -245,7 +245,8 @@ def _inline_poly_factor(factor: str, text: str) -> Scalar:
     try:
         return parse_scalar(factor)
     except ParseError as exc:
-        raise ParseError(f"bad coefficient {factor!r}: {exc}", text) from exc
+        raise ParseError(f"bad coefficient {factor!r}: {exc.message}",
+                         text) from exc
 
 
 def parse_inline_kerform(spec: AlgebroidSpec, text: str) -> KerForm:

@@ -193,9 +193,9 @@ def verify_linfty(data: LInftyData, sections: Sequence[Section] | None = None,
     report = CheckReport(suite="l-infinity")
     report.add("l2-skew", first_failure(((x,) for x in v0), ("x",),
                                         lambda x: data.l2(x, x)))
-    report.add("l3-alternating", _check_l3_alternating(data, v0))
+    report.add("l3-alternating", _check_l3_alternating(data, v0, randoms))
     if not data.classical:
-        report.add("values-in-v1", _check_values_in_v1(data, v0, v1))
+        report.add("values-in-v1", _check_values_in_v1(data, v0, v1, randoms))
     report.add("bracket-vs-boundary", first_failure(
         ((x, v) for x in v0 for v in v1), ("x", "v"),
         partial(_eq_bracket_vs_boundary, data)))
@@ -221,8 +221,15 @@ def verify_linfty(data: LInftyData, sections: Sequence[Section] | None = None,
     return report
 
 
-def _check_l3_alternating(data: LInftyData,
-                          v0: Sequence[Section]) -> dict | None:
+def _random_triples(data: LInftyData,
+                    randoms: Sequence[Section]) -> list[tuple]:
+    """One triple (r, first basis section, last basis section) per random
+    section: on rank ≥ 6 the basis slices below hold no random section."""
+    return [(r, data.v0_basis[0], data.v0_basis[-1]) for r in randoms]
+
+
+def _check_l3_alternating(data: LInftyData, v0: Sequence[Section],
+                          randoms: Sequence[Section]) -> dict | None:
     # each candidate triple (x, y, z) is followed by the pair (x, y), whose
     # defect is l3(x, x, y)
     def defect(x, y, z=None):
@@ -233,14 +240,16 @@ def _check_l3_alternating(data: LInftyData,
                   base - data.l3(y, z, x))
         return next((v for v in values if not v.is_zero()), None)
 
-    candidates = itertools.combinations(v0[:5], 3)
+    candidates = itertools.chain(itertools.combinations(v0[:5], 3),
+                                 _random_triples(data, randoms))
     return first_failure(
         (t for x, y, z in candidates for t in ((x, y, z), (x, y))),
         ("x", "y", "z"), defect)
 
 
 def _check_values_in_v1(data: LInftyData, v0: Sequence[Section],
-                        v1: Sequence[Section]) -> dict | None:
+                        v1: Sequence[Section],
+                        randoms: Sequence[Section]) -> dict | None:
     def escaping(value: Section) -> Section | None:
         """The value itself when it leaves ker ρ."""
         in_ker = all(c.is_zero() for c in anchor_apply(data.spec, value))
@@ -250,8 +259,10 @@ def _check_values_in_v1(data: LInftyData, v0: Sequence[Section],
         ((v,) for v in v1), ("v",),
         lambda v: None if escaping(v) is None else "V1 element not in ker ρ",
     ) or first_failure(
-        ((x, v) for x in v0[:6] for v in v1[:3]), ("x", "v"),
+        itertools.chain(((x, v) for x in v0[:6] for v in v1[:3]),
+                        ((r, v1[-1]) for r in randoms)), ("x", "v"),
         lambda x, v: escaping(data.act(x, v)),
     ) or first_failure(
-        itertools.combinations(v0[:5], 3), ("x", "y", "z"),
+        itertools.chain(itertools.combinations(v0[:5], 3),
+                        _random_triples(data, randoms)), ("x", "y", "z"),
         lambda *t: escaping(data.l3(*t)))

@@ -277,6 +277,11 @@ def lambda_pairing(spec: AlgebroidSpec, left: Sequence[Section],
 def anchor_apply(spec: AlgebroidSpec, psi: Section) -> tuple[Scalar, ...]:
     """ρ(ψ) as a base vector field: n polynomial coefficients on ∂_1..∂_n."""
     spec.validate_section(psi)
+    return _anchor_apply(spec, psi)
+
+
+def _anchor_apply(spec: AlgebroidSpec, psi: Section) -> tuple[Scalar, ...]:
+    """anchor_apply on a section the caller has already validated."""
     if spec.anchor is None:
         return tuple([ZERO] * spec.nvars)
     out = [ZERO] * spec.nvars
@@ -322,18 +327,31 @@ def rho_star(spec: AlgebroidSpec, xi: Sequence[Scalar]) -> Section:
 
 
 def d0(spec: AlgebroidSpec, f: Scalar) -> Section:
-    """The derivation D₀: f ↦ ρ*(df).  Zero over a point."""
+    """The derivation D₀: f ↦ ρ*(df) = Σⱼ ∂ⱼf·D₀(xⱼ), ρ* being R-linear,
+    summed over the cached generators d0_generator(spec, j).  Zero over a
+    point."""
     if spec.is_point() or spec.anchor is None or f.is_rational():
         return Section.zero(spec.rank)
-    df = tuple(f.partial(j) for j in range(spec.nvars))
-    return rho_star(spec, df)
+    out = [ZERO] * spec.rank
+    for j in range(spec.nvars):
+        dfj = f.partial(j)
+        if dfj.is_zero():
+            continue
+        for k, ck in enumerate(d0_generator(spec, j).coeffs):
+            if not ck.is_zero():
+                out[k] = out[k] + dfj * ck
+    return Section(tuple(out))
 
 
 def d0_generator(spec: AlgebroidSpec, j: int) -> Section:
-    """Cached D₀(x_{j+1}) = ρ*(dx_{j+1})."""
+    """Cached D₀(x_{j+1}) = ρ*(dx_{j+1}); zero without an anchor."""
     cached = spec._d0_cache.get(j)
     if cached is None:
-        cached = d0(spec, Scalar.variable(j))
+        if spec.anchor is None:
+            cached = Section.zero(spec.rank)
+        else:
+            cached = rho_star(spec, [ONE if k == j else ZERO
+                                     for k in range(spec.nvars)])
         spec._d0_cache[j] = cached
     return cached
 
@@ -355,8 +373,8 @@ def bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
     out = [ZERO] * rank
     point = spec.is_point() or spec.anchor is None
     if not point:
-        rho_phi = anchor_apply(spec, phi)
-        rho_psi = anchor_apply(spec, psi)
+        rho_phi = _anchor_apply(spec, phi)
+        rho_psi = _anchor_apply(spec, psi)
         for j, gj in enumerate(psi.coeffs):
             if not gj.is_rational():
                 out[j] = out[j] + apply_vector_field(rho_phi, gj)

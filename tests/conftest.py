@@ -4,8 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every fuzz test draws the same examples on every run, so a red run replays
+settings.register_profile("courantkit", derandomize=True, deadline=None)
+settings.load_profile("courantkit")
 
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
 from courantkit.structure import Section

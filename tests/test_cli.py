@@ -140,6 +140,23 @@ class TestDirac:
         assert code == 0
         assert doc["report"]["passed"] and doc["induced"]["kind"] == "h-twisted-lie"
 
+    def test_subspace_checks_dirac_once(self, capsys, monkeypatch, std2_file):
+        import courantkit.cli as cli
+        import courantkit.dirac as dirac
+
+        calls, check = [], dirac.check_dirac
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_dirac", counting)
+        monkeypatch.setattr(dirac, "check_dirac", counting)
+        code, out, _ = run(capsys, "dirac", std2_file,
+                           "--subspace", "e1 + x1*dx2; e2 - x1*dx1")
+        assert code == 0 and json.loads(out)["induced_report"]["passed"]
+        assert len(calls) == 1
+
     def test_subspace_failure_exit_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "make", "standard", "--n", "3",
                          "-o", str(tmp_path / "s3.json"))
@@ -229,6 +246,12 @@ class TestErrorExits:
         assert code == 2 and out == ""
         assert "error" in err and message in err
         assert "Traceback" not in err
+
+    def test_bad_coefficient_names_position_once(self, capsys):
+        code, out, err = run(capsys, "make", "ctwist", "--n", "4", "--c", "é")
+        assert code == 2 and out == ""
+        assert err == ("error: bad coefficient 'é': bad factor 'é' "
+                       "at position 0 in 'é'\n")
 
     def test_internal_error_exits_three(self, capsys, monkeypatch, std2_file):
         import courantkit.cli as cli

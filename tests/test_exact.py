@@ -61,6 +61,28 @@ class TestScalar:
         cancels = Scalar({(1,): Fraction(2), (1, 0): Fraction(-2)})
         assert cancels.is_zero()
 
+    def test_public_int_coefficients_stored_as_fractions(self):
+        a = Scalar({(1, 0): 2})
+        assert a.terms == {(1,): Fraction(2)}
+        assert all(type(c) is Fraction for c in a.terms.values())
+        assert all(type(c) is Fraction for c in (a + 1).terms.values())
+
+    @given(scalars(), st.randoms(use_true_random=False))
+    @settings(max_examples=80)
+    def test_insertion_order_is_invisible(self, s, rnd):
+        items = list(s.terms.items())
+        rnd.shuffle(items)
+        # each term split in two halves, one of them under an untrimmed key
+        pieces = {}
+        for exp, coeff in items:
+            pieces[exp + (0,)] = coeff / 2
+        for exp, coeff in reversed(items):
+            pieces[exp] = coeff / 2
+        for other in (Scalar(dict(items)), Scalar(pieces)):
+            assert other == s
+            assert hash(other) == hash(s)
+            assert other.to_text() == s.to_text()
+
     def test_zero_is_empty(self):
         assert (x(0) - x(0)).terms == {}
         assert (x(0) - x(0)).is_zero()

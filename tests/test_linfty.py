@@ -7,7 +7,13 @@ import pytest
 
 from courantkit.exact import ONE, Scalar
 from courantkit.kerforms import KerForm, zero_form
-from courantkit.linfty import build_classical, build_twisted, verify_linfty
+from courantkit.linfty import (
+    _check_l3_alternating,
+    _check_values_in_v1,
+    build_classical,
+    build_twisted,
+    verify_linfty,
+)
 from courantkit.rand import rand_section, rand_wedge_coeffs
 from courantkit.structure import Section, SpecInvariantError
 from courantkit.twist import twist_bracket
@@ -92,6 +98,29 @@ class TestVerify:
         failed = [c for c in report.checks
                   if c.axiom == "jacobi-up-to-boundary"][0]
         assert failed.witness is not None
+
+    def test_alternation_and_membership_see_random_sections(self, ctwist4):
+        # rank 8: the basis slices of both checks hold no random section
+        data = build_twisted(ctwist4)
+        seen = {"l3": [], "act": []}
+
+        def recording(name, fn):
+            def wrapper(*args):
+                seen[name].append(any(
+                    not c.is_rational() for a in args if isinstance(a, Section)
+                    for c in a.coeffs))
+                return fn(*args)
+            return wrapper
+
+        data.l3 = recording("l3", data.l3)
+        data.act = recording("act", data.act)
+        randoms = [rand_section(random.Random(3), ctwist4, 2)]
+        v0 = data.v0_basis + randoms
+        assert _check_l3_alternating(data, v0, randoms) is None
+        assert any(seen["l3"])
+        seen["l3"].clear()
+        assert _check_values_in_v1(data, v0, data.v1_basis, randoms) is None
+        assert any(seen["act"]) and any(seen["l3"])
 
     def test_determinism(self, ctwist4):
         a = verify_linfty(build_twisted(ctwist4), seed=7).to_json()

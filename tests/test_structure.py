@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import corrupt_gram
 from oracles import dorfman_standard
 
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, HALF
@@ -144,6 +145,19 @@ class TestRhoStarAndD0:
         lhs = d0(std, f * g)
         rhs = d0(std, g).scale(f) + d0(std, f).scale(g)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("case", ["ctwist4", "ctwist4-polynomial-gram",
+                                      "std1", "std3"])
+    def test_d0_matches_rho_star_of_df(self, request, case):
+        if case == "ctwist4-polynomial-gram":
+            spec = corrupt_gram(request.getfixturevalue("ctwist4"), 0, x(0))
+        else:
+            spec = request.getfixturevalue(case)
+        rng = random.Random(11)
+        for _ in range(10):
+            f = rand_scalar(rng, spec.nvars, 3)
+            df = [f.partial(j) for j in range(spec.nvars)]
+            assert d0(spec, f) == rho_star(spec, df), f
 
     def test_rho_star_images_isotropic(self, std3):
         # ⟨ρ*ξ, ρ*η⟩ = 0 whenever the ring/module rules hold
