@@ -6,7 +6,9 @@ Chevalley–Eilenberg oracle works in dual coordinates with explicit Koszul
 bookkeeping, the subset-insertion oracle evaluates the twist insertion
 through pairings and a Gram solve instead of the derivation extension, and
 the Gram-solve splitting evaluates α̃ on each call through determinant
-pairings instead of a table of basis values.
+pairings instead of a table of basis values, and the constant block of a
+subbundle is found by trying column combinations until a minor is nonzero
+instead of by elimination.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import itertools
 from courantkit.exact import Matrix, Scalar, ZERO, wedge_indices
 from courantkit.kerforms import KerForm, pair_prefixed, pair_sections, tilde_split_basis
 from courantkit.structure import AlgebroidSpec, Section
+
+
+class NoConstantBlock(Exception):
+    """No g×g minor over the constant columns is nonzero."""
 
 
 def _vf_apply(field, f: Scalar) -> Scalar:
@@ -149,3 +155,15 @@ def gram_solve_split(spec: AlgebroidSpec, form: KerForm):
         return Section(gram_inv.matvec(w))
 
     return split
+
+
+def constant_block_by_minors(sub) -> tuple[tuple[int, ...], Matrix]:
+    """The lexicographically first constant-column block of a subbundle's
+    generator matrix with a nonzero determinant, and its inverse."""
+    constant_cols = [c for c in range(sub.spec.rank)
+                     if all(gen.coeffs[c].is_rational() for gen in sub.generators)]
+    for cols in itertools.combinations(constant_cols, sub.dim):
+        block = Matrix([[gen.coeffs[c] for c in cols] for gen in sub.generators])
+        if not block.det().is_zero():
+            return cols, block.inverse()
+    raise NoConstantBlock

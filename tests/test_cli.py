@@ -30,6 +30,13 @@ def std2_file(tmp_path, std2):
 
 
 @pytest.fixture()
+def std4_file(tmp_path, std4):
+    path = tmp_path / "std4.json"
+    save_spec(std4, str(path))
+    return str(path)
+
+
+@pytest.fixture()
 def ctwist_file(tmp_path, ctwist4):
     path = tmp_path / "ct4.json"
     save_spec(ctwist4, str(path))
@@ -267,7 +274,8 @@ class TestErrorExits:
 
 
 class TestGolden:
-    """The README commands print exactly what they printed when pinned.
+    """The README commands, a truncated polynomial cohomology and a Dirac
+    search print exactly what they printed when pinned.
 
     Each pin is the SHA-256 of the command's stdout at ``--seed 0``.  A
     refactor that keeps the mathematics must keep these bytes; a deliberate
@@ -285,10 +293,14 @@ class TestGolden:
             "fa6df628acd18b26d7045afa665ab25b393e790d7d530cc9b3e292af661d413a"),
         "cohomology": (0,
             "dc735092d3a45f8ac0facc812fd95671a97597b69ee8f1407d7cfc411a43e51d"),
+        "cohomology-truncated": (0,
+            "ec8cdd812cedbebf4f7e7a99c1cc7b806539f8b6bd65d07a6e5f50be59a55e0d"),
+        "dirac-search": (0,
+            "e2f5690f5423f05ec5de9942449c7b962d5f97af0f28c68f95eddcb9a2e9cb75"),
     }
 
     @pytest.fixture()
-    def commands(self, ctwist_file, std2_file, so3_file):
+    def commands(self, ctwist_file, std2_file, std4_file, so3_file):
         return {
             "verify-h-twisted": ["verify", ctwist_file, "--suite", "h-twisted"],
             "verify-courant": ["verify", ctwist_file, "--suite", "courant"],
@@ -296,6 +308,9 @@ class TestGolden:
             "dirac-subspace": ["dirac", std2_file, "--subspace",
                                "e1 + x1*dx2; e2 - x1*dx1"],
             "cohomology": ["cohomology", so3_file, "--max-degree", "3"],
+            "cohomology-truncated": ["cohomology", ctwist_file, "--max-degree",
+                                     "2", "--truncate", "1"],
+            "dirac-search": ["dirac", std4_file, "--search"],
         }
 
     @pytest.mark.parametrize("name", sorted(PINS))

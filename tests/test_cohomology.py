@@ -86,8 +86,11 @@ class TestCochainBasis:
         image = cov_derivative(twisted, alpha)
         assert ins_h(twisted, alpha).is_zero()
         assert ins_h(twisted, image).is_zero()  # weak reading is stable
-        with pytest.raises(CochainEscapeError):
+        with pytest.raises(CochainEscapeError) as info:
             differential_matrix(twisted, 1)
+        assert str(info.value) == (
+            "D maps cochain #0 of degree 1 (KerForm((3)·e0 + (-2)·e1 + "
+            "(-1)·e3)) outside the (zero) cochain space")
 
     def test_members_annihilate_twist(self, ctwist4):
         for form in cochain_basis(ctwist4, 2, max_degree=0):
@@ -170,9 +173,27 @@ class TestEscape:
         assert "twisted-jacobi" in check_axioms(bad, "h-twisted",
                                                 seed=0).failing()
         assert len(cochain_basis(bad, 1)) == 2
-        with pytest.raises(CochainEscapeError, match="degree 1"):
+        with pytest.raises(CochainEscapeError) as info:
             for p in range(7):
                 differential_matrix(bad, p)
+        assert str(info.value) == (
+            "D maps cochain #0 of degree 1 (KerForm((1)·e2)) outside the "
+            "degree-2 cochain space")
+
+    def test_escape_names_the_first_escaping_cochain(self, so3_plus_so3):
+        # a zero form ahead of the basis stays inside, so the first escape
+        # is source cochain #1
+        from conftest import corrupt_twist
+        from courantkit.cohomology import _differential
+        from courantkit.kerforms import zero_form
+
+        bad = corrupt_twist(so3_plus_so3, (0, 1, 3, 4), ONE)
+        source = [zero_form(bad, 1)] + cochain_basis(bad, 1)
+        with pytest.raises(CochainEscapeError) as info:
+            _differential(bad, 1, source, cochain_basis(bad, 2))
+        assert str(info.value) == (
+            "D maps cochain #1 of degree 1 (KerForm((1)·e2)) outside the "
+            "degree-2 cochain space")
 
 
 class TestReadings:

@@ -54,6 +54,60 @@ class TestSubbundle:
             express_in_generators(std2, sub, Section.basis(0, 4))
 
 
+class TestConstantBlock:
+    """The block membership runs through is the first one, in the order of
+    column combinations, whose minor is nonzero."""
+
+    @staticmethod
+    def _agrees(sub):
+        from courantkit.dirac import _constant_block
+        from oracles import NoConstantBlock, constant_block_by_minors
+
+        try:
+            expected = constant_block_by_minors(sub)
+        except NoConstantBlock:
+            with pytest.raises(MembershipError):
+                _constant_block(sub)
+            return None
+        assert _constant_block(sub) == expected
+        return expected[0]
+
+    def test_dependent_leading_columns(self, std2):
+        # columns 0 and 1 are proportional, column 2 is polynomial
+        sub = Subbundle(std2, [Section.make([ONE, ONE, x(0), ZERO]),
+                               Section.make([Scalar.rational(2),
+                                             Scalar.rational(2), ZERO, ONE])])
+        assert self._agrees(sub) == (0, 3)
+
+    def test_graph_of_two_form(self, std2):
+        sub = graph_of_two_form(std2, {(0, 1): x(0) * x(1)})
+        assert self._agrees(sub) == (0, 1)
+
+    def test_random_generator_matrices(self, std3):
+        # rank 6: constant entries from a few values, so leading columns are
+        # often dependent; one column in three polynomial
+        rng = random.Random(17)
+        blocks = set()
+        for _ in range(60):
+            g = rng.randint(1, 4)
+            poly_cols = {c for c in range(6) if rng.random() < 0.3}
+            rows = []
+            for _ in range(g):
+                rows.append(Section.make([
+                    x(rng.randrange(3)) + rng.choice([0, 1]) if c in poly_cols
+                    else Scalar.rational(rng.choice([0, 0, 1, -1, 2]))
+                    for c in range(6)]))
+            try:
+                sub = Subbundle(std3, rows)
+            except SpecInvariantError:
+                continue
+            blocks.add(self._agrees(sub))
+        # the sample reaches both outcomes and blocks not led by column 0
+        assert None in blocks
+        assert any(b and b[0] > 0 for b in blocks)
+        assert any(b and b != tuple(range(b[0], b[0] + len(b))) for b in blocks)
+
+
 class TestSignature:
     def test_split(self, std2, split4):
         assert gram_signature(std2.gram) == (2, 2)
