@@ -17,8 +17,9 @@ silently picking one.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from courantkit.exact import Matrix, Scalar, ZERO, kernel_basis, rref, solve_rational, wedge_indices
+from courantkit.exact import Matrix, Scalar, _eliminate, _kernel, _scalar_matrix, wedge_indices
 from courantkit.kerforms import (
     KerForm,
     contract,
@@ -29,6 +30,9 @@ from courantkit.kerforms import (
     tilde_split_basis,
 )
 from courantkit.structure import AlgebroidSpec, Section, d0_generator
+
+
+Rows = list[list[Fraction]]
 
 
 class CochainEscapeError(RuntimeError):
@@ -56,25 +60,20 @@ def annihilates_twist(spec: AlgebroidSpec, form: KerForm) -> bool:
 
 
 def _form_coordinates(forms: list[KerForm], degree: int, rank: int,
-                      monos: list[tuple[int, ...]] | None):
-    """Rational coordinates of forms on (wedge, monomial) axes."""
-    wedges = wedge_indices(rank, degree)
-    if monos is None:
-        axes = [(w, ()) for w in wedges]
-    else:
-        axes = [(w, m) for w in wedges for m in monos]
+                      monos: list[tuple[int, ...]] | None) -> Rows:
+    """Rational coordinates of forms: one row per (wedge, monomial) axis,
+    one column per form."""
+    axes = [(w, m) for w in wedge_indices(rank, degree) for m in monos or [()]]
     index = {a: i for i, a in enumerate(axes)}
-    cols = []
-    for form in forms:
-        vec = [ZERO] * len(axes)
+    rows = [[Fraction(0)] * len(forms) for _ in axes]
+    for col, form in enumerate(forms):
         for key, value in form.coeffs.items():
             for exp, coeff in value.terms.items():
                 slot = index.get((key, exp))
                 if slot is None:
                     raise ValueError("form exceeds the coordinate truncation")
-                vec[slot] = Scalar.rational(coeff)
-        cols.append(vec)
-    return axes, cols
+                rows[slot][col] = coeff
+    return rows
 
 
 def _mono_closure(forms: list[KerForm]) -> list[tuple[int, ...]]:
@@ -93,33 +92,33 @@ def cochain_basis(spec: AlgebroidSpec, degree: int,
     ambient basis is the monomial-truncated kernel basis, so a truncation
     bound is required.
     """
-    ambient = kerform_basis(spec, degree, max_degree)
+    return _cochains(spec, degree, kerform_basis(spec, degree, max_degree))
+
+
+def _cochains(spec: AlgebroidSpec, degree: int,
+              ambient: list[KerForm]) -> list[KerForm]:
+    """cochain_basis inside the given basis of ker ρ̃."""
     if not ambient:
         return []
     victims = twist_image_sections(spec)
     if not victims or degree == 0:
         return ambient
     contracted = [[contract(spec, form, v) for v in victims] for form in ambient]
-    all_images = [c for row in contracted for c in row]
-    monos = None if spec.is_point() else _mono_closure(all_images)
-    rows: list[list[Scalar]] = []
-    axes = None
+    monos = None if spec.is_point() else _mono_closure(
+        [c for row in contracted for c in row])
+    rows: Rows = []
     for v_idx in range(len(victims)):
-        images = [contracted[f_idx][v_idx] for f_idx in range(len(ambient))]
-        axes, cols = _form_coordinates(images, degree - 1, spec.rank, monos)
-        for r in range(len(axes)):
-            row = [cols[c][r] for c in range(len(ambient))]
-            if any(not e.is_zero() for e in row):
-                rows.append(row)
+        images = [row[v_idx] for row in contracted]
+        coords = _form_coordinates(images, degree - 1, spec.rank, monos)
+        rows += [row for row in coords if any(row)]
     if not rows:
         return ambient
-    combos = kernel_basis(Matrix(rows))
     basis = []
-    for combo in combos:
+    for combo in _kernel(rows, len(ambient)):
         total = KerForm(spec, degree, {})
         for c, form in zip(combo, ambient):
-            if not c.is_zero():
-                total = total + form.scale(c)
+            if c:
+                total = total + form.scale(Scalar.rational(c))
         basis.append(total)
     return basis
 
@@ -127,18 +126,18 @@ def cochain_basis(spec: AlgebroidSpec, degree: int,
 def weak_kernel_dimension(spec: AlgebroidSpec, degree: int,
                           max_degree: int | None = None) -> int:
     """Dimension of {α : ins_h(α) = 0} in the (truncated) ambient basis."""
-    ambient = kerform_basis(spec, degree, max_degree)
-    if not ambient:
-        return 0
-    if spec.twist is None or spec.twist.is_zero():
+    return _weak_dimension(spec, degree, kerform_basis(spec, degree, max_degree))
+
+
+def _weak_dimension(spec: AlgebroidSpec, degree: int,
+                    ambient: list[KerForm]) -> int:
+    """weak_kernel_dimension inside the given basis of ker ρ̃."""
+    if not ambient or spec.twist is None or spec.twist.is_zero():
         return len(ambient)
     images = [ins_h(spec, form) for form in ambient]
     monos = None if spec.is_point() else _mono_closure(images)
-    axes, cols = _form_coordinates(images, degree + 2, spec.rank, monos)
-    rows = [[cols[c][r] for c in range(len(ambient))] for r in range(len(axes))]
-    if not rows:
-        return len(ambient)
-    return len(kernel_basis(Matrix(rows)))
+    rows = _form_coordinates(images, degree + 2, spec.rank, monos)
+    return len(ambient) - len(_eliminate(rows, len(ambient)))
 
 
 def readings_agree(spec: AlgebroidSpec, degree: int,
@@ -148,9 +147,9 @@ def readings_agree(spec: AlgebroidSpec, degree: int,
     The slotwise space is contained in the weak one, so equality of
     dimensions means the readings coincide on this structure and degree.
     """
-    strict = len(cochain_basis(spec, degree, max_degree))
-    weak = weak_kernel_dimension(spec, degree, max_degree)
-    return strict == weak
+    ambient = kerform_basis(spec, degree, max_degree)
+    return (len(_cochains(spec, degree, ambient))
+            == _weak_dimension(spec, degree, ambient))
 
 
 def differential_matrix(spec: AlgebroidSpec, degree: int) -> Matrix:
@@ -161,46 +160,32 @@ def differential_matrix(spec: AlgebroidSpec, degree: int) -> Matrix:
     """
     if not spec.is_point():
         raise ValueError("differential matrices are computed over a point")
-    return _differential(spec, degree, cochain_basis(spec, degree),
-                         cochain_basis(spec, degree + 1))
+    return _scalar_matrix(_differential(spec, degree, cochain_basis(spec, degree),
+                                        cochain_basis(spec, degree + 1)))
 
 
 def _differential(spec: AlgebroidSpec, degree: int, source: list[KerForm],
-                  target: list[KerForm]) -> Matrix:
-    """differential_matrix on the given bases of C^p and C^{p+1}."""
-    if not source:
-        return Matrix.zeros(len(target), 0) if target else Matrix.zeros(0, 0)
-    target_axes, target_cols = (None, [])
-    if target:
-        target_axes, target_cols = _form_coordinates(
-            target, degree + 1, spec.rank, None)
-        target_matrix = Matrix([[target_cols[c][r] for c in range(len(target))]
-                                for r in range(len(target_axes))])
-    columns = []
+                  target: list[KerForm]) -> Rows:
+    """differential_matrix on the given bases of C^p and C^{p+1}, as
+    len(target) Fraction rows: every image is solved against the target
+    basis by one reduction of [target | images]."""
+    images = [cov_derivative(spec, form) for form in source]
+    width = len(target)
+    rows = [t + i for t, i in zip(
+        _form_coordinates(target, degree + 1, spec.rank, None),
+        _form_coordinates(images, degree + 1, spec.rank, None))]
+    pivots = _eliminate(rows, width)
+    space = f"degree-{degree + 1}" if target else "(zero)"
     for idx, form in enumerate(source):
-        image = cov_derivative(spec, form)
-        if not target:
-            if not image.is_zero():
-                raise CochainEscapeError(
-                    f"D maps cochain #{idx} of degree {degree} ({form!r}) "
-                    f"outside the (zero) cochain space")
-            columns.append([])
-            continue
-        _, image_cols = _form_coordinates([image], degree + 1, spec.rank, None)
-        solution = solve_rational(target_matrix, image_cols[0])
-        if solution is None:
-            raise CochainEscapeError(
-                f"D maps cochain #{idx} of degree {degree} ({form!r}) "
-                f"outside the degree-{degree + 1} cochain space")
-        columns.append(list(solution))
-    if not target:
-        return Matrix.zeros(0, 0)
-    return Matrix([[columns[c][r] for c in range(len(source))]
-                   for r in range(len(target))])
+        if any(row[width + idx] for row in rows[len(pivots):]):
+            raise CochainEscapeError(f"D maps cochain #{idx} of degree {degree} "
+                                     f"({form!r}) outside the {space} cochain space")
+    # the target is a basis: every target column is a pivot, row t solves
+    # for the coefficient of target t
+    return [row[width:] for row in rows[:width]]
 
 
-def _point_complex(spec: AlgebroidSpec,
-                   p_max: int) -> tuple[list[list[KerForm]], list[Matrix]]:
+def _point_complex(spec: AlgebroidSpec, p_max: int) -> tuple[list[list[KerForm]], list[Rows]]:
     """Bases of C⁰..C^{p_max+1} and the matrices of D between them, each
     built once."""
     bases = [cochain_basis(spec, p) for p in range(p_max + 2)]
@@ -209,14 +194,9 @@ def _point_complex(spec: AlgebroidSpec,
     return bases, mats
 
 
-def _matrix_rank(m: Matrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return rref(m)[1]
-
-
-def _betti(bases: list[list[KerForm]], mats: list[Matrix]) -> list[int]:
-    ranks = [_matrix_rank(m) for m in mats]
+def _betti(bases: list[list[KerForm]], mats: list[Rows]) -> list[int]:
+    ranks = [len(_eliminate([row[:] for row in m], len(bases[p])))
+             for p, m in enumerate(mats)]
     out = []
     for p in range(len(mats)):
         prev_rank = ranks[p - 1] if p > 0 else 0
@@ -254,12 +234,11 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
     """Dims, Betti numbers (point only), d²=0, and reading agreement."""
     if spec.is_point():
         bases, mats = _point_complex(spec, p_max)
-        d_squared_zero = True
-        for p in range(p_max):
-            if mats[p].cols and mats[p + 1].rows:
-                prod = mats[p + 1].matmul(mats[p])
-                if any(not e.is_zero() for row in prod.entries for e in row):
-                    d_squared_zero = False
+        # d_{p+1}·d_p, entry by entry
+        d_squared_zero = not any(
+            sum(row[k] * mats[p][k][j] for k in range(len(mats[p])))
+            for p in range(p_max) for row in mats[p + 1]
+            for j in range(len(bases[p])))
         return {
             "dims": [len(bases[p]) for p in range(p_max + 1)],
             "betti": _betti(bases, mats),
@@ -275,11 +254,11 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
     d_squared_zero = True
     agree = True
     for p in range(p_max + 1):
-        basis = cochain_basis(spec, p, max_degree)
+        ambient = kerform_basis(spec, p, max_degree)
+        basis = _cochains(spec, p, ambient)
         dims.append(len(basis))
-        for form in basis:
-            if not d_squared(spec, form).is_zero():
-                d_squared_zero = False
-        agree = agree and readings_agree(spec, p, max_degree)
+        d_squared_zero = d_squared_zero and all(
+            d_squared(spec, form).is_zero() for form in basis)
+        agree = agree and len(basis) == _weak_dimension(spec, p, ambient)
     return {"dims": dims, "betti": None, "d_squared_zero": d_squared_zero,
             "readings_agree": agree}

@@ -19,9 +19,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from courantkit.axioms import CheckReport, first_failure, witness
-from courantkit.exact import Matrix, Scalar, ZERO
+from courantkit.exact import Matrix, Scalar, ZERO, _eliminate, _scalar_matrix
 from courantkit.kerforms import tilde_split, zero_form
 from courantkit.rand import rand_combination, rand_scalar
 from courantkit.structure import (
@@ -155,17 +156,22 @@ def is_lagrangean(spec: AlgebroidSpec, sub: Subbundle) -> bool:
 
 def _constant_block(sub: Subbundle) -> tuple[tuple[int, ...], Matrix]:
     """Columns with constant entries forming an invertible block, and the
-    inverse of that block."""
+    inverse of that block: the pivots of [rows | I] reduced to [R | E] are
+    the first column combination with a nonzero minor, and E = block⁻¹."""
     g = sub.dim
     constant_cols = [c for c in range(sub.spec.rank)
                      if all(gen.coeffs[c].is_rational() for gen in sub.generators)]
-    for cols in itertools.combinations(constant_cols, g):
-        block = Matrix([[gen.coeffs[c] for c in cols] for gen in sub.generators])
-        if not block.det().is_zero():
-            return cols, block.inverse()
-    raise MembershipError(
-        "no invertible constant-column block: span membership over the "
-        "polynomial ring is undecidable for this generator matrix")
+    k = len(constant_cols)
+    rows = [[gen.coeffs[c].as_fraction() for c in constant_cols]
+            + [Fraction(1) if a == b else Fraction(0) for b in range(g)]
+            for a, gen in enumerate(sub.generators)]
+    pivots = _eliminate(rows, k)
+    if len(pivots) < g:
+        raise MembershipError(
+            "no invertible constant-column block: span membership over the "
+            "polynomial ring is undecidable for this generator matrix")
+    return (tuple(constant_cols[p] for p in pivots),
+            _scalar_matrix(row[k:] for row in rows))
 
 
 def express_in_generators(spec: AlgebroidSpec, sub: Subbundle,
@@ -281,12 +287,14 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, seed: int,
         triples, ("x", "y", "z"),
         lambda x, y, z: jacobiator(spec, x, y, z) - h(x, y, z)))
 
+    # [x,y] is computed once per pair and rides along unnamed
     report.add("leibniz", first_failure(
-        ((x, f, y) for x in gens for y in gens + randoms[:1] for f in fns),
+        ((x, f, y, br) for x in gens for y in gens + randoms[:1]
+         for br in [bracket(spec, x, y)] for f in fns),
         ("x", "f", "y"),
-        lambda x, f, y: (bracket(spec, x, y.scale(f))
-                         - y.scale(rho_apply(spec, x, f))
-                         - bracket(spec, x, y).scale(f))))
+        lambda x, f, y, br: (bracket(spec, x, y.scale(f))
+                             - y.scale(rho_apply(spec, x, f))
+                             - br.scale(f))))
 
     def closedness(quad: tuple[int, ...]) -> Section:
         total = Section.zero(spec.rank)

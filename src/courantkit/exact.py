@@ -19,6 +19,10 @@ graded lexicographic (descending).  All arithmetic is closed and exact;
 nothing is ever rounded.
 
 Variables are named x1, x2, ... in text form (x1 is exponent position 0).
+
+Rational linear algebra runs on lists of Fraction rows, reduced by the one
+Gauss–Jordan elimination ``_eliminate``; Scalars appear only at the API
+(``rref``, ``kernel_basis``, ``solve_rational``, the rational inverse).
 """
 
 from __future__ import annotations
@@ -448,18 +452,17 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """Exact inverse.  Requires the determinant to be a nonzero rational
-        (a unit of ℚ[x]); reduces [A | I] to [I | A⁻¹] with rref when all
-        entries are rational and uses the adjugate otherwise."""
+        (a unit of ℚ[x]); reduces [A | I] to [I | A⁻¹] when all entries are
+        rational and uses the adjugate otherwise."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         if self.is_rational():
-            reduced, _, pivots = rref(Matrix(
-                [row + tuple(ONE if i == j else ZERO for j in range(n))
-                 for i, row in enumerate(self.entries)]))
-            if pivots and pivots[-1] >= n:
+            rows = [row + [_ONE if i == j else _ZERO for j in range(n)]
+                    for i, row in enumerate(self.fraction_grid())]
+            if len(_eliminate(rows, n)) < n:
                 raise ExactError("matrix is singular")
-            return Matrix([row[n:] for row in reduced.entries])
+            return _scalar_matrix(row[n:] for row in rows)
         d = self.det()
         if not d.is_rational() or d.is_zero():
             raise ExactError("polynomial matrix inverse needs a nonzero "
@@ -475,6 +478,51 @@ class Matrix:
         return Matrix(cof)
 
 
+def _eliminate(rows: list[list[Fraction]], width: int) -> list[int]:
+    """Reduce Fraction rows in place to reduced row-echelon form over their
+    first ``width`` columns, later columns riding along; returns the pivot
+    columns."""
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        lead = rows[r] = [v * inv if v else v for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [v - f * w if w else v for v, w in zip(row, lead)]
+        pivots.append(c)
+    return pivots
+
+
+def _kernel(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of Fraction rows of the given width, reduced
+    in place: one vector per free column, first nonzero entry positive."""
+    pivots = _eliminate(rows, width)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        vec = [_ZERO] * width
+        vec[f] = _ONE
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][f]
+        lead = next(v for v in vec if v)
+        basis.append([-v for v in vec] if lead < 0 else vec)
+    return basis
+
+
+def _scalar_matrix(rows: Iterable[Sequence[Fraction]]) -> Matrix:
+    return Matrix([[Scalar.rational(v) for v in row] for row in rows])
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row-echelon form of a rational matrix.
 
@@ -482,26 +530,8 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     the result is canonical.  Polynomial entries raise ExactError.
     """
     grid = m.fraction_grid()
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if grid[i][c] != 0), None)
-        if pivot is None:
-            continue
-        grid[r], grid[pivot] = grid[pivot], grid[r]
-        inv = 1 / grid[r][c]
-        grid[r] = [v * inv for v in grid[r]]
-        for i in range(rows):
-            if i != r and grid[i][c] != 0:
-                f = grid[i][c]
-                grid[i] = [v - f * w for v, w in zip(grid[i], grid[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    reduced = Matrix([[Scalar.rational(v) for v in row] for row in grid])
-    return reduced, len(pivots), tuple(pivots)
+    pivots = _eliminate(grid, m.cols)
+    return _scalar_matrix(grid), len(pivots), tuple(pivots)
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
@@ -511,40 +541,25 @@ def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
     their count is cols − rank.  Each vector is normalised so its first
     nonzero entry is positive.
     """
-    reduced, rank, pivots = rref(m)
-    grid = reduced.fraction_grid()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [_ZERO] * m.cols
-        vec[f] = _ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -grid[r][f]
-        lead = next(v for v in vec if v != 0)
-        if lead < 0:
-            vec = [-v for v in vec]
-        basis.append(tuple(Scalar.rational(v) for v in vec))
-    return basis
+    return [tuple(Scalar.rational(v) for v in vec)
+            for vec in _kernel(m.fraction_grid(), m.cols)]
 
 
 def solve_rational(m: Matrix, rhs: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-    """One exact solution of m·x = rhs over ℚ, or None if inconsistent."""
+    """One exact solution of m·x = rhs over ℚ (every free variable 0), or
+    None if inconsistent."""
     grid = m.fraction_grid()
     b = [s.as_fraction() for s in rhs]
     if len(b) != m.rows:
         raise ValueError("dimension mismatch in solve_rational")
-    if m.rows == 0:
-        return tuple([ZERO] * m.cols)
-    aug = Matrix([[Scalar.rational(v) for v in row] + [Scalar.rational(bv)]
-                  for row, bv in zip(grid, b)])
-    reduced, rank, pivots = rref(aug)
-    if m.cols in pivots:
+    for row, bv in zip(grid, b):
+        row.append(bv)
+    pivots = _eliminate(grid, m.cols)
+    if any(row[m.cols] for row in grid[len(pivots):]):
         return None
     sol = [ZERO] * m.cols
-    rgrid = reduced.fraction_grid()
     for r, p in enumerate(pivots):
-        sol[p] = Scalar.rational(rgrid[r][m.cols])
+        sol[p] = Scalar.rational(grid[r][m.cols])
     return tuple(sol)
 
 

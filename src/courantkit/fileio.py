@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 
-from courantkit.exact import Matrix, ParseError, Scalar, ZERO, parse_scalar
+from courantkit.exact import Matrix, ParseError, Scalar, ZERO, _split_signed_terms, parse_scalar
 from courantkit.kerforms import KerForm, _sort_wedge
 from courantkit.structure import AlgebroidSpec, Section, SpecInvariantError
 from courantkit.twist import BaseForm, base_form
@@ -206,72 +206,81 @@ def save_spec(spec: AlgebroidSpec, path: str) -> None:
 _BASIS_NAME = re.compile(r"^(e|dx)(\d+)$")
 
 
-def _basis_index(spec: AlgebroidSpec, name: str, text: str) -> int:
+def _basis_index(spec: AlgebroidSpec, name: str, text: str, at: int) -> int:
     m = _BASIS_NAME.match(name)
     if not m:
-        raise ParseError(f"bad basis name {name!r}", text)
+        raise ParseError(f"bad basis name {name!r}", text, at)
     i = int(m.group(2))
     if i < 1:
-        raise ParseError("basis names are 1-based", text)
+        raise ParseError("basis names are 1-based", text, at)
     if m.group(1) == "e":
         idx = i - 1
     else:
         if spec.rank != 2 * spec.nvars or spec.nvars == 0:
-            raise ParseError("dx<i> names need the rank-2n split layout", text)
+            raise ParseError("dx<i> names need the rank-2n split layout", text, at)
         idx = spec.nvars + i - 1
     if idx >= spec.rank:
-        raise ParseError(f"basis index {name} out of range", text)
+        raise ParseError(f"basis index {name} out of range", text, at)
     return idx
 
 
-def _split_term(term: str, text: str) -> tuple[Scalar, list[str]]:
-    """Split one inline term into (polynomial coefficient, basis-name chain)."""
+def _split_term(term: str, text: str,
+                offset: int) -> tuple[Scalar, list[str], int]:
+    """Split one inline term, which starts at ``offset`` in ``text``, into
+    (polynomial coefficient, basis-name chain, offset of the chain)."""
     coeff = Scalar.rational(1)
-    names: list[str] | None = None
-    for factor in term.split("*"):
-        factor = factor.strip()
+    names: list[str] = []
+    chain_at = offset
+    for raw in term.split("*"):
+        factor = raw.strip()
+        at = offset + len(raw) - len(raw.lstrip())
+        offset += len(raw) + 1
         if not factor:
-            raise ParseError("empty factor", text)
+            raise ParseError("empty factor", text, at)
         if "e" in factor or "d" in factor:
-            if names is not None:
-                raise ParseError("two wedge chains in one term", text)
-            names = [part.strip() for part in factor.split("^")]
+            if names:
+                raise ParseError("two wedge chains in one term", text, at)
+            names, chain_at = [part.strip() for part in factor.split("^")], at
         else:
-            coeff = coeff * _inline_poly_factor(factor, text)
-    return coeff, names if names is not None else []
+            coeff = coeff * _inline_poly_factor(factor, text, at)
+    return coeff, names, chain_at
 
 
-def _inline_poly_factor(factor: str, text: str) -> Scalar:
+def _inline_poly_factor(factor: str, text: str, at: int) -> Scalar:
     try:
         return parse_scalar(factor)
     except ParseError as exc:
         raise ParseError(f"bad coefficient {factor!r}: {exc.message}",
-                         text) from exc
+                         text, at) from exc
+
+
+def _inline_terms(text: str, index) -> tuple[int, dict]:
+    """The terms of an inline form summed by sorted index tuple: (degree,
+    {indices: coefficient}).  ``index(name, at)`` maps a basis name whose
+    chain starts at offset ``at`` to its slot."""
+    coeffs: dict = {}
+    degree = None
+    for sign, term, start in _split_signed_terms(text):
+        at = text.index(term, start)
+        value, names, chain_at = _split_term(term, text, at)
+        indices = [index(n, chain_at) for n in names]
+        if degree is None:
+            degree = len(indices)
+        if len(indices) != degree:
+            raise ParseError("mixed degrees in one form", text, at)
+        key, wsign = _sort_wedge(indices)
+        if wsign:
+            coeffs[key] = coeffs.get(key, ZERO) + (
+                value if sign * wsign > 0 else -value)
+    return degree or 0, coeffs
 
 
 def parse_inline_kerform(spec: AlgebroidSpec, text: str) -> KerForm:
     """Inline module form: e.g. "e1^e2^e3", "x1*dx2^dx3^dx4 - 2*e1^e2^e5"."""
-    from courantkit.exact import _split_signed_terms
-
-    coeffs: dict = {}
-    degree = None
-    for sign, term, _pos in _split_signed_terms(text):
-        value, names = _split_term(term, text)
-        if sign < 0:
-            value = -value
-        indices = [_basis_index(spec, n, text) for n in names]
-        if degree is None:
-            degree = len(indices)
-        if len(indices) != degree:
-            raise ParseError("mixed degrees in one form", text)
-        key, wsign = _sort_wedge(indices)
-        if wsign == 0:
-            continue
-        if wsign < 0:
-            value = -value
-        coeffs[key] = coeffs.get(key, ZERO) + value
+    degree, coeffs = _inline_terms(
+        text, lambda name, at: _basis_index(spec, name, text, at))
     try:
-        return KerForm(spec, degree or 0, coeffs)
+        return KerForm(spec, degree, coeffs)
     except SpecInvariantError as exc:
         raise ParseError(str(exc), text) from exc
 
@@ -279,32 +288,17 @@ def parse_inline_kerform(spec: AlgebroidSpec, text: str) -> KerForm:
 def parse_inline_baseform(nvars: int, text: str) -> BaseForm:
     """Inline base form on the ring: e.g. "x1*dx2^dx3^dx4"; dx<i> is the
     i-th coordinate one-form."""
-    from courantkit.exact import _split_signed_terms
 
-    entries: dict = {}
-    degree = None
-    for sign, term, _pos in _split_signed_terms(text):
-        value, names = _split_term(term, text)
-        if sign < 0:
-            value = -value
-        indices = []
-        for n in names:
-            m = _BASIS_NAME.match(n)
-            if not m or m.group(1) != "dx":
-                raise ParseError(f"base forms use dx<i> names, got {n!r}", text)
-            i = int(m.group(2)) - 1
-            if not (0 <= i < nvars):
-                raise ParseError(f"coordinate {n} out of range", text)
-            indices.append(i)
-        if degree is None:
-            degree = len(indices)
-        if len(indices) != degree:
-            raise ParseError("mixed degrees in one form", text)
-        key, wsign = _sort_wedge(indices)
-        if wsign == 0:
-            continue
-        entries[key] = entries.get(key, ZERO) + (value if wsign > 0 else -value)
-    return base_form(entries)
+    def coordinate(name: str, at: int) -> int:
+        m = _BASIS_NAME.match(name)
+        if not m or m.group(1) != "dx":
+            raise ParseError(f"base forms use dx<i> names, got {name!r}", text, at)
+        i = int(m.group(2)) - 1
+        if not (0 <= i < nvars):
+            raise ParseError(f"coordinate {name} out of range", text, at)
+        return i
+
+    return base_form(_inline_terms(text, coordinate)[1])
 
 
 def parse_inline_section(spec: AlgebroidSpec, text: str) -> Section:

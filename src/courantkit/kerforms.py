@@ -21,9 +21,10 @@ derivation ins_h built from slotwise insertion of the twist.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Sequence
 
-from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
+from courantkit.exact import Matrix, ONE, Scalar, ZERO, _kernel, wedge_indices
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
@@ -272,27 +273,22 @@ def kerform_basis(spec: AlgebroidSpec, degree: int,
     monos = monomials(spec.nvars, max_degree)
     domain = [(I, m) for I in all_wedges for m in monos]
     col_of = {key: c for c, key in enumerate(domain)}
-    rows: dict[tuple[int, Wedge, tuple[int, ...]], dict[int, Scalar]] = {}
+    rows: dict[tuple[int, Wedge, tuple[int, ...]], dict[int, Fraction]] = {}
     for (I, m), col in col_of.items():
         mono = Scalar.monomial(m)
         form = KerForm(spec, degree, {I: mono})
         for (j, rest), value in rho_tilde(spec, form).items():
             for exp, coeff in value.terms.items():
-                row_key = (j, rest, exp)
-                rows.setdefault(row_key, {})[col] = Scalar.rational(coeff)
-    if rows:
-        matrix = Matrix([[rows[k].get(c, ZERO) for c in range(len(domain))]
-                         for k in sorted(rows)])
-    else:
-        matrix = Matrix.zeros(1, len(domain))
-    from courantkit.exact import kernel_basis as _kernel
+                rows.setdefault((j, rest, exp), {})[col] = coeff
+    zero = Fraction(0)
+    grid = [[rows[k].get(c, zero) for c in range(len(domain))]
+            for k in sorted(rows)]
     basis = []
-    for vec in _kernel(matrix):
+    for vec in _kernel(grid, len(domain)):
         coeffs: dict[Wedge, Scalar] = {}
         for (I, m), c in col_of.items():
-            if not vec[c].is_zero():
-                prev = coeffs.get(I, ZERO)
-                coeffs[I] = prev + Scalar.monomial(m, vec[c].as_fraction())
+            if vec[c]:
+                coeffs[I] = coeffs.get(I, ZERO) + Scalar.monomial(m, vec[c])
         basis.append(KerForm(spec, degree, coeffs))
     return basis
 

@@ -260,6 +260,13 @@ class TestErrorExits:
         assert err == ("error: bad coefficient 'é': bad factor 'é' "
                        "at position 0 in 'é'\n")
 
+    def test_bad_coefficient_names_its_offset(self, capsys):
+        code, out, err = run(capsys, "make", "ctwist", "--n", "4",
+                             "--c", "x1*é*dx2^dx3^dx4")
+        assert code == 2 and out == ""
+        assert err == ("error: bad coefficient 'é': bad factor 'é' "
+                       "at position 3 in 'x1*é*dx2^dx3^dx4'\n")
+
     def test_internal_error_exits_three(self, capsys, monkeypatch, std2_file):
         import courantkit.cli as cli
 

@@ -180,6 +180,16 @@ class TestEscape:
             "D maps cochain #0 of degree 1 (KerForm((1)·e2)) outside the "
             "degree-2 cochain space")
 
+    def test_escape_through_one_coordinate(self, so3):
+        # D(e0) = −e1∧e2 on so(3): against the span of e0∧e1 and e0∧e2 the
+        # only residual is the last coordinate
+        from courantkit.cohomology import _differential
+
+        source = [basis_wedge_form(so3, (i,)) for i in (1, 0)]
+        target = [basis_wedge_form(so3, w) for w in ((0, 1), (0, 2))]
+        with pytest.raises(CochainEscapeError, match="cochain #1 of degree 1"):
+            _differential(so3, 1, source, target)
+
     def test_escape_names_the_first_escaping_cochain(self, so3_plus_so3):
         # a zero form ahead of the basis stays inside, so the first escape
         # is source cochain #1
@@ -243,3 +253,20 @@ class TestSummary:
         assert doc["betti"] is None
         assert doc["d_squared_zero"] is True
         assert doc["dims"][0] == 1
+
+    def test_polynomial_summary_builds_each_basis_once(self, monkeypatch,
+                                                       ctwist4):
+        # the cochain basis and the weak reading share one ambient basis of
+        # ker ρ̃ per degree
+        import courantkit.cohomology as cohomology
+
+        degrees, build = [], cohomology.kerform_basis
+
+        def counting(spec, degree, max_degree=None):
+            degrees.append(degree)
+            return build(spec, degree, max_degree)
+
+        monkeypatch.setattr(cohomology, "kerform_basis", counting)
+        doc = complex_summary(ctwist4, 2, max_degree=0)
+        assert doc["readings_agree"] and doc["d_squared_zero"]
+        assert degrees == [0, 1, 2]

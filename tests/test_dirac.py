@@ -179,6 +179,24 @@ class TestCheckDirac:
 
 
 class TestInduced:
+    def test_leibniz_brackets_each_pair_once(self, monkeypatch, std2):
+        import courantkit.dirac as dirac
+
+        calls, bracket = [], dirac.bracket
+
+        def counting(spec, a, b):
+            calls.append((a, b))
+            return bracket(spec, a, b)
+
+        monkeypatch.setattr(dirac, "bracket", counting)
+        sub = graph_of_two_form(std2, {(0, 1): x(0)})
+        dirac._build_induced_htla(std2, sub, 0, 2)
+        g = sub.dim
+        # restricted structure g², antisymmetry g(g−1) + g, and per Leibniz
+        # pair (x a generator, y a generator or one random section) one [x,y]
+        # plus one [x,f·y] for each of the two test functions
+        assert len(calls) == g * g + g * (g - 1) + g + g * (g + 1) * (1 + 2)
+
     def test_closed_graph_yields_lie_algebroid(self, std2):
         sub = graph_of_two_form(std2, {(0, 1): x(0)})
         data, report = induced_htla(std2, sub)

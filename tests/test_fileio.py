@@ -151,6 +151,32 @@ class TestInline:
         with pytest.raises(ParseError, match="degree-1"):
             parse_inline_section(std2, "e1^e2")
 
+    @pytest.mark.parametrize("text, position, message", [
+        ("x1*é*dx2^dx3^dx4", 3, "bad coefficient"),
+        ("dx1^dx2^dx3 + 2 * x1 *  é*dx2^dx3^dx4", 24, "bad coefficient"),
+        ("x1**dx2^dx3^dx4", 3, "empty factor"),
+        ("x1*dx2^dx3^dx4*dx1^dx2^dx3", 15, "two wedge chains"),
+        ("x1*dx2^dx3^dx4 - e1^e2^e3", 17, "dx<i> names"),
+        ("  - x1*dx2^dx3^dx9", 7, "out of range"),
+        ("dx1^dx2^dx3 + x2*dx2^dx3", 14, "mixed degrees"),
+    ])
+    def test_baseform_errors_name_the_offset_in_the_text(self, text, position,
+                                                         message):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_inline_baseform(4, text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text, position, message", [
+        ("e1 + x1*é*e2", 8, "bad coefficient"),
+        ("e1 + e2^e3 - dx1", 5, "mixed degrees"),
+        ("e1 + 2*e9", 7, "out of range"),
+    ])
+    def test_kerform_errors_name_the_offset_in_the_text(self, std2, text,
+                                                        position, message):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_inline_kerform(std2, text)
+        assert info.value.position == position
+
     def test_subbundle_document(self, std2):
         doc = {"generators": ["dx1", ["0", "0", "0", "1"]]}
         gens = parse_subbundle_document(std2, doc)
