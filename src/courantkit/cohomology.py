@@ -85,23 +85,28 @@ def _mono_closure(forms: list[KerForm]) -> list[tuple[int, ...]]:
 
 
 def cochain_basis(spec: AlgebroidSpec, degree: int,
-                  max_degree: int | None = None) -> list[KerForm]:
+                  max_degree: int | None = None,
+                  images: list[Section] | None = None) -> list[KerForm]:
     """Basis of the degree-p cochains (ker ρ̃ ∩ slotwise twist annihilator).
 
     Over a point the enumeration is complete; over a polynomial base the
     ambient basis is the monomial-truncated kernel basis, so a truncation
-    bound is required.
+    bound is required.  ``images`` are twist_image_sections(spec), passed
+    by callers that build several degrees.
     """
-    return _cochains(spec, degree, kerform_basis(spec, degree, max_degree))
+    ambient = kerform_basis(spec, degree, max_degree)
+    if not ambient or degree == 0:
+        return ambient
+    if images is None:
+        images = twist_image_sections(spec)
+    return _cochains(spec, degree, ambient, images)
 
 
-def _cochains(spec: AlgebroidSpec, degree: int,
-              ambient: list[KerForm]) -> list[KerForm]:
-    """cochain_basis inside the given basis of ker ρ̃."""
-    if not ambient:
-        return []
-    victims = twist_image_sections(spec)
-    if not victims or degree == 0:
+def _cochains(spec: AlgebroidSpec, degree: int, ambient: list[KerForm],
+              victims: list[Section]) -> list[KerForm]:
+    """cochain_basis inside the given basis of ker ρ̃, for the twist image
+    sections ``victims`` (from twist_image_sections)."""
+    if not ambient or not victims or degree == 0:
         return ambient
     contracted = [[contract(spec, form, v) for v in victims] for form in ambient]
     monos = None if spec.is_point() else _mono_closure(
@@ -148,7 +153,7 @@ def readings_agree(spec: AlgebroidSpec, degree: int,
     dimensions means the readings coincide on this structure and degree.
     """
     ambient = kerform_basis(spec, degree, max_degree)
-    return (len(_cochains(spec, degree, ambient))
+    return (len(_cochains(spec, degree, ambient, twist_image_sections(spec)))
             == _weak_dimension(spec, degree, ambient))
 
 
@@ -160,8 +165,10 @@ def differential_matrix(spec: AlgebroidSpec, degree: int) -> Matrix:
     """
     if not spec.is_point():
         raise ValueError("differential matrices are computed over a point")
-    return _scalar_matrix(_differential(spec, degree, cochain_basis(spec, degree),
-                                        cochain_basis(spec, degree + 1)))
+    images = twist_image_sections(spec)
+    return _scalar_matrix(_differential(
+        spec, degree, cochain_basis(spec, degree, images=images),
+        cochain_basis(spec, degree + 1, images=images)))
 
 
 def _differential(spec: AlgebroidSpec, degree: int, source: list[KerForm],
@@ -188,7 +195,8 @@ def _differential(spec: AlgebroidSpec, degree: int, source: list[KerForm],
 def _point_complex(spec: AlgebroidSpec, p_max: int) -> tuple[list[list[KerForm]], list[Rows]]:
     """Bases of C⁰..C^{p_max+1} and the matrices of D between them, each
     built once."""
-    bases = [cochain_basis(spec, p) for p in range(p_max + 2)]
+    images = twist_image_sections(spec)
+    bases = [cochain_basis(spec, p, images=images) for p in range(p_max + 2)]
     mats = [_differential(spec, p, bases[p], bases[p + 1])
             for p in range(p_max + 1)]
     return bases, mats
@@ -253,9 +261,10 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
     dims = []
     d_squared_zero = True
     agree = True
+    images = twist_image_sections(spec)
     for p in range(p_max + 1):
         ambient = kerform_basis(spec, p, max_degree)
-        basis = _cochains(spec, p, ambient)
+        basis = _cochains(spec, p, ambient, images)
         dims.append(len(basis))
         d_squared_zero = d_squared_zero and all(
             d_squared(spec, form).is_zero() for form in basis)

@@ -67,7 +67,7 @@ def _grlex_key(exp: Exponent) -> tuple:
 class Scalar:
     """Immutable element of ℚ or ℚ[x1..xn] in canonical sparse form."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_max_var")
 
     def __init__(self, terms: dict[Exponent, Fraction] | None = None):
         merged: dict[Exponent, Fraction] = {}
@@ -82,8 +82,19 @@ class Scalar:
                     merged[exp] = (coeff if coeff.__class__ is Fraction
                                    else Fraction(coeff))
         canonical = {exp: coeff for exp, coeff in merged.items() if coeff}
-        object.__setattr__(self, "terms", canonical)
-        object.__setattr__(self, "_hash", None)
+        self.terms = canonical
+        self._hash = None
+        self._max_var = None
+
+    @classmethod
+    def _canonical(cls, terms: dict[Exponent, Fraction]) -> "Scalar":
+        """Wrap a dict that is already canonical: trimmed keys, nonzero
+        Fraction coefficients.  Skips the merge of ``__init__``."""
+        out = object.__new__(cls)
+        out.terms = terms
+        out._hash = None
+        out._max_var = None
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -122,22 +133,27 @@ class Scalar:
     @property
     def max_var_index(self) -> int:
         """Largest 0-based variable index occurring, or -1 for constants."""
-        return max(map(len, self.terms), default=0) - 1
+        m = self._max_var
+        if m is None:
+            m = max(map(len, self.terms), default=0) - 1
+            self._max_var = m
+        return m
 
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "Scalar | None":
-        if isinstance(other, Scalar):
+        if other.__class__ is Scalar or isinstance(other, Scalar):
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar.rational(other)
         return None
 
     def __add__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if not self.terms:
             return other
         if not other.terms:
@@ -145,29 +161,38 @@ class Scalar:
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
             if exp in out:
-                out[exp] += coeff
+                total = out[exp] + coeff
+                if total:
+                    out[exp] = total
+                else:
+                    del out[exp]
             else:
                 out[exp] = coeff
-        return Scalar(out)
+        return Scalar._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({exp: -coeff for exp, coeff in self.terms.items()})
+        return Scalar._canonical({exp: -coeff for exp, coeff in self.terms.items()})
 
     def __sub__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if not other.terms:
             return self
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
             if exp in out:
-                out[exp] -= coeff
+                total = out[exp] - coeff
+                if total:
+                    out[exp] = total
+                else:
+                    del out[exp]
             else:
                 out[exp] = -coeff
-        return Scalar(out)
+        return Scalar._canonical(out)
 
     def __rsub__(self, other) -> "Scalar":
         other = self._coerce(other)
@@ -176,14 +201,20 @@ class Scalar:
         return other - self
 
     def __mul__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.terms or not other.terms:
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
             return ZERO
+        if len(b) == 1 and () in b:
+            return self._scaled(b[()])
+        if len(a) == 1 and () in a:
+            return other._scaled(a[()])
         out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        for ea, ca in a.items():
+            for eb, cb in b.items():
                 if len(ea) < len(eb):
                     ea_p = ea + (0,) * (len(eb) - len(ea))
                     exp = tuple(x + y for x, y in zip(ea_p, eb))
@@ -196,9 +227,18 @@ class Scalar:
                     out[exp] += ca * cb
                 else:
                     out[exp] = ca * cb
-        return Scalar(out)
+        # sums of trimmed keys are trimmed; only merged terms can cancel
+        return Scalar._canonical({exp: c for exp, c in out.items() if c})
 
     __rmul__ = __mul__
+
+    def _scaled(self, q: Fraction) -> "Scalar":
+        """self·q for a nonzero rational q: the keys stay, no term cancels."""
+        if q == 1:
+            return self
+        if q == -1:
+            return -self
+        return Scalar._canonical({exp: c * q for exp, c in self.terms.items()})
 
     def __truediv__(self, other) -> "Scalar":
         other = self._coerce(other)
@@ -231,7 +271,7 @@ class Scalar:
         h = self._hash
         if h is None:
             h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     # -- calculus ------------------------------------------------------
@@ -244,8 +284,8 @@ class Scalar:
             if var < len(exp) and exp[var] > 0:
                 new = list(exp)
                 new[var] -= 1
-                out[tuple(new)] = coeff * exp[var]
-        return Scalar(out)
+                out[_trim(new)] = coeff if exp[var] == 1 else coeff * exp[var]
+        return Scalar._canonical(out)
 
     # -- text form -------------------------------------------------------
 
@@ -326,25 +366,28 @@ def parse_scalar(text: str) -> Scalar:
     Examples: ``"x1^2 - 2*x2"``, ``"3/2*x1*x2^3"``, ``"0"``.
     """
     result = ZERO
-    for sign, chunk, pos in _split_signed_terms(text):
+    for sign, chunk, start in _split_signed_terms(text):
         coeff = Fraction(sign)
         exps: dict[int, int] = {}
-        for factor in chunk.split("*"):
-            factor = factor.strip()
+        offset = text.index(chunk, start)
+        for raw in chunk.split("*"):
+            factor = raw.strip()
+            at = offset + len(raw) - len(raw.lstrip())
+            offset += len(raw) + 1
             if not factor:
-                raise ParseError("empty factor", text, pos)
+                raise ParseError("empty factor", text, at)
             if _RATIONAL_RE.match(factor):
                 try:
                     coeff *= Fraction(factor)
                 except ZeroDivisionError:
-                    raise ParseError("zero denominator", text, pos) from None
+                    raise ParseError("zero denominator", text, at) from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:
-                raise ParseError(f"bad factor {factor!r}", text, pos)
+                raise ParseError(f"bad factor {factor!r}", text, at)
             idx = int(m.group(1)) - 1
             if idx < 0:
-                raise ParseError("variables are named x1, x2, ...", text, pos)
+                raise ParseError("variables are named x1, x2, ...", text, at)
             exps[idx] = exps.get(idx, 0) + (int(m.group(3)) if m.group(3) else 1)
         if exps:
             width = max(exps) + 1

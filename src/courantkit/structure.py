@@ -18,6 +18,11 @@ the derivation f ↦ ρ*(df), with ρ* defined through the Gram system by
 
 Pairing convention for split-type structures: ⟨X+ξ, Y+η⟩ = η(X) + ξ(Y),
 with no 1/2 factor, so ρ*ξ = ξ on the standard bundle.
+
+The constructor also keeps sparse rows: the nonzero (index, entry) pairs of
+every Gram row, anchor row and table entry, built once from its arguments.
+pairing, anchor_apply, bracket and d0 loop over these rows (d0 over the
+rows of its cached generators), so no call tests a zero matrix entry.
 """
 
 from __future__ import annotations
@@ -65,16 +70,16 @@ class Section:
         return all(c.is_zero() for c in self.coeffs)
 
     def __add__(self, other: "Section") -> "Section":
-        return Section(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Section(tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "Section") -> "Section":
-        return Section(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Section(tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "Section":
-        return Section(tuple(-a for a in self.coeffs))
+        return Section(tuple([-a for a in self.coeffs]))
 
     def scale(self, f: Scalar) -> "Section":
-        return Section(tuple(f * a for a in self.coeffs))
+        return Section(tuple([f * a for a in self.coeffs]))
 
     def to_text(self) -> list[str]:
         return [c.to_text() for c in self.coeffs]
@@ -128,11 +133,21 @@ class AlgebroidSpec:
         self.bracket_table = table
         if twist is not None and twist.degree != 4:
             raise SpecInvariantError("the twist must be a degree-4 form")
+        # sparse rows: the nonzero (index, entry) pairs of each Gram and
+        # anchor row; row i of the table pairs each j with [eᵢ,eⱼ] ≠ 0 with
+        # the sparse row of [eᵢ,eⱼ]
+        self._gram_rows = tuple(map(_sparse, gram.entries))
+        self._anchor_rows = (None if anchor is None
+                             else tuple(map(_sparse, anchor.entries)))
+        self._table_rows = tuple(
+            tuple((j, _sparse(table[(i, j)].coeffs))
+                  for j in range(rank) if (i, j) in table)
+            for i in range(rank))
         self._zero_section = Section.zero(rank)
         self._gram_inv: Matrix | None = None
         self._minor_cache: dict = {}
         self._inv_minor_cache: dict = {}
-        self._d0_cache: dict[int, Section] = {}
+        self._d0_cache: dict[int, tuple[Section, tuple]] = {}
 
     # -- invariants -----------------------------------------------------
 
@@ -236,6 +251,10 @@ class AlgebroidSpec:
         return [Section.basis(i, self.rank) for i in range(self.rank)]
 
 
+def _sparse(entries: Sequence[Scalar]) -> tuple[tuple[int, Scalar], ...]:
+    return tuple((k, e) for k, e in enumerate(entries) if e.terms)
+
+
 def _subdet(m: Matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Scalar:
     if len(rows) != len(cols):
         raise ValueError("minor must be square")
@@ -250,15 +269,15 @@ def _subdet(m: Matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Scalar:
 
 def pairing(spec: AlgebroidSpec, phi: Section, psi: Section) -> Scalar:
     """⟨φ,ψ⟩ = φᵀ·gram·ψ; symmetric and R-bilinear."""
+    spec.validate_section(phi)
+    spec.validate_section(psi)
     total = ZERO
-    for i, fi in enumerate(phi.coeffs):
-        if fi.is_zero():
-            continue
-        row = spec.gram.entries[i]
-        for j, gj in enumerate(psi.coeffs):
-            if gj.is_zero() or row[j].is_zero():
-                continue
-            total = total + fi * row[j] * gj
+    g = psi.coeffs
+    for fi, row in zip(phi.coeffs, spec._gram_rows):
+        if fi.terms:
+            for j, entry in row:
+                if g[j].terms:
+                    total = total + fi * entry * g[j]
     return total
 
 
@@ -282,16 +301,12 @@ def anchor_apply(spec: AlgebroidSpec, psi: Section) -> tuple[Scalar, ...]:
 
 def _anchor_apply(spec: AlgebroidSpec, psi: Section) -> tuple[Scalar, ...]:
     """anchor_apply on a section the caller has already validated."""
-    if spec.anchor is None:
-        return tuple([ZERO] * spec.nvars)
     out = [ZERO] * spec.nvars
-    for i, ci in enumerate(psi.coeffs):
-        if ci.is_zero():
-            continue
-        row = spec.anchor.entries[i]
-        for j in range(spec.nvars):
-            if not row[j].is_zero():
-                out[j] = out[j] + ci * row[j]
+    if spec._anchor_rows is not None:
+        for ci, row in zip(psi.coeffs, spec._anchor_rows):
+            if ci.terms:
+                for j, entry in row:
+                    out[j] = out[j] + ci * entry
     return tuple(out)
 
 
@@ -333,26 +348,29 @@ def d0(spec: AlgebroidSpec, f: Scalar) -> Section:
     if spec.is_point() or spec.anchor is None or f.is_rational():
         return Section.zero(spec.rank)
     out = [ZERO] * spec.rank
-    for j in range(spec.nvars):
+    for j in range(min(spec.nvars, f.max_var_index + 1)):
         dfj = f.partial(j)
-        if dfj.is_zero():
-            continue
-        for k, ck in enumerate(d0_generator(spec, j).coeffs):
-            if not ck.is_zero():
+        if dfj.terms:
+            for k, ck in _d0_entry(spec, j)[1]:
                 out[k] = out[k] + dfj * ck
     return Section(tuple(out))
 
 
 def d0_generator(spec: AlgebroidSpec, j: int) -> Section:
     """Cached D₀(x_{j+1}) = ρ*(dx_{j+1}); zero without an anchor."""
+    return _d0_entry(spec, j)[0]
+
+
+def _d0_entry(spec: AlgebroidSpec, j: int) -> tuple[Section, tuple]:
+    """D₀(x_{j+1}) and its nonzero (index, entry) pairs, cached on the spec."""
     cached = spec._d0_cache.get(j)
     if cached is None:
         if spec.anchor is None:
-            cached = Section.zero(spec.rank)
+            gen = Section.zero(spec.rank)
         else:
-            cached = rho_star(spec, [ONE if k == j else ZERO
-                                     for k in range(spec.nvars)])
-        spec._d0_cache[j] = cached
+            gen = rho_star(spec, [ONE if k == j else ZERO
+                                  for k in range(spec.nvars)])
+        cached = spec._d0_cache[j] = (gen, _sparse(gen.coeffs))
     return cached
 
 
@@ -369,40 +387,35 @@ def bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
     """
     spec.validate_section(phi)
     spec.validate_section(psi)
-    rank = spec.rank
-    out = [ZERO] * rank
-    point = spec.is_point() or spec.anchor is None
-    if not point:
+    out = [ZERO] * spec.rank
+    g = psi.coeffs
+    anchored = spec._anchor_rows is not None
+    if anchored:
         rho_phi = _anchor_apply(spec, phi)
         rho_psi = _anchor_apply(spec, psi)
-        for j, gj in enumerate(psi.coeffs):
+        for j, gj in enumerate(g):
             if not gj.is_rational():
                 out[j] = out[j] + apply_vector_field(rho_phi, gj)
         for i, fi in enumerate(phi.coeffs):
             if not fi.is_rational():
                 out[i] = out[i] - apply_vector_field(rho_psi, fi)
-    for i, fi in enumerate(phi.coeffs):
-        if fi.is_zero():
+    for fi, table_row, gram_row in zip(phi.coeffs, spec._table_rows,
+                                       spec._gram_rows):
+        if not fi.terms:
             continue
-        for j, gj in enumerate(psi.coeffs):
-            if gj.is_zero():
-                continue
-            entry = spec.bracket_table.get((i, j))
-            if entry is not None:
-                fg = fi * gj
-                for k, ck in enumerate(entry.coeffs):
-                    if not ck.is_zero():
-                        out[k] = out[k] + fg * ck
-        if not point and not fi.is_rational():
+        for j, entry in table_row:
+            if g[j].terms:
+                fg = fi * g[j]
+                for k, ck in entry:
+                    out[k] = out[k] + fg * ck
+        if anchored and not fi.is_rational():
             gram_pair = ZERO
-            row = spec.gram.entries[i]
-            for j, gj in enumerate(psi.coeffs):
-                if not gj.is_zero() and not row[j].is_zero():
-                    gram_pair = gram_pair + row[j] * gj
-            if not gram_pair.is_zero():
-                dfi = d0(spec, fi)
-                for k, ck in enumerate(dfi.coeffs):
-                    if not ck.is_zero():
+            for j, entry in gram_row:
+                if g[j].terms:
+                    gram_pair = gram_pair + entry * g[j]
+            if gram_pair.terms:
+                for k, ck in enumerate(d0(spec, fi).coeffs):
+                    if ck.terms:
                         out[k] = out[k] + gram_pair * ck
     return Section(tuple(out))
 

@@ -8,7 +8,9 @@ through pairings and a Gram solve instead of the derivation extension, and
 the Gram-solve splitting evaluates α̃ on each call through determinant
 pairings instead of a table of basis values, and the constant block of a
 subbundle is found by trying column combinations until a minor is nonzero
-instead of by elimination.
+instead of by elimination, and the dense bracket, pairing and anchor loops
+read every entry of the Gram, anchor and table matrices instead of the
+spec's nonzero rows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 
 from courantkit.exact import Matrix, Scalar, ZERO, wedge_indices
 from courantkit.kerforms import KerForm, pair_prefixed, pair_sections, tilde_split_basis
-from courantkit.structure import AlgebroidSpec, Section
+from courantkit.structure import AlgebroidSpec, Section, apply_vector_field, d0
 
 
 class NoConstantBlock(Exception):
@@ -167,3 +169,75 @@ def constant_block_by_minors(sub) -> tuple[tuple[int, ...], Matrix]:
         if not block.det().is_zero():
             return cols, block.inverse()
     raise NoConstantBlock
+
+
+# -- dense reference loops of the bracket kernel --------------------------------
+
+
+def dense_pairing(spec: AlgebroidSpec, phi: Section, psi: Section) -> Scalar:
+    """φᵀ·gram·ψ over every Gram entry."""
+    total = ZERO
+    for i, fi in enumerate(phi.coeffs):
+        if fi.is_zero():
+            continue
+        row = spec.gram.entries[i]
+        for j, gj in enumerate(psi.coeffs):
+            if gj.is_zero() or row[j].is_zero():
+                continue
+            total = total + fi * row[j] * gj
+    return total
+
+
+def dense_anchor_apply(spec: AlgebroidSpec, psi: Section) -> tuple[Scalar, ...]:
+    """ρ(ψ) over every anchor entry."""
+    out = [ZERO] * spec.nvars
+    if spec.anchor is None:
+        return tuple(out)
+    for i, ci in enumerate(psi.coeffs):
+        if ci.is_zero():
+            continue
+        row = spec.anchor.entries[i]
+        for j in range(spec.nvars):
+            if not row[j].is_zero():
+                out[j] = out[j] + ci * row[j]
+    return tuple(out)
+
+
+def dense_bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
+    """[φ,ψ] by the Leibniz expansion over every table and Gram entry."""
+    rank = spec.rank
+    out = [ZERO] * rank
+    point = spec.is_point() or spec.anchor is None
+    if not point:
+        rho_phi = dense_anchor_apply(spec, phi)
+        rho_psi = dense_anchor_apply(spec, psi)
+        for j, gj in enumerate(psi.coeffs):
+            if not gj.is_rational():
+                out[j] = out[j] + apply_vector_field(rho_phi, gj)
+        for i, fi in enumerate(phi.coeffs):
+            if not fi.is_rational():
+                out[i] = out[i] - apply_vector_field(rho_psi, fi)
+    for i, fi in enumerate(phi.coeffs):
+        if fi.is_zero():
+            continue
+        for j, gj in enumerate(psi.coeffs):
+            if gj.is_zero():
+                continue
+            entry = spec.bracket_table.get((i, j))
+            if entry is not None:
+                fg = fi * gj
+                for k, ck in enumerate(entry.coeffs):
+                    if not ck.is_zero():
+                        out[k] = out[k] + fg * ck
+        if not point and not fi.is_rational():
+            gram_pair = ZERO
+            row = spec.gram.entries[i]
+            for j, gj in enumerate(psi.coeffs):
+                if not gj.is_zero() and not row[j].is_zero():
+                    gram_pair = gram_pair + row[j] * gj
+            if not gram_pair.is_zero():
+                dfi = d0(spec, fi)
+                for k, ck in enumerate(dfi.coeffs):
+                    if not ck.is_zero():
+                        out[k] = out[k] + gram_pair * ck
+    return Section(tuple(out))

@@ -270,3 +270,23 @@ class TestSummary:
         doc = complex_summary(ctwist4, 2, max_degree=0)
         assert doc["readings_agree"] and doc["d_squared_zero"]
         assert degrees == [0, 1, 2]
+
+    def test_twist_images_built_once_per_summary(self, monkeypatch):
+        # complex_summary builds the cochain bases of degrees 0..5 on the
+        # rank-5 point from one set of C(5, 3) = 10 twist image values, then
+        # stops at the degree-1 escape
+        import courantkit.cohomology as cohomology
+
+        calls, evaluate = [], cohomology.tilde_split_basis
+
+        def counting(spec, form, key):
+            calls.append(key)
+            return evaluate(spec, form, key)
+
+        monkeypatch.setattr(cohomology, "tilde_split_basis", counting)
+        with pytest.raises(CochainEscapeError):
+            complex_summary(_rank5_twisted(), 4)
+        assert len(calls) == 10
+        calls.clear()
+        cochain_basis(_rank5_twisted(), 2)
+        assert len(calls) == 10

@@ -154,6 +154,17 @@ class TestText:
         with pytest.raises(ParseError):
             parse_scalar(bad)
 
+    @pytest.mark.parametrize("text, position", [
+        ("x1*é", 3),
+        ("x1 + é", 5),
+    ])
+    def test_parse_error_names_the_factor_offset(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(text)
+        assert info.value.position == position
+        assert str(info.value) == (
+            f"bad factor 'é' at position {position} in {text!r}")
+
     @given(scalars())
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, s):

@@ -50,6 +50,21 @@ class TestAgainstSympy:
         assert to_poly(-a) == -pa
         assert to_poly(a * b) == pa * pb
 
+    @given(scalars(), st.one_of(st.sampled_from([0, 1, -1]), rationals),
+           st.booleans())
+    @settings(max_examples=120)
+    def test_times_constant(self, a, c, as_scalar):
+        # the constant fast paths of * give the canonical Scalar __init__
+        # builds from the same terms, on either side and for int operands
+        k = Scalar.rational(c) if as_scalar else c
+        expected = Scalar({exp: v * c for exp, v in a.terms.items()})
+        for product in (a * k, k * a, -(a * -k)):
+            assert to_poly(product) == to_poly(a) * sympy.Rational(str(c))
+            assert product.terms == expected.terms and product == expected
+            assert hash(product) == hash(expected)
+            assert product.max_var_index == expected.max_var_index
+            assert all(type(v) is Fraction for v in product.terms.values())
+
     @given(scalars(), st.integers(0, NVARS - 1))
     @settings(max_examples=80)
     def test_partial(self, a, var):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import corrupt_gram
-from oracles import dorfman_standard
+from oracles import dense_anchor_apply, dense_bracket, dense_pairing, dorfman_standard
 
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, HALF
 from courantkit.rand import rand_scalar, rand_section
@@ -213,3 +213,45 @@ class TestBracket:
         rng = random.Random(3)
         secs = [rand_section(rng, std2, 2) for _ in range(3)]
         assert jacobiator(std2, *secs).is_zero()
+
+
+class TestSparseKernel:
+    """The kernel on the spec's nonzero rows against the dense loops."""
+
+    @pytest.fixture(params=["std3", "ctwist4", "std2-polynomial-gram", "so3"])
+    def spec(self, request):
+        if request.param == "std2-polynomial-gram":
+            from courantkit.twist import make_standard
+
+            return corrupt_gram(make_standard(2), 0, x(0))
+        return request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_loops(self, spec, seed):
+        rng = random.Random(seed)
+        for _ in range(4):
+            phi = rand_section(rng, spec, 2)
+            psi = rand_section(rng, spec, 2)
+            assert bracket(spec, phi, psi) == dense_bracket(spec, phi, psi)
+            assert pairing(spec, phi, psi) == dense_pairing(spec, phi, psi)
+            assert anchor_apply(spec, psi) == dense_anchor_apply(spec, psi)
+
+
+class TestSectionValidation:
+    """bracket, anchor_apply and pairing reject a section that uses a
+    variable the base ring lacks, with one message."""
+
+    MESSAGE = "section uses variable x3, but the base ring has 2 variable(s)"
+
+    def test_out_of_range_variable(self, std2):
+        bad = Section.make([x(2), ZERO, ZERO, ZERO])
+        good = Section.basis(2, 4)
+        calls = [lambda: bracket(std2, bad, good),
+                 lambda: bracket(std2, good, bad),
+                 lambda: anchor_apply(std2, bad),
+                 lambda: pairing(std2, bad, good),
+                 lambda: pairing(std2, good, bad)]
+        for call in calls:
+            with pytest.raises(SpecInvariantError) as info:
+                call()
+            assert str(info.value) == self.MESSAGE
