@@ -85,21 +85,15 @@ def _mono_closure(forms: list[KerForm]) -> list[tuple[int, ...]]:
 
 
 def cochain_basis(spec: AlgebroidSpec, degree: int,
-                  max_degree: int | None = None,
-                  images: list[Section] | None = None) -> list[KerForm]:
+                  max_degree: int | None = None) -> list[KerForm]:
     """Basis of the degree-p cochains (ker ρ̃ ∩ slotwise twist annihilator).
 
     Over a point the enumeration is complete; over a polynomial base the
     ambient basis is the monomial-truncated kernel basis, so a truncation
-    bound is required.  ``images`` are twist_image_sections(spec), passed
-    by callers that build several degrees.
+    bound is required.
     """
-    ambient = kerform_basis(spec, degree, max_degree)
-    if not ambient or degree == 0:
-        return ambient
-    if images is None:
-        images = twist_image_sections(spec)
-    return _cochains(spec, degree, ambient, images)
+    return _cochains(spec, degree, kerform_basis(spec, degree, max_degree),
+                     twist_image_sections(spec))
 
 
 def _cochains(spec: AlgebroidSpec, degree: int, ambient: list[KerForm],
@@ -167,8 +161,8 @@ def differential_matrix(spec: AlgebroidSpec, degree: int) -> Matrix:
         raise ValueError("differential matrices are computed over a point")
     images = twist_image_sections(spec)
     return _scalar_matrix(_differential(
-        spec, degree, cochain_basis(spec, degree, images=images),
-        cochain_basis(spec, degree + 1, images=images)))
+        spec, degree, _cochains(spec, degree, kerform_basis(spec, degree), images),
+        _cochains(spec, degree + 1, kerform_basis(spec, degree + 1), images)))
 
 
 def _differential(spec: AlgebroidSpec, degree: int, source: list[KerForm],
@@ -196,7 +190,8 @@ def _point_complex(spec: AlgebroidSpec, p_max: int) -> tuple[list[list[KerForm]]
     """Bases of C⁰..C^{p_max+1} and the matrices of D between them, each
     built once."""
     images = twist_image_sections(spec)
-    bases = [cochain_basis(spec, p, images=images) for p in range(p_max + 2)]
+    bases = [_cochains(spec, p, kerform_basis(spec, p), images)
+             for p in range(p_max + 2)]
     mats = [_differential(spec, p, bases[p], bases[p + 1])
             for p in range(p_max + 1)]
     return bases, mats

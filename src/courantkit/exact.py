@@ -143,7 +143,7 @@ class Scalar:
 
     @staticmethod
     def _coerce(other) -> "Scalar | None":
-        if other.__class__ is Scalar or isinstance(other, Scalar):
+        if isinstance(other, Scalar):
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar.rational(other)
