@@ -239,7 +239,7 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
         bases, mats = _point_complex(spec, p_max)
         # d_{p+1}·d_p, entry by entry
         d_squared_zero = not any(
-            sum(row[k] * mats[p][k][j] for k in range(len(mats[p])))
+            sum(row[k] * mats[p][k][j] for k in range(len(mats[p])) if row[k])
             for p in range(p_max) for row in mats[p + 1]
             for j in range(len(bases[p])))
         return {

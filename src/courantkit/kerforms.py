@@ -11,8 +11,12 @@ covariant derivative is defined by its pairings with all basis wedges,
 
   ⟨Dα, ψ0∧…∧ψp⟩ = Σᵢ (−1)ⁱ ρ(ψᵢ)⟨α, …ψ̂ᵢ…⟩ + Σ_{i<j} (−1)^{i+j} ⟨α, [ψᵢ,ψⱼ]∧…⟩
 
-and solved back through the Λ-Gram system, whose inverse is the compound
-matrix of gram⁻¹ (Cauchy–Binet), so no large matrix inversions occur.
+and solved back through the Λ-Gram system.  Both directions are one
+slotwise map, Λ^p of a symmetric matrix: every slot index a of a wedge
+becomes Σ_b M[a][b]·e_b.  On the Gram rows it gives ⟨α, e_J⟩ for every J at
+once; on the rows of gram⁻¹ it is the back-solve, since the inverse of
+Λ^p(gram) is Λ^p(gram⁻¹) (Cauchy–Binet).  Neither direction computes a
+minor.
 
 D² is generally nonzero; on twisted structures it equals the degree-2
 derivation ins_h built from slotwise insertion of the twist.
@@ -296,17 +300,50 @@ def kerform_basis(spec: AlgebroidSpec, degree: int,
 # -- pairings -----------------------------------------------------------------
 
 
+def _wedge_map(rows: Sequence[Sequence[tuple[int, Scalar]]],
+               coeffs: dict[Wedge, Scalar]) -> dict[Wedge, Scalar]:
+    """Λ^p of a symmetric matrix, given by its sparse rows, on a multivector.
+
+    Every slot index a of every wedge becomes Σ_b rows[a][b]·e_b, so the
+    coefficient on e_J is Σ_I coeffs[I]·det(M[I, J]); only nonzero
+    coefficients are returned, on increasing wedges.
+    """
+    out: dict[Wedge, Scalar] = {}
+    for I, value in coeffs.items():
+        for terms in itertools.product(*(rows[a] for a in I)):
+            key, sign = _sort_wedge([b for b, _ in terms])
+            if sign == 0:
+                continue
+            weight = value if sign > 0 else -value
+            for _, entry in terms:
+                weight = weight * entry
+            prev = out.get(key)
+            out[key] = weight if prev is None else prev + weight
+    return {key: value for key, value in out.items() if value.terms}
+
+
+def _pair_lowered(table: dict[Wedge, Scalar], cols: Sequence[int]) -> Scalar:
+    """⟨α, e_{cols}⟩ from α's _wedge_map on the Gram rows; cols may be unsorted."""
+    key, sign = _sort_wedge(cols)
+    value = table.get(key, ZERO) if sign else ZERO
+    return -value if sign < 0 else value
+
+
+def _pair_prefixed_lowered(table: dict[Wedge, Scalar], prefix: Section,
+                           rest: Sequence[int]) -> Scalar:
+    """⟨α, prefix ∧ e_{rest}⟩ read from α's lowered table."""
+    total = ZERO
+    for m, cm in enumerate(prefix.coeffs):
+        if cm.terms and m not in rest:
+            value = _pair_lowered(table, (m,) + tuple(rest))
+            if value.terms:
+                total = total + cm * value
+    return total
+
+
 def pair_basis(spec: AlgebroidSpec, form: KerForm, cols: Sequence[int]) -> Scalar:
     """⟨form, e_{cols}⟩; the column tuple may be unsorted (sign-normalised)."""
-    key, sign = _sort_wedge(cols)
-    if sign == 0:
-        return ZERO
-    total = ZERO
-    for I, value in form.coeffs.items():
-        minor = spec.gram_minor(I, key)
-        if not minor.is_zero():
-            total = total + value * minor
-    return total if sign > 0 else -total
+    return _pair_lowered(_wedge_map(spec._gram_rows, form.coeffs), cols)
 
 
 def pair_sections(spec: AlgebroidSpec, form: KerForm,
@@ -329,14 +366,8 @@ def pair_sections(spec: AlgebroidSpec, form: KerForm,
 def pair_prefixed(spec: AlgebroidSpec, form: KerForm, prefix: Section,
                   rest: Sequence[int]) -> Scalar:
     """⟨form, prefix ∧ e_{rest}⟩ with a general section in the first slot."""
-    total = ZERO
-    for m, cm in enumerate(prefix.coeffs):
-        if cm.is_zero() or m in rest:
-            continue
-        value = pair_basis(spec, form, (m,) + tuple(rest))
-        if not value.is_zero():
-            total = total + cm * value
-    return total
+    return _pair_prefixed_lowered(_wedge_map(spec._gram_rows, form.coeffs),
+                                  prefix, rest)
 
 
 def contract(spec: AlgebroidSpec, form: KerForm,
@@ -369,8 +400,7 @@ def contract(spec: AlgebroidSpec, form: KerForm,
     for J, d in chi.coeffs.items():
         current = form.scale(d)
         for j in J:
-            gram_vec = [spec.gram.entries[a][j] for a in range(spec.rank)]
-            current = insert_one(current, gram_vec)
+            current = insert_one(current, spec.gram.entries[j])  # gram symmetric
         total = total + current
     return total
 
@@ -385,19 +415,11 @@ def solve_wedge_values(spec: AlgebroidSpec, degree: int,
                        values: dict[Wedge, Scalar]) -> KerForm:
     """The degree-p form whose pairings with the basis wedges are ``values``.
 
-    Solves ⟨α, e_J⟩ = values[J] (absent wedges pair to zero) through the
-    Λ-Gram system, whose inverse entries are the minors of gram⁻¹.
+    Solves ⟨α, e_J⟩ = values[J] (absent wedges pair to zero) by applying the
+    inverse of the Λ-Gram system, Λ^p(gram⁻¹), slotwise on the sparse rows
+    of gram⁻¹.
     """
-    coeffs: dict[Wedge, Scalar] = {}
-    for I in wedge_indices(spec.rank, degree):
-        total = ZERO
-        for J, val in values.items():
-            w = spec.inv_gram_minor(I, J)
-            if not w.is_zero():
-                total = total + w * val
-        if not total.is_zero():
-            coeffs[I] = total
-    return KerForm(spec, degree, coeffs)
+    return KerForm(spec, degree, _wedge_map(spec._inverse()[1], values))
 
 
 def eval_covariant(spec: AlgebroidSpec, form: KerForm,
@@ -407,17 +429,18 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
 
     Evaluates Σᵢ (−1)ⁱ ρ(e_{Jᵢ})⟨α, …⟩ (if use_anchor) plus
     Σ_{i<j} (−1)^{i+j} ⟨α, bracket_fn(Jᵢ,Jⱼ)∧…⟩ on every basis wedge J of
-    degree p+1, then solves the coefficients back through the Λ-Gram system.
+    degree p+1, reading every pairing of α from one lowered table, then
+    solves the coefficients back through the Λ-Gram system.
     """
     p = form.degree
+    table = _wedge_map(spec._gram_rows, form.coeffs)
     values: dict[Wedge, Scalar] = {}
     anchored = use_anchor and spec.anchor is not None
     for J in wedge_indices(spec.rank, p + 1):
         val = ZERO
         if anchored:
             for pos, idx in enumerate(J):
-                rest = J[:pos] + J[pos + 1:]
-                inner = pair_basis(spec, form, rest)
+                inner = table.get(J[:pos] + J[pos + 1:], ZERO)
                 if inner.is_rational():
                     continue
                 row = spec.anchor.entries[idx]
@@ -431,7 +454,7 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
                 if sec.is_zero():
                     continue
                 rest = tuple(J[c] for c in range(p + 1) if c != a and c != b)
-                term = pair_prefixed(spec, form, sec, rest)
+                term = _pair_prefixed_lowered(table, sec, rest)
                 if term.is_zero():
                     continue
                 val = val + term if (a + b) % 2 == 0 else val - term
@@ -503,27 +526,17 @@ def tilde_split(spec: AlgebroidSpec, form: KerForm) -> Callable[..., Section]:
 
 def tilde_split_basis(spec: AlgebroidSpec, form: KerForm,
                       indices: Sequence[int]) -> Section:
-    """α̃ on the basis sections e_{indices}, via cached Gram minors."""
+    """α̃ on the basis sections e_{indices}: the contraction of α by that
+    wedge, since ⟨contract(α, e_I), e_j⟩ = ⟨α, e_I∧e_j⟩."""
     p = form.degree
     if len(indices) != p - 1:
         raise ValueError(f"expected {p - 1} indices, got {len(indices)}")
-    w = [pair_basis(spec, form, tuple(indices) + (j,)) for j in range(spec.rank)]
-    return Section(spec.gram_inverse().matvec(w))
+    return contract(spec, form, basis_wedge_form(spec, indices)).as_section()
 
 
 def d_squared(spec: AlgebroidSpec, form: KerForm) -> KerForm:
     """D² — generally nonzero; equals ins_h on twisted structures."""
     return cov_derivative(spec, cov_derivative(spec, form))
-
-
-def _insertion_forms(spec: AlgebroidSpec) -> list[KerForm]:
-    cached = getattr(spec, "_ins1_cache", None)
-    if cached is None or cached[0] is not spec.twist:
-        forms = [contract(spec, spec.twist, Section.basis(i, spec.rank))
-                 for i in range(spec.rank)]
-        cached = (spec.twist, forms)
-        spec._ins1_cache = cached
-    return cached[1]
 
 
 def ins_h(spec: AlgebroidSpec, form: KerForm) -> KerForm:
@@ -537,7 +550,8 @@ def ins_h(spec: AlgebroidSpec, form: KerForm) -> KerForm:
     if spec.twist is None:
         raise SpecInvariantError("ins_h needs a twist on the structure")
     form.require_certified("ins_h input")
-    ins1 = _insertion_forms(spec)
+    ins1 = [contract(spec, spec.twist, Section.basis(i, spec.rank))
+            for i in range(spec.rank)]
     out: dict[Wedge, Scalar] = {}
     for I, value in form.coeffs.items():
         for pos in range(len(I)):

@@ -22,7 +22,8 @@ with no 1/2 factor, so ρ*ξ = ξ on the standard bundle.
 The constructor also keeps sparse rows: the nonzero (index, entry) pairs of
 every Gram row, anchor row and table entry, built once from its arguments.
 pairing, anchor_apply, bracket and d0 loop over these rows (d0 over the
-rows of its cached generators), so no call tests a zero matrix entry.
+rows of its generators), so no call tests a zero matrix entry.  The rows of
+gram⁻¹ and the D₀ generators are built on first use.
 """
 
 from __future__ import annotations
@@ -144,9 +145,7 @@ class AlgebroidSpec:
                   for j in range(rank) if (i, j) in table)
             for i in range(rank))
         self._zero_section = Section.zero(rank)
-        self._gram_inv: Matrix | None = None
-        self._minor_cache: dict = {}
-        self._inv_minor_cache: dict = {}
+        self._gram_inv: tuple[Matrix, tuple] | None = None
         self._d0_cache: dict[int, tuple[Section, tuple]] = {}
 
     # -- invariants -----------------------------------------------------
@@ -219,30 +218,24 @@ class AlgebroidSpec:
         return (f"AlgebroidSpec(rank={self.rank}, base={base}, kind={self.kind}, "
                 f"twist={'yes' if self.twist is not None else 'no'})")
 
-    # -- cached linear algebra -------------------------------------------
+    # -- the inverse Gram matrix, computed on first use --------------------
 
     def gram_inverse(self) -> Matrix:
+        return self._inverse()[0]
+
+    def _inverse(self) -> tuple[Matrix, tuple]:
+        """gram⁻¹ and its sparse rows, the back-solve of the Λ-Gram system."""
         if self._gram_inv is None:
-            self._gram_inv = self.gram.inverse()
+            inv = self.gram.inverse()
+            self._gram_inv = (inv, tuple(map(_sparse, inv.entries)))
         return self._gram_inv
 
-    def gram_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Scalar:
-        """det(gram[rows, cols]) — the Λ-pairing of two basis wedges."""
-        key = (rows, cols)
-        cached = self._minor_cache.get(key)
-        if cached is None:
-            cached = _subdet(self.gram, rows, cols)
-            self._minor_cache[key] = cached
-        return cached
-
     def inv_gram_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Scalar:
-        """det(gram⁻¹[rows, cols]) — entries of the inverse Λ-Gram matrix."""
-        key = (rows, cols)
-        cached = self._inv_minor_cache.get(key)
-        if cached is None:
-            cached = _subdet(self.gram_inverse(), rows, cols)
-            self._inv_minor_cache[key] = cached
-        return cached
+        """det(gram⁻¹[rows, cols]) — an entry of the inverse Λ-Gram matrix."""
+        if len(rows) != len(cols):
+            raise ValueError("minor must be square")
+        inv = self.gram_inverse().entries
+        return Matrix([[inv[r][c] for c in cols] for r in rows]).det()
 
     def table_bracket(self, i: int, j: int) -> Section:
         return self.bracket_table.get((i, j), self._zero_section)
@@ -253,15 +246,6 @@ class AlgebroidSpec:
 
 def _sparse(entries: Sequence[Scalar]) -> tuple[tuple[int, Scalar], ...]:
     return tuple((k, e) for k, e in enumerate(entries) if e.terms)
-
-
-def _subdet(m: Matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Scalar:
-    if len(rows) != len(cols):
-        raise ValueError("minor must be square")
-    if not rows:
-        return ONE
-    sub = Matrix([[m.entries[r][c] for c in cols] for r in rows])
-    return sub.det()
 
 
 # -- pairing and anchor ------------------------------------------------------

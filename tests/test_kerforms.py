@@ -6,9 +6,9 @@ import random
 import pytest
 
 from conftest import corrupt_gram
-from oracles import gram_solve_split, ins_subset_oracle
+from oracles import compound, gram_solve_split, ins_subset_oracle
 
-from courantkit.exact import ONE, Scalar, ZERO
+from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
 from courantkit.kerforms import (
     KerForm,
     UncertifiedFormError,
@@ -16,19 +16,23 @@ from courantkit.kerforms import (
     contract,
     cov_derivative,
     d_squared,
+    eval_covariant,
     ins_h,
     kerform_basis,
     leibniz_defect,
     pair_basis,
+    pair_prefixed,
     rho_tilde,
+    scalar_form,
     section_form,
+    solve_wedge_values,
     tilde_split,
     tilde_split_basis,
     zero_form,
 )
 from courantkit.rand import rand_section, rand_wedge_coeffs
 from courantkit.structure import Section
-from courantkit.twist import pullback, base_form
+from courantkit.twist import base_form, make_point, make_standard, pullback
 
 x = Scalar.variable
 
@@ -346,6 +350,111 @@ class TestAdjunction:
         for form in (kerform_basis(std2, 1, max_degree=1)
                      + kerform_basis(std2, 2, max_degree=1)):
             assert cd_eval(std2, form) == cov_derivative(std2, form)
+
+
+class TestWedgeMapAgainstMinors:
+    """Pairing with basis wedges and the Λ-Gram back-solve, which run
+    slotwise over sparse Gram rows, equal the compound matrices of minors of
+    gram and gram⁻¹ in every degree from 0 to the rank."""
+
+    @staticmethod
+    def specs():
+        # gram⁻¹ of the corrupted std2 is polynomial; the point Gram has a
+        # 2×2 block with off-diagonal entries, so rows hold two nonzeros
+        block = Matrix([[Scalar.rational(v) for v in row] for row in
+                        ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))])
+        return {"polynomial-gram": corrupt_gram(make_standard(2), 0, x(0)),
+                "point-block": make_point(4, block, {})}
+
+    @pytest.mark.parametrize("name", ["polynomial-gram", "point-block"])
+    def test_pairing_and_back_solve(self, name):
+        spec = self.specs()[name]
+        rng = random.Random(3)
+        for p in range(spec.rank + 1):
+            wedges = wedge_indices(spec.rank, p)
+            gram_p = compound(spec.gram, p)
+            inv_p = compound(spec.gram.inverse(), p)
+            for r, I in enumerate(wedges):
+                form = basis_wedge_form(spec, I)
+                for c, J in enumerate(wedges):
+                    assert pair_basis(spec, form, J) == gram_p.entries[r][c], (I, J)
+            values = rand_wedge_coeffs(rng, spec, p, 1)
+            coeffs = {}
+            for r, I in enumerate(wedges):
+                total = ZERO
+                for c, J in enumerate(wedges):
+                    if J in values:
+                        total = total + inv_p.entries[r][c] * values[J]
+                coeffs[I] = total
+            assert solve_wedge_values(spec, p, values) == KerForm(spec, p, coeffs)
+
+    def test_cov_derivative_matches_minors(self):
+        spec = self.specs()["polynomial-gram"]
+
+        def paired(form, cols):
+            # ⟨α, e_cols⟩ = Σ_I α_I·det(gram[I, cols]), sign-normalised
+            key = tuple(sorted(cols))
+            if len(set(key)) < len(key):
+                return ZERO
+            sign = 1
+            for a, b in itertools.combinations(cols, 2):
+                sign = -sign if a > b else sign
+            wedges = wedge_indices(spec.rank, form.degree)
+            gram_p = compound(spec.gram, form.degree)
+            col = wedges.index(key)
+            total = ZERO
+            for I, v in form.coeffs.items():
+                total = total + v * gram_p.entries[wedges.index(I)][col]
+            return total if sign > 0 else -total
+
+        def minors_derivative(form):
+            p = form.degree
+            values = {}
+            for J in wedge_indices(spec.rank, p + 1):
+                val = ZERO
+                for pos, idx in enumerate(J):
+                    inner = paired(form, J[:pos] + J[pos + 1:])
+                    row = spec.anchor.entries[idx]
+                    term = ZERO
+                    for j, coeff in enumerate(row):
+                        term = term + coeff * inner.partial(j)
+                    val = val + term if pos % 2 == 0 else val - term
+                for a, b in itertools.combinations(range(p + 1), 2):
+                    sec = spec.table_bracket(J[a], J[b])
+                    rest = tuple(J[c] for c in range(p + 1) if c not in (a, b))
+                    term = ZERO
+                    for m, cm in enumerate(sec.coeffs):
+                        if not cm.is_zero():
+                            term = term + cm * paired(form, (m,) + rest)
+                    assert term == pair_prefixed(spec, form, sec, rest)
+                    val = val + term if (a + b) % 2 == 0 else val - term
+                values[J] = val
+            coeffs = {}
+            for I in wedge_indices(spec.rank, p + 1):
+                total = ZERO
+                for J, v in values.items():
+                    total = total + spec.inv_gram_minor(I, J) * v
+                coeffs[I] = total
+            return KerForm(spec, p + 1, coeffs)
+
+        forms = [scalar_form(spec, x(0) * x(1))] + [
+            form for p in range(spec.rank)
+            for form in kerform_basis(spec, p, max_degree=2)]
+        assert {form.degree for form in forms} == {0, 1, 2}
+        images = [cov_derivative(spec, form) for form in forms]
+        assert sum(not image.is_zero() for image in images) >= 5
+        for form, image in zip(forms, images):
+            assert image == minors_derivative(form), form
+        # the same evaluator on uncertified forms, whose pairings reach the
+        # polynomial Gram entry
+        rng = random.Random(5)
+        forms = [KerForm(spec, p, rand_wedge_coeffs(rng, spec, p, 2))
+                 for p in range(spec.rank) for _ in range(2)]
+        images = [eval_covariant(spec, form, spec.table_bracket, True)
+                  for form in forms]
+        assert sum(not image.is_zero() for image in images) >= 4
+        for form, image in zip(forms, images):
+            assert image == minors_derivative(form), form
 
 
 class TestFormAlgebra:
