@@ -16,7 +16,8 @@ slotwise map, Λ^p of a symmetric matrix: every slot index a of a wedge
 becomes Σ_b M[a][b]·e_b.  On the Gram rows it gives ⟨α, e_J⟩ for every J at
 once; on the rows of gram⁻¹ it is the back-solve, since the inverse of
 Λ^p(gram) is Λ^p(gram⁻¹) (Cauchy–Binet).  Neither direction computes a
-minor.
+minor.  `contract` and the splitting α̃ remove slots one at a time through
+the same sparse Gram rows.
 
 D² is generally nonzero; on twisted structures it equals the degree-2
 derivation ins_h built from slotwise insertion of the twist.
@@ -370,6 +371,37 @@ def pair_prefixed(spec: AlgebroidSpec, form: KerForm, prefix: Section,
                                   prefix, rest)
 
 
+def _insert(spec: AlgebroidSpec, coeffs: dict[Wedge, Scalar],
+            vecs: Sequence[Sequence[Scalar]]) -> dict[Wedge, Scalar]:
+    """Insert sections into the leading slots, the first one first:
+    the result pairs with η as ``coeffs`` pairs with vec1∧…∧vec_k∧η.
+
+    Each section is lowered through the sparse Gram rows (the Gram is
+    symmetric), ⟨e_a, vec⟩ = Σ_j vec_j·gram[j][a]; every wedge then loses its
+    slot a with sign (−1)^pos, the first-column expansion of the pairing
+    determinant.
+    """
+    for vec in vecs:
+        lowered: dict[int, Scalar] = {}
+        for c, row in zip(vec, spec._gram_rows):
+            if c.terms:
+                for a, entry in row:
+                    term = c * entry
+                    prev = lowered.get(a)
+                    lowered[a] = term if prev is None else prev + term
+        out: dict[Wedge, Scalar] = {}
+        for I, value in coeffs.items():
+            for pos, a in enumerate(I):
+                g = lowered.get(a)
+                if g is not None and g.terms:
+                    term = value * g if pos % 2 == 0 else -(value * g)
+                    key = I[:pos] + I[pos + 1:]
+                    prev = out.get(key)
+                    out[key] = term if prev is None else prev + term
+        coeffs = out
+    return coeffs
+
+
 def contract(spec: AlgebroidSpec, form: KerForm,
              chi: "Section | KerForm") -> KerForm:
     """Partial pairing: the (p−k)-form with ⟨contract(α,χ), η⟩ = ⟨α, χ∧η⟩.
@@ -377,32 +409,19 @@ def contract(spec: AlgebroidSpec, form: KerForm,
     χ may be a Section (k = 1) or a KerForm of degree k ≤ p; full contraction
     returns the Scalar as a degree-0 form.
     """
-    if isinstance(chi, Section):
-        chi = section_form(spec, chi)
-    if chi.degree > form.degree:
+    k = 1 if isinstance(chi, Section) else chi.degree
+    if k > form.degree:
         raise ValueError(
-            f"cannot contract a degree-{form.degree} form by degree {chi.degree}")
-
-    def insert_one(current: KerForm, gram_vec: Sequence[Scalar]) -> KerForm:
-        out: dict[Wedge, Scalar] = {}
-        for I, value in current.coeffs.items():
-            for pos, a in enumerate(I):
-                g = gram_vec[a]
-                if g.is_zero():
-                    continue
-                term = value * g
-                if pos % 2:
-                    term = -term
-                _accumulate(out, I[:pos] + I[pos + 1:], term)
-        return KerForm(spec, current.degree - 1, out)
-
-    total = zero_form(spec, form.degree - chi.degree)
+            f"cannot contract a degree-{form.degree} form by degree {k}")
+    if isinstance(chi, Section):
+        spec.validate_section(chi)
+        return KerForm(spec, form.degree - 1, _insert(spec, form.coeffs, [chi.coeffs]))
+    total: dict[Wedge, Scalar] = {}
     for J, d in chi.coeffs.items():
-        current = form.scale(d)
-        for j in J:
-            current = insert_one(current, spec.gram.entries[j])  # gram symmetric
-        total = total + current
-    return total
+        basis = [Section.basis(j, spec.rank).coeffs for j in J]
+        for key, value in _insert(spec, form.coeffs, basis).items():
+            _accumulate(total, key, d * value)
+    return KerForm(spec, form.degree - k, total)
 
 
 # -- the exterior covariant derivative ----------------------------------------
@@ -487,39 +506,21 @@ def leibniz_defect(spec: AlgebroidSpec, alpha: KerForm, beta: KerForm) -> KerFor
 def tilde_split(spec: AlgebroidSpec, form: KerForm) -> Callable[..., Section]:
     """The canonical splitting α̃, with ⟨α̃(ψ1,…,ψ_{p−1}), χ⟩ = ⟨α, ψ1∧…∧ψ_{p−1}∧χ⟩.
 
-    α̃ is R-multilinear and alternating, so its values on increasing basis
-    tuples determine it: those are tabulated once (nonzero entries only), and
-    the returned map expands its sections over the table.  For degree 1 the
-    map has no arguments and returns the form's own section.
+    α̃ is a contraction: the returned map validates its sections and inserts
+    them into α one after another.  For degree 1 the map has no arguments
+    and returns the form's own section.
     """
     if form.degree < 1:
         raise ValueError("splitting is defined for degree >= 1")
     k = form.degree - 1
-    table: dict[Wedge, Section] = {}
-    for key in wedge_indices(spec.rank, k):
-        value = tilde_split_basis(spec, form, key)
-        if not value.is_zero():
-            table[key] = value
 
     def split(*sections: Section) -> Section:
         if len(sections) != k:
             raise ValueError(f"expected {k} sections, got {len(sections)}")
-        weights: dict[Wedge, Scalar] = {}
-        supports = [[(i, c) for i, c in enumerate(sec.coeffs) if not c.is_zero()]
-                    for sec in sections]
-        for terms in itertools.product(*supports):
-            key, sign = _sort_wedge([i for i, _ in terms])
-            if sign == 0 or key not in table:
-                continue
-            weight = terms[0][1] if terms else ONE
-            for _, c in terms[1:]:
-                weight = weight * c
-            _accumulate(weights, key, weight if sign > 0 else -weight)
-        out = Section.zero(spec.rank)
-        for key, weight in weights.items():
-            if not weight.is_zero():
-                out = out + table[key].scale(weight)
-        return out
+        for sec in sections:
+            spec.validate_section(sec)
+        coeffs = _insert(spec, form.coeffs, [sec.coeffs for sec in sections])
+        return KerForm(spec, 1, coeffs).as_section()
 
     return split
 

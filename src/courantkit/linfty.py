@@ -169,8 +169,7 @@ def _eq_higher_coherence(data: LInftyData, *xs: Section) -> object:
     return total
 
 
-def verify_linfty(data: LInftyData, sections: Sequence[Section] | None = None,
-                  seed: int = 0, degree: int = 2,
+def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
                   samples: int = 3) -> CheckReport:
     """Check the five defining equations exactly; returns a witness report.
 
@@ -180,9 +179,7 @@ def verify_linfty(data: LInftyData, sections: Sequence[Section] | None = None,
     """
     spec = data.spec
     rng = random.Random(seed)
-    randoms = list(sections) if sections else []
-    for _ in range(samples):
-        randoms.append(rand_section(rng, spec, degree))
+    randoms = [rand_section(rng, spec, degree) for _ in range(samples)]
     v0 = data.v0_basis + randoms
     if data.classical:
         rand_v1 = [rand_scalar(rng, spec.nvars, degree) for _ in range(2)]

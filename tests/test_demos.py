@@ -1,0 +1,45 @@
+"""The six demos print exactly what they printed when pinned.
+
+Each demo runs as a script in its own interpreter, importing the package
+from ``src``; the pin is the SHA-256 of its standard output.  A refactor
+that keeps the mathematics must keep these bytes; a deliberate change to a
+demo or to what it prints updates its pin with it.
+"""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+PINS = {
+    "01_axiom_suites.py":
+        "e444f5cbf719ac0c55c417daed37f8ffa8729b7b65798bb2481b567536ec9a49",
+    "02_twists.py":
+        "d8993b6edf6cdd9fed80873fc4df7a966d803374dcdc290e4e27fb29a39f4868",
+    "03_covariant_derivative.py":
+        "70c8ff62e1a28b2243f12e4bfd3bacfa962cc3468a42726fe7640dd7537304e9",
+    "04_cohomology.py":
+        "2908c1037c96a08b33ebcaa898c97982d6814382ed32cdade3c7cd52154130ea",
+    "05_dirac.py":
+        "40aa0ca8906e8d70773c8cdc05fbe75963602ede6d073a5b2f97289467c48373",
+    "06_homotopy_packaging.py":
+        "93e8ea8a9939337e1b42a7342278053d6f9b9d905069536b909d70d538667819",
+}
+
+
+def test_every_demo_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(PINS)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_stdout_pinned(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT,
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    assert hashlib.sha256(done.stdout).hexdigest() == PINS[name]

@@ -31,7 +31,7 @@ from courantkit.kerforms import (
     zero_form,
 )
 from courantkit.rand import rand_section, rand_wedge_coeffs
-from courantkit.structure import Section
+from courantkit.structure import Section, SpecInvariantError
 from courantkit.twist import base_form, make_point, make_standard, pullback
 
 x = Scalar.variable
@@ -184,22 +184,28 @@ class TestTildeSplit:
 
 
 class TestTildeSplitTable:
-    """The basis-table splitting equals the Gram solve on every call, exactly:
-    on every ordered basis tuple (repeats included) and on seeded random
-    polynomial tuples."""
+    """The splitting, sections inserted one slot at a time, equals the Gram
+    solve on every call, exactly: on every ordered basis tuple (repeats
+    included) and on seeded random polynomial tuples."""
 
     @staticmethod
     def cases(ctwist4, split4):
-        b3 = (basis_wedge_form(split4, (0, 1, 2))
-              + basis_wedge_form(split4, (1, 2, 3)).scale(Scalar.rational(2))
-              - basis_wedge_form(split4, (0, 1, 3)))
+        def degree_3(spec):
+            return (basis_wedge_form(spec, (0, 1, 2))
+                    + basis_wedge_form(spec, (1, 2, 3)).scale(Scalar.rational(2))
+                    - basis_wedge_form(spec, (0, 1, 3)))
+
         poly_gram = corrupt_gram(ctwist4, 0, x(0))
+        # Gram rows with two nonzeros: each lowered slot mixes two indices
+        block = TestWedgeMapAgainstMinors.specs()["point-block"]
         return {"ctwist4": (ctwist4, ctwist4.twist),
-                "split4-degree-3": (split4, b3),
+                "split4-degree-3": (split4, degree_3(split4)),
+                "point-block-degree-3": (block, degree_3(block)),
                 "ctwist4-polynomial-gram": (poly_gram, poly_gram.twist),
                 "ctwist4-zero-form": (ctwist4, zero_form(ctwist4, 4))}
 
     @pytest.mark.parametrize("case", ["ctwist4", "split4-degree-3",
+                                      "point-block-degree-3",
                                       "ctwist4-polynomial-gram",
                                       "ctwist4-zero-form"])
     def test_matches_gram_solve(self, ctwist4, split4, case):
@@ -219,6 +225,19 @@ class TestTildeSplitTable:
     def test_wrong_arity_rejected(self, ctwist4):
         with pytest.raises(ValueError, match="expected 3 sections"):
             tilde_split(ctwist4, ctwist4.twist)(Section.basis(0, 8))
+
+    def test_invalid_sections_rejected(self, std2):
+        # the split and contract validate sections as bracket and pairing do
+        form = basis_wedge_form(std2, (0, 2))
+        split = tilde_split(std2, form)
+        with pytest.raises(SpecInvariantError, match="uses variable x5"):
+            split(Section.make([x(4), 0, 1, 0]))
+        with pytest.raises(SpecInvariantError, match="length 5, want 4"):
+            split(Section.make([0, 0, 1, 0, 7]))
+        with pytest.raises(SpecInvariantError, match="length 3, want 4"):
+            contract(std2, form, Section.make([1, 0, 1]))
+        with pytest.raises(SpecInvariantError, match="uses variable x5"):
+            contract(std2, form, Section.make([x(4), 0, 1, 0]))
 
 
 class TestSquareAndInsertion:
@@ -294,18 +313,26 @@ class TestSquareAndInsertion:
 class TestAdjunction:
     @pytest.mark.parametrize("seed", range(6))
     def test_contract_is_adjoint_to_wedge(self, split4, seed):
-        # ⟨contract(α,χ), η⟩ = ⟨α, χ∧η⟩ for random forms
+        # ⟨contract(α,χ), η⟩ = ⟨α, χ∧η⟩ for random forms, χ of degree 1
+        # and 2, on a diagonal Gram, a polynomial Gram (with polynomial
+        # coefficients) and a Gram whose rows hold two nonzeros
         rng = random.Random(seed)
-        a = KerForm(split4, 3, rand_wedge_coeffs(rng, split4, 3))
-        chi = KerForm(split4, 1, rand_wedge_coeffs(rng, split4, 1))
-        eta = KerForm(split4, 2, rand_wedge_coeffs(rng, split4, 2))
-        c = contract(split4, a, chi)
-        lhs = sum((v * pair_basis(split4, c, I)
-                   for I, v in eta.coeffs.items()), Scalar.rational(0))
-        w = chi.wedge(eta)
-        rhs = sum((v * pair_basis(split4, a, I)
-                   for I, v in w.coeffs.items()), Scalar.rational(0))
-        assert lhs == rhs
+        specs = TestWedgeMapAgainstMinors.specs()
+        for spec, poly in ((split4, 0), (specs["polynomial-gram"], 1),
+                           (specs["point-block"], 0)):
+            for k in (1, 2):
+                a = KerForm(spec, 3, rand_wedge_coeffs(rng, spec, 3, poly))
+                chi = KerForm(spec, k, rand_wedge_coeffs(rng, spec, k, poly))
+                eta = KerForm(spec, 3 - k, rand_wedge_coeffs(rng, spec, 3 - k, poly))
+                c = contract(spec, a, chi)
+                if k == 1:
+                    assert contract(spec, a, chi.as_section()) == c
+                lhs = sum((v * pair_basis(spec, c, I)
+                           for I, v in eta.coeffs.items()), ZERO)
+                w = chi.wedge(eta)
+                rhs = sum((v * pair_basis(spec, a, I)
+                           for I, v in w.coeffs.items()), ZERO)
+                assert lhs == rhs, (spec.gram, k)
 
     def test_derivative_first_sum_via_derivation(self, std2):
         # the ring/module reading routes the first sum through ⟨ψ, D₀·⟩;
