@@ -72,7 +72,7 @@ def _form_coordinates(forms: list[KerForm], degree: int, rank: int,
                 slot = index.get((key, exp))
                 if slot is None:
                     raise ValueError("form exceeds the coordinate truncation")
-                rows[slot][col] = coeff
+                rows[slot][col] = Fraction(coeff)
     return rows
 
 

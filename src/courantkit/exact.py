@@ -2,15 +2,23 @@
 
 A Scalar is either a rational number or a sparse multivariate polynomial with
 rational coefficients.  Both are stored the same way: a dictionary mapping
-monomial exponent tuples to Fraction coefficients,
+monomial exponent tuples to rational coefficients,
 
-    x1^2*x2 + 3/2   →   {(2, 1): Fraction(1), (): Fraction(3, 2)}
+    x1^2*x2 + 3/2   →   {(2, 1): 1, (): Fraction(3, 2)}
 
-with two normalisation rules that make the representation *unique*:
+with three normalisation rules that make the representation *unique*:
 
-  * no zero coefficients are stored (zero is the empty dict), and
+  * no zero coefficients are stored (zero is the empty dict),
   * exponent tuples carry no trailing zeros, so the same value has the same
-    key no matter how many ring variables are nominally around.
+    key no matter how many ring variables are nominally around, and
+  * an integral coefficient is a Python ``int``; any other is a ``Fraction``
+    with denominator > 1.  Most coefficients met in practice are integers,
+    and ``int`` arithmetic is several times faster than ``Fraction``
+    arithmetic.  Every operation whose result may be integral (a sum of two
+    Fractions, a product with a Fraction) normalises it back to ``int``; no
+    coefficient is ever a float.  Code that divides raw coefficients wraps
+    them in ``Fraction`` first (``1 / 2`` would be a float), or reads them
+    through ``as_fraction``.
 
 Equal scalars therefore have identical representations and ``==`` is exact
 value equality.  The term dictionary keeps no particular order: hashing is
@@ -30,6 +38,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 Exponent = tuple[int, ...]
@@ -64,55 +73,62 @@ def _grlex_key(exp: Exponent) -> tuple:
     return (sum(exp), exp)
 
 
+def _coefficient(value) -> int | Fraction:
+    """The canonical form of a rational coefficient: an int if integral,
+    else a Fraction with denominator > 1."""
+    if value.__class__ is not int:
+        if value.__class__ is not Fraction:
+            value = Fraction(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
+
+
 class Scalar:
     """Immutable element of ℚ or ℚ[x1..xn] in canonical sparse form."""
 
-    __slots__ = ("terms", "_hash", "_max_var")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[Exponent, Fraction] | None = None):
-        merged: dict[Exponent, Fraction] = {}
+    def __init__(self, terms: dict[Exponent, int | Fraction] | None = None):
+        merged: dict[Exponent, int | Fraction] = {}
         if terms:
             # keys may arrive untrimmed; same-monomial keys merge additively
             for exp, coeff in terms.items():
                 if exp and not exp[-1]:
                     exp = _trim(exp)
-                if exp in merged:
-                    merged[exp] += coeff
-                else:
-                    merged[exp] = (coeff if coeff.__class__ is Fraction
-                                   else Fraction(coeff))
-        canonical = {exp: coeff for exp, coeff in merged.items() if coeff}
-        self.terms = canonical
+                coeff = _coefficient(coeff)
+                merged[exp] = merged[exp] + coeff if exp in merged else coeff
+        self.terms = {exp: _coefficient(coeff)
+                      for exp, coeff in merged.items() if coeff}
         self._hash = None
-        self._max_var = None
 
     @classmethod
-    def _canonical(cls, terms: dict[Exponent, Fraction]) -> "Scalar":
+    def _canonical(cls, terms: dict[Exponent, int | Fraction]) -> "Scalar":
         """Wrap a dict that is already canonical: trimmed keys, nonzero
-        Fraction coefficients.  Skips the merge of ``__init__``."""
+        coefficients, integral ones as ints.  Skips the merge of
+        ``__init__``."""
         out = object.__new__(cls)
         out.terms = terms
         out._hash = None
-        out._max_var = None
         return out
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def rational(cls, value) -> "Scalar":
-        q = Fraction(value)
-        return cls({(): q} if q else {})
+        q = _coefficient(value)
+        return cls._canonical({(): q} if q else {})
 
     @classmethod
     def variable(cls, index: int) -> "Scalar":
         """The polynomial x_{index+1} (0-based index)."""
         if index < 0:
             raise ValueError(f"variable index must be >= 0, got {index}")
-        return cls({(0,) * index + (1,): _ONE})
+        return cls._canonical({(0,) * index + (1,): 1})
 
     @classmethod
     def monomial(cls, exp: Iterable[int], coeff=1) -> "Scalar":
-        return cls({tuple(exp): Fraction(coeff)})
+        return cls({tuple(exp): coeff})
 
     # -- predicates and views -----------------------------------------
 
@@ -124,20 +140,18 @@ class Scalar:
         return not t or (len(t) == 1 and () in t)
 
     def as_fraction(self) -> Fraction:
+        """The value of a rational constant, always as a Fraction (also when
+        it is stored as an int), so that dividing by it stays exact."""
         if not self.terms:
             return _ZERO
         if self.is_rational():
-            return self.terms[()]
+            return Fraction(self.terms[()])
         raise ExactError(f"{self} is not a rational constant")
 
     @property
     def max_var_index(self) -> int:
         """Largest 0-based variable index occurring, or -1 for constants."""
-        m = self._max_var
-        if m is None:
-            m = max(map(len, self.terms), default=0) - 1
-            self._max_var = m
-        return m
+        return max(map(len, self.terms), default=0) - 1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -162,10 +176,12 @@ class Scalar:
         for exp, coeff in other.terms.items():
             if exp in out:
                 total = out[exp] + coeff
-                if total:
-                    out[exp] = total
-                else:
+                if not total:
                     del out[exp]
+                elif total.__class__ is Fraction and total.denominator == 1:
+                    out[exp] = total.numerator
+                else:
+                    out[exp] = total
             else:
                 out[exp] = coeff
         return Scalar._canonical(out)
@@ -186,10 +202,12 @@ class Scalar:
         for exp, coeff in other.terms.items():
             if exp in out:
                 total = out[exp] - coeff
-                if total:
-                    out[exp] = total
-                else:
+                if not total:
                     del out[exp]
+                elif total.__class__ is Fraction and total.denominator == 1:
+                    out[exp] = total.numerator
+                else:
+                    out[exp] = total
             else:
                 out[exp] = -coeff
         return Scalar._canonical(out)
@@ -212,33 +230,37 @@ class Scalar:
             return self._scaled(b[()])
         if len(a) == 1 and () in a:
             return other._scaled(a[()])
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for ea, ca in a.items():
+            la = len(ea)
             for eb, cb in b.items():
-                if len(ea) < len(eb):
-                    ea_p = ea + (0,) * (len(eb) - len(ea))
-                    exp = tuple(x + y for x, y in zip(ea_p, eb))
-                elif len(eb) < len(ea):
-                    eb_p = eb + (0,) * (len(ea) - len(eb))
-                    exp = tuple(x + y for x, y in zip(ea, eb_p))
-                else:
-                    exp = tuple(x + y for x, y in zip(ea, eb))
+                # map stops at the shorter key; the longer one's tail follows
+                lb = len(eb)
+                exp = tuple(map(add, ea, eb))
+                if la < lb:
+                    exp += eb[la:]
+                elif lb < la:
+                    exp += ea[lb:]
                 if exp in out:
                     out[exp] += ca * cb
                 else:
                     out[exp] = ca * cb
         # sums of trimmed keys are trimmed; only merged terms can cancel
-        return Scalar._canonical({exp: c for exp, c in out.items() if c})
+        return Scalar._canonical({exp: c if c.__class__ is int else _coefficient(c)
+                                  for exp, c in out.items() if c})
 
     __rmul__ = __mul__
 
-    def _scaled(self, q: Fraction) -> "Scalar":
-        """self·q for a nonzero rational q: the keys stay, no term cancels."""
-        if q == 1:
-            return self
-        if q == -1:
-            return -self
-        return Scalar._canonical({exp: c * q for exp, c in self.terms.items()})
+    def _scaled(self, q: int | Fraction) -> "Scalar":
+        """self·q for a nonzero canonical coefficient q: the keys stay, no
+        term cancels."""
+        if q.__class__ is int:  # a Fraction coefficient is never ±1
+            if q == 1:
+                return self
+            if q == -1:
+                return -self
+        return Scalar._canonical({exp: _coefficient(c * q)
+                                  for exp, c in self.terms.items()})
 
     def __truediv__(self, other) -> "Scalar":
         other = self._coerce(other)
@@ -279,12 +301,13 @@ class Scalar:
     def partial(self, var: int) -> "Scalar":
         """∂/∂x_{var+1}, exact.  Constants (and rationals) differentiate to 0."""
         # lowering one exponent is injective on monomials: nothing merges
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for exp, coeff in self.terms.items():
             if var < len(exp) and exp[var] > 0:
                 new = list(exp)
                 new[var] -= 1
-                out[_trim(new)] = coeff if exp[var] == 1 else coeff * exp[var]
+                out[_trim(new)] = (coeff if exp[var] == 1
+                                   else _coefficient(coeff * exp[var]))
         return Scalar._canonical(out)
 
     # -- text form -------------------------------------------------------

@@ -198,6 +198,9 @@ def scalar_form(spec: AlgebroidSpec, value: Scalar) -> KerForm:
 
 def basis_wedge_form(spec: AlgebroidSpec, indices: Sequence[int],
                      coeff: Scalar = ONE) -> KerForm:
+    for i in indices:
+        if not 0 <= i < spec.rank:
+            raise ValueError(f"wedge index {i} out of range for rank {spec.rank}")
     key, sign = _sort_wedge(indices)
     if sign == 0:
         return zero_form(spec, len(indices))
@@ -284,7 +287,7 @@ def kerform_basis(spec: AlgebroidSpec, degree: int,
         form = KerForm(spec, degree, {I: mono})
         for (j, rest), value in rho_tilde(spec, form).items():
             for exp, coeff in value.terms.items():
-                rows.setdefault((j, rest, exp), {})[col] = coeff
+                rows.setdefault((j, rest, exp), {})[col] = Fraction(coeff)
     zero = Fraction(0)
     grid = [[rows[k].get(c, zero) for c in range(len(domain))]
             for k in sorted(rows)]

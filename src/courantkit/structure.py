@@ -14,7 +14,9 @@ extension rules:
 
 so a finite table determines the bracket on all polynomial sections.  d0 is
 the derivation f ↦ ρ*(df), with ρ* defined through the Gram system by
-⟨ρ*ξ, ψ⟩ = ξ(ρψ).
+⟨ρ*ξ, ψ⟩ = ξ(ρψ).  ``bracket`` sums the ℚ[x]-bilinear table part first and
+then the anchor and d0 terms, which only non-constant coefficients reach;
+on two constant sections it is a table lookup.
 
 Pairing convention for split-type structures: ⟨X+ξ, Y+η⟩ = η(X) + ξ(Y),
 with no 1/2 factor, so ρ*ξ = ξ on the standard bundle.
@@ -61,6 +63,8 @@ class Section:
 
     @classmethod
     def basis(cls, index: int, rank: int) -> "Section":
+        if not 0 <= index < rank:
+            raise ValueError(f"basis index {index} out of range for rank {rank}")
         return cls(tuple(ONE if i == index else ZERO for i in range(rank)))
 
     @property
@@ -71,10 +75,12 @@ class Section:
         return all(c.is_zero() for c in self.coeffs)
 
     def __add__(self, other: "Section") -> "Section":
-        return Section(tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
+        return Section(tuple([a + b for a, b in
+                              zip(self.coeffs, other.coeffs, strict=True)]))
 
     def __sub__(self, other: "Section") -> "Section":
-        return Section(tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
+        return Section(tuple([a - b for a, b in
+                              zip(self.coeffs, other.coeffs, strict=True)]))
 
     def __neg__(self) -> "Section":
         return Section(tuple([-a for a in self.coeffs]))
@@ -188,14 +194,28 @@ class AlgebroidSpec:
     def is_point(self) -> bool:
         return self.ring == "point"
 
-    def validate_section(self, sec: Section, what: str = "section") -> None:
-        if sec.rank != self.rank:
-            raise SpecInvariantError(f"{what} has length {sec.rank}, want {self.rank}")
-        for c in sec.coeffs:
-            if c.max_var_index >= self.nvars:
-                raise SpecInvariantError(
-                    f"{what} uses variable x{c.max_var_index + 1}, but the "
-                    f"base ring has {self.nvars} variable(s)")
+    def validate_section(self, sec: Section, what: str = "section") -> bool:
+        """Reject a section of the wrong length, or one with a coefficient
+        in a variable the base ring lacks (the first such coefficient is
+        named); return whether some coefficient is non-constant.
+
+        One pass over the exponent keys: a key carries no trailing zeros,
+        so its length is one more than the last variable index it uses.
+        """
+        coeffs = sec.coeffs
+        if len(coeffs) != self.rank:
+            raise SpecInvariantError(f"{what} has length {len(coeffs)}, want {self.rank}")
+        nvars = self.nvars
+        polynomial = False
+        for c in coeffs:
+            for exp in c.terms:
+                if exp:
+                    if len(exp) > nvars:
+                        raise SpecInvariantError(
+                            f"{what} uses variable x{c.max_var_index + 1}, but "
+                            f"the base ring has {nvars} variable(s)")
+                    polynomial = True
+        return polynomial
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebroidSpec):
@@ -364,37 +384,44 @@ def _d0_entry(spec: AlgebroidSpec, j: int) -> tuple[Section, tuple]:
 def bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
     """[φ,ψ], extending the basis table by the Leibniz rules.
 
-    Expanding φ = Σ fᵢeᵢ and ψ = Σ gⱼeⱼ:
+    Expanding φ = Σ fᵢeᵢ and ψ = Σ gⱼeⱼ, the terms are summed in this order:
 
-        [φ,ψ] = Σⱼ ρ(φ)[gⱼ]·eⱼ − Σᵢ ρ(ψ)[fᵢ]·eᵢ
-                + Σᵢⱼ fᵢgⱼ·[eᵢ,eⱼ] + Σᵢ ⟨eᵢ,ψ⟩·d0(fᵢ)
+        [φ,ψ] = Σᵢⱼ fᵢgⱼ·[eᵢ,eⱼ]
+                + Σⱼ ρ(φ)[gⱼ]·eⱼ − Σᵢ (ρ(ψ)[fᵢ]·eᵢ − ⟨eᵢ,ψ⟩·d0(fᵢ))
+
+    The first sum is the ℚ[x]-bilinear part, read off the table rows.  The
+    others vanish on constant coefficients (a vector field and d0 kill
+    constants), so they run over the non-constant gⱼ and fᵢ only: ρ(φ) is
+    computed only when ψ has a non-constant coefficient, and ρ(ψ) only when
+    φ has one.  On two constant sections the bracket is the table's alone.
     """
-    spec.validate_section(phi)
-    spec.validate_section(psi)
+    phi_polynomial = spec.validate_section(phi)
+    psi_polynomial = spec.validate_section(psi)
+    f, g = phi.coeffs, psi.coeffs
     out = [ZERO] * spec.rank
-    g = psi.coeffs
-    anchored = spec._anchor_rows is not None
-    if anchored:
+    for fi, table_row in zip(f, spec._table_rows):
+        if fi.terms:
+            for j, entry in table_row:
+                gj = g[j]
+                if gj.terms:
+                    fg = fi * gj
+                    for k, ck in entry:
+                        out[k] = out[k] + fg * ck
+    if spec._anchor_rows is None:
+        return Section(tuple(out))
+    if psi_polynomial:
         rho_phi = _anchor_apply(spec, phi)
-        rho_psi = _anchor_apply(spec, psi)
         for j, gj in enumerate(g):
             if not gj.is_rational():
                 out[j] = out[j] + apply_vector_field(rho_phi, gj)
-        for i, fi in enumerate(phi.coeffs):
-            if not fi.is_rational():
-                out[i] = out[i] - apply_vector_field(rho_psi, fi)
-    for fi, table_row, gram_row in zip(phi.coeffs, spec._table_rows,
-                                       spec._gram_rows):
-        if not fi.terms:
-            continue
-        for j, entry in table_row:
-            if g[j].terms:
-                fg = fi * g[j]
-                for k, ck in entry:
-                    out[k] = out[k] + fg * ck
-        if anchored and not fi.is_rational():
+    if phi_polynomial:
+        rho_psi = _anchor_apply(spec, psi)
+        for i, fi in enumerate(f):
+            if fi.is_rational():
+                continue
+            out[i] = out[i] - apply_vector_field(rho_psi, fi)
             gram_pair = ZERO
-            for j, entry in gram_row:
+            for j, entry in spec._gram_rows[i]:
                 if g[j].terms:
                     gram_pair = gram_pair + entry * g[j]
             if gram_pair.terms:
@@ -418,7 +445,7 @@ def anchor_morphism_defect(spec: AlgebroidSpec, phi: Section,
     lhs = anchor_apply(spec, bracket(spec, phi, psi))
     rhs = tangent_bracket(spec.nvars, anchor_apply(spec, phi),
                           anchor_apply(spec, psi))
-    return tuple(a - b for a, b in zip(lhs, rhs))
+    return tuple(a - b for a, b in zip(lhs, rhs, strict=True))
 
 
 def jacobiator(spec: AlgebroidSpec, phi: Section, psi1: Section,

@@ -279,6 +279,19 @@ class TestErrorExits:
         assert "internal error" in err and "Traceback" in err
         assert "an internal defect" in err
 
+    def test_rank_mismatch_is_an_internal_error(self, capsys, monkeypatch,
+                                                std2_file):
+        import courantkit.cli as cli
+        from courantkit.structure import Section
+
+        def mismatched(*args, **kwargs):
+            return Section.make([1, 2]) + Section.make([1, 2, 3])
+
+        monkeypatch.setattr(cli, "check_axioms", mismatched)
+        code, out, err = run(capsys, "verify", std2_file)
+        assert code == 3 and out == ""
+        assert "internal error" in err and "ValueError" in err
+
 
 class TestGolden:
     """The README commands, a truncated polynomial cohomology and a Dirac

@@ -1,10 +1,14 @@
 """Tests for the naive cochain complexes, against an independent CE oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import so3_table
 from oracles import naive_matrix_from_ce
+from test_exact import is_canonical_coefficient
 
 from courantkit.cohomology import (
     CochainEscapeError,
@@ -17,9 +21,9 @@ from courantkit.cohomology import (
     readings_agree,
 )
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
-from courantkit.kerforms import KerForm, basis_wedge_form
+from courantkit.kerforms import KerForm, basis_wedge_form, kerform_basis
 from courantkit.rand import rand_wedge_coeffs
-from courantkit.twist import make_point, twist_bracket
+from courantkit.twist import base_form, c_twist, make_point, make_standard, twist_bracket
 
 x = Scalar.variable
 
@@ -290,3 +294,65 @@ class TestSummary:
         calls.clear()
         cochain_basis(_rank5_twisted(), 2)
         assert len(calls) == 10
+
+
+class TestEliminationRows:
+    """The rows cohomology and kerform_basis hand to the exact elimination
+    hold Fractions only: a coefficient stored as an int would make the
+    elimination's 1/pivot a float."""
+
+    @pytest.fixture()
+    def row_counts(self, monkeypatch):
+        import courantkit.cohomology as cohomology
+        import courantkit.kerforms as kerforms
+
+        counts = []
+
+        def checked(fn):
+            def run(rows, width):
+                assert all(type(v) is Fraction for row in rows for v in row)
+                counts.append(len(rows))
+                return fn(rows, width)
+            return run
+
+        monkeypatch.setattr(cohomology, "_eliminate", checked(cohomology._eliminate))
+        monkeypatch.setattr(cohomology, "_kernel", checked(cohomology._kernel))
+        monkeypatch.setattr(kerforms, "_kernel", checked(kerforms._kernel))
+        return counts
+
+    def test_point_complex_and_readings(self, so3, row_counts):
+        assert complex_summary(so3, 3)["betti"] == [1, 0, 0, 1]
+        assert readings_agree(_rank5_twisted(), 2) is False
+        assert row_counts
+
+    def test_polynomial_bases(self, ctwist4, std2, row_counts):
+        summary = complex_summary(ctwist4, 2, max_degree=1)
+        assert summary["dims"] == [1, 20, 30]
+        forms = kerform_basis(std2, 2, max_degree=2) + cochain_basis(ctwist4, 2, 1)
+        for form in forms:
+            assert form.certified
+            assert all(is_canonical_coefficient(c) for value in form.coeffs.values()
+                       for c in value.terms.values())
+        assert row_counts
+
+
+class TestNoFloatInBases:
+    """kerform_basis and cochain_basis keep every coefficient canonical (an
+    int, or a Fraction with denominator > 1) on any degree and truncation,
+    and every form they return lies in ker ρ̃."""
+
+    SPECS = {"std2": lambda: make_standard(2),
+             "ctwist4": lambda: c_twist(4, base_form({(1, 2, 3): x(0)})),
+             "so3": lambda: make_point(3, Matrix.identity(3), so3_table()),
+             "rank5-twisted": _rank5_twisted}
+
+    @given(st.sampled_from(sorted(SPECS)), st.integers(0, 4), st.integers(0, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_bases(self, name, degree, max_degree):
+        spec = self.SPECS[name]()
+        forms = (kerform_basis(spec, degree, max_degree)
+                 + cochain_basis(spec, degree, max_degree))
+        for form in forms:
+            assert form.certified
+            assert all(is_canonical_coefficient(c) for value in form.coeffs.values()
+                       for c in value.terms.values())

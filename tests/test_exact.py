@@ -28,6 +28,12 @@ def q(*args):
     return Scalar.rational(Fraction(*args))
 
 
+def is_canonical_coefficient(c) -> bool:
+    """The stored type of a coefficient: an int if integral, else a
+    Fraction with denominator > 1 (never a float, never Fraction(n, 1))."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 # -- strategies -------------------------------------------------------------
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -61,11 +67,11 @@ class TestScalar:
         cancels = Scalar({(1,): Fraction(2), (1, 0): Fraction(-2)})
         assert cancels.is_zero()
 
-    def test_public_int_coefficients_stored_as_fractions(self):
+    def test_public_int_coefficients_stored_canonically(self):
         a = Scalar({(1, 0): 2})
         assert a.terms == {(1,): Fraction(2)}
-        assert all(type(c) is Fraction for c in a.terms.values())
-        assert all(type(c) is Fraction for c in (a + 1).terms.values())
+        assert all(is_canonical_coefficient(c) for c in a.terms.values())
+        assert all(is_canonical_coefficient(c) for c in (a + 1).terms.values())
 
     @given(scalars(), st.randoms(use_true_random=False))
     @settings(max_examples=80)
@@ -262,3 +268,64 @@ class TestMatrix:
     def test_wedge_indices(self):
         assert wedge_indices(4, 2) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         assert wedge_indices(3, 4) == []
+
+
+# -- the canonical coefficient type ------------------------------------------
+
+
+def _canonical(value) -> bool:
+    """Every coefficient of a Scalar, or of each Scalar in a (nested)
+    tuple, list or Matrix, has the canonical type."""
+    if isinstance(value, Scalar):
+        return all(is_canonical_coefficient(c) for c in value.terms.values())
+    if isinstance(value, Matrix):
+        value = value.entries
+    return all(_canonical(v) for v in value)
+
+
+@st.composite
+def unit_matrices(draw, n=3):
+    """A polynomial matrix with a nonzero rational determinant: upper
+    unitriangular with polynomial entries, times a rational diagonal."""
+    scale = [draw(rationals.filter(bool)) for _ in range(n)]
+    return Matrix([[Scalar.rational(scale[i]) * (ONE if i == j else
+                                                 draw(scalars(max_terms=2)))
+                    if i <= j else ZERO for j in range(n)] for i in range(n)])
+
+
+class TestNoFloat:
+    """No float ever appears: every operation leaves each coefficient an
+    int, or a Fraction with denominator > 1 (``1 / 2`` on two ints would be
+    a float)."""
+
+    @given(scalars(), scalars(), rationals.filter(bool), st.integers(1, 6),
+           st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_scalar_operations(self, a, b, q, k, n):
+        results = [a + b, a - b, a * b, -a, a * q, q * a, a + k, k - a,
+                   a / q, a / k, a / Scalar.rational(q), a ** n,
+                   parse_scalar(a.to_text()), Scalar(dict(a.terms))]
+        results += [a.partial(var) for var in range(3)]
+        assert _canonical(results)
+        assert type(Scalar.rational(q).as_fraction()) is Fraction
+        assert type(Scalar.rational(k).as_fraction()) is Fraction
+
+    @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
+                    min_size=3, max_size=3),
+           st.lists(rationals, min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_linear_algebra(self, rows, rhs):
+        m = mat(rows)
+        reduced, _, _ = rref(m)
+        assert _canonical([m.det(), reduced, kernel_basis(m)])
+        solution = solve_rational(m, [Scalar.rational(v) for v in rhs])
+        assert solution is None or _canonical(solution)
+        if not m.det().is_zero():
+            assert _canonical(m.inverse())
+
+    @given(unit_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_polynomial_det_and_inverse(self, m):
+        inverse = m.inverse()
+        assert _canonical([m.det(), inverse])
+        assert m.matmul(inverse) == Matrix.identity(3)

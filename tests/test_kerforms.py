@@ -239,6 +239,24 @@ class TestTildeSplitTable:
         with pytest.raises(SpecInvariantError, match="uses variable x5"):
             contract(std2, form, Section.make([x(4), 0, 1, 0]))
 
+    @pytest.mark.parametrize("indices", [(5, 5), (5, 1), (1, -1)])
+    def test_basis_indices_out_of_range(self, std2, indices):
+        # a repeated index used to give the zero section before any range check
+        alpha = basis_wedge_form(std2, (0, 1, 2))
+        bad = next(i for i in indices if not 0 <= i < 4)
+        message = f"wedge index {bad} out of range for rank 4"
+        with pytest.raises(ValueError) as info:
+            tilde_split_basis(std2, alpha, indices)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            basis_wedge_form(std2, indices)
+        assert str(info.value) == message
+
+    def test_repeated_basis_indices_in_range_vanish(self, std2):
+        alpha = basis_wedge_form(std2, (0, 1, 2))
+        assert basis_wedge_form(std2, (1, 1)).is_zero()
+        assert tilde_split_basis(std2, alpha, (1, 1)).is_zero()
+
 
 class TestSquareAndInsertion:
     def test_degree_zero_squares_to_zero(self, ctwist4):

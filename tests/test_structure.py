@@ -237,11 +237,89 @@ class TestSparseKernel:
             assert anchor_apply(spec, psi) == dense_anchor_apply(spec, psi)
 
 
+_KINDS = [("constant", "constant"), ("constant", "polynomial"),
+          ("polynomial", "constant"), ("polynomial", "polynomial")]
+# a point carries constant sections only
+_SPLIT_CASES = ([(name, kinds) for name in ("polynomial-gram", "ctwist4")
+                 for kinds in _KINDS] + [("so3", ("constant", "constant"))])
+
+
+class TestBracketSplit:
+    """The bracket sums the table part first and runs its anchor and d0
+    terms over non-constant coefficients only; checked against the dense
+    loops on every mix of constant and polynomial arguments."""
+
+    @staticmethod
+    def section(rng, spec, kind):
+        """A random section: all-constant, or with some non-constant
+        coefficient."""
+        sec = rand_section(rng, spec, 0 if kind == "constant" else 2)
+        if kind == "polynomial" and all(c.is_rational() for c in sec.coeffs):
+            k = rng.randrange(spec.rank)
+            sec = sec + Section.basis(k, spec.rank).scale(x(0))
+        return sec
+
+    @pytest.mark.parametrize("name,kinds", _SPLIT_CASES, ids=[
+        f"{name}-{left}-{right}" for name, (left, right) in _SPLIT_CASES])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_bracket(self, request, name, kinds, seed):
+        if name == "polynomial-gram":
+            from courantkit.twist import make_standard
+
+            spec = corrupt_gram(make_standard(2), 0, x(0))
+        else:
+            spec = request.getfixturevalue(name)
+        rng = random.Random(seed)
+        for _ in range(6):
+            phi, psi = (self.section(rng, spec, kind) for kind in kinds)
+            assert spec.validate_section(phi) is (kinds[0] == "polynomial")
+            assert spec.validate_section(psi) is (kinds[1] == "polynomial")
+            assert bracket(spec, phi, psi) == dense_bracket(spec, phi, psi)
+
+    def test_constant_pair_is_the_table_part(self, ctwist4):
+        # on constant sections the anchor and d0 terms vanish
+        rng = random.Random(5)
+        for _ in range(6):
+            phi = self.section(rng, ctwist4, "constant")
+            psi = self.section(rng, ctwist4, "constant")
+            table = Section.zero(ctwist4.rank)
+            for i, fi in enumerate(phi.coeffs):
+                for j, gj in enumerate(psi.coeffs):
+                    table = table + ctwist4.table_bracket(i, j).scale(fi * gj)
+            assert bracket(ctwist4, phi, psi) == table
+
+
 class TestSectionValidation:
     """bracket, anchor_apply and pairing reject a section that uses a
     variable the base ring lacks, with one message."""
 
     MESSAGE = "section uses variable x3, but the base ring has 2 variable(s)"
+
+    def test_only_a_later_coefficient_bad(self, std2):
+        # the first offending coefficient is named by its highest variable
+        bad = Section.make([x(0), ONE, x(3) * x(0) + x(1), x(2)])
+        for call in (lambda: std2.validate_section(bad),
+                     lambda: bracket(std2, Section.basis(0, 4), bad),
+                     lambda: anchor_apply(std2, bad)):
+            with pytest.raises(SpecInvariantError) as info:
+                call()
+            assert str(info.value) == (
+                "section uses variable x4, but the base ring has 2 variable(s)")
+        with pytest.raises(SpecInvariantError) as info:
+            std2.validate_section(bad, "probe")
+        assert str(info.value) == (
+            "probe uses variable x4, but the base ring has 2 variable(s)")
+
+    def test_point_rejects_any_variable(self, so3):
+        with pytest.raises(SpecInvariantError) as info:
+            bracket(so3, Section.make([1, 2, 3]), Section.make([1, 0, x(0)]))
+        assert str(info.value) == (
+            "section uses variable x1, but the base ring has 0 variable(s)")
+
+    def test_length_checked_first(self, std2):
+        with pytest.raises(SpecInvariantError) as info:
+            std2.validate_section(Section.make([x(5), 0, 0]))
+        assert str(info.value) == "section has length 3, want 4"
 
     def test_out_of_range_variable(self, std2):
         bad = Section.make([x(2), ZERO, ZERO, ZERO])
@@ -255,3 +333,19 @@ class TestSectionValidation:
             with pytest.raises(SpecInvariantError) as info:
                 call()
             assert str(info.value) == self.MESSAGE
+
+
+class TestSectionShape:
+    @pytest.mark.parametrize("index", [9, 4, -1])
+    def test_basis_index_out_of_range(self, index):
+        with pytest.raises(ValueError) as info:
+            Section.basis(index, 4)
+        assert str(info.value) == f"basis index {index} out of range for rank 4"
+
+    def test_rank_mismatch_is_not_truncated(self):
+        short, long = Section.make([1, 2]), Section.make([1, 2, 3])
+        for call in (lambda: short + long, lambda: long + short,
+                     lambda: short - long, lambda: long - short):
+            with pytest.raises(ValueError, match="zip"):
+                call()
+        assert short + Section.make([3, 4]) == Section.make([4, 6])
