@@ -5,7 +5,8 @@ A Subbundle is a list of generator sections.  Over a polynomial base the
 generator matrix must contain an invertible square block in columns whose
 entries are rational constants; membership of a section in the R-span is
 then decided exactly through that block (graphs of two-forms and coordinate
-subbundles all have one).  General module membership is out of scope.
+subbundles all have one).  A Subbundle derives that block once, when it is
+built.  General module membership is out of scope.
 
 The inherited structure on a Dirac subbundle L carries the restricted
 bracket and anchor and the restriction of the twist's splitting as an
@@ -60,6 +61,20 @@ class Subbundle:
                        for g in self.generators]).det().is_zero()
                for chosen in itertools.combinations(cols, self.dim)):
             raise SpecInvariantError("subbundle generators are dependent")
+        # the membership block, derived once: the pivots of [rows | I] reduced
+        # to [R | E] are the first constant-column combination with a nonzero
+        # minor and E = block⁻¹; _block is (pivots, Eᵀ), or None without one
+        g = self.dim
+        constant_cols = [c for c in range(self.spec.rank)
+                         if all(gen.coeffs[c].is_rational() for gen in self.generators)]
+        k = len(constant_cols)
+        rows = [[gen.coeffs[c].as_fraction() for c in constant_cols]
+                + [Fraction(1) if a == b else Fraction(0) for b in range(g)]
+                for a, gen in enumerate(self.generators)]
+        pivots = _eliminate(rows, k)
+        self._block = None if len(pivots) < g else (
+            tuple(constant_cols[p] for p in pivots),
+            _scalar_matrix(row[k:] for row in rows).transpose())
 
     @property
     def dim(self) -> int:
@@ -154,36 +169,19 @@ def is_lagrangean(spec: AlgebroidSpec, sub: Subbundle) -> bool:
 # -- span membership --------------------------------------------------------------
 
 
-def _constant_block(sub: Subbundle) -> tuple[tuple[int, ...], Matrix]:
-    """Columns with constant entries forming an invertible block, and the
-    inverse of that block: the pivots of [rows | I] reduced to [R | E] are
-    the first column combination with a nonzero minor, and E = block⁻¹."""
-    g = sub.dim
-    constant_cols = [c for c in range(sub.spec.rank)
-                     if all(gen.coeffs[c].is_rational() for gen in sub.generators)]
-    k = len(constant_cols)
-    rows = [[gen.coeffs[c].as_fraction() for c in constant_cols]
-            + [Fraction(1) if a == b else Fraction(0) for b in range(g)]
-            for a, gen in enumerate(sub.generators)]
-    pivots = _eliminate(rows, k)
-    if len(pivots) < g:
-        raise MembershipError(
-            "no invertible constant-column block: span membership over the "
-            "polynomial ring is undecidable for this generator matrix")
-    return (tuple(constant_cols[p] for p in pivots),
-            _scalar_matrix(row[k:] for row in rows))
-
-
 def express_in_generators(spec: AlgebroidSpec, sub: Subbundle,
                           sec: Section) -> tuple[tuple[Scalar, ...], Section]:
-    """Solve sec = Σ c_a·gen_a through the constant block.
+    """Solve sec = Σ c_a·gen_a through the subbundle's constant block.
 
     Returns (coefficients, residual); the residual is zero exactly when sec
     lies in the R-span of the generators.
     """
-    cols, block_inv = _constant_block(sub)
-    restricted = [sec.coeffs[c] for c in cols]
-    coeffs = block_inv.transpose().matvec(restricted)
+    if sub._block is None:
+        raise MembershipError(
+            "no invertible constant-column block: span membership over the "
+            "polynomial ring is undecidable for this generator matrix")
+    cols, block_inv_t = sub._block
+    coeffs = block_inv_t.matvec([sec.coeffs[c] for c in cols])
     recombined = Section.zero(spec.rank)
     for c, gen in zip(coeffs, sub.generators):
         recombined = recombined + gen.scale(c)
@@ -251,22 +249,23 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, seed: int,
     report = CheckReport(suite="induced-twisted-lie-algebroid")
 
     # restricted data
-    struct: dict[tuple[int, int], tuple[Scalar, ...]] = {}
-    for i, j in itertools.product(range(g), repeat=2):
-        coeffs, _ = express_in_generators(spec, sub, bracket(spec, gens[i], gens[j]))
-        struct[(i, j)] = coeffs
+    struct = {(i, j): express_in_generators(spec, sub, bracket(spec, gens[i], gens[j]))[0]
+              for i, j in itertools.product(range(g), repeat=2)}
     h = tilde_split(spec, spec.twist or zero_form(spec, 4))
     twist_vals = {key: h(*(gens[k] for k in key))
                   for key in itertools.combinations(range(g), 3)}
+    twist_solved = {key: express_in_generators(spec, sub, value)
+                    for key, value in twist_vals.items()}
 
-    def escapes(value: Section) -> str | None:
-        in_l = express_in_generators(spec, sub, value)[1].is_zero()
+    def escapes(value: Section, residual: Section) -> str | None:
         in_ker = all(c.is_zero() for c in anchor_apply(spec, value))
-        return None if in_l and in_ker else "restricted twist value escapes ker ρ ∩ L"
+        return (None if residual.is_zero() and in_ker
+                else "restricted twist value escapes ker ρ ∩ L")
 
+    # the residual rides along unnamed
     report.add("twist-values-in-kernel", first_failure(
-        ((str(key), value) for key, value in twist_vals.items()),
-        ("triple", "value"), lambda key, value: escapes(value)))
+        ((str(key), value, twist_solved[key][1]) for key, value in twist_vals.items()),
+        ("triple", "value"), lambda _, value, residual: escapes(value, residual)))
 
     # the label leads each tuple; the sections ride along unnamed
     report.add("antisymmetry", first_failure(
@@ -324,8 +323,7 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, seed: int,
                     for (i, j) in sorted(struct) if any(
                         not s.is_zero() for s in struct[(i, j)])},
         "h3": [{"indices": list(key),
-                "value": [c.to_text() for c in
-                          express_in_generators(spec, sub, value)[0]]}
+                "value": [c.to_text() for c in twist_solved[key][0]]}
                for key, value in sorted(twist_vals.items())
                if not value.is_zero()],
     }

@@ -75,9 +75,11 @@ def _grlex_key(exp: Exponent) -> tuple:
 
 def _coefficient(value) -> int | Fraction:
     """The canonical form of a rational coefficient: an int if integral,
-    else a Fraction with denominator > 1."""
+    else a Fraction with denominator > 1; any other type is a TypeError."""
     if value.__class__ is not int:
         if value.__class__ is not Fraction:
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
             value = Fraction(value)
         if value.denominator == 1:
             return value.numerator

@@ -18,6 +18,8 @@ once; on the rows of gram⁻¹ it is the back-solve, since the inverse of
 Λ^p(gram) is Λ^p(gram⁻¹) (Cauchy–Binet).  Neither direction computes a
 minor.  `contract` and the splitting α̃ remove slots one at a time through
 the same sparse Gram rows.
+The bracket enters as a table of its nonzero values on basis pairs: D
+reads the structure's bracket_table, ι_B̃ the table of B̃.
 
 D² is generally nonzero; on twisted structures it equals the degree-2
 derivation ins_h built from slotwise insertion of the twist.
@@ -246,18 +248,9 @@ def rho_tilde(spec: AlgebroidSpec, form: KerForm) -> dict[tuple[int, Wedge], Sca
 
 
 def monomials(nvars: int, max_total: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with total degree <= max_total, in a fixed order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 0:
-            out.append(prefix)
-            return
-        for d in range(remaining + 1):
-            rec(prefix + (d,), remaining - d, slots - 1)
-
-    rec((), max_total, nvars)
-    return out
+    """Exponent tuples of total degree <= max_total, in lexicographic order."""
+    return [exp for exp in itertools.product(range(max_total + 1), repeat=nvars)
+            if sum(exp) <= max_total]
 
 
 def kerform_basis(spec: AlgebroidSpec, degree: int,
@@ -430,9 +423,6 @@ def contract(spec: AlgebroidSpec, form: KerForm,
 # -- the exterior covariant derivative ----------------------------------------
 
 
-BracketFn = Callable[[int, int], Section]
-
-
 def solve_wedge_values(spec: AlgebroidSpec, degree: int,
                        values: dict[Wedge, Scalar]) -> KerForm:
     """The degree-p form whose pairings with the basis wedges are ``values``.
@@ -445,14 +435,15 @@ def solve_wedge_values(spec: AlgebroidSpec, degree: int,
 
 
 def eval_covariant(spec: AlgebroidSpec, form: KerForm,
-                   bracket_fn: BracketFn | None,
+                   brackets: dict[tuple[int, int], Section],
                    use_anchor: bool) -> KerForm:
     """Shared evaluator for D-like degree-+1 operators.
 
     Evaluates Σᵢ (−1)ⁱ ρ(e_{Jᵢ})⟨α, …⟩ (if use_anchor) plus
-    Σ_{i<j} (−1)^{i+j} ⟨α, bracket_fn(Jᵢ,Jⱼ)∧…⟩ on every basis wedge J of
+    Σ_{i<j} (−1)^{i+j} ⟨α, brackets[Jᵢ,Jⱼ]∧…⟩ on every basis wedge J of
     degree p+1, reading every pairing of α from one lowered table, then
-    solves the coefficients back through the Λ-Gram system.
+    solves the coefficients back through the Λ-Gram system.  ``brackets``
+    holds the nonzero values on ordered basis pairs, as bracket_table does.
     """
     p = form.degree
     table = _wedge_map(spec._gram_rows, form.coeffs)
@@ -470,16 +461,15 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
                 if term.is_zero():
                     continue
                 val = val + term if pos % 2 == 0 else val - term
-        if bracket_fn is not None:
-            for a, b in itertools.combinations(range(p + 1), 2):
-                sec = bracket_fn(J[a], J[b])
-                if sec.is_zero():
-                    continue
-                rest = tuple(J[c] for c in range(p + 1) if c != a and c != b)
-                term = _pair_prefixed_lowered(table, sec, rest)
-                if term.is_zero():
-                    continue
-                val = val + term if (a + b) % 2 == 0 else val - term
+        for a, b in itertools.combinations(range(p + 1), 2):
+            sec = brackets.get((J[a], J[b]))
+            if sec is None:
+                continue
+            rest = tuple(J[c] for c in range(p + 1) if c != a and c != b)
+            term = _pair_prefixed_lowered(table, sec, rest)
+            if term.is_zero():
+                continue
+            val = val + term if (a + b) % 2 == 0 else val - term
         if not val.is_zero():
             values[J] = val
     return solve_wedge_values(spec, p + 1, values)
@@ -488,7 +478,7 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
 def cov_derivative(spec: AlgebroidSpec, form: KerForm) -> KerForm:
     """The exterior covariant derivative D: Ω^p(ker ρ) → Ω^{p+1}(ker ρ)."""
     form.require_certified("cov_derivative input")
-    return eval_covariant(spec, form, spec.table_bracket, use_anchor=True)
+    return eval_covariant(spec, form, spec.bracket_table, use_anchor=True)
 
 
 def leibniz_defect(spec: AlgebroidSpec, alpha: KerForm, beta: KerForm) -> KerForm:

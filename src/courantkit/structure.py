@@ -86,7 +86,7 @@ class Section:
         return Section(tuple([-a for a in self.coeffs]))
 
     def scale(self, f: Scalar) -> "Section":
-        return Section(tuple([f * a for a in self.coeffs]))
+        return Section(tuple([f * a if a.terms else a for a in self.coeffs]))
 
     def to_text(self) -> list[str]:
         return [c.to_text() for c in self.coeffs]

@@ -13,6 +13,8 @@ twist family) are plain dictionaries {increasing variable tuple: Scalar}.
 
 from __future__ import annotations
 
+import itertools
+
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
 from courantkit.kerforms import (
     KerForm,
@@ -21,6 +23,7 @@ from courantkit.kerforms import (
     cov_derivative,
     solve_wedge_values,
     tilde_split,
+    tilde_split_basis,
     zero_form,
 )
 from courantkit.structure import (
@@ -182,19 +185,26 @@ def curvature_H(spec0: AlgebroidSpec, b: KerForm) -> KerForm:
     return cov_derivative(spec0, b) - btilde_squared_form(spec0, b)
 
 
+def _split_table(spec: AlgebroidSpec, b: KerForm) -> dict[tuple[int, int], Section]:
+    """The nonzero values B̃(eᵢ,eⱼ) on ordered basis pairs, in the format of
+    AlgebroidSpec.bracket_table; B̃ is skew, so each pair i < j is split once."""
+    table: dict[tuple[int, int], Section] = {}
+    for i, j in itertools.combinations(range(spec.rank), 2):
+        value = tilde_split_basis(spec, b, (i, j))
+        if not value.is_zero():
+            table[(i, j)], table[(j, i)] = value, -value
+    return table
+
+
 def twist_bracket(spec0: AlgebroidSpec, b: KerForm) -> AlgebroidSpec:
-    """New structure with bracket [eᵢ,eⱼ]₀ + B̃(eᵢ,eⱼ) and twist H = D₀B − B̃²."""
+    """New structure with twist H = D₀B − B̃² whose bracket table is spec0's
+    with the table of B̃ added entry by entry: [eᵢ,eⱼ]₀ + B̃(eᵢ,eⱼ)."""
     b.require_certified("twisting 3-form")
     if b.degree != 3:
         raise ValueError("the twisting form must have degree 3")
-    bt = tilde_split(spec0, b)
-    e = spec0.basis_sections()
-    new_table: dict[tuple[int, int], Section] = {}
-    for i in range(spec0.rank):
-        for j in range(spec0.rank):
-            entry = spec0.table_bracket(i, j) + bt(e[i], e[j])
-            if not entry.is_zero():
-                new_table[(i, j)] = entry
+    new_table = dict(spec0.bracket_table)
+    for key, value in _split_table(spec0, b).items():
+        new_table[key] = new_table[key] + value if key in new_table else value
     h = curvature_H(spec0, b)
     twisted = AlgebroidSpec(spec0.ring, spec0.nvars, spec0.rank, spec0.gram,
                             spec0.anchor, new_table, None, "h-twisted")
@@ -204,11 +214,9 @@ def twist_bracket(spec0: AlgebroidSpec, b: KerForm) -> AlgebroidSpec:
 
 def iota_btilde(spec: AlgebroidSpec, b: KerForm, form: KerForm) -> KerForm:
     """Degree-+1 insertion of B̃ into a form: the bracket-sum of the
-    covariant-derivative formula with B̃ in place of the bracket and no
-    anchor terms."""
-    bt = tilde_split(spec, b)
-    e = spec.basis_sections()
-    return eval_covariant(spec, form, lambda i, j: bt(e[i], e[j]), use_anchor=False)
+    covariant-derivative formula over the table of B̃ on basis pairs, with
+    no anchor terms."""
+    return eval_covariant(spec, form, _split_table(spec, b), use_anchor=False)
 
 
 def integrability_defect(spec0: AlgebroidSpec, b: KerForm) -> KerForm:

@@ -60,17 +60,17 @@ class TestConstantBlock:
 
     @staticmethod
     def _agrees(sub):
-        from courantkit.dirac import _constant_block
         from oracles import NoConstantBlock, constant_block_by_minors
 
         try:
-            expected = constant_block_by_minors(sub)
+            cols, inverse = constant_block_by_minors(sub)
         except NoConstantBlock:
-            with pytest.raises(MembershipError):
-                _constant_block(sub)
+            assert sub._block is None
+            with pytest.raises(MembershipError, match="no invertible constant-column"):
+                express_in_generators(sub.spec, sub, Section.zero(sub.spec.rank))
             return None
-        assert _constant_block(sub) == expected
-        return expected[0]
+        assert sub._block == (cols, inverse.transpose())
+        return cols
 
     def test_dependent_leading_columns(self, std2):
         # columns 0 and 1 are proportional, column 2 is polynomial
@@ -106,6 +106,25 @@ class TestConstantBlock:
         assert None in blocks
         assert any(b and b[0] > 0 for b in blocks)
         assert any(b and b != tuple(range(b[0], b[0] + len(b))) for b in blocks)
+
+
+class TestOneBlockPerSubbundle:
+    def test_check_dirac_runs_no_elimination(self, std2, monkeypatch):
+        import courantkit.dirac as dirac
+
+        eliminate, widths = dirac._eliminate, []
+
+        def counting(rows, width):
+            widths.append(width)
+            return eliminate(rows, width)
+
+        monkeypatch.setattr(dirac, "_eliminate", counting)
+        sub = graph_of_two_form(std2, {(0, 1): x(0)})
+        assert len(widths) == 1
+        assert check_dirac(std2, sub).passed
+        coeffs, residual = express_in_generators(std2, sub, sub.generators[1])
+        assert coeffs == (ZERO, ONE) and residual.is_zero()
+        assert len(widths) == 1
 
 
 class TestSignature:

@@ -18,6 +18,7 @@ from courantkit.exact import (
     solve_rational,
     wedge_indices,
 )
+from courantkit.structure import Section
 
 
 def x(i):
@@ -81,9 +82,9 @@ class TestScalar:
         # each term split in two halves, one of them under an untrimmed key
         pieces = {}
         for exp, coeff in items:
-            pieces[exp + (0,)] = coeff / 2
+            pieces[exp + (0,)] = Fraction(coeff, 2)
         for exp, coeff in reversed(items):
-            pieces[exp] = coeff / 2
+            pieces[exp] = Fraction(coeff, 2)
         for other in (Scalar(dict(items)), Scalar(pieces)):
             assert other == s
             assert hash(other) == hash(s)
@@ -297,6 +298,17 @@ class TestNoFloat:
     """No float ever appears: every operation leaves each coefficient an
     int, or a Fraction with denominator > 1 (``1 / 2`` on two ints would be
     a float)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Scalar.rational(0.1),
+        lambda: Scalar.monomial((1,), 0.5),
+        lambda: Scalar({(): 0.5}),
+        lambda: Matrix([[0.5]]),
+        lambda: Section.make([0.5]),
+    ], ids=["rational", "monomial", "constructor", "matrix", "section"])
+    def test_float_coefficient_rejected(self, make):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            make()
 
     @given(scalars(), scalars(), rationals.filter(bool), st.integers(1, 6),
            st.integers(0, 3))

@@ -1,0 +1,71 @@
+"""No module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "courantkit"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names used inside an annotation, string annotations included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, in the order imported.
+
+    A name counts as used when it is read anywhere, named in ``__all__``, or
+    appears in an annotation, also a string one.
+    """
+    tree = ast.parse(source)
+    imported: list[str] = []
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in ast.walk(node.value)
+                     if isinstance(elt, ast.Constant)}
+    return [name for name in imported if name not in used]
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"exact.py", "structure.py", "kerforms.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\n", ["os"]),
+    ("import os.path\nos.sep\n", []),
+    ("from typing import Any as A, Sequence\nx: 'A'\n", ["Sequence"]),
+    ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from m import K\n"
+     "def f(k: 'K | None') -> None: ...\n", []),
+    ("from m import a, b\n__all__ = ['a']\n", ["b"]),
+    ("from __future__ import annotations\nfrom m import T\n"
+     "def f() -> list[T]: ...\n", []),
+])
+def test_detector(source, unused):
+    assert unused_imports(source) == unused

@@ -1,6 +1,7 @@
 """Tests for ker-ρ forms, the covariant derivative, splitting, and insertion."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from courantkit.kerforms import (
     ins_h,
     kerform_basis,
     leibniz_defect,
+    monomials,
     pair_basis,
     pair_prefixed,
     rho_tilde,
@@ -78,6 +80,14 @@ class TestKerformBasis:
     def test_members_certified(self, std2):
         for form in kerform_basis(std2, 2, max_degree=1):
             assert form.certified
+
+    def test_monomial_order(self):
+        # every exponent tuple of total degree <= d, once, in increasing order
+        for n, d in itertools.product(range(5), repeat=2):
+            monos = monomials(n, d)
+            assert len(monos) == math.comb(n + d, n)
+            assert monos == sorted(set(monos))
+            assert all(len(m) == n and sum(m) <= d for m in monos)
 
 
 class TestContract:
@@ -495,7 +505,7 @@ class TestWedgeMapAgainstMinors:
         rng = random.Random(5)
         forms = [KerForm(spec, p, rand_wedge_coeffs(rng, spec, p, 2))
                  for p in range(spec.rank) for _ in range(2)]
-        images = [eval_covariant(spec, form, spec.table_bracket, True)
+        images = [eval_covariant(spec, form, spec.bracket_table, True)
                   for form in forms]
         assert sum(not image.is_zero() for image in images) >= 4
         for form, image in zip(forms, images):

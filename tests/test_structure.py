@@ -349,3 +349,11 @@ class TestSectionShape:
             with pytest.raises(ValueError, match="zip"):
                 call()
         assert short + Section.make([3, 4]) == Section.make([4, 6])
+
+    def test_scale_matches_coefficientwise_products(self, std2):
+        rng = random.Random(8)
+        for _ in range(40):
+            section = rand_section(rng, std2, 1)
+            for f in (rand_scalar(rng, 2, 1), ZERO):
+                assert section.scale(f) == Section(
+                    tuple(f * a for a in section.coeffs))

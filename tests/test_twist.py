@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import sec
+from conftest import corrupt_gram, sec
 from oracles import dorfman_standard
 
 from courantkit.axioms import check_axioms
@@ -13,12 +13,14 @@ from courantkit.kerforms import (
     KerForm,
     basis_wedge_form,
     cov_derivative,
+    tilde_split,
     tilde_split_basis,
     zero_form,
 )
 from courantkit.rand import rand_section, rand_wedge_coeffs
 from courantkit.structure import Section, SpecInvariantError, bracket, jacobiator
 from courantkit.twist import (
+    _split_table,
     base_form,
     btilde_squared_form,
     c_twist,
@@ -113,6 +115,45 @@ class TestTwistBracket:
                     lhs = jacobiator(twisted, basis[i], basis[j], basis[k])
                     rhs = tilde_split_basis(twisted, twisted.twist, (i, j, k))
                     assert lhs == rhs
+
+
+class TestSplitTable:
+    """The table of B̃ on basis pairs holds exactly its nonzero values."""
+
+    @staticmethod
+    def _agrees(spec, b):
+        table = _split_table(spec, b)
+        split, e = tilde_split(spec, b), spec.basis_sections()
+        zero_pairs = 0
+        for i in range(spec.rank):
+            for j in range(spec.rank):
+                value = split(e[i], e[j])
+                if value.is_zero():
+                    assert (i, j) not in table
+                    zero_pairs += 1
+                else:
+                    assert table[(i, j)] == value
+        assert len(table) + zero_pairs == spec.rank ** 2
+        assert table and len(table) < spec.rank ** 2 - spec.rank
+        return table
+
+    def test_ctwist4_b(self):
+        spec0 = make_standard(4)
+        b = pullback(spec0, base_form({(1, 2, 3): x(0)}), 3)
+        table = self._agrees(spec0, b)
+        assert table[(1, 2)] == Section.basis(7, 8).scale(x(0))
+
+    def test_random_point_form(self, so3_plus_so3):
+        rng = random.Random(11)
+        b = KerForm(so3_plus_so3, 3, rand_wedge_coeffs(rng, so3_plus_so3, 3))
+        self._agrees(so3_plus_so3, b)
+
+    def test_polynomial_gram(self, std2):
+        spec = corrupt_gram(std2, 0, x(0))
+        rng = random.Random(4)
+        b = KerForm(spec, 3, rand_wedge_coeffs(rng, spec, 3, 1))
+        table = self._agrees(spec, b)
+        assert any(not c.is_rational() for v in table.values() for c in v.coeffs)
 
 
 class TestCurvature:
