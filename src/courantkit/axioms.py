@@ -19,13 +19,17 @@ Suites:
   sa-courant-dorfman    almost rules + the anchor-compatibility rule
   h-twisted-cd          seven-rule twisted ring/module variant
   lie-rinehart          antisymmetry, cyclic Jacobi, Leibniz, anchor representation
+
+The ring/module (-cd) suites state Leibniz and invariance with ρ(ψ)f read
+as ⟨ψ, D₀f⟩; every suite reads it through the anchor.  The two agree on
+every structure: D₀ is solved through gram⁻¹, so ⟨ψ, D₀f⟩ = ψᵀ·G·G⁻¹·A·∇f
+= ρ(ψ)f, and both are zero over a point or without an anchor.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from courantkit.exact import HALF, Scalar
@@ -183,17 +187,6 @@ def make_pool(spec: AlgebroidSpec, sections: Sequence[Section] | None,
     return _Pool(spec.basis_sections(), randoms, functions)
 
 
-# -- defect helpers ------------------------------------------------------------
-
-
-def _rho(spec: AlgebroidSpec, psi: Section, f: Scalar, cd: bool) -> Scalar:
-    """ρ(ψ)[f]: through the anchor matrix, or as ⟨ψ, D₀f⟩ in the ring/module
-    (Courant–Dorfman) reading; the two agree whenever an anchor is present."""
-    if cd:
-        return pairing(spec, psi, d0(spec, f))
-    return rho_apply(spec, psi, f)
-
-
 # -- axiom checkers --------------------------------------------------------------
 # Each returns a witness dict on first failure, or None.
 
@@ -225,14 +218,14 @@ def _ax_twist_closed(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
     return first_failure([(spec.twist,)], ("twist",), lambda twist: defect)
 
 
-def _ax_leibniz(spec: AlgebroidSpec, pool: _Pool, cd: bool = False) -> dict | None:
+def _ax_leibniz(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
     # [φ,ψ] is computed once per pair and rides along unnamed
     return first_failure(
         ((phi, f, psi, br) for phi, psi in pool.pairs()
          for br in [bracket(spec, phi, psi)] for f in pool.functions),
         ("phi", "f", "psi"),
         lambda phi, f, psi, br: (bracket(spec, phi, psi.scale(f))
-                                 - psi.scale(_rho(spec, phi, f, cd))
+                                 - psi.scale(rho_apply(spec, phi, f))
                                  - br.scale(f)))
 
 
@@ -247,11 +240,10 @@ def _ax_symmetric_part(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
                      - d0(spec, pairing(spec, psi, psi)).scale(HALF)))
 
 
-def _ax_invariance(spec: AlgebroidSpec, pool: _Pool,
-                   cd: bool = False) -> dict | None:
+def _ax_invariance(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
     return first_failure(
         pool.triples(), ("phi", "psi1", "psi2"),
-        lambda phi, psi1, psi2: (_rho(spec, phi, pairing(spec, psi1, psi2), cd)
+        lambda phi, psi1, psi2: (rho_apply(spec, phi, pairing(spec, psi1, psi2))
                                  - pairing(spec, bracket(spec, phi, psi1), psi2)
                                  - pairing(spec, psi1, bracket(spec, phi, psi2))))
 
@@ -311,9 +303,6 @@ def _ax_anchor_representation(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
                              + rho_apply(spec, psi, rho_apply(spec, phi, g))))
 
 
-_CD_LEIBNIZ = partial(_ax_leibniz, cd=True)
-_CD_INVARIANCE = partial(_ax_invariance, cd=True)
-
 SUITES: dict[str, list[tuple[str, Callable]]] = {
     "courant": [
         ("jacobi", _ax_jacobi),
@@ -336,27 +325,27 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
         ("invariance", _ax_invariance),
     ],
     "courant-dorfman": [
-        ("leibniz", _CD_LEIBNIZ),
-        ("invariance", _CD_INVARIANCE),
+        ("leibniz", _ax_leibniz),
+        ("invariance", _ax_invariance),
         ("symmetric-part", _ax_symmetric_part),
         ("jacobi", _ax_jacobi),
         ("derivation-bracket", _ax_derivation_bracket),
         ("derivation-isotropy", _ax_derivation_isotropy),
     ],
     "almost-courant-dorfman": [
-        ("leibniz", _CD_LEIBNIZ),
-        ("invariance", _CD_INVARIANCE),
+        ("leibniz", _ax_leibniz),
+        ("invariance", _ax_invariance),
         ("symmetric-part", _ax_symmetric_part),
     ],
     "sa-courant-dorfman": [
-        ("leibniz", _CD_LEIBNIZ),
-        ("invariance", _CD_INVARIANCE),
+        ("leibniz", _ax_leibniz),
+        ("invariance", _ax_invariance),
         ("symmetric-part", _ax_symmetric_part),
         ("anchor-compatibility", _ax_anchor_compatibility),
     ],
     "h-twisted-cd": [
-        ("leibniz", _CD_LEIBNIZ),
-        ("invariance", _CD_INVARIANCE),
+        ("leibniz", _ax_leibniz),
+        ("invariance", _ax_invariance),
         ("symmetric-part", _ax_symmetric_part),
         ("twisted-jacobi", _ax_twisted_jacobi),
         ("twist-closed", _ax_twist_closed),

@@ -5,19 +5,22 @@ coefficients on strictly increasing basis wedges e_{i1}∧…∧e_{ip}.  Members
 in Ω^p (the kernel of the alternating anchor extension ρ̃) is certified by a
 symbolic check, lazily, and cached.
 
-Forms evaluate through the Gram pairing (multivector convention): the value
-of α on a wedge of sections is the determinant pairing ⟨α, ψ1∧…∧ψp⟩.  The
-covariant derivative is defined by its pairings with all basis wedges,
+Forms evaluate through the Gram pairing (multivector convention),
+⟨α, ψ1∧…∧ψp⟩ = Σ_I α_I·det(⟨e_{I_a}, ψ_b⟩), in two ways and never as a
+determinant (determinants appear only in tests/oracles.py): `_wedge_map`
+pairs α with every basis wedge at once, `_insert` with given sections.
+`_wedge_map` is Λ^p of a symmetric matrix on its sparse rows: every slot
+index a of a wedge becomes Σ_b M[a][b]·e_b.  On the Gram rows it gives
+⟨α, e_J⟩ for every J; on the rows of gram⁻¹ it is the back-solve of the
+Λ-Gram system, since Λ^p(gram)⁻¹ = Λ^p(gram⁻¹) (Cauchy–Binet).  `_insert`
+lowers each section through the Gram rows and removes one slot, the
+first-column expansion of the determinant; pair_sections, pair_basis,
+`contract` and the splitting α̃ are all this contraction.  The covariant
+derivative is defined by its pairings with all basis wedges,
 
   ⟨Dα, ψ0∧…∧ψp⟩ = Σᵢ (−1)ⁱ ρ(ψᵢ)⟨α, …ψ̂ᵢ…⟩ + Σ_{i<j} (−1)^{i+j} ⟨α, [ψᵢ,ψⱼ]∧…⟩
 
-and solved back through the Λ-Gram system.  Both directions are one
-slotwise map, Λ^p of a symmetric matrix: every slot index a of a wedge
-becomes Σ_b M[a][b]·e_b.  On the Gram rows it gives ⟨α, e_J⟩ for every J at
-once; on the rows of gram⁻¹ it is the back-solve, since the inverse of
-Λ^p(gram) is Λ^p(gram⁻¹) (Cauchy–Binet).  Neither direction computes a
-minor.  `contract` and the splitting α̃ remove slots one at a time through
-the same sparse Gram rows.
+read from one `_wedge_map` table and solved back through the other.
 The bracket enters as a table of its nonzero values on basis pairs: D
 reads the structure's bracket_table, ι_B̃ the table of B̃.
 
@@ -31,7 +34,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from courantkit.exact import Matrix, ONE, Scalar, ZERO, _kernel, wedge_indices
+from courantkit.exact import ONE, Scalar, ZERO, _kernel, wedge_indices
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
@@ -319,52 +322,35 @@ def _wedge_map(rows: Sequence[Sequence[tuple[int, Scalar]]],
     return {key: value for key, value in out.items() if value.terms}
 
 
-def _pair_lowered(table: dict[Wedge, Scalar], cols: Sequence[int]) -> Scalar:
-    """⟨α, e_{cols}⟩ from α's _wedge_map on the Gram rows; cols may be unsorted."""
-    key, sign = _sort_wedge(cols)
-    value = table.get(key, ZERO) if sign else ZERO
-    return -value if sign < 0 else value
-
-
 def _pair_prefixed_lowered(table: dict[Wedge, Scalar], prefix: Section,
                            rest: Sequence[int]) -> Scalar:
-    """⟨α, prefix ∧ e_{rest}⟩ read from α's lowered table."""
+    """⟨α, prefix ∧ e_{rest}⟩ read from α's _wedge_map on the Gram rows; a
+    repeated index sorts to a key the table never holds."""
     total = ZERO
     for m, cm in enumerate(prefix.coeffs):
         if cm.terms and m not in rest:
-            value = _pair_lowered(table, (m,) + tuple(rest))
-            if value.terms:
-                total = total + cm * value
+            key, sign = _sort_wedge((m,) + tuple(rest))
+            value = table.get(key)
+            if value is not None:
+                total = total + cm * value if sign > 0 else total - cm * value
     return total
-
-
-def pair_basis(spec: AlgebroidSpec, form: KerForm, cols: Sequence[int]) -> Scalar:
-    """⟨form, e_{cols}⟩; the column tuple may be unsorted (sign-normalised)."""
-    return _pair_lowered(_wedge_map(spec._gram_rows, form.coeffs), cols)
 
 
 def pair_sections(spec: AlgebroidSpec, form: KerForm,
                   sections: Sequence[Section]) -> Scalar:
-    """⟨form, ψ1∧…∧ψp⟩ for arbitrary sections, via determinant pairings."""
+    """⟨form, ψ1∧…∧ψp⟩, the full contraction: the sections are validated
+    and inserted one slot at a time."""
     if len(sections) != form.degree:
         raise ValueError("wrong number of sections for this degree")
-    if form.degree == 0:
-        return form.as_scalar()
-    gram_cols = [spec.gram.matvec(list(sec.coeffs)) for sec in sections]
-    total = ZERO
-    for I, value in form.coeffs.items():
-        grid = Matrix([[gram_cols[b][a] for b in range(len(sections))] for a in I])
-        det = grid.det()
-        if not det.is_zero():
-            total = total + value * det
-    return total
+    for sec in sections:
+        spec.validate_section(sec)
+    return _insert(spec, form.coeffs, [sec.coeffs for sec in sections]).get((), ZERO)
 
 
-def pair_prefixed(spec: AlgebroidSpec, form: KerForm, prefix: Section,
-                  rest: Sequence[int]) -> Scalar:
-    """⟨form, prefix ∧ e_{rest}⟩ with a general section in the first slot."""
-    return _pair_prefixed_lowered(_wedge_map(spec._gram_rows, form.coeffs),
-                                  prefix, rest)
+def pair_basis(spec: AlgebroidSpec, form: KerForm, cols: Sequence[int]) -> Scalar:
+    """⟨form, e_{cols}⟩: pair_sections on basis sections, so the columns may
+    be unsorted or repeated."""
+    return pair_sections(spec, form, [Section.basis(c, spec.rank) for c in cols])
 
 
 def _insert(spec: AlgebroidSpec, coeffs: dict[Wedge, Scalar],

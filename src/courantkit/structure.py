@@ -250,13 +250,6 @@ class AlgebroidSpec:
             self._gram_inv = (inv, tuple(map(_sparse, inv.entries)))
         return self._gram_inv
 
-    def inv_gram_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Scalar:
-        """det(gram⁻¹[rows, cols]) — an entry of the inverse Λ-Gram matrix."""
-        if len(rows) != len(cols):
-            raise ValueError("minor must be square")
-        inv = self.gram_inverse().entries
-        return Matrix([[inv[r][c] for c in cols] for r in rows]).det()
-
     def table_bracket(self, i: int, j: int) -> Section:
         return self.bracket_table.get((i, j), self._zero_section)
 

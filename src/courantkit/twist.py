@@ -2,10 +2,11 @@
 
 The twist ansatz replaces the bracket by [φ,ψ]_B = [φ,ψ]₀ + B̃(φ,ψ) for a
 certified 3-form B.  Its Jacobiator is governed by the curvature 4-form
-H = D₀B − B̃² (the second summand reconstructed from the tilde-squared values
-through the Λ⁴ Gram system; see curvature_H for the sign), and the twisted
-structure is admissible exactly when D_B H = 0 — automatic whenever ker ρ
-has rank at most 4, since B̃² and the relevant 5-forms both vanish there.
+H = D₀B − B̃² (the second summand read from the table of B̃ on basis pairs
+by tensoriality and solved back through the Λ⁴ Gram system; see curvature_H
+for the sign), and the twisted structure is admissible exactly when
+D_B H = 0 — automatic whenever ker ρ has rank at most 4, since B̃² and the
+relevant 5-forms both vanish there.
 
 Base differential forms on ℚ[x1..xn] (used for pullbacks and the exact
 twist family) are plain dictionaries {increasing variable tuple: Scalar}.
@@ -22,7 +23,6 @@ from courantkit.kerforms import (
     eval_covariant,
     cov_derivative,
     solve_wedge_values,
-    tilde_split,
     tilde_split_basis,
     zero_form,
 )
@@ -156,17 +156,24 @@ def make_point(rank: int, gram: Matrix,
 def btilde_squared_form(spec: AlgebroidSpec, b: KerForm) -> KerForm:
     """The 4-form whose splitting is B̃²(ψ₁,ψ₂,ψ₃) = B̃(B̃(ψ₁,ψ₂),ψ₃) + cycl.
 
-    Values W(a,b,c,d) = ⟨B̃²(e_a,e_b,e_c), e_d⟩ are evaluated on increasing
-    basis 4-tuples and solved back through the Λ⁴ Gram system.
+    Values W(a,b,c,d) = ⟨B̃²(e_a,e_b,e_c), e_d⟩ on increasing basis 4-tuples
+    are read from the table of B̃ by tensoriality, B̃(Σₘ cₘ·eₘ, e_z) =
+    Σₘ cₘ·B̃(eₘ, e_z), and solved back through the Λ⁴ Gram system.
     """
-    bt = tilde_split(spec, b)
+    table = _split_table(spec, b)
     e = spec.basis_sections()
     values = {}
     for J in wedge_indices(spec.rank, 4):
         i, j, k, l = J
         val = ZERO
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            val = val + pairing(spec, bt(bt(e[x], e[y]), e[z]), e[l])
+            inner = table.get((x, y))
+            if inner is None:
+                continue
+            for m, c in enumerate(inner.coeffs):
+                outer = table.get((m, z))
+                if outer is not None and c.terms:
+                    val = val + c * pairing(spec, outer, e[l])
         if not val.is_zero():
             values[J] = val
     return solve_wedge_values(spec, 4, values)

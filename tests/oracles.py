@@ -1,16 +1,22 @@
 """Independent oracles used to freeze expected values.
 
 Each oracle is a separate implementation path from the package code it
-checks: the Dorfman oracle works on vector-calculus components, the
-Chevalley–Eilenberg oracle works in dual coordinates with explicit Koszul
-bookkeeping, the subset-insertion oracle evaluates the twist insertion
-through pairings and a Gram solve instead of the derivation extension, and
-the Gram-solve splitting evaluates α̃ on each call through determinant
-pairings instead of a table of basis values, and the constant block of a
-subbundle is found by trying column combinations until a minor is nonzero
-instead of by elimination, and the dense bracket, pairing and anchor loops
-read every entry of the Gram, anchor and table matrices instead of the
-spec's nonzero rows.
+checks:
+
+  * the Dorfman oracle works on vector-calculus components;
+  * the Chevalley–Eilenberg oracle works in dual coordinates with explicit
+    Koszul bookkeeping;
+  * `det_pairing` pairs a form with sections by one determinant per wedge,
+    where the kernel inserts the sections slot by slot and takes none;
+  * the subset-insertion oracle evaluates the twist insertion through
+    det_pairing and the compound of gram⁻¹ instead of the derivation
+    extension;
+  * the Gram-solve splitting evaluates α̃ on each call through det_pairing
+    instead of slot insertion;
+  * the constant block of a subbundle is found by trying column
+    combinations until a minor is nonzero instead of by elimination;
+  * the dense bracket, pairing and anchor loops read every entry of the
+    Gram, anchor and table matrices instead of the spec's nonzero rows.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import itertools
 
 from courantkit.exact import Matrix, Scalar, ZERO, wedge_indices
-from courantkit.kerforms import KerForm, pair_prefixed, pair_sections, tilde_split_basis
+from courantkit.kerforms import KerForm, tilde_split_basis
 from courantkit.structure import AlgebroidSpec, Section, apply_vector_field, d0
 
 
@@ -98,6 +104,24 @@ def compound(m: Matrix, rows_deg: int, cols_deg: int | None = None) -> Matrix:
     return Matrix(grid) if rows else Matrix.zeros(0, len(cols))
 
 
+def det_pairing(spec: AlgebroidSpec, form: KerForm,
+                sections: list[Section]) -> Scalar:
+    """⟨form, ψ1∧…∧ψp⟩ = Σ_I form_I·det(⟨e_{I_a}, ψ_b⟩), one determinant per
+    wedge of the form."""
+    if len(sections) != form.degree:
+        raise ValueError("wrong number of sections for this degree")
+    if form.degree == 0:
+        return form.as_scalar()
+    gram_cols = [spec.gram.matvec(list(sec.coeffs)) for sec in sections]
+    total = ZERO
+    for I, value in form.coeffs.items():
+        grid = Matrix([[gram_cols[b][a] for b in range(len(sections))] for a in I])
+        det = grid.det()
+        if not det.is_zero():
+            total = total + value * det
+    return total
+
+
 def naive_matrix_from_ce(spec: AlgebroidSpec, p: int) -> Matrix:
     """Transport the dual-coordinate CE matrix to the multivector picture:
     N = G_{p+1}⁻¹ · M_dual · G_p with G_q the Λ-Gram compound."""
@@ -125,17 +149,19 @@ def ins_subset_oracle(spec: AlgebroidSpec, form: KerForm) -> KerForm:
             if h_val.is_zero():
                 continue
             rest = tuple(J[m] for m in range(p + 2) if m not in (a, b, c))
-            term = pair_prefixed(spec, form, h_val, rest)
+            term = det_pairing(spec, form, [h_val] + [Section.basis(r, spec.rank)
+                                                      for r in rest])
             if term.is_zero():
                 continue
             val = val + term if (a + b + c) % 2 == 0 else val - term
         if not val.is_zero():
             values[J] = val
+    inv = compound(spec.gram.inverse(), p + 2)
     coeffs = {}
-    for I in target:
+    for r, I in enumerate(target):
         total = ZERO
         for J, val in values.items():
-            w = spec.inv_gram_minor(I, J)
+            w = inv.entries[r][target.index(J)]
             if not w.is_zero():
                 total = total + w * val
         if not total.is_zero():
@@ -152,7 +178,7 @@ def gram_solve_split(spec: AlgebroidSpec, form: KerForm):
     gram_inv = spec.gram_inverse()
 
     def split(*sections: Section) -> Section:
-        w = [pair_sections(spec, form, list(sections) + [Section.basis(j, spec.rank)])
+        w = [det_pairing(spec, form, list(sections) + [Section.basis(j, spec.rank)])
              for j in range(spec.rank)]
         return Section(gram_inv.matvec(w))
 

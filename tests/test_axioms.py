@@ -230,3 +230,37 @@ class TestFirstFailure:
         assert first_failure([()], (), lambda: zero_form(split4, 3)) is None
         assert first_failure(
             [()], (), lambda: basis_wedge_form(split4, (0, 1, 2))) is not None
+
+
+class TestRhoReadings:
+    """Every suite reads ρ(ψ)f through the anchor; the ring/module reading
+    ⟨ψ, D₀f⟩ agrees on every structure, so one reading serves all suites."""
+
+    @staticmethod
+    def specs(ctwist4, std2, so3):
+        from courantkit.structure import AlgebroidSpec
+        from courantkit.twist import make_standard
+
+        anchorless = AlgebroidSpec("polynomial", 2, 4, std2.gram, None, {})
+        return {"ctwist4": ctwist4,
+                "polynomial-gram": corrupt_gram(make_standard(2), 0, x(0)),
+                "anchorless": anchorless, "point": so3}
+
+    @pytest.mark.parametrize("name", ["ctwist4", "polynomial-gram",
+                                      "anchorless", "point"])
+    def test_anchor_equals_pairing_with_d0(self, ctwist4, std2, so3, name):
+        import random
+
+        from courantkit.rand import rand_scalar, rand_section
+        from courantkit.structure import d0, pairing, rho_apply
+
+        spec = self.specs(ctwist4, std2, so3)[name]
+        rng = random.Random(9)
+        nonzero = 0
+        for _ in range(12):
+            psi = rand_section(rng, spec, 2)
+            f = rand_scalar(rng, spec.nvars, 3)
+            value = rho_apply(spec, psi, f)
+            assert value == pairing(spec, psi, d0(spec, f)), (psi, f)
+            nonzero += not value.is_zero()
+        assert (nonzero > 0) == (name in ("ctwist4", "polynomial-gram"))

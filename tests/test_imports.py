@@ -7,6 +7,13 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "courantkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+# the kernel's pairing and back-solve paths, which the oracles check and so
+# must not call; tilde_split_basis stays allowed, since the insertion oracle
+# checks the derivation extension, not α̃
+KERNEL_PAIRINGS = {"pair_sections", "pair_basis", "pair_prefixed", "contract",
+                   "tilde_split", "_insert", "_wedge_map", "solve_wedge_values"}
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -48,6 +55,20 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def kerforms_imports(source: str) -> set[str]:
+    """Names a module imports from courantkit.kerforms; "*" when it imports
+    the whole module or everything in it, which reaches every name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "courantkit.kerforms":
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "courantkit":
+            found |= {"*" for a in node.names if a.name in ("kerforms", "*")}
+        elif isinstance(node, ast.Import):
+            found |= {"*" for a in node.names if a.name == "courantkit.kerforms"}
+    return found
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"exact.py", "structure.py", "kerforms.py"}
 
@@ -69,3 +90,20 @@ def test_no_unused_import(path):
 ])
 def test_detector(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_oracles_import_no_kernel_pairing():
+    assert kerforms_imports(ORACLES.read_text(encoding="utf-8")) & (
+        KERNEL_PAIRINGS | {"*"}) == set()
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from courantkit.kerforms import KerForm, pair_sections\n",
+     {"KerForm", "pair_sections"}),
+    ("from courantkit import kerforms\n", {"*"}),
+    ("from courantkit.kerforms import *\n", {"*"}),
+    ("import courantkit.kerforms as kf\n", {"*"}),
+    ("from courantkit.structure import pairing\n", set()),
+])
+def test_kerforms_import_detector(source, found):
+    assert kerforms_imports(source) == found

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import corrupt_gram
-from oracles import compound, gram_solve_split, ins_subset_oracle
+from oracles import compound, det_pairing, gram_solve_split, ins_subset_oracle
 
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
 from courantkit.kerforms import (
@@ -23,7 +23,7 @@ from courantkit.kerforms import (
     leibniz_defect,
     monomials,
     pair_basis,
-    pair_prefixed,
+    pair_sections,
     rho_tilde,
     scalar_form,
     section_form,
@@ -368,7 +368,6 @@ class TestAdjunction:
         import itertools
 
         from courantkit.exact import ZERO, wedge_indices
-        from courantkit.kerforms import pair_prefixed
         from courantkit.structure import Section, d0, pairing
 
         def cd_eval(spec, form):
@@ -387,15 +386,18 @@ class TestAdjunction:
                     if sec.is_zero():
                         continue
                     rest = tuple(J[c] for c in range(p + 1) if c not in (a, b))
-                    term = pair_prefixed(spec, form, sec, rest)
+                    term = det_pairing(spec, form, [sec] + [
+                        Section.basis(r, spec.rank) for r in rest])
                     val = val + term if (a + b) % 2 == 0 else val - term
                 if not val.is_zero():
                     values[J] = val
+            wedges = wedge_indices(spec.rank, p + 1)
+            inv = compound(spec.gram.inverse(), p + 1)
             coeffs = {}
-            for I in wedge_indices(spec.rank, p + 1):
+            for r, I in enumerate(wedges):
                 tot = ZERO
                 for J, v in values.items():
-                    weight = spec.inv_gram_minor(I, J)
+                    weight = inv.entries[r][wedges.index(J)]
                     if not weight.is_zero():
                         tot = tot + weight * v
                 if not tot.is_zero():
@@ -481,14 +483,15 @@ class TestWedgeMapAgainstMinors:
                     for m, cm in enumerate(sec.coeffs):
                         if not cm.is_zero():
                             term = term + cm * paired(form, (m,) + rest)
-                    assert term == pair_prefixed(spec, form, sec, rest)
                     val = val + term if (a + b) % 2 == 0 else val - term
                 values[J] = val
+            wedges = wedge_indices(spec.rank, p + 1)
+            inv = compound(spec.gram.inverse(), p + 1)
             coeffs = {}
-            for I in wedge_indices(spec.rank, p + 1):
+            for r, I in enumerate(wedges):
                 total = ZERO
                 for J, v in values.items():
-                    total = total + spec.inv_gram_minor(I, J) * v
+                    total = total + inv.entries[r][wedges.index(J)] * v
                 coeffs[I] = total
             return KerForm(spec, p + 1, coeffs)
 
@@ -510,6 +513,57 @@ class TestWedgeMapAgainstMinors:
         assert sum(not image.is_zero() for image in images) >= 4
         for form, image in zip(forms, images):
             assert image == minors_derivative(form), form
+
+
+class TestPairingAgainstDeterminants:
+    """pair_sections and pair_basis, which insert the sections slot by slot,
+    equal one determinant per wedge (oracles.det_pairing) in every degree
+    from 0 to the rank: on random polynomial sections and on unsorted and
+    repeated basis columns."""
+
+    @staticmethod
+    def specs(ctwist4):
+        minors = TestWedgeMapAgainstMinors.specs()
+        return {"ctwist4": ctwist4,
+                "polynomial-gram": minors["polynomial-gram"],
+                "point-block": minors["point-block"]}
+
+    @pytest.mark.parametrize("name", ["ctwist4", "polynomial-gram", "point-block"])
+    def test_matches_det_pairing(self, ctwist4, name):
+        spec = self.specs(ctwist4)[name]
+        rng = random.Random(13)
+        poly = 1 if spec.nvars else 0
+        basis = spec.basis_sections()
+        for p in range(spec.rank + 1):
+            form = KerForm(spec, p, rand_wedge_coeffs(rng, spec, p, poly))
+            for _ in range(2):
+                sections = [rand_section(rng, spec, poly) for _ in range(p)]
+                assert pair_sections(spec, form, sections) == \
+                    det_pairing(spec, form, sections), (p, sections)
+            unsorted = rng.sample(range(spec.rank), p)
+            column_sets = [unsorted, unsorted[::-1]]
+            if p >= 2:
+                column_sets.append(unsorted[:-1] + unsorted[:1])
+            for cols in column_sets:
+                expected = det_pairing(spec, form, [basis[c] for c in cols])
+                assert pair_basis(spec, form, cols) == expected, (p, cols)
+            if p >= 2:
+                assert pair_basis(spec, form, column_sets[-1]).is_zero()
+
+    def test_basis_column_out_of_range(self, split4):
+        with pytest.raises(ValueError) as info:
+            pair_basis(split4, basis_wedge_form(split4, (0, 1)), (0, 9))
+        assert str(info.value) == "basis index 9 out of range for rank 4"
+
+    def test_wrong_number_of_basis_columns(self, split4):
+        with pytest.raises(ValueError) as info:
+            pair_basis(split4, basis_wedge_form(split4, (0, 1)), (0,))
+        assert str(info.value) == "wrong number of sections for this degree"
+
+    def test_short_section_rejected(self, split4):
+        with pytest.raises(SpecInvariantError, match="length 3, want 4"):
+            pair_sections(split4, basis_wedge_form(split4, (0, 1)),
+                          [Section.basis(0, 4), Section.make([1, 0, 1])])
 
 
 class TestFormAlgebra:

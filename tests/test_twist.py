@@ -5,10 +5,10 @@ import random
 import pytest
 
 from conftest import corrupt_gram, sec
-from oracles import dorfman_standard
+from oracles import det_pairing, dorfman_standard, gram_solve_split
 
 from courantkit.axioms import check_axioms
-from courantkit.exact import Matrix, ONE, Scalar, ZERO
+from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
 from courantkit.kerforms import (
     KerForm,
     basis_wedge_form,
@@ -233,6 +233,71 @@ class TestCurvature:
         for _ in range(5):
             b = KerForm(split4, 3, rand_wedge_coeffs(rng, split4, 3))
             assert integrability_defect(split4, b).is_zero()
+
+
+class TestBtildeSquaredTable:
+    """B̃², read from the table of B̃ on basis pairs, pairs with every basis
+    4-wedge as the cyclic sum B̃(B̃(e_a,e_b),e_c) + cycl. assembled from the
+    Gram-solve splitting, evaluated on every call."""
+
+    @staticmethod
+    def cases():
+        def diagonal(rank, negatives):
+            return make_point(rank, Matrix(
+                [[(Scalar.rational(-1) if i >= rank - negatives else ONE)
+                  if i == j else ZERO for j in range(rank)] for i in range(rank)]),
+                {})
+
+        def random_b(spec, seed):
+            return KerForm(spec, 3, rand_wedge_coeffs(random.Random(seed), spec, 3))
+
+        std4 = make_standard(4)
+        ab5, id6, id7 = diagonal(5, 2), diagonal(6, 0), diagonal(7, 0)
+        return {
+            "ct4": (std4, pullback(std4, base_form({(1, 2, 3): x(0)}), 3)),
+            "ct4b": (std4, pullback(std4, base_form(
+                {(0, 1, 2): x(3) * x(3), (1, 2, 3): x(0)}), 3)),
+            "ab5": (ab5, random_b(ab5, 0)),
+            "identity-6": (id6, random_b(id6, 1)),
+            "identity-7": (id7, random_b(id7, 2)),
+        }
+
+    @pytest.mark.parametrize("case", ["ct4", "ct4b", "ab5", "identity-6",
+                                      "identity-7"])
+    def test_matches_gram_solve(self, case):
+        spec, b = self.cases()[case]
+        split, e = gram_solve_split(spec, b), spec.basis_sections()
+        inner = {(i, j): split(e[i], e[j])
+                 for i in range(spec.rank) for j in range(spec.rank)}
+        b2 = btilde_squared_form(spec, b)
+        for J in wedge_indices(spec.rank, 4):
+            i, j, k, l = J
+            cyclic = (split(inner[i, j], e[k]) + split(inner[j, k], e[i])
+                      + split(inner[k, i], e[j]))
+            expected = sum((cm * g for cm, g in zip(
+                cyclic.coeffs, spec.gram.entries[l])), ZERO)
+            assert det_pairing(spec, b2, [e[c] for c in J]) == expected, J
+        assert b2.is_zero() == case.startswith("ct4")
+
+    def test_inserts_once_per_table_entry(self, monkeypatch):
+        # B̃² reads the 28 basis pairs of the rank-8 table; the twisted
+        # bracket splits them once more for its own table
+        from courantkit import kerforms
+
+        calls = []
+        insert = kerforms._insert
+
+        def counted(*args):
+            calls.append(args)
+            return insert(*args)
+
+        monkeypatch.setattr(kerforms, "_insert", counted)
+        spec0, b = self.cases()["ct4"]
+        btilde_squared_form(spec0, b)
+        assert len(calls) == 28
+        calls.clear()
+        twist_bracket(spec0, b)
+        assert len(calls) == 56
 
 
 class TestPullback:
