@@ -160,7 +160,12 @@ def btilde_squared_form(spec: AlgebroidSpec, b: KerForm) -> KerForm:
     are read from the table of B̃ by tensoriality, B̃(Σₘ cₘ·eₘ, e_z) =
     Σₘ cₘ·B̃(eₘ, e_z), and solved back through the Λ⁴ Gram system.
     """
-    table = _split_table(spec, b)
+    return _btilde_squared(spec, _split_table(spec, b))
+
+
+def _btilde_squared(spec: AlgebroidSpec,
+                    table: dict[tuple[int, int], Section]) -> KerForm:
+    """btilde_squared_form read from a table of B̃ already built."""
     e = spec.basis_sections()
     values = {}
     for J in wedge_indices(spec.rank, 4):
@@ -209,10 +214,12 @@ def twist_bracket(spec0: AlgebroidSpec, b: KerForm) -> AlgebroidSpec:
     b.require_certified("twisting 3-form")
     if b.degree != 3:
         raise ValueError("the twisting form must have degree 3")
+    split = _split_table(spec0, b)
     new_table = dict(spec0.bracket_table)
-    for key, value in _split_table(spec0, b).items():
+    for key, value in split.items():
         new_table[key] = new_table[key] + value if key in new_table else value
-    h = curvature_H(spec0, b)
+    # curvature_H, with B̃² read from the same table
+    h = cov_derivative(spec0, b) - _btilde_squared(spec0, split)
     twisted = AlgebroidSpec(spec0.ring, spec0.nvars, spec0.rank, spec0.gram,
                             spec0.anchor, new_table, None, "h-twisted")
     twisted.twist = KerForm(twisted, 4, h.coeffs)
@@ -238,13 +245,15 @@ def integrability_expansion(spec0: AlgebroidSpec, b: KerForm) -> KerForm:
     independently of the direct evaluation.
 
     With D_B = D₀ + ι_B̃ on forms, D₀² = 0, and H = D₀B − B̃²:
-    D_B H = ι_B̃(D₀B) − D₀(B̃²) − ι_B̃(B̃²).
+    D_B H = ι_B̃(D₀B) − D₀(B̃²) − ι_B̃(B̃²), both ι_B̃ (see iota_btilde)
+    and B̃² read from one table of B̃.
     """
-    b2 = btilde_squared_form(spec0, b)
+    table = _split_table(spec0, b)
+    b2 = _btilde_squared(spec0, table)
     d0b = cov_derivative(spec0, b)
-    return (iota_btilde(spec0, b, d0b)
+    return (eval_covariant(spec0, d0b, table, use_anchor=False)
             - cov_derivative(spec0, b2)
-            - iota_btilde(spec0, b, b2))
+            - eval_covariant(spec0, b2, table, use_anchor=False))
 
 
 def c_twist(n: int, c3: BaseForm) -> AlgebroidSpec:

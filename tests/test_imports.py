@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses or keeps state
+between calls."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "courantkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
+# functools decorators that keep results between calls
+CACHES = {"cache", "lru_cache", "cached_property"}
 # the kernel's pairing and back-solve paths, which the oracles check and so
 # must not call; tilde_split_basis stays allowed, since the insertion oracle
 # checks the derivation extension, not α̃
@@ -69,6 +72,30 @@ def kerforms_imports(source: str) -> set[str]:
     return found
 
 
+def hidden_state(source: str) -> list[str]:
+    """``global`` statements and caching decorators in a module: state that
+    outlives the call that made it.
+
+    A decorator counts when it names one of CACHES as an attribute
+    (``functools.cache``) or through a name imported from functools, also
+    under an alias, and whether or not it is called (``lru_cache(None)``).
+    """
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "functools"
+               for a in node.names if a.name in CACHES}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append("global " + ", ".join(node.names))
+        for deco in getattr(node, "decorator_list", ()):
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if ((isinstance(target, ast.Attribute) and target.attr in CACHES)
+                    or (isinstance(target, ast.Name) and target.id in aliases)):
+                found.append(f"@{ast.unparse(deco)} on {node.name}")
+    return found
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"exact.py", "structure.py", "kerforms.py"}
 
@@ -107,3 +134,24 @@ def test_oracles_import_no_kernel_pairing():
 ])
 def test_kerforms_import_detector(source, found):
     assert kerforms_imports(source) == found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_state_between_calls(path):
+    # the data model is frozen: nothing is cached on a module or a function
+    assert hidden_state(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("T = {}\ndef f():\n    global T\n    T = {}\n", ["global T"]),
+    ("import functools\n@functools.cache\ndef f(): ...\n",
+     ["@functools.cache on f"]),
+    ("from functools import lru_cache as memo\n@memo(maxsize=None)\n"
+     "def f(): ...\n", ["@memo(maxsize=None) on f"]),
+    ("import functools as ft\nclass C:\n    @ft.cached_property\n"
+     "    def p(self): ...\n", ["@ft.cached_property on p"]),
+    ("from functools import partial, wraps\n@wraps(print)\ndef f(): ...\n"
+     "def g():\n    t = {}\n    def h():\n        nonlocal t\n", []),
+])
+def test_hidden_state_detector(source, found):
+    assert hidden_state(source) == found

@@ -1,5 +1,7 @@
 """Tests for the two-term homotopy packaging and its verification."""
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from courantkit.kerforms import KerForm, zero_form
 from courantkit.linfty import (
     _check_l3_alternating,
     _check_values_in_v1,
+    _with_tables,
     build_classical,
     build_twisted,
     verify_linfty,
@@ -26,14 +29,14 @@ class TestBuildClassical:
     def test_point_boundary_vanishes(self, so3):
         data = build_classical(so3)
         assert data.boundary(ONE).is_zero()
-        assert data.act(Section.basis(0, 3), ONE).is_zero()
+        assert data.act(data.l2, Section.basis(0, 3), ONE).is_zero()
 
     def test_so3_l3_value(self, so3):
         # three cyclic terms of 1/6·⟨l2(a,b),c⟩ each contribute 1/6; the
         # global orientation (here −) is the one forced on polynomial bases
         # by the defining equations — over a point either sign verifies
         data = build_classical(so3)
-        assert data.l3(*so3.basis_sections()) == -HALF
+        assert data.l3(data.l2, *so3.basis_sections()) == -HALF
 
     def test_standard_boundary(self, std2):
         data = build_classical(std2)
@@ -41,7 +44,7 @@ class TestBuildClassical:
 
     def test_action_worked_example(self, std2):
         data = build_classical(std2)
-        assert data.act(Section.basis(0, 4), x(0)) == HALF
+        assert data.act(data.l2, Section.basis(0, 4), x(0)) == HALF
 
     def test_rejects_twisted(self, ctwist4):
         with pytest.raises(SpecInvariantError, match="untwisted"):
@@ -64,7 +67,8 @@ class TestBuildTwisted:
     def test_l3_contains_twist_value(self, ctwist4):
         data = build_twisted(ctwist4)
         basis = ctwist4.basis_sections()
-        assert data.l3(basis[0], basis[1], basis[2]) == Section.basis(7, 8)
+        assert (data.l3(data.l2, basis[0], basis[1], basis[2])
+                == Section.basis(7, 8))
 
     def test_l2_skew_exactly(self, ctwist4):
         data = build_twisted(ctwist4)
@@ -92,7 +96,7 @@ class TestVerify:
 
     def test_zeroed_l3_fails_with_witness(self, ctwist4):
         data = build_twisted(ctwist4)
-        data.l3 = lambda a, b, c: Section.zero(8)
+        data.l3 = lambda l2, a, b, c: Section.zero(8)
         report = verify_linfty(data, seed=1)
         assert "jacobi-up-to-boundary" in report.failing()
         failed = [c for c in report.checks
@@ -100,7 +104,7 @@ class TestVerify:
         assert failed.witness is not None
 
     def test_alternation_and_membership_see_random_sections(self, ctwist4):
-        # rank 8: the basis slices of both checks hold no random section
+        # random sections reach both checks beside every basis triple
         data = build_twisted(ctwist4)
         seen = {"l3": [], "act": []}
 
@@ -116,11 +120,78 @@ class TestVerify:
         data.act = recording("act", data.act)
         randoms = [rand_section(random.Random(3), ctwist4, 2)]
         v0 = data.v0_basis + randoms
-        assert _check_l3_alternating(data, v0, randoms) is None
+        assert _check_l3_alternating(_with_tables(data), randoms) is None
         assert any(seen["l3"])
         seen["l3"].clear()
-        assert _check_values_in_v1(data, v0, data.v1_basis, randoms) is None
+        assert _check_values_in_v1(_with_tables(data), v0, data.v1_basis,
+                                   randoms) is None
         assert any(seen["act"]) and any(seen["l3"])
+
+    def test_alternation_seen_past_the_first_five(self, ctwist4):
+        # l3 breaks alternation on basis sections 5, 6, 7 (from 0) only, a
+        # triple outside the first five; its extra value lies in ker ρ, so
+        # only alternation sees it among the first two checks
+        data = build_twisted(ctwist4)
+        e, kernel = data.v0_basis, data.v1_basis[0]
+        l3 = data.l3
+
+        def broken(l2, a, b, c):
+            value = l3(l2, a, b, c)
+            return value + kernel if (a, b, c) == (e[5], e[6], e[7]) else value
+
+        data.l3 = broken
+        report = verify_linfty(data, seed=0)
+        assert "l3-alternating" in report.failing()
+        assert "values-in-v1" not in report.failing()
+        failed = [c for c in report.checks if c.axiom == "l3-alternating"][0]
+        assert failed.witness["inputs"] == {
+            "x": e[5].to_text(), "y": e[6].to_text(), "z": e[7].to_text()}
+
+    @pytest.mark.parametrize("x_index, v_index", [(6, 0), (0, 3)])
+    def test_membership_seen_past_the_slices(self, ctwist4, x_index, v_index):
+        # the action leaves ker ρ on one basis pair only: a section outside
+        # the first six, or a V1 element outside the first three
+        data = build_twisted(ctwist4)
+        bad = (data.v0_basis[x_index], data.v1_basis[v_index])
+        act = data.act
+
+        def broken(l2, x, v):
+            value = act(l2, x, v)
+            return value + data.v0_basis[0] if (x, v) == bad else value
+
+        data.act = broken
+        report = verify_linfty(data, seed=0)
+        assert "values-in-v1" in report.failing()
+        failed = [c for c in report.checks if c.axiom == "values-in-v1"][0]
+        assert failed.witness["inputs"] == {"x": bad[0].to_text(),
+                                            "v": bad[1].to_text()}
+
+    @pytest.mark.parametrize("name", ["so3", "std2", "std4", "so3_plus_so3",
+                                      "ctwist4", "split4_twisted"])
+    def test_every_basis_tuple_reaches_alternation_and_membership(
+            self, request, split4, name):
+        if name == "split4_twisted":
+            b = KerForm(split4, 3, rand_wedge_coeffs(random.Random(5), split4, 3))
+            spec, build = twist_bracket(split4, b), build_twisted
+        else:
+            spec = request.getfixturevalue(name)
+            build = build_twisted if name == "ctwist4" else build_classical
+        data = build(spec)
+        triples, pairs = [], []
+        l3, act = data.l3, data.act
+        data.l3 = lambda l2, *xs: triples.append(xs) or l3(l2, *xs)
+        data.act = lambda l2, *xv: pairs.append(xv) or act(l2, *xv)
+        basis = set(itertools.combinations(data.v0_basis, 3))
+        randoms = [rand_section(random.Random(1), spec, 2)]
+        v0 = data.v0_basis + randoms
+        assert _check_l3_alternating(_with_tables(data), randoms) is None
+        assert basis <= set(triples)
+        if build is build_twisted:
+            triples.clear()
+            assert _check_values_in_v1(_with_tables(data), v0, data.v1_basis,
+                                       randoms) is None
+            assert basis <= set(triples)
+            assert set(itertools.product(v0, data.v1_basis)) <= set(pairs)
 
     def test_determinism(self, ctwist4):
         a = verify_linfty(build_twisted(ctwist4), seed=7).to_json()
@@ -133,3 +204,32 @@ class TestVerify:
         assert {"bracket-vs-boundary", "boundary-action-symmetry",
                 "jacobi-up-to-boundary", "action-jacobi",
                 "higher-coherence", "l2-skew", "l3-alternating"} <= axioms
+
+
+class TestTables:
+    def test_each_map_runs_once_per_ordered_tuple(self, ctwist4):
+        data = build_twisted(ctwist4)
+        pairs, triples = [], []
+        l2, l3 = data.l2, data.l3
+        data.l2 = lambda a, b: pairs.append((a, b)) or l2(a, b)
+        data.l3 = lambda m, *xs: triples.append(xs) or l3(m, *xs)
+        assert verify_linfty(data, seed=0).passed
+        assert pairs and len(pairs) == len(set(pairs))
+        assert triples and len(triples) == len(set(triples))
+
+    def test_tables_belong_to_the_call(self, ctwist4):
+        # a second call on the same data evaluates every pair again, and
+        # the caller's maps are the ones left on data afterwards
+        data = build_twisted(ctwist4)
+        pairs = []
+        l2 = data.l2
+        data.l2 = lambda a, b: pairs.append((a, b)) or l2(a, b)
+        fields = {f.name: getattr(data, f.name)
+                  for f in dataclasses.fields(data)}
+        verify_linfty(data, seed=0)
+        first = list(pairs)
+        pairs.clear()
+        verify_linfty(data, seed=0)
+        assert first and pairs == first
+        assert all(getattr(data, name) is value
+                   for name, value in fields.items())

@@ -281,7 +281,8 @@ class TestBtildeSquaredTable:
 
     def test_inserts_once_per_table_entry(self, monkeypatch):
         # B̃² reads the 28 basis pairs of the rank-8 table; the twisted
-        # bracket splits them once more for its own table
+        # bracket and the expansion of D_B H build that table once and read
+        # both their brackets and B̃² from it
         from courantkit import kerforms
 
         calls = []
@@ -297,7 +298,10 @@ class TestBtildeSquaredTable:
         assert len(calls) == 28
         calls.clear()
         twist_bracket(spec0, b)
-        assert len(calls) == 56
+        assert len(calls) == 28
+        calls.clear()
+        integrability_expansion(spec0, b)
+        assert len(calls) == 28
 
 
 class TestPullback:
