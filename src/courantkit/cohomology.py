@@ -214,6 +214,22 @@ def betti(spec: AlgebroidSpec, p_max: int) -> list[int]:
     return _betti(*_point_complex(spec, p_max))
 
 
+def _product_nonzero(left: Rows, right: Rows) -> bool:
+    """Whether left·right has a nonzero entry; each row of ``right`` is
+    reduced to its nonzero entries once, and each row of the product is
+    summed over the nonzero entries of the row of ``left``."""
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in right]
+    for row in left:
+        acc: dict[int, Fraction] = {}
+        for k, x in enumerate(row):
+            if x:
+                for j, v in sparse[k]:
+                    acc[j] = acc.get(j, 0) + x * v
+        if any(acc.values()):
+            return True
+    return False
+
+
 def cd_cochain_membership(spec: AlgebroidSpec, form: KerForm) -> bool:
     """Ring/module cochain test: killed by every ι_{D₀xⱼ} and by the twist.
 
@@ -237,11 +253,9 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
     """Dims, Betti numbers (point only), d²=0, and reading agreement."""
     if spec.is_point():
         bases, mats = _point_complex(spec, p_max)
-        # d_{p+1}·d_p, entry by entry
-        d_squared_zero = not any(
-            sum(row[k] * mats[p][k][j] for k in range(len(mats[p])) if row[k])
-            for p in range(p_max) for row in mats[p + 1]
-            for j in range(len(bases[p])))
+        # d_{p+1}·d_p through the nonzero entries of both factors
+        d_squared_zero = not any(_product_nonzero(mats[p + 1], mats[p])
+                                 for p in range(p_max))
         return {
             "dims": [len(bases[p]) for p in range(p_max + 1)],
             "betti": _betti(bases, mats),

@@ -20,9 +20,17 @@ derivative is defined by its pairings with all basis wedges,
 
   ⟨Dα, ψ0∧…∧ψp⟩ = Σᵢ (−1)ⁱ ρ(ψᵢ)⟨α, …ψ̂ᵢ…⟩ + Σ_{i<j} (−1)^{i+j} ⟨α, [ψᵢ,ψⱼ]∧…⟩
 
-read from one `_wedge_map` table and solved back through the other.
+evaluated from the nonzero entries of one `_wedge_map` table, pushed
+forward instead of pulled for every wedge of degree p+1, and solved back
+through the other.
 The bracket enters as a table of its nonzero values on basis pairs: D
-reads the structure's bracket_table, ι_B̃ the table of B̃.
+reads the structure's bracket_table, ι_B̃ the table of B̃.  A value
+[eᵢ,eⱼ] = Σ c_m·e_m with i < j meets each nonzero ⟨α, e_K⟩ whose K holds m
+in slot q, as ⟨α, e_m∧e_rest⟩ = (−1)^q·⟨α, e_K⟩ with rest = K minus m, and
+lands on the sorted (j, i) + rest: the sort's sign is (−1)^{a+b} for the
+slots a < b of i and j in the result.  The anchor term sends each
+non-constant ⟨α, e_K⟩ to the sorted (idx,) + K, with the sign (−1)^pos of
+the slot of idx.
 
 D² is generally nonzero; on twisted structures it equals the degree-2
 derivation ins_h built from slotwise insertion of the twist.
@@ -322,20 +330,6 @@ def _wedge_map(rows: Sequence[Sequence[tuple[int, Scalar]]],
     return {key: value for key, value in out.items() if value.terms}
 
 
-def _pair_prefixed_lowered(table: dict[Wedge, Scalar], prefix: Section,
-                           rest: Sequence[int]) -> Scalar:
-    """⟨α, prefix ∧ e_{rest}⟩ read from α's _wedge_map on the Gram rows; a
-    repeated index sorts to a key the table never holds."""
-    total = ZERO
-    for m, cm in enumerate(prefix.coeffs):
-        if cm.terms and m not in rest:
-            key, sign = _sort_wedge((m,) + tuple(rest))
-            value = table.get(key)
-            if value is not None:
-                total = total + cm * value if sign > 0 else total - cm * value
-    return total
-
-
 def pair_sections(spec: AlgebroidSpec, form: KerForm,
                   sections: Sequence[Section]) -> Scalar:
     """⟨form, ψ1∧…∧ψp⟩, the full contraction: the sections are validated
@@ -425,40 +419,46 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
                    use_anchor: bool) -> KerForm:
     """Shared evaluator for D-like degree-+1 operators.
 
-    Evaluates Σᵢ (−1)ⁱ ρ(e_{Jᵢ})⟨α, …⟩ (if use_anchor) plus
-    Σ_{i<j} (−1)^{i+j} ⟨α, brackets[Jᵢ,Jⱼ]∧…⟩ on every basis wedge J of
-    degree p+1, reading every pairing of α from one lowered table, then
-    solves the coefficients back through the Λ-Gram system.  ``brackets``
-    holds the nonzero values on ordered basis pairs, as bracket_table does.
+    Computes ⟨Dα, e_J⟩ = Σᵢ (−1)ⁱ ρ(e_{Jᵢ})⟨α, …⟩ (if use_anchor) plus
+    Σ_{a<b} (−1)^{a+b} ⟨α, brackets[J_a,J_b]∧…⟩ for every basis wedge J of
+    degree p+1 by pushing α's nonzero pairings forward, then solves the
+    coefficients back through the Λ-Gram system.  ``brackets`` holds the
+    nonzero values on ordered basis pairs, as bracket_table does; only the
+    pairs i < j are read.
+
+    The pairings come from one lowered table, indexed by slot: a wedge K
+    holding m in slot q gives ⟨α, e_m∧e_rest⟩ = (−1)^q·⟨α, e_K⟩ with
+    rest = K minus m.  Each coefficient c_m of [eᵢ,eⱼ], i < j, then adds
+    c_m·⟨α, e_m∧e_rest⟩ to the wedge (j, i) + rest for every rest avoiding
+    i and j (any other rest repeats an index and sorts to sign 0); sorting
+    (j, i) + rest gives the sign (−1)^{a+b}, a < b being the slots of i
+    and j.  Each non-constant ⟨α, e_K⟩ adds ρ(e_idx)⟨α, e_K⟩
+    to (idx,) + K for every idx outside K, and sorting gives (−1)^pos, pos
+    being the slot of idx.
     """
-    p = form.degree
     table = _wedge_map(spec._gram_rows, form.coeffs)
+    lowered: dict[int, list[tuple[Wedge, Scalar]]] = {}
+    for K, value in table.items():
+        for q, m in enumerate(K):
+            lowered.setdefault(m, []).append(
+                (K[:q] + K[q + 1:], -value if q % 2 else value))
     values: dict[Wedge, Scalar] = {}
-    anchored = use_anchor and spec.anchor is not None
-    for J in wedge_indices(spec.rank, p + 1):
-        val = ZERO
-        if anchored:
-            for pos, idx in enumerate(J):
-                inner = table.get(J[:pos] + J[pos + 1:], ZERO)
-                if inner.is_rational():
-                    continue
-                row = spec.anchor.entries[idx]
-                term = apply_vector_field(row, inner)
-                if term.is_zero():
-                    continue
-                val = val + term if pos % 2 == 0 else val - term
-        for a, b in itertools.combinations(range(p + 1), 2):
-            sec = brackets.get((J[a], J[b]))
-            if sec is None:
-                continue
-            rest = tuple(J[c] for c in range(p + 1) if c != a and c != b)
-            term = _pair_prefixed_lowered(table, sec, rest)
-            if term.is_zero():
-                continue
-            val = val + term if (a + b) % 2 == 0 else val - term
-        if not val.is_zero():
-            values[J] = val
-    return solve_wedge_values(spec, p + 1, values)
+    for (i, j), sec in brackets.items():
+        if i >= j:
+            continue
+        for m, c in enumerate(sec.coeffs):
+            if c.terms:
+                for rest, value in lowered.get(m, ()):
+                    if i not in rest and j not in rest:
+                        _accumulate(values, (j, i) + rest, c * value)
+    if use_anchor and spec.anchor is not None:
+        for K, value in table.items():
+            if not value.is_rational():
+                for idx, row in enumerate(spec.anchor.entries):
+                    if idx not in K:
+                        _accumulate(values, (idx,) + K, apply_vector_field(row, value))
+    return solve_wedge_values(spec, form.degree + 1,
+                              {J: v for J, v in values.items() if v.terms})
 
 
 def cov_derivative(spec: AlgebroidSpec, form: KerForm) -> KerForm:

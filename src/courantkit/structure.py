@@ -88,6 +88,15 @@ class Section:
     def scale(self, f: Scalar) -> "Section":
         return Section(tuple([f * a if a.terms else a for a in self.coeffs]))
 
+    def __hash__(self) -> int:
+        # the dataclass hash of the coefficients, computed on first use and
+        # kept, as Scalar keeps its own
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.coeffs,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def to_text(self) -> list[str]:
         return [c.to_text() for c in self.coeffs]
 

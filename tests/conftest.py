@@ -63,6 +63,39 @@ def so3_plus_so3():
 
 
 @pytest.fixture(scope="session")
+def sl3():
+    """sl(3) over a point in the basis E12, E13, E21, E23, E31, E32,
+    H1 = E11 − E22, H2 = E22 − E33, with the trace form tr(xy); its Gram
+    matrix has off-diagonal rows."""
+    mats = [{(i, j): 1} for i in range(3) for j in range(3) if i != j]
+    mats += [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+
+    def mul(a, b):
+        out = {}
+        for (i, k), x in a.items():
+            for (k2, j), y in b.items():
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), 0) + x * y
+        return out
+
+    def coords(m):
+        # a·H1 + b·H2 = diag(a, b − a, −b)
+        return ([m.get((i, j), 0) for i in range(3) for j in range(3) if i != j]
+                + [m.get((0, 0), 0), -m.get((2, 2), 0)])
+
+    gram = Matrix([[Scalar.rational(sum(v for (i, j), v in mul(a, b).items()
+                                         if i == j)) for b in mats] for a in mats])
+    table = {}
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            ab, ba = mul(a, b), mul(b, a)
+            comm = coords({k: ab.get(k, 0) - ba.get(k, 0) for k in ab.keys() | ba.keys()})
+            if any(comm):
+                table[(i, j)] = Section.make(comm)
+    return make_point(8, gram, table)
+
+
+@pytest.fixture(scope="session")
 def std1():
     return make_standard(1)
 

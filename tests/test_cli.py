@@ -23,6 +23,20 @@ def so3_file(tmp_path, so3):
 
 
 @pytest.fixture()
+def sl3_file(tmp_path, sl3):
+    path = tmp_path / "sl3.json"
+    save_spec(sl3, str(path))
+    return str(path)
+
+
+@pytest.fixture()
+def so3xso3_file(tmp_path, so3_plus_so3):
+    path = tmp_path / "so3xso3.json"
+    save_spec(so3_plus_so3, str(path))
+    return str(path)
+
+
+@pytest.fixture()
 def std2_file(tmp_path, std2):
     path = tmp_path / "std2.json"
     save_spec(std2, str(path))
@@ -315,12 +329,17 @@ class TestGolden:
             "dc735092d3a45f8ac0facc812fd95671a97597b69ee8f1407d7cfc411a43e51d"),
         "cohomology-truncated": (0,
             "ec8cdd812cedbebf4f7e7a99c1cc7b806539f8b6bd65d07a6e5f50be59a55e0d"),
+        "cohomology-sl3": (0,
+            "75de93bbffa4d757f3c79b839e14680f08a5f0616267dc36c8c28b0f61834504"),
+        "cohomology-so3xso3": (0,
+            "2cb7bb2630c64cd5590184922c020b0a1cfb0148260bf7a5510ffcd0c7a45487"),
         "dirac-search": (0,
             "e2f5690f5423f05ec5de9942449c7b962d5f97af0f28c68f95eddcb9a2e9cb75"),
     }
 
     @pytest.fixture()
-    def commands(self, ctwist_file, std2_file, std4_file, so3_file):
+    def commands(self, ctwist_file, std2_file, std4_file, so3_file, sl3_file,
+                 so3xso3_file):
         return {
             "verify-h-twisted": ["verify", ctwist_file, "--suite", "h-twisted"],
             "verify-courant": ["verify", ctwist_file, "--suite", "courant"],
@@ -330,6 +349,9 @@ class TestGolden:
             "cohomology": ["cohomology", so3_file, "--max-degree", "3"],
             "cohomology-truncated": ["cohomology", ctwist_file, "--max-degree",
                                      "2", "--truncate", "1"],
+            "cohomology-sl3": ["cohomology", sl3_file, "--max-degree", "3"],
+            "cohomology-so3xso3": ["cohomology", so3xso3_file, "--max-degree",
+                                   "6"],
             "dirac-search": ["dirac", std4_file, "--search"],
         }
 

@@ -12,6 +12,8 @@ from test_exact import is_canonical_coefficient
 
 from courantkit.cohomology import (
     CochainEscapeError,
+    _point_complex,
+    _product_nonzero,
     annihilates_twist,
     betti,
     cd_cochain_membership,
@@ -294,6 +296,64 @@ class TestSummary:
         calls.clear()
         cochain_basis(_rank5_twisted(), 2)
         assert len(calls) == 10
+
+
+    def test_sl3_complex_sorts_few_wedges(self, monkeypatch, sl3):
+        # D pushes each basis cochain through its few nonzero pairings and
+        # sorts 1,520 index tuples; without the filter on rest it sorts
+        # 1,874, and a pull over every wedge of degree p+1 and slot pair
+        # sorts 20,204
+        import courantkit.kerforms as kerforms
+
+        calls, sort = [], kerforms._sort_wedge
+
+        def counting(indices):
+            calls.append(indices)
+            return sort(indices)
+
+        monkeypatch.setattr(kerforms, "_sort_wedge", counting)
+        _point_complex(sl3, 3)
+        assert len(calls) <= 1600
+
+
+class TestSparseProduct:
+    """_product_nonzero, the d² test of complex_summary, agrees with the
+    dense product."""
+
+    @staticmethod
+    def dense_nonzero(left, right):
+        cols = len(right[0]) if right else 0
+        return any(sum(row[k] * right[k][j] for k in range(len(right)))
+                   for row in left for j in range(cols))
+
+    def test_matches_dense_on_random_sparse(self):
+        outcomes = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            n, k, m = (rng.randint(1, 5) for _ in range(3))
+
+            def sparse(rows, cols):
+                return [[Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                         if rng.random() < 0.3 else Fraction(0)
+                         for _ in range(cols)] for _ in range(rows)]
+
+            left, right = sparse(n, k), sparse(k, m)
+            expected = self.dense_nonzero(left, right)
+            assert _product_nonzero(left, right) == expected, seed
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_last_entry_and_cancellation(self):
+        # a row [a, b, c] maps to [a − b, a − b, a − c]
+        right = [[Fraction(v) for v in row]
+                 for row in ((1, 1, 1), (-1, -1, 0), (0, 0, -1))]
+        cancels = [[Fraction(v) for v in row] for row in ((1, 1, 1), (2, 2, 2))]
+        last = cancels + [[Fraction(1), Fraction(1), Fraction(0)]]
+        assert not self.dense_nonzero(cancels, right)
+        assert not _product_nonzero(cancels, right)
+        assert self.dense_nonzero(last, right) and _product_nonzero(last, right)
+        assert not _product_nonzero([], right)
+        assert not _product_nonzero(last, [[], [], []])
 
 
 class TestEliminationRows:

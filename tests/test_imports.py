@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses or keeps state
-between calls."""
+"""No module of the package imports a name it never uses, keeps state
+between calls, or defines a private function or class nothing loads."""
 
 import ast
 from pathlib import Path
@@ -155,3 +155,52 @@ def test_no_state_between_calls(path):
 ])
 def test_hidden_state_detector(source, found):
     assert hidden_state(source) == found
+
+
+def unloaded_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (``_name``, not dunder)
+    that no module loads outside their own definition, as ``module.name``.
+
+    A load is a read of the bare name or an attribute of that name
+    (``kerforms._sort_wedge``); a recursive call inside the definition
+    does not count.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined[node.name] = (module, {id(sub) for sub in ast.walk(node)})
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name in defined and id(node) not in defined[name][1]:
+                loaded.add(name)
+    return sorted(f"{module}.{name}" for name, (module, _) in defined.items()
+                  if name not in loaded)
+
+
+def test_every_private_definition_is_loaded():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unloaded_privates(sources) == []
+
+
+def test_unloaded_private_detector():
+    kerforms = (PACKAGE / "kerforms.py").read_text(encoding="utf-8")
+    leftover = ("\n\ndef _pair_prefixed_lowered(table, prefix, rest):\n"
+                "    return _pair_prefixed_lowered(table, prefix, rest[1:])\n")
+    assert unloaded_privates({"kerforms": kerforms + leftover}) == [
+        "kerforms._pair_prefixed_lowered"]
+    sources = {"a": "from b import _used\n_used()\ndef _dead(): ...\n"
+                    "class _Dead:\n    def _method(self): ...\n"
+                    "def __getattr__(name): ...\n",
+               "b": "import a\ndef _used(): ...\ndef _attr(): ...\n"
+                    "a._attr\n"}
+    assert unloaded_privates(sources) == ["a._Dead", "a._dead"]

@@ -32,9 +32,9 @@ from courantkit.kerforms import (
     tilde_split_basis,
     zero_form,
 )
-from courantkit.rand import rand_section, rand_wedge_coeffs
+from courantkit.rand import rand_scalar, rand_section, rand_wedge_coeffs
 from courantkit.structure import Section, SpecInvariantError
-from courantkit.twist import base_form, make_point, make_standard, pullback
+from courantkit.twist import _split_table, base_form, make_point, make_standard, pullback
 
 x = Scalar.variable
 
@@ -447,54 +447,7 @@ class TestWedgeMapAgainstMinors:
 
     def test_cov_derivative_matches_minors(self):
         spec = self.specs()["polynomial-gram"]
-
-        def paired(form, cols):
-            # ⟨α, e_cols⟩ = Σ_I α_I·det(gram[I, cols]), sign-normalised
-            key = tuple(sorted(cols))
-            if len(set(key)) < len(key):
-                return ZERO
-            sign = 1
-            for a, b in itertools.combinations(cols, 2):
-                sign = -sign if a > b else sign
-            wedges = wedge_indices(spec.rank, form.degree)
-            gram_p = compound(spec.gram, form.degree)
-            col = wedges.index(key)
-            total = ZERO
-            for I, v in form.coeffs.items():
-                total = total + v * gram_p.entries[wedges.index(I)][col]
-            return total if sign > 0 else -total
-
-        def minors_derivative(form):
-            p = form.degree
-            values = {}
-            for J in wedge_indices(spec.rank, p + 1):
-                val = ZERO
-                for pos, idx in enumerate(J):
-                    inner = paired(form, J[:pos] + J[pos + 1:])
-                    row = spec.anchor.entries[idx]
-                    term = ZERO
-                    for j, coeff in enumerate(row):
-                        term = term + coeff * inner.partial(j)
-                    val = val + term if pos % 2 == 0 else val - term
-                for a, b in itertools.combinations(range(p + 1), 2):
-                    sec = spec.table_bracket(J[a], J[b])
-                    rest = tuple(J[c] for c in range(p + 1) if c not in (a, b))
-                    term = ZERO
-                    for m, cm in enumerate(sec.coeffs):
-                        if not cm.is_zero():
-                            term = term + cm * paired(form, (m,) + rest)
-                    val = val + term if (a + b) % 2 == 0 else val - term
-                values[J] = val
-            wedges = wedge_indices(spec.rank, p + 1)
-            inv = compound(spec.gram.inverse(), p + 1)
-            coeffs = {}
-            for r, I in enumerate(wedges):
-                total = ZERO
-                for J, v in values.items():
-                    total = total + inv.entries[r][wedges.index(J)] * v
-                coeffs[I] = total
-            return KerForm(spec, p + 1, coeffs)
-
+        oracle = MinorsCovariant(spec)
         forms = [scalar_form(spec, x(0) * x(1))] + [
             form for p in range(spec.rank)
             for form in kerform_basis(spec, p, max_degree=2)]
@@ -502,7 +455,7 @@ class TestWedgeMapAgainstMinors:
         images = [cov_derivative(spec, form) for form in forms]
         assert sum(not image.is_zero() for image in images) >= 5
         for form, image in zip(forms, images):
-            assert image == minors_derivative(form), form
+            assert image == oracle(form, spec.bracket_table, True), form
         # the same evaluator on uncertified forms, whose pairings reach the
         # polynomial Gram entry
         rng = random.Random(5)
@@ -512,7 +465,120 @@ class TestWedgeMapAgainstMinors:
                   for form in forms]
         assert sum(not image.is_zero() for image in images) >= 4
         for form, image in zip(forms, images):
-            assert image == minors_derivative(form), form
+            assert image == oracle(form, spec.bracket_table, True), form
+
+    @pytest.mark.parametrize("name", ["sl3", "so3_plus_so3"])
+    def test_every_basis_form_on_point_algebras(self, request, name):
+        # sl(3)'s trace form has off-diagonal Gram rows
+        spec = request.getfixturevalue(name)
+        oracle = MinorsCovariant(spec)
+        nonzero = 0
+        for p in range(spec.rank + 1):
+            for I in wedge_indices(spec.rank, p):
+                form = basis_wedge_form(spec, I)
+                image = eval_covariant(spec, form, spec.bracket_table, True)
+                assert image == oracle(form, spec.bracket_table, True), I
+                nonzero += not image.is_zero()
+        assert nonzero >= 32
+
+    def test_split_tables_without_anchor(self, so3_plus_so3):
+        std4 = make_standard(4)
+        rng = random.Random(7)
+        cases = [(std4, pullback(std4, base_form({(1, 2, 3): x(0)}), 3)),
+                 (so3_plus_so3, KerForm(so3_plus_so3, 3,
+                                        rand_wedge_coeffs(rng, so3_plus_so3, 3)))]
+        for spec, b in cases:
+            table = _split_table(spec, b)
+            assert table
+            oracle = MinorsCovariant(spec)
+            forms = [b] + [KerForm(spec, p, rand_wedge_coeffs(rng, spec, p, 1))
+                           for p in range(5)]
+            images = [eval_covariant(spec, form, table, False) for form in forms]
+            assert sum(not image.is_zero() for image in images) >= 4
+            for form, image in zip(forms, images):
+                assert image == oracle(form, table, False), form
+
+    def test_random_certified_forms_on_ctwist(self, ctwist4):
+        # polynomial multiples of certified forms stay certified, and their
+        # non-constant pairings reach the anchor term
+        oracle = MinorsCovariant(ctwist4)
+        rng = random.Random(11)
+        anchored = 0
+        for p in range(4):
+            basis = kerform_basis(ctwist4, p, max_degree=0)
+            for _ in range(2):
+                form = zero_form(ctwist4, p)
+                for b in rng.sample(basis, min(3, len(basis))):
+                    form = form + b.scale(rand_scalar(rng, ctwist4.nvars, 2))
+                assert form.certified and not form.is_zero()
+                image = cov_derivative(ctwist4, form)
+                assert image == oracle(form, ctwist4.bracket_table, True), form
+                anchored += image != oracle(form, ctwist4.bracket_table, False)
+        assert anchored >= 6
+
+
+class MinorsCovariant:
+    """eval_covariant by minors: ⟨α, e_cols⟩ = Σ_I α_I·det(gram[I, cols])
+    for every basis wedge of degree p+1 and every slot pair, solved back
+    through the compound matrix of gram⁻¹; each compound is built once."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.matrices = {False: spec.gram, True: spec.gram.inverse()}
+        self.compounds = {}
+
+    def compound(self, inverse, p):
+        if (inverse, p) not in self.compounds:
+            self.compounds[inverse, p] = compound(self.matrices[inverse], p)
+        return self.compounds[inverse, p]
+
+    def paired(self, form, cols):
+        # sign-normalised; a repeated column pairs to zero
+        key = tuple(sorted(cols))
+        if len(set(key)) < len(key):
+            return ZERO
+        sign = 1
+        for a, b in itertools.combinations(cols, 2):
+            sign = -sign if a > b else sign
+        wedges = wedge_indices(self.spec.rank, form.degree)
+        gram_p = self.compound(False, form.degree)
+        col = wedges.index(key)
+        total = ZERO
+        for I, v in form.coeffs.items():
+            total = total + v * gram_p.entries[wedges.index(I)][col]
+        return total if sign > 0 else -total
+
+    def __call__(self, form, brackets, use_anchor):
+        spec, p = self.spec, form.degree
+        anchored = use_anchor and spec.anchor is not None
+        values = {}
+        for J in wedge_indices(spec.rank, p + 1):
+            val = ZERO
+            for pos, idx in enumerate(J if anchored else ()):
+                inner = self.paired(form, J[:pos] + J[pos + 1:])
+                term = ZERO
+                for j, coeff in enumerate(spec.anchor.entries[idx]):
+                    term = term + coeff * inner.partial(j)
+                val = val + term if pos % 2 == 0 else val - term
+            for a, b in itertools.combinations(range(p + 1), 2):
+                sec = brackets.get((J[a], J[b]), Section.zero(spec.rank))
+                rest = tuple(J[c] for c in range(p + 1) if c not in (a, b))
+                term = ZERO
+                for m, cm in enumerate(sec.coeffs):
+                    if not cm.is_zero():
+                        term = term + cm * self.paired(form, (m,) + rest)
+                val = val + term if (a + b) % 2 == 0 else val - term
+            if not val.is_zero():
+                values[J] = val
+        wedges = wedge_indices(spec.rank, p + 1)
+        inv = self.compound(True, p + 1)
+        coeffs = {}
+        for r, I in enumerate(wedges):
+            total = ZERO
+            for J, v in values.items():
+                total = total + inv.entries[r][wedges.index(J)] * v
+            coeffs[I] = total
+        return KerForm(spec, p + 1, coeffs)
 
 
 class TestPairingAgainstDeterminants:

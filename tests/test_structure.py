@@ -1,5 +1,6 @@
 """Tests for the data model, pairing, anchor, derivations, and the bracket."""
 
+import dataclasses
 import random
 
 import pytest
@@ -357,3 +358,19 @@ class TestSectionShape:
             for f in (rand_scalar(rng, 2, 1), ZERO):
                 assert section.scale(f) == Section(
                     tuple(f * a for a in section.coeffs))
+
+    def test_hash_is_kept_after_first_use(self, monkeypatch):
+        def make():
+            return Section.make([1, x(0) + HALF, 0])
+
+        a, b = make(), make()
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert repr(a) == "Section[1, x1 + 1/2, 0]"
+        assert [f.name for f in dataclasses.fields(Section)] == ["coeffs"]
+        calls, scalar_hash = [], Scalar.__hash__
+        monkeypatch.setattr(Scalar, "__hash__",
+                            lambda s: calls.append(s) or scalar_hash(s))
+        c = make()
+        first = hash(c)
+        assert len(calls) == 3
+        assert hash(c) == first == hash(a) and len(calls) == 3
