@@ -300,9 +300,8 @@ class TestSummary:
 
     def test_sl3_complex_sorts_few_wedges(self, monkeypatch, sl3):
         # D pushes each basis cochain through its few nonzero pairings and
-        # sorts 1,520 index tuples; without the filter on rest it sorts
-        # 1,874, and a pull over every wedge of degree p+1 and slot pair
-        # sorts 20,204
+        # sorts 1,520 index tuples; without the filter on rest, which no
+        # value can show, it sorts 1,874
         import courantkit.kerforms as kerforms
 
         calls, sort = [], kerforms._sort_wedge
