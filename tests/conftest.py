@@ -89,7 +89,8 @@ def sl3():
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
             ab, ba = mul(a, b), mul(b, a)
-            comm = coords({k: ab.get(k, 0) - ba.get(k, 0) for k in ab.keys() | ba.keys()})
+            comm = coords({k: ab.get(k, 0) - ba.get(k, 0)
+                           for k in ab.keys() | ba.keys()})
             if any(comm):
                 table[(i, j)] = Section.make(comm)
     return make_point(8, gram, table)
