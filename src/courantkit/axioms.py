@@ -24,12 +24,22 @@ The ring/module (-cd) suites state Leibniz and invariance with ρ(ψ)f read
 as ⟨ψ, D₀f⟩; every suite reads it through the anchor.  The two agree on
 every structure: D₀ is solved through gram⁻¹, so ⟨ψ, D₀f⟩ = ψᵀ·G·G⁻¹·A·∇f
 = ρ(ψ)f, and both are zero over a point or without an anchor.
+
+Each check_axioms call builds two tables that it owns and drops when it
+returns: one of bracket(spec, φ, ψ) keyed by the ordered pair (φ, ψ), and
+one of rho_apply(spec, ψ, f) keyed by (ψ, f).  Every checker reads the
+bracket and ρ through them, the Jacobiator and the anchor-morphism defect
+included, so each distinct argument tuple is evaluated once per call.  Keys
+are the exact ordered arguments, never filled from skewness or any other
+property under test.  Leibniz's [φ, f·ψ] bypasses the table: its argument
+pairs do not repeat within a call, so a table would only hold them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from courantkit.exact import HALF, Scalar
@@ -44,10 +54,10 @@ from courantkit.rand import rand_scalar, rand_section
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
-    anchor_morphism_defect,
+    _anchor_morphism_defect,
+    _jacobiator,
     bracket,
     d0,
-    jacobiator,
     pairing,
     rho_apply,
 )
@@ -106,6 +116,21 @@ def first_failure(tuples: Iterable[tuple], names: Sequence[str],
         if not _is_zero(value):
             return witness(dict(zip(names, t)), value)
     return None
+
+
+def _tabled(fn: Callable) -> Callable:
+    """fn behind a table keyed by its exact argument tuple: each distinct
+    tuple is evaluated once for as long as the returned map lives."""
+    values: dict = {}
+
+    def lookup(*args):
+        try:
+            return values[args]
+        except KeyError:
+            value = values[args] = fn(*args)
+            return value
+
+    return lookup
 
 
 @dataclass
@@ -188,21 +213,25 @@ def make_pool(spec: AlgebroidSpec, sections: Sequence[Section] | None,
 
 
 # -- axiom checkers --------------------------------------------------------------
-# Each returns a witness dict on first failure, or None.
+# Each returns a witness dict on first failure, or None.  br(φ, ψ) and
+# rho(ψ, f) are the bracket and ρ(ψ)f, read through check_axioms's tables.
 
 
-def _ax_jacobi(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_jacobi(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+               rho: Callable) -> dict | None:
     return first_failure(pool.triples(), ("phi", "psi1", "psi2"),
-                         lambda *t: jacobiator(spec, *t))
+                         partial(_jacobiator, br))
 
 
-def _ax_twisted_jacobi(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_twisted_jacobi(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                       rho: Callable) -> dict | None:
     h = tilde_split(spec, spec.twist)
     return first_failure(pool.triples(), ("phi", "psi1", "psi2"),
-                         lambda *t: jacobiator(spec, *t) - h(*t))
+                         lambda *t: _jacobiator(br, *t) - h(*t))
 
 
-def _ax_twist_membership(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_twist_membership(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                         rho: Callable) -> dict | None:
     # ρ̃ lists nonzero components only, so the first one is the witness
     return first_failure(
         ((spec.twist, f"d/dx{j + 1} ⊗ e{list(rest)}", value)
@@ -210,7 +239,8 @@ def _ax_twist_membership(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
         ("twist", "component"), lambda twist, component, value: value)
 
 
-def _ax_twist_closed(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_twist_closed(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                     rho: Callable) -> dict | None:
     try:
         defect = cov_derivative(spec, spec.twist)
     except UncertifiedFormError:
@@ -218,56 +248,63 @@ def _ax_twist_closed(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
     return first_failure([(spec.twist,)], ("twist",), lambda twist: defect)
 
 
-def _ax_leibniz(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
-    # [φ,ψ] is computed once per pair and rides along unnamed
+def _ax_leibniz(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                rho: Callable) -> dict | None:
+    # [φ,ψ] rides along unnamed; [φ,f·ψ] never repeats, so it is not tabled
     return first_failure(
-        ((phi, f, psi, br) for phi, psi in pool.pairs()
-         for br in [bracket(spec, phi, psi)] for f in pool.functions),
+        ((phi, f, psi, br(phi, psi)) for phi, psi in pool.pairs()
+         for f in pool.functions),
         ("phi", "f", "psi"),
-        lambda phi, f, psi, br: (bracket(spec, phi, psi.scale(f))
-                                 - psi.scale(rho_apply(spec, phi, f))
-                                 - br.scale(f)))
+        lambda phi, f, psi, phi_psi: (bracket(spec, phi, psi.scale(f))
+                                      - psi.scale(rho(phi, f))
+                                      - phi_psi.scale(f)))
 
 
-def _ax_symmetric_part(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_symmetric_part(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                       rho: Callable) -> dict | None:
     return first_failure(
         pool.pairs(), ("phi", "psi"),
-        lambda phi, psi: (bracket(spec, phi, psi) + bracket(spec, psi, phi)
+        lambda phi, psi: (br(phi, psi) + br(psi, phi)
                           - d0(spec, pairing(spec, phi, psi)))
     ) or first_failure(
         ((psi,) for psi in pool.singles()), ("psi",),
-        lambda psi: (bracket(spec, psi, psi)
+        lambda psi: (br(psi, psi)
                      - d0(spec, pairing(spec, psi, psi)).scale(HALF)))
 
 
-def _ax_invariance(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_invariance(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                   rho: Callable) -> dict | None:
     return first_failure(
         pool.triples(), ("phi", "psi1", "psi2"),
-        lambda phi, psi1, psi2: (rho_apply(spec, phi, pairing(spec, psi1, psi2))
-                                 - pairing(spec, bracket(spec, phi, psi1), psi2)
-                                 - pairing(spec, psi1, bracket(spec, phi, psi2))))
+        lambda phi, psi1, psi2: (rho(phi, pairing(spec, psi1, psi2))
+                                 - pairing(spec, br(phi, psi1), psi2)
+                                 - pairing(spec, psi1, br(phi, psi2))))
 
 
-def _ax_anchor_morphism(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_anchor_morphism(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                        rho: Callable) -> dict | None:
     return first_failure(pool.pairs(), ("phi", "psi"),
-                         lambda *t: anchor_morphism_defect(spec, *t))
+                         partial(_anchor_morphism_defect, spec, br))
 
 
-def _ax_derivation_bracket(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_derivation_bracket(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                           rho: Callable) -> dict | None:
     # D₀f is computed once per f and rides along unnamed
     return first_failure(
         ((f, phi, df) for f in pool.functions for df in [d0(spec, f)]
          for phi in pool.singles()),
-        ("f", "phi"), lambda f, phi, df: bracket(spec, df, phi))
+        ("f", "phi"), lambda f, phi, df: br(df, phi))
 
 
-def _ax_derivation_isotropy(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_derivation_isotropy(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                            rho: Callable) -> dict | None:
     return first_failure(
         ((f, g) for f in pool.functions for g in pool.functions), ("f", "g"),
         lambda f, g: pairing(spec, d0(spec, f), d0(spec, g)))
 
 
-def _ax_anchor_compatibility(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_anchor_compatibility(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                             rho: Callable) -> dict | None:
     # ⟨[ψ,φ],D₀f⟩ = ⟨ψ,D₀⟨φ,D₀f⟩⟩ − ⟨φ,D₀⟨ψ,D₀f⟩⟩: the ring/module form of
     # the anchor-morphism rule (the commutator orientation is forced by it)
     return first_failure(
@@ -275,32 +312,32 @@ def _ax_anchor_compatibility(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
          for psi, phi in pool.pairs() for f in pool.functions),
         ("psi", "phi", "f"),
         lambda psi, phi, f, df: (
-            pairing(spec, bracket(spec, psi, phi), df)
+            pairing(spec, br(psi, phi), df)
             - pairing(spec, psi, d0(spec, pairing(spec, phi, df)))
             + pairing(spec, phi, d0(spec, pairing(spec, psi, df)))))
 
 
-def _ax_antisymmetry(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_antisymmetry(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                     rho: Callable) -> dict | None:
     return first_failure(
         pool.pairs(), ("phi", "psi"),
-        lambda phi, psi: bracket(spec, phi, psi) + bracket(spec, psi, phi))
+        lambda phi, psi: br(phi, psi) + br(psi, phi))
 
 
-def _ax_cyclic_jacobi(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_cyclic_jacobi(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                      rho: Callable) -> dict | None:
     return first_failure(
         pool.triples(), ("psi1", "psi2", "psi3"),
-        lambda a, b, c: (bracket(spec, a, bracket(spec, b, c))
-                         + bracket(spec, b, bracket(spec, c, a))
-                         + bracket(spec, c, bracket(spec, a, b))))
+        lambda a, b, c: (br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))))
 
 
-def _ax_anchor_representation(spec: AlgebroidSpec, pool: _Pool) -> dict | None:
+def _ax_anchor_representation(spec: AlgebroidSpec, pool: _Pool, br: Callable,
+                              rho: Callable) -> dict | None:
     return first_failure(
         ((phi, psi, g) for phi, psi in pool.pairs() for g in pool.functions),
         ("phi", "psi", "g"),
-        lambda phi, psi, g: (rho_apply(spec, bracket(spec, phi, psi), g)
-                             - rho_apply(spec, phi, rho_apply(spec, psi, g))
-                             + rho_apply(spec, psi, rho_apply(spec, phi, g))))
+        lambda phi, psi, g: (rho(br(phi, psi), g) - rho(phi, rho(psi, g))
+                             + rho(psi, rho(phi, g))))
 
 
 SUITES: dict[str, list[tuple[str, Callable]]] = {
@@ -379,7 +416,11 @@ def check_axioms(spec: AlgebroidSpec, suite: str,
         raise SuiteNotApplicableError(
             f"suite {suite!r} needs a twist, but the structure declares none")
     pool = make_pool(spec, sections, seed, degree, samples)
+    # the call's own tables (see the module docstring), built here from the
+    # module's bindings of bracket and rho_apply
+    br = _tabled(partial(bracket, spec))
+    rho = _tabled(partial(rho_apply, spec))
     report = CheckReport(suite=suite)
     for axiom, checker in SUITES[suite]:
-        report.add(axiom, checker(spec, pool))
+        report.add(axiom, checker(spec, pool, br, rho))
     return report

@@ -19,7 +19,7 @@ from courantkit.dirac import (
     MembershipError,
     Subbundle,
     _build_induced_htla,
-    check_dirac,
+    _check_dirac,
     search_coordinate_dirac,
 )
 from courantkit.exact import ExactError, ParseError
@@ -133,13 +133,13 @@ def cmd_dirac(args) -> int:
         gens = [fileio.parse_inline_section(spec, chunk)
                 for chunk in args.subspace.split(";") if chunk.strip()]
     sub = Subbundle(spec, gens)
-    report = check_dirac(spec, sub)
+    report, solved = _check_dirac(spec, sub)
     doc = {"schema": SCHEMA, "command": "dirac", "report": report.to_json(),
            "induced": None}
     if report.passed:
         # the check above is induced_htla's precondition; do not repeat it
-        data, induced_report = _build_induced_htla(spec, sub, args.seed,
-                                                   args.degree)
+        data, induced_report = _build_induced_htla(spec, sub, solved,
+                                                   args.seed, args.degree)
         doc["induced"] = data
         doc["induced_report"] = induced_report.to_json()
         _emit(doc, args)

@@ -186,15 +186,17 @@ def _differential(spec: AlgebroidSpec, degree: int, source: list[KerForm],
     return [row[width:] for row in rows[:width]]
 
 
-def _point_complex(spec: AlgebroidSpec, p_max: int) -> tuple[list[list[KerForm]], list[Rows]]:
-    """Bases of C⁰..C^{p_max+1} and the matrices of D between them, each
-    built once."""
+def _point_complex(spec: AlgebroidSpec, p_max: int) -> tuple[
+        list[list[KerForm]], list[list[KerForm]], list[Rows]]:
+    """Bases of ker ρ̃ and of C⁰..C^{p_max+1} in degrees 0..p_max+1, and the
+    matrices of D between the latter, each built once."""
     images = twist_image_sections(spec)
-    bases = [_cochains(spec, p, kerform_basis(spec, p), images)
-             for p in range(p_max + 2)]
+    ambients = [kerform_basis(spec, p) for p in range(p_max + 2)]
+    bases = [_cochains(spec, p, ambient, images)
+             for p, ambient in enumerate(ambients)]
     mats = [_differential(spec, p, bases[p], bases[p + 1])
             for p in range(p_max + 1)]
-    return bases, mats
+    return ambients, bases, mats
 
 
 def _betti(bases: list[list[KerForm]], mats: list[Rows]) -> list[int]:
@@ -211,7 +213,8 @@ def betti(spec: AlgebroidSpec, p_max: int) -> list[int]:
     """β^p = dim ker(d_p) − rank(d_{p−1}) for p = 0..p_max, exactly."""
     if not spec.is_point():
         raise ValueError("Betti numbers are computed over a point")
-    return _betti(*_point_complex(spec, p_max))
+    _, bases, mats = _point_complex(spec, p_max)
+    return _betti(bases, mats)
 
 
 def _product_nonzero(left: Rows, right: Rows) -> bool:
@@ -252,7 +255,7 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
                     max_degree: int | None = None) -> dict:
     """Dims, Betti numbers (point only), d²=0, and reading agreement."""
     if spec.is_point():
-        bases, mats = _point_complex(spec, p_max)
+        ambients, bases, mats = _point_complex(spec, p_max)
         # d_{p+1}·d_p through the nonzero entries of both factors
         d_squared_zero = not any(_product_nonzero(mats[p + 1], mats[p])
                                  for p in range(p_max))
@@ -260,8 +263,9 @@ def complex_summary(spec: AlgebroidSpec, p_max: int,
             "dims": [len(bases[p]) for p in range(p_max + 1)],
             "betti": _betti(bases, mats),
             "d_squared_zero": d_squared_zero,
-            "readings_agree": all(len(bases[p]) == weak_kernel_dimension(spec, p)
-                                  for p in range(p_max + 1)),
+            "readings_agree": all(
+                len(bases[p]) == _weak_dimension(spec, p, ambients[p])
+                for p in range(p_max + 1)),
         }
     if max_degree is None:
         raise ValueError(

@@ -156,6 +156,12 @@ def gram_signature(gram: Matrix) -> tuple[int, int]:
 
 def is_lagrangean(spec: AlgebroidSpec, sub: Subbundle) -> bool:
     """Isotropic of half rank; demands a split-signature constant pairing."""
+    _require_split(spec)
+    return is_isotropic(spec, sub) and 2 * sub.dim == spec.rank
+
+
+def _require_split(spec: AlgebroidSpec) -> None:
+    """Raise unless the Gram matrix is constant of split signature."""
     if not spec.gram.is_rational():
         raise SpecInvariantError(
             "the Lagrangean test needs a constant Gram matrix")
@@ -163,7 +169,6 @@ def is_lagrangean(spec: AlgebroidSpec, sub: Subbundle) -> bool:
     if pos != neg:
         raise SpecInvariantError(
             f"the Lagrangean test needs split signature, got ({pos},{neg})")
-    return is_isotropic(spec, sub) and 2 * sub.dim == spec.rank
 
 
 # -- span membership --------------------------------------------------------------
@@ -188,21 +193,37 @@ def express_in_generators(spec: AlgebroidSpec, sub: Subbundle,
     return tuple(coeffs), sec - recombined
 
 
+Solved = dict[tuple[int, int], tuple[tuple[Scalar, ...], Section]]
+
+
 def integrability_defect(spec: AlgebroidSpec,
                          sub: Subbundle) -> list[tuple[tuple[int, int], Section]]:
     """Residuals of [lᵢ,lⱼ] outside the span, for every ordered generator pair."""
-    out = []
-    for i, gi in enumerate(sub.generators):
-        for j, gj in enumerate(sub.generators):
-            br = bracket(spec, gi, gj)
-            _, residual = express_in_generators(spec, sub, br)
-            if not residual.is_zero():
-                out.append(((i, j), residual))
-    return out
+    return _residuals(_solve_brackets(spec, sub))
+
+
+def _solve_brackets(spec: AlgebroidSpec, sub: Subbundle) -> Solved:
+    """(i, j) -> express_in_generators of [gᵢ, gⱼ], every ordered pair in
+    order."""
+    gens = sub.generators
+    return {(i, j): express_in_generators(spec, sub, bracket(spec, gi, gj))
+            for i, gi in enumerate(gens) for j, gj in enumerate(gens)}
+
+
+def _residuals(solved: Solved) -> list[tuple[tuple[int, int], Section]]:
+    return [(pair, residual) for pair, (_, residual) in solved.items()
+            if not residual.is_zero()]
 
 
 def check_dirac(spec: AlgebroidSpec, sub: Subbundle) -> CheckReport:
     """Isotropic + Lagrangean + integrable, with witnesses."""
+    return _check_dirac(spec, sub)[0]
+
+
+def _check_dirac(spec: AlgebroidSpec,
+                 sub: Subbundle) -> tuple[CheckReport, Solved]:
+    """check_dirac's report and the generator brackets its integrability
+    check solved, which _build_induced_htla reads instead of solving again."""
     report = CheckReport(suite="dirac")
     report.add("isotropic", None if is_isotropic(spec, sub) else witness(
         {"generators": [g.to_text() for g in sub.generators]},
@@ -210,10 +231,11 @@ def check_dirac(spec: AlgebroidSpec, sub: Subbundle) -> CheckReport:
     report.add("lagrangean", None if is_lagrangean(spec, sub) else witness(
         {"dim": str(sub.dim), "rank": str(spec.rank)},
         "not isotropic of half rank"))
-    defects = integrability_defect(spec, sub)
+    solved = _solve_brackets(spec, sub)
+    defects = _residuals(solved)
     report.add("integrable", witness({"pair": str(defects[0][0])}, defects[0][1])
                if defects else None)
-    return report
+    return report, solved
 
 
 # -- the inherited twisted Lie algebroid -------------------------------------------
@@ -233,24 +255,24 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
       leibniz                  the anchor Leibniz rule along L
       twist-closed             the connection derivative of H̃|L vanishes
     """
-    dirac = check_dirac(spec, sub)
+    dirac, solved = _check_dirac(spec, sub)
     if not dirac.passed:
         raise SpecInvariantError(
             f"induced structure needs a Dirac subbundle; failing: {dirac.failing()}")
-    return _build_induced_htla(spec, sub, seed, degree)
+    return _build_induced_htla(spec, sub, solved, seed, degree)
 
 
-def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, seed: int,
-                        degree: int) -> tuple[dict, CheckReport]:
-    """induced_htla on a subbundle that has already passed check_dirac."""
+def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, solved: Solved,
+                        seed: int, degree: int) -> tuple[dict, CheckReport]:
+    """induced_htla on a subbundle that has already passed _check_dirac,
+    which solved the generator brackets into ``solved``."""
     rng = random.Random(seed)
     gens = sub.generators
     g = sub.dim
     report = CheckReport(suite="induced-twisted-lie-algebroid")
 
     # restricted data
-    struct = {(i, j): express_in_generators(spec, sub, bracket(spec, gens[i], gens[j]))[0]
-              for i, j in itertools.product(range(g), repeat=2)}
+    struct = {pair: coeffs for pair, (coeffs, _) in solved.items()}
     h = tilde_split(spec, spec.twist or zero_form(spec, 4))
     twist_vals = {key: h(*(gens[k] for k in key))
                   for key in itertools.combinations(range(g), 3)}
@@ -336,13 +358,13 @@ def search_coordinate_dirac(spec: AlgebroidSpec) -> list[Subbundle]:
         raise SpecInvariantError("the coordinate search needs a constant Gram matrix")
     if spec.rank % 2:
         return []
-    half = spec.rank // 2
-    found = []
-    for subset in itertools.combinations(range(spec.rank), half):
-        if any(not spec.gram.entries[i][j].is_zero()
-               for i in subset for j in subset):
-            continue
-        sub = Subbundle(spec, [Section.basis(i, spec.rank) for i in subset])
-        if check_dirac(spec, sub).passed:
-            found.append(sub)
-    return found
+    # a basis subset with a zero Gram block is isotropic, and with rank/2
+    # elements Lagrangean once the signature is split: it is Dirac exactly
+    # when it is integrable
+    subs = [Subbundle(spec, [Section.basis(i, spec.rank) for i in subset])
+            for subset in itertools.combinations(range(spec.rank), spec.rank // 2)
+            if all(spec.gram.entries[i][j].is_zero()
+                   for i in subset for j in subset)]
+    if subs:
+        _require_split(spec)
+    return [sub for sub in subs if not integrability_defect(spec, sub)]

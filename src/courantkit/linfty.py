@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
-from courantkit.axioms import CheckReport, first_failure
+from courantkit.axioms import CheckReport, _tabled, first_failure
 from courantkit.exact import HALF, Scalar, ZERO
 from courantkit.kerforms import kerform_basis, tilde_split
 from courantkit.rand import rand_combination, rand_scalar, rand_section
@@ -128,21 +128,6 @@ def build_twisted(spec: AlgebroidSpec) -> LInftyData:
 #
 # The equations and checks below read a copy made by _with_tables, whose
 # action and l3 are bound to its l2 table: act(x, v) and l3(x, y, z).
-
-
-def _tabled(fn: Callable) -> Callable:
-    """fn behind a table keyed by its exact argument tuple: each distinct
-    tuple is evaluated once for as long as the returned map lives."""
-    values: dict = {}
-
-    def lookup(*args):
-        try:
-            return values[args]
-        except KeyError:
-            value = values[args] = fn(*args)
-            return value
-
-    return lookup
 
 
 def _with_tables(data: LInftyData) -> LInftyData:

@@ -31,7 +31,8 @@ gram⁻¹ and the D₀ generators are built on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
 
@@ -444,7 +445,13 @@ def tangent_bracket(nvars: int, x_field: Sequence[Scalar],
 def anchor_morphism_defect(spec: AlgebroidSpec, phi: Section,
                            psi: Section) -> tuple[Scalar, ...]:
     """ρ[φ,ψ] − [ρφ, ρψ]_TM; vanishes on every valid twisted structure."""
-    lhs = anchor_apply(spec, bracket(spec, phi, psi))
+    return _anchor_morphism_defect(spec, partial(bracket, spec), phi, psi)
+
+
+def _anchor_morphism_defect(spec: AlgebroidSpec, br: Callable, phi: Section,
+                            psi: Section) -> tuple[Scalar, ...]:
+    """anchor_morphism_defect with the bracket read as br(φ, ψ)."""
+    lhs = anchor_apply(spec, br(phi, psi))
     rhs = tangent_bracket(spec.nvars, anchor_apply(spec, phi),
                           anchor_apply(spec, psi))
     return tuple(a - b for a, b in zip(lhs, rhs, strict=True))
@@ -453,7 +460,10 @@ def anchor_morphism_defect(spec: AlgebroidSpec, phi: Section,
 def jacobiator(spec: AlgebroidSpec, phi: Section, psi1: Section,
                psi2: Section) -> Section:
     """[φ,[ψ₁,ψ₂]] − [[φ,ψ₁],ψ₂] − [ψ₁,[φ,ψ₂]] (zero iff Jacobi holds)."""
-    return (bracket(spec, phi, bracket(spec, psi1, psi2))
-            - bracket(spec, bracket(spec, phi, psi1), psi2)
-            - bracket(spec, psi1, bracket(spec, phi, psi2)))
+    return _jacobiator(partial(bracket, spec), phi, psi1, psi2)
 
+
+def _jacobiator(br: Callable, phi: Section, psi1: Section,
+                psi2: Section) -> Section:
+    """jacobiator with the bracket read as br(φ, ψ)."""
+    return br(phi, br(psi1, psi2)) - br(br(phi, psi1), psi2) - br(psi1, br(phi, psi2))

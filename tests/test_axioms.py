@@ -264,3 +264,37 @@ class TestRhoReadings:
             assert value == pairing(spec, psi, d0(spec, f)), (psi, f)
             nonzero += not value.is_zero()
         assert (nonzero > 0) == (name in ("ctwist4", "polynomial-gram"))
+
+
+class TestCallTables:
+    """check_axioms reads the bracket and ρ through tables that each call
+    owns; the counts are evaluations of structure.bracket and rho_apply."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        import courantkit.axioms as axioms
+        import courantkit.structure as structure
+
+        counts = {"bracket": 0, "rho_apply": 0}
+        for name in counts:
+            fn = getattr(structure, name)
+
+            def wrapper(*args, _name=name, _fn=fn):
+                counts[_name] += 1
+                return _fn(*args)
+
+            for module in (axioms, structure):
+                if getattr(module, name) is fn:
+                    monkeypatch.setattr(module, name, wrapper)
+        return counts
+
+    def test_ct4_h_twisted_evaluates_few_tuples(self, monkeypatch, ctwist4):
+        # without the tables the suite makes 4,855 bracket and 1,008 ρ
+        # evaluations; with them 690 and 98
+        counts = self.counting(monkeypatch)
+        assert check_axioms(ctwist4, "h-twisted", seed=0).passed
+        assert counts["bracket"] <= 700 and counts["rho_apply"] <= 100
+        # nothing outlives the call: a second call evaluates as much again
+        first = dict(counts)
+        check_axioms(ctwist4, "h-twisted", seed=0)
+        assert counts == {name: 2 * n for name, n in first.items()}

@@ -165,18 +165,37 @@ class TestDirac:
         import courantkit.cli as cli
         import courantkit.dirac as dirac
 
-        calls, check = [], dirac.check_dirac
+        calls, check = [], dirac._check_dirac
 
         def counting(*args, **kwargs):
             calls.append(args)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "check_dirac", counting)
-        monkeypatch.setattr(dirac, "check_dirac", counting)
+        monkeypatch.setattr(cli, "_check_dirac", counting)
+        monkeypatch.setattr(dirac, "_check_dirac", counting)
         code, out, _ = run(capsys, "dirac", std2_file,
                            "--subspace", "e1 + x1*dx2; e2 - x1*dx1")
         assert code == 0 and json.loads(out)["induced_report"]["passed"]
         assert len(calls) == 1
+
+    def test_subspace_solves_each_pair_once(self, capsys, monkeypatch,
+                                            std2_file):
+        import courantkit.dirac as dirac
+
+        calls, solve = [], dirac.express_in_generators
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(dirac, "express_in_generators", counting)
+        code, out, _ = run(capsys, "dirac", std2_file, "--subspace",
+                           "e1 + x1*dx2; e2 - x1*dx1", "--seed", "0")
+        # the integrability check solves the g² = 4 generator brackets and
+        # the induced structure reads them; there are no generator triples
+        assert len(calls) == 4
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == TestGolden.PINS["dirac-subspace"]
 
     def test_subspace_failure_exit_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "make", "standard", "--n", "3",
@@ -305,6 +324,39 @@ class TestErrorExits:
         code, out, err = run(capsys, "verify", std2_file)
         assert code == 3 and out == ""
         assert "internal error" in err and "ValueError" in err
+
+
+class TestHashSeed:
+    """A passing and a failing verify print the same bytes under two hash
+    seeds: no report depends on the order of a hashed collection."""
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_verify_stdout(self, tmp_path, ctwist4, corrupt):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        from conftest import corrupt_bracket
+        from courantkit.structure import Section
+
+        spec = (corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
+                if corrupt else ctwist4)
+        path = tmp_path / "ct4.json"
+        save_spec(spec, str(path))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        runs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed,
+                       PYTHONIOENCODING="utf-8")
+            runs.append(subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from courantkit.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "verify", str(path), "--suite", "h-twisted", "--seed", "0"],
+                env=env, capture_output=True, timeout=120))
+        assert [r.returncode for r in runs] == ([1, 1] if corrupt else [0, 0])
+        assert runs[0].stdout == runs[1].stdout and runs[0].stdout
 
 
 class TestGolden:

@@ -298,6 +298,20 @@ class TestSummary:
         assert len(calls) == 10
 
 
+    def test_summary_builds_each_ambient_basis_once(self, monkeypatch, sl3):
+        import courantkit.cohomology as cohomology
+
+        degrees, basis = [], cohomology.kerform_basis
+
+        def counting(spec, degree, *rest):
+            degrees.append(degree)
+            return basis(spec, degree, *rest)
+
+        monkeypatch.setattr(cohomology, "kerform_basis", counting)
+        summary = complex_summary(sl3, 3)
+        assert degrees == [0, 1, 2, 3, 4]
+        assert summary["readings_agree"] is True
+
     def test_sl3_complex_sorts_few_wedges(self, monkeypatch, sl3):
         # D pushes each basis cochain through its few nonzero pairings and
         # sorts 1,520 index tuples; without the filter on rest, which no

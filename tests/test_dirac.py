@@ -207,14 +207,16 @@ class TestInduced:
             calls.append((a, b))
             return bracket(spec, a, b)
 
-        monkeypatch.setattr(dirac, "bracket", counting)
         sub = graph_of_two_form(std2, {(0, 1): x(0)})
-        dirac._build_induced_htla(std2, sub, 0, 2)
+        _, solved = dirac._check_dirac(std2, sub)
+        monkeypatch.setattr(dirac, "bracket", counting)
+        dirac._build_induced_htla(std2, sub, solved, 0, 2)
         g = sub.dim
-        # restricted structure g², antisymmetry g(g−1) + g, and per Leibniz
-        # pair (x a generator, y a generator or one random section) one [x,y]
-        # plus one [x,f·y] for each of the two test functions
-        assert len(calls) == g * g + g * (g - 1) + g + g * (g + 1) * (1 + 2)
+        # the restricted structure reads the g² solved pairs; antisymmetry
+        # g(g−1) + g, and per Leibniz pair (x a generator, y a generator or
+        # one random section) one [x,y] plus one [x,f·y] for each of the two
+        # test functions
+        assert len(calls) == g * (g - 1) + g + g * (g + 1) * (1 + 2)
 
     def test_closed_graph_yields_lie_algebroid(self, std2):
         sub = graph_of_two_form(std2, {(0, 1): x(0)})
@@ -319,6 +321,30 @@ class TestSearch:
         assert (2, 3) in subsets  # cotangent span
         assert (0, 1) in subsets  # tangent span
         assert len(found) == 4
+
+    @pytest.mark.parametrize("fixture", ["std2", "std4", "ctwist4", "hyperbolic4"])
+    def test_one_signature_per_search(self, monkeypatch, request, fixture):
+        import itertools
+
+        import courantkit.dirac as dirac
+
+        spec = request.getfixturevalue(fixture)
+        calls, signature = [], dirac.gram_signature
+
+        def counting(gram):
+            calls.append(gram)
+            return signature(gram)
+
+        monkeypatch.setattr(dirac, "gram_signature", counting)
+        found = search_coordinate_dirac(spec)
+        assert len(calls) == 1
+        # the same subbundles as check_dirac on every basis subset of half rank
+        expected = []
+        for subset in itertools.combinations(range(spec.rank), spec.rank // 2):
+            sub = Subbundle(spec, [Section.basis(i, spec.rank) for i in subset])
+            if check_dirac(spec, sub).passed:
+                expected.append(sub.generators)
+        assert [s.generators for s in found] == expected and expected
 
     def test_pure_diag_split_has_none(self, split4):
         assert search_coordinate_dirac(split4) == []

@@ -149,3 +149,20 @@ class TestInducedPins:
         assert_pinned(
             report, ["antisymmetry", "jacobi"],
             "b9459829bbe22cfc045dcd69c3ff8a46b374eb6e2d1874a03df8add69504bbff")
+
+
+class TestOneOrderSkewBreak:
+    """[e1, e2] is corrupted and [e2, e1] left alone, so only the ordered
+    pairs read separately see the broken skewness; a bracket table filled
+    from one order would hide it."""
+
+    WITNESS = {"inputs": {"phi": ["0", "1", "0", "0", "0", "0", "0", "0"],
+                          "psi": ["0", "0", "1", "0", "0", "0", "0", "0"]},
+               "defect": ["0", "0", "0", "0", "0", "0", "0", "-x1 + 1"]}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symmetric_part_witness(self, ctwist4, seed):
+        bad = corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
+        report = check_axioms(bad, "h-twisted", seed=seed)
+        check = next(c for c in report.checks if c.axiom == "symmetric-part")
+        assert (check.status, check.witness) == ("fail", self.WITNESS)
