@@ -21,8 +21,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from courantkit.axioms import CheckReport, first_failure, witness
+from courantkit.axioms import CheckReport, _tabled, first_failure, witness
 from courantkit.exact import Matrix, Scalar, ZERO, _eliminate, _scalar_matrix
 from courantkit.kerforms import tilde_split, zero_form
 from courantkit.rand import rand_combination, rand_scalar
@@ -30,9 +31,9 @@ from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
+    _jacobiator,
     anchor_apply,
     bracket,
-    jacobiator,
     pairing,
     rho_apply,
 )
@@ -225,10 +226,13 @@ def _check_dirac(spec: AlgebroidSpec,
     """check_dirac's report and the generator brackets its integrability
     check solved, which _build_induced_htla reads instead of solving again."""
     report = CheckReport(suite="dirac")
-    report.add("isotropic", None if is_isotropic(spec, sub) else witness(
+    isotropic = is_isotropic(spec, sub)
+    report.add("isotropic", None if isotropic else witness(
         {"generators": [g.to_text() for g in sub.generators]},
         "a generator pair has nonzero pairing"))
-    report.add("lagrangean", None if is_lagrangean(spec, sub) else witness(
+    _require_split(spec)  # is_lagrangean, on the isotropy just computed
+    lagrangean = isotropic and 2 * sub.dim == spec.rank
+    report.add("lagrangean", None if lagrangean else witness(
         {"dim": str(sub.dim), "rank": str(spec.rank)},
         "not isotropic of half rank"))
     solved = _solve_brackets(spec, sub)
@@ -265,7 +269,9 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle,
 def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, solved: Solved,
                         seed: int, degree: int) -> tuple[dict, CheckReport]:
     """induced_htla on a subbundle that has already passed _check_dirac,
-    which solved the generator brackets into ``solved``."""
+    which solved the generator brackets into ``solved``.  Every bracket but
+    Leibniz's [x, f·y] is read through one table owned by the call."""
+    br = _tabled(partial(bracket, spec))
     rng = random.Random(seed)
     gens = sub.generators
     g = sub.dim
@@ -293,10 +299,10 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, solved: Solved,
     report.add("antisymmetry", first_failure(
         ((str((i, j)), gens[i], gens[j])
          for i, j in itertools.combinations(range(g), 2)),
-        ("pair",), lambda _, x, y: bracket(spec, x, y) + bracket(spec, y, x),
+        ("pair",), lambda _, x, y: br(x, y) + br(y, x),
     ) or first_failure(
         ((str(i), gens[i]) for i in range(g)),
-        ("generator",), lambda _, x: bracket(spec, x, x)))
+        ("generator",), lambda _, x: br(x, x)))
 
     # random L-sections: polynomial combinations of the generators
     randoms = [rand_combination(rng, spec, gens, degree) for _ in range(3)]
@@ -306,27 +312,25 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, solved: Solved,
                 (randoms[0], gens[0], gens[-1])]
     report.add("jacobi", first_failure(
         triples, ("x", "y", "z"),
-        lambda x, y, z: jacobiator(spec, x, y, z) - h(x, y, z)))
+        lambda x, y, z: _jacobiator(br, x, y, z) - h(x, y, z)))
 
-    # [x,y] is computed once per pair and rides along unnamed
     report.add("leibniz", first_failure(
-        ((x, f, y, br) for x in gens for y in gens + randoms[:1]
-         for br in [bracket(spec, x, y)] for f in fns),
+        ((x, f, y) for x in gens for y in gens + randoms[:1] for f in fns),
         ("x", "f", "y"),
-        lambda x, f, y, br: (bracket(spec, x, y.scale(f))
-                             - y.scale(rho_apply(spec, x, f))
-                             - br.scale(f))))
+        lambda x, f, y: (bracket(spec, x, y.scale(f))
+                         - y.scale(rho_apply(spec, x, f))
+                         - br(x, y).scale(f))))
 
     def closedness(quad: tuple[int, ...]) -> Section:
         total = Section.zero(spec.rank)
         qgens = [gens[q] for q in quad]
         for k in range(4):
             rest = [qgens[m] for m in range(4) if m != k]
-            value = bracket(spec, qgens[k], h(*rest))
+            value = br(qgens[k], h(*rest))
             total = total + (value if k % 2 == 0 else -value)
         for k, l in itertools.combinations(range(4), 2):
             rest = [qgens[m] for m in range(4) if m != k and m != l]
-            value = h(bracket(spec, qgens[k], qgens[l]), rest[0], rest[1])
+            value = h(br(qgens[k], qgens[l]), rest[0], rest[1])
             total = total + (value if (k + l) % 2 == 0 else -value)
         return total
 

@@ -31,7 +31,7 @@ import json
 import re
 
 from courantkit.exact import Matrix, ParseError, Scalar, ZERO, _split_signed_terms, parse_scalar
-from courantkit.kerforms import KerForm, _sort_wedge
+from courantkit.kerforms import KerForm, _form_coeffs, _sort_wedge
 from courantkit.structure import AlgebroidSpec, Section, SpecInvariantError
 from courantkit.twist import BaseForm, base_form
 
@@ -106,18 +106,22 @@ def spec_from_dict(doc: dict) -> AlgebroidSpec:
         table[(i, j)] = Section(tuple(
             _parse_poly(e, f"$.bracket[{key!r}][{c}]")
             for c, e in enumerate(entry)))
-    kind = doc.get("kind", "courant")
-    spec = AlgebroidSpec(ring["type"], nvars, rank, gram, anchor, table,
-                         None, kind)
-    if doc.get("twist") is not None:
-        spec.twist = form_from_entries(spec, doc["twist"], degree=4,
-                                       location="$.twist")
-    return spec
+    twist = doc.get("twist")
+    if twist is not None:
+        twist = _entry_coeffs(twist, 4, "$.twist", rank, nvars)[1]
+    return AlgebroidSpec(ring["type"], nvars, rank, gram, anchor, table,
+                         twist, doc.get("kind", "courant"))
 
 
 def form_from_entries(spec: AlgebroidSpec, entries, degree: int | None = None,
                       location: str = "$") -> KerForm:
     """Form literal: list of {"indices": [...], "coeff": poly}; degree inferred."""
+    return KerForm(spec, *_entry_coeffs(entries, degree, location,
+                                        spec.rank, spec.nvars))
+
+
+def _entry_coeffs(entries, degree, location, rank, nvars) -> tuple[int, dict]:
+    """A form literal's degree and coefficients, checked by _form_coeffs."""
     if not isinstance(entries, list):
         raise StructureFileError("form literal must be a list", location)
     coeffs = {}
@@ -144,7 +148,7 @@ def form_from_entries(spec: AlgebroidSpec, entries, degree: int | None = None,
         raise StructureFileError("cannot infer the degree of an empty form "
                                  "literal; pass an explicit degree", location)
     try:
-        return KerForm(spec, inferred, coeffs)
+        return inferred, _form_coeffs(coeffs, inferred, rank, nvars)
     except ValueError as exc:
         raise StructureFileError(str(exc), location) from exc
 

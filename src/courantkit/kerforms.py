@@ -84,6 +84,26 @@ def _accumulate(acc: dict[Wedge, Scalar], indices: Sequence[int], value: Scalar)
     acc[key] = term if prev is None else prev + term
 
 
+def _form_coeffs(coeffs: dict | None, degree: int, rank: int, nvars: int) -> dict:
+    """The nonzero entries of ``coeffs`` in sorted key order, checked against a
+    structure of the given rank and number of variables."""
+    canonical: dict[Wedge, Scalar] = {}
+    for key in sorted(coeffs or {}):
+        value = coeffs[key]
+        if value.is_zero():
+            continue
+        if len(key) != degree or any(a >= b for a, b in zip(key, key[1:])):
+            raise ValueError(f"wedge indices {key} are not strictly "
+                             f"increasing of length {degree}")
+        if key and (key[0] < 0 or key[-1] >= rank):
+            raise ValueError(f"wedge indices {key} out of range for rank {rank}")
+        if value.max_var_index >= nvars:
+            raise SpecInvariantError(
+                "form coefficient uses more variables than the base ring has")
+        canonical[key] = value
+    return canonical
+
+
 class KerForm:
     """Degree-p multivector with coefficients on increasing basis wedges."""
 
@@ -93,23 +113,9 @@ class KerForm:
                  coeffs: dict[Wedge, Scalar] | None = None):
         if degree < 0:
             raise ValueError("form degree must be >= 0")
-        canonical: dict[Wedge, Scalar] = {}
-        for key in sorted(coeffs or {}):
-            value = coeffs[key]
-            if value.is_zero():
-                continue
-            if len(key) != degree or any(a >= b for a, b in zip(key, key[1:])):
-                raise ValueError(f"wedge indices {key} are not strictly "
-                                 f"increasing of length {degree}")
-            if key and (key[0] < 0 or key[-1] >= spec.rank):
-                raise ValueError(f"wedge indices {key} out of range for rank {spec.rank}")
-            if value.max_var_index >= spec.nvars:
-                raise SpecInvariantError(
-                    "form coefficient uses more variables than the base ring has")
-            canonical[key] = value
+        self.coeffs = _form_coeffs(coeffs, degree, spec.rank, spec.nvars)
         self.spec = spec
         self.degree = degree
-        self.coeffs = canonical
         self._certified: bool | None = None
 
     # -- membership ------------------------------------------------------
@@ -209,15 +215,14 @@ def scalar_form(spec: AlgebroidSpec, value: Scalar) -> KerForm:
     return KerForm(spec, 0, {(): value})
 
 
-def basis_wedge_form(spec: AlgebroidSpec, indices: Sequence[int],
-                     coeff: Scalar = ONE) -> KerForm:
+def basis_wedge_form(spec: AlgebroidSpec, indices: Sequence[int]) -> KerForm:
     for i in indices:
         if not 0 <= i < spec.rank:
             raise ValueError(f"wedge index {i} out of range for rank {spec.rank}")
     key, sign = _sort_wedge(indices)
     if sign == 0:
         return zero_form(spec, len(indices))
-    return KerForm(spec, len(indices), {key: coeff if sign > 0 else -coeff})
+    return KerForm(spec, len(indices), {key: ONE if sign > 0 else -ONE})
 
 
 def section_form(spec: AlgebroidSpec, sec: Section) -> KerForm:

@@ -19,13 +19,13 @@ def rand_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
 
 
-def rand_scalar(rng: random.Random, nvars: int, degree: int,
-                terms: int = 2) -> Scalar:
-    """Random element of ℚ[x1..xn] with total degree <= degree."""
+def rand_scalar(rng: random.Random, nvars: int, degree: int) -> Scalar:
+    """Random element of ℚ[x1..xn] with total degree <= degree: a constant
+    plus one or two monomials."""
     if nvars == 0 or degree == 0:
         return Scalar.rational(rand_rational(rng))
     total = Scalar.rational(rand_rational(rng))
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 2)):
         exp = [0] * nvars
         for _ in range(rng.randint(1, degree)):
             exp[rng.randrange(nvars)] += 1

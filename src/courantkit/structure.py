@@ -6,6 +6,9 @@ the anchor matrix, the bracket structure functions on basis sections, and an
 optional degree-4 twist form.  Sections are coefficient vectors over the
 scalar ring in the module basis e_0..e_{r-1}.
 
+The constructor takes the twist as its coefficients and builds its KerForm
+last, so a structure needs no twist or kind assigned after construction.
+
 The bracket on arbitrary sections is generated from the basis table by two
 extension rules:
 
@@ -32,12 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
-
-if TYPE_CHECKING:  # pragma: no cover
-    from courantkit.kerforms import KerForm
 
 
 class SpecInvariantError(ValueError):
@@ -76,11 +76,11 @@ class Section:
         return all(c.is_zero() for c in self.coeffs)
 
     def __add__(self, other: "Section") -> "Section":
-        return Section(tuple([a + b for a, b in
+        return Section(tuple([a + b if b.terms else a for a, b in
                               zip(self.coeffs, other.coeffs, strict=True)]))
 
     def __sub__(self, other: "Section") -> "Section":
-        return Section(tuple([a - b for a, b in
+        return Section(tuple([a - b if b.terms else a for a, b in
                               zip(self.coeffs, other.coeffs, strict=True)]))
 
     def __neg__(self) -> "Section":
@@ -116,9 +116,11 @@ class AlgebroidSpec:
         gram: Matrix,
         anchor: Matrix | None,
         bracket_table: dict[tuple[int, int], Section],
-        twist: "KerForm | None" = None,
+        twist: dict[tuple[int, ...], Scalar] | None = None,
         kind: str = "courant",
     ):
+        """``twist``: the coefficients of the twist 4-form on increasing basis
+        4-tuples, as in ``KerForm.coeffs``; None is no twist, {} the zero one."""
         if ring not in ("point", "polynomial"):
             raise SpecInvariantError(f"unknown base ring type {ring!r}")
         if ring == "point" and nvars:
@@ -134,7 +136,6 @@ class AlgebroidSpec:
         self.gram = gram
         self.anchor = anchor
         self.kind = kind
-        self.twist = twist
         self._validate_gram()
         self._validate_anchor()
         table: dict[tuple[int, int], Section] = {}
@@ -148,8 +149,6 @@ class AlgebroidSpec:
             if not sec.is_zero():
                 table[(i, j)] = sec
         self.bracket_table = table
-        if twist is not None and twist.degree != 4:
-            raise SpecInvariantError("the twist must be a degree-4 form")
         # sparse rows: the nonzero (index, entry) pairs of each Gram and
         # anchor row; row i of the table pairs each j with [eᵢ,eⱼ] ≠ 0 with
         # the sparse row of [eᵢ,eⱼ]
@@ -163,6 +162,8 @@ class AlgebroidSpec:
         self._zero_section = Section.zero(rank)
         self._gram_inv: tuple[Matrix, tuple] | None = None
         self._d0_cache: dict[int, tuple[Section, tuple]] = {}
+        from courantkit.kerforms import KerForm  # kerforms imports this module
+        self.twist = None if twist is None else KerForm(self, 4, twist)
 
     # -- invariants -----------------------------------------------------
 

@@ -114,24 +114,19 @@ def make_standard(n: int) -> AlgebroidSpec:
                    for i in range(rank)])
     anchor = Matrix([[ONE if i == j else ZERO for j in range(n)]
                      for i in range(rank)])
-    return AlgebroidSpec("polynomial", n, rank, gram, anchor, {}, None, "courant")
+    return AlgebroidSpec("polynomial", n, rank, gram, anchor, {})
 
 
 def make_point(rank: int, gram: Matrix,
-               brackets: dict[tuple[int, int], Section],
-               twist: KerForm | dict | None = None,
-               kind: str = "courant") -> AlgebroidSpec:
-    """A structure-constant algebra over a point.
+               brackets: dict[tuple[int, int], Section]) -> AlgebroidSpec:
+    """An untwisted Courant structure-constant algebra over a point.
 
     Over a point the symmetric part of the bracket must vanish, so the table
     is required to be skew ([eᵢ,eⱼ] = −[eⱼ,eᵢ], [eᵢ,eᵢ] = 0); non-skew
-    tables are rejected.
+    tables are rejected.  A twisted point algebra comes from twist_bracket.
     """
-    table: dict[tuple[int, int], Section] = {}
-    for (i, j), sec in brackets.items():
-        if not isinstance(sec, Section):
-            sec = Section.make(sec)
-        table[(i, j)] = sec
+    table = {key: sec if isinstance(sec, Section) else Section.make(sec)
+             for key, sec in brackets.items()}
     for (i, j), sec in table.items():
         if i == j and not sec.is_zero():
             raise SpecInvariantError(f"[e{i},e{i}] must vanish over a point")
@@ -139,15 +134,7 @@ def make_point(rank: int, gram: Matrix,
         if not (sec + mirror).is_zero():
             raise SpecInvariantError(
                 f"bracket table is not skew at ({i},{j}) over a point")
-    spec = AlgebroidSpec("point", 0, rank, gram, None, table, None, kind)
-    if twist is not None:
-        if isinstance(twist, dict):
-            twist = KerForm(spec, 4, twist)
-        else:
-            twist = KerForm(spec, 4, twist.coeffs)
-        spec.twist = twist
-        spec.kind = "h-twisted"
-    return spec
+    return AlgebroidSpec("point", 0, rank, gram, None, table)
 
 
 # -- the twist ansatz --------------------------------------------------------------
@@ -220,10 +207,8 @@ def twist_bracket(spec0: AlgebroidSpec, b: KerForm) -> AlgebroidSpec:
         new_table[key] = new_table[key] + value if key in new_table else value
     # curvature_H, with B̃² read from the same table
     h = cov_derivative(spec0, b) - _btilde_squared(spec0, split)
-    twisted = AlgebroidSpec(spec0.ring, spec0.nvars, spec0.rank, spec0.gram,
-                            spec0.anchor, new_table, None, "h-twisted")
-    twisted.twist = KerForm(twisted, 4, h.coeffs)
-    return twisted
+    return AlgebroidSpec(spec0.ring, spec0.nvars, spec0.rank, spec0.gram,
+                         spec0.anchor, new_table, h.coeffs, "h-twisted")
 
 
 def iota_btilde(spec: AlgebroidSpec, b: KerForm, form: KerForm) -> KerForm:

@@ -125,40 +125,34 @@ def ctwist4():
 # -- single-entry corruption helpers (negative controls) ----------------------
 
 
+def _twist_coeffs(spec):
+    return None if spec.twist is None else spec.twist.coeffs
+
+
 def corrupt_bracket(spec, i, j, section):
     from courantkit.structure import AlgebroidSpec
-    from courantkit.kerforms import KerForm
 
     table = dict(spec.bracket_table)
     table[(i, j)] = section
-    out = AlgebroidSpec(spec.ring, spec.nvars, spec.rank, spec.gram,
-                        spec.anchor, table, None, spec.kind)
-    if spec.twist is not None:
-        out.twist = KerForm(out, 4, spec.twist.coeffs)
-    return out
+    return AlgebroidSpec(spec.ring, spec.nvars, spec.rank, spec.gram,
+                         spec.anchor, table, _twist_coeffs(spec), spec.kind)
 
 
 def corrupt_gram(spec, i, value):
     """Corrupt one diagonal Gram entry (keeps symmetry, one entry changed)."""
     from courantkit.structure import AlgebroidSpec
-    from courantkit.kerforms import KerForm
 
     entries = [list(row) for row in spec.gram.entries]
     entries[i][i] = value
-    out = AlgebroidSpec(spec.ring, spec.nvars, spec.rank, Matrix(entries),
-                        spec.anchor, dict(spec.bracket_table), None, spec.kind)
-    if spec.twist is not None:
-        out.twist = KerForm(out, 4, spec.twist.coeffs)
-    return out
+    return AlgebroidSpec(spec.ring, spec.nvars, spec.rank, Matrix(entries),
+                         spec.anchor, dict(spec.bracket_table),
+                         _twist_coeffs(spec), spec.kind)
 
 
 def corrupt_twist(spec, key, value):
     from courantkit.structure import AlgebroidSpec
-    from courantkit.kerforms import KerForm
 
-    out = AlgebroidSpec(spec.ring, spec.nvars, spec.rank, spec.gram,
-                        spec.anchor, dict(spec.bracket_table), None, spec.kind)
-    coeffs = dict(spec.twist.coeffs) if spec.twist is not None else {}
+    coeffs = dict(_twist_coeffs(spec) or {})
     coeffs[key] = coeffs.get(key, ZERO) + value
-    out.twist = KerForm(out, 4, coeffs)
-    return out
+    return AlgebroidSpec(spec.ring, spec.nvars, spec.rank, spec.gram,
+                         spec.anchor, dict(spec.bracket_table), coeffs, spec.kind)

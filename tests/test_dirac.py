@@ -21,7 +21,7 @@ from courantkit.dirac import (
 )
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
 from courantkit.kerforms import basis_wedge_form
-from courantkit.structure import Section, SpecInvariantError
+from courantkit.structure import AlgebroidSpec, Section, SpecInvariantError
 from courantkit.twist import make_point, twist_bracket
 
 x = Scalar.variable
@@ -186,6 +186,25 @@ class TestIntegrability:
 
 
 class TestCheckDirac:
+    def test_isotropy_is_tested_once(self, monkeypatch, std2):
+        import courantkit.dirac as dirac
+
+        calls, isotropic = [], dirac.is_isotropic
+        monkeypatch.setattr(dirac, "is_isotropic",
+                            lambda spec, sub: calls.append(sub) or isotropic(spec, sub))
+        good = graph_of_two_form(std2, {(0, 1): x(0)})
+        assert check_dirac(std2, good).passed and calls == [good]
+
+    def test_needs_constant_split_gram(self, so3, std2):
+        with pytest.raises(SpecInvariantError, match=r"split signature, got \(3,0\)"):
+            check_dirac(so3, Subbundle(so3, [Section.basis(0, 3)]))
+        entries = [list(row) for row in std2.gram.entries]
+        entries[0][1] = entries[1][0] = x(0)  # the determinant stays -1
+        polynomial = AlgebroidSpec("polynomial", 2, 4, Matrix(entries),
+                                   std2.anchor, {})
+        with pytest.raises(SpecInvariantError, match="constant Gram matrix"):
+            check_dirac(polynomial, Subbundle(polynomial, [Section.basis(2, 4)]))
+
     def test_positive_and_negative(self, std2, std3):
         good = graph_of_two_form(std2, {(0, 1): x(0)})
         assert check_dirac(std2, good).passed
@@ -212,11 +231,15 @@ class TestInduced:
         monkeypatch.setattr(dirac, "bracket", counting)
         dirac._build_induced_htla(std2, sub, solved, 0, 2)
         g = sub.dim
-        # the restricted structure reads the g² solved pairs; antisymmetry
-        # g(g−1) + g, and per Leibniz pair (x a generator, y a generator or
-        # one random section) one [x,y] plus one [x,f·y] for each of the two
-        # test functions
-        assert len(calls) == g * (g - 1) + g + g * (g + 1) * (1 + 2)
+        # the restricted structure reads the g² solved pairs.  Through the
+        # call's table: the g² generator pairs (antisymmetry), six pairs for
+        # the Jacobi triple of random sections and five for (r₀, g₀, g₋₁),
+        # whose [g₀, g₋₁] the table holds, and the g Leibniz pairs of a
+        # generator and a random section.  Directly, one [x,f·y] per Leibniz
+        # pair (x a generator, y a generator or the random section) and each
+        # of the two test functions.  No pair is bracketed twice.
+        assert len(calls) == g * g + 6 + 5 + g + g * (g + 1) * 2
+        assert len(set(calls)) == len(calls)
 
     def test_closed_graph_yields_lie_algebroid(self, std2):
         sub = graph_of_two_form(std2, {(0, 1): x(0)})

@@ -83,6 +83,23 @@ class TestLoad:
         with pytest.raises(StructureFileError, match=r"\$\.twist\[0\]"):
             spec_from_dict(doc)
 
+    @pytest.mark.parametrize("ring, term, message", [
+        ({"type": "point"}, {"indices": [0, 1, 2, 9], "coeff": "1"},
+         "wedge indices (0, 1, 2, 9) out of range for rank 4 (at $.twist)"),
+        ({"type": "point"}, {"indices": [-1, 0, 1, 2], "coeff": "1"},
+         "wedge indices (-1, 0, 1, 2) out of range for rank 4 (at $.twist)"),
+        ({"type": "polynomial", "vars": 1}, {"indices": [0, 1, 2, 3], "coeff": "x2"},
+         "form coefficient uses more variables than the base ring has (at $.twist)"),
+        ({"type": "point"}, {"indices": [0, 1, 2], "coeff": "1"},
+         "term degree 3 does not match 4 (at $.twist[0])"),
+    ])
+    def test_malformed_twist_message(self, ring, term, message):
+        doc = {"ring": ring, "rank": 4, "twist": [term],
+               "gram": [["1" if i == j else "0" for j in range(4)] for i in range(4)]}
+        with pytest.raises(StructureFileError) as info:
+            spec_from_dict(doc)
+        assert str(info.value) == message
+
     def test_standard_round_trip(self, std2, tmp_path):
         path = tmp_path / "std2.json"
         save_spec(std2, str(path))

@@ -204,3 +204,67 @@ def test_unloaded_private_detector():
                "b": "import a\ndef _used(): ...\ndef _attr(): ...\n"
                     "a._attr\n"}
     assert unloaded_privates(sources) == ["a._Dead", "a._dead"]
+
+
+# the structure fields only AlgebroidSpec.__init__ may assign
+SPEC_FIELDS = {"twist", "kind"}
+ROOT = PACKAGE.parent.parent
+
+
+def spec_field_assignments(source: str) -> list[str]:
+    """Assignments of ``.twist`` or ``.kind`` outside
+    ``AlgebroidSpec.__init__``: an attribute target (also augmented or
+    deleted), or a ``setattr``, ``object.__setattr__`` or
+    ``monkeypatch.setattr`` call naming the field, as ``line: source`` in
+    source order."""
+    tree = ast.parse(source)
+    allowed = {id(sub) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "AlgebroidSpec"
+               for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+               for sub in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Attribute):
+            hit = not isinstance(node.ctx, ast.Load) and node.attr in SPEC_FIELDS
+        elif isinstance(node, ast.Call):
+            func = node.func
+            hit = (((isinstance(func, ast.Name) and func.id == "setattr")
+                    or (isinstance(func, ast.Attribute)
+                        and func.attr in ("setattr", "__setattr__")))
+                   and len(node.args) >= 2
+                   and isinstance(node.args[1], ast.Constant)
+                   and node.args[1].value in SPEC_FIELDS)
+        else:
+            hit = False
+        if hit:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{line}: {text}" for line, _, text in sorted(found)]
+
+
+def test_no_spec_field_assigned_after_construction():
+    paths = sorted(p for folder in ("src", "tests", "demos")
+                   for p in (ROOT / folder).rglob("*.py"))
+    assert len(paths) > len(MODULES)
+    found = [f"{p.relative_to(ROOT)}:{hit}" for p in paths
+             for hit in spec_field_assignments(p.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("spec.twist = h\n", ["1: spec.twist"]),
+    ("a.kind, b = k, 1\nout.twist += h\ndel out.twist\n",
+     ["1: a.kind", "2: out.twist", "3: out.twist"]),
+    ("setattr(spec, 'twist', h)\nobject.__setattr__(spec, 'kind', k)\n"
+     "monkeypatch.setattr(spec, 'twist', None)\n",
+     ["1: setattr(spec, 'twist', h)", "2: object.__setattr__(spec, 'kind', k)",
+      "3: monkeypatch.setattr(spec, 'twist', None)"]),
+    ("class AlgebroidSpec:\n    def __init__(self, twist):\n"
+     "        self.twist = twist\n    def retwist(self, twist):\n"
+     "        self.kind = twist\n", ["5: self.kind"]),
+    ("h = spec.twist\nsetattr(spec, 'gram', g)\nspec.twisted = True\n", []),
+])
+def test_spec_field_assignment_detector(source, found):
+    assert spec_field_assignments(source) == found

@@ -351,6 +351,24 @@ class TestSectionShape:
                 call()
         assert short + Section.make([3, 4]) == Section.make([4, 6])
 
+    def test_add_sub_match_coefficientwise_and_skip_zero_right(self, monkeypatch, std2):
+        rng = random.Random(9)
+        pairs = [(rand_section(rng, std2, 1), rand_section(rng, std2, 1))
+                 for _ in range(40)]
+        for a, b in pairs:
+            assert a + b == Section(tuple(p + q for p, q in zip(a.coeffs, b.coeffs)))
+            assert a - b == Section(tuple(p - q for p, q in zip(a.coeffs, b.coeffs)))
+        # a zero right coefficient leaves the left one as it is, uncomputed
+        calls = []
+        for name in ("__add__", "__sub__"):
+            op = getattr(Scalar, name)
+            monkeypatch.setattr(Scalar, name,
+                                lambda s, o, op=op: calls.append(o) or op(s, o))
+        a, b = Section.make([x(0), 2, 0]), Section.make([0, 1, 0])
+        assert a + b == Section.make([x(0), 3, 0])
+        assert a - b == Section.make([x(0), 1, 0])
+        assert calls == [ONE, ONE]
+
     def test_scale_matches_coefficientwise_products(self, std2):
         rng = random.Random(8)
         for _ in range(40):
