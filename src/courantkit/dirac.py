@@ -8,6 +8,10 @@ then decided exactly through that block (graphs of two-forms and coordinate
 subbundles all have one).  A Subbundle derives that block once, when it is
 built.  General module membership is out of scope.
 
+The Lagrangean test needs a pairing of split signature.  The Gram matrix
+may be polynomial: its determinant is a nonzero constant, so its signature
+is that of its constant terms (see gram_signature).
+
 The inherited structure on a Dirac subbundle L carries the restricted
 bracket and anchor and the restriction of the twist's splitting as an
 L-three-form with values in ker ρ ∩ L.  Its closedness is measured by the
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 
 from courantkit.axioms import CheckReport, _tabled, first_failure, witness
-from courantkit.exact import Matrix, Scalar, ZERO, _eliminate, _scalar_matrix
+from courantkit.exact import Matrix, ONE, Scalar, ZERO, _eliminate, _scalar_matrix
 from courantkit.kerforms import tilde_split, zero_form
 from courantkit.rand import rand_combination, rand_scalar
 from courantkit.structure import (
@@ -37,6 +41,7 @@ from courantkit.structure import (
     pairing,
     rho_apply,
 )
+from courantkit.twist import base_form
 
 class MembershipError(ValueError):
     """Span membership is undecidable without a constant invertible block."""
@@ -86,23 +91,24 @@ class Subbundle:
 
 
 def graph_of_two_form(spec: AlgebroidSpec, b: dict) -> Subbundle:
-    """The graph {X + ι_X b} of a base two-form inside a split-type bundle."""
+    """The graph {X + ι_X b} of a base two-form inside a split-type bundle.
+
+    ``b`` maps index pairs in range(nvars) to Scalars or rationals, read as
+    a base form: (j, i) stands for −(i, j) and (i, i) for zero.
+    """
     n = spec.nvars
     if spec.rank != 2 * n or n == 0:
         raise ValueError("graphs of two-forms need the rank-2n split layout")
-    gens = []
-    for i in range(n):
-        coeffs = [ZERO] * spec.rank
-        coeffs[i] = Scalar.rational(1)
-        for key, value in b.items():
-            if len(key) != 2:
-                raise ValueError("graph construction needs a two-form")
-            if key[0] == i:
-                coeffs[n + key[1]] = coeffs[n + key[1]] + value
-            elif key[1] == i:
-                coeffs[n + key[0]] = coeffs[n + key[0]] - value
-        gens.append(Section(tuple(coeffs)))
-    return Subbundle(spec, gens)
+    if any(len(key) != 2 for key in b):
+        raise ValueError("graph construction needs a two-form")
+    if any(not 0 <= k < n for key in b for k in key):
+        raise ValueError(f"two-form indices must lie in range({n})")
+    rows = [[ONE if c == i else ZERO for c in range(spec.rank)] for i in range(n)]
+    # ι_∂ᵢ(dxᵢ∧dxⱼ) = dxⱼ and ι_∂ⱼ(dxᵢ∧dxⱼ) = −dxᵢ, over the keys i < j
+    for (i, j), value in base_form({k: ZERO + v for k, v in b.items()}).items():
+        rows[i][n + j] = value
+        rows[j][n + i] = -value
+    return Subbundle(spec, [Section(tuple(row)) for row in rows])
 
 
 # -- pointwise predicates -------------------------------------------------------
@@ -119,53 +125,43 @@ def is_isotropic(spec: AlgebroidSpec, sub: Subbundle) -> bool:
 
 
 def gram_signature(gram: Matrix) -> tuple[int, int]:
-    """(positive, negative) inertia of a constant symmetric matrix, exact."""
-    grid = [row[:] for row in gram.fraction_grid()]
-    n = gram.rows
-    pos = neg = 0
-    for k in range(n):
-        if grid[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if grid[j][j] != 0), None)
-            if pivot is not None:
-                grid[k], grid[pivot] = grid[pivot], grid[k]
-                for row in grid:
-                    row[k], row[pivot] = row[pivot], row[k]
-            else:
-                mate = next((j for j in range(k + 1, n) if grid[k][j] != 0), None)
-                if mate is None:
-                    continue
-                for c in range(n):
-                    grid[k][c] += grid[mate][c]
-                for r in range(n):
-                    grid[r][k] += grid[r][mate]
-        d = grid[k][k]
-        if d == 0:
-            continue
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(k + 1, n):
-            if grid[j][k] != 0:
-                f = grid[j][k] / d
-                for c in range(n):
-                    grid[j][c] -= f * grid[k][c]
-                for r in range(n):
-                    grid[r][j] -= f * grid[r][k]
-    return pos, neg
+    """(positive, negative) inertia of a symmetric Gram matrix G(x) whose
+    determinant is a nonzero constant: the inertia of G(0), the matrix of
+    its constant terms, read off p(t) = det(t·I − G(0)) by Descartes' rule.
+
+    Constant inertia: det G(a) ≠ 0 at every a ∈ ℝⁿ, so no eigenvalue of the
+    real symmetric G(a), which moves continuously with a, ever crosses 0.
+    ℝⁿ is connected, so G(a) has the inertia of G(0) everywhere.
+
+    Exact Descartes: G(0) is real symmetric, so p has only real roots.
+    Strip the factor t^m of its zero roots; Descartes' rule bounds the
+    positive roots by the sign changes V(p) of its coefficients and the
+    negative ones by V(p(−t)).  Two consecutive nonzero coefficients k
+    degrees apart add at most min(2, k) to V(p) + V(p(−t)), so the two
+    bounds sum to at most n − m, the number of nonzero roots: both are
+    equalities.
+    """
+    t = Scalar.variable(0)
+    p = Matrix([[(t if i == j else ZERO) - e.terms.get((), 0)
+                 for j, e in enumerate(row)]
+                for i, row in enumerate(gram.entries)]).det()
+    coeffs = sorted((exp[0] if exp else 0, c) for exp, c in p.terms.items())
+
+    def changes(sign: int) -> int:
+        positive = [c * sign ** k > 0 for k, c in coeffs]
+        return sum(a != b for a, b in zip(positive, positive[1:]))
+
+    return changes(1), changes(-1)
 
 
 def is_lagrangean(spec: AlgebroidSpec, sub: Subbundle) -> bool:
-    """Isotropic of half rank; demands a split-signature constant pairing."""
+    """Isotropic of half rank; demands a pairing of split signature."""
     _require_split(spec)
     return is_isotropic(spec, sub) and 2 * sub.dim == spec.rank
 
 
 def _require_split(spec: AlgebroidSpec) -> None:
-    """Raise unless the Gram matrix is constant of split signature."""
-    if not spec.gram.is_rational():
-        raise SpecInvariantError(
-            "the Lagrangean test needs a constant Gram matrix")
+    """Raise unless the Gram matrix has split signature."""
     pos, neg = gram_signature(spec.gram)
     if pos != neg:
         raise SpecInvariantError(
@@ -182,6 +178,7 @@ def express_in_generators(spec: AlgebroidSpec, sub: Subbundle,
     Returns (coefficients, residual); the residual is zero exactly when sec
     lies in the R-span of the generators.
     """
+    spec.validate_section(sec)
     if sub._block is None:
         raise MembershipError(
             "no invertible constant-column block: span membership over the "
@@ -357,18 +354,18 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle, solved: Solved,
 
 
 def search_coordinate_dirac(spec: AlgebroidSpec) -> list[Subbundle]:
-    """All spans of basis subsets of size rank/2 that pass check_dirac."""
-    if not spec.gram.is_rational():
-        raise SpecInvariantError("the coordinate search needs a constant Gram matrix")
+    """All spans of basis subsets of size rank/2 that pass check_dirac.
+
+    A subset whose Gram block is identically zero is isotropic of half rank,
+    for G(x) and for its constant terms G(0) alike, and a nondegenerate G(0)
+    has a half-rank isotropic subspace only in split signature: such a
+    subset is Lagrangean without a signature being computed, and Dirac
+    exactly when it is integrable.
+    """
     if spec.rank % 2:
         return []
-    # a basis subset with a zero Gram block is isotropic, and with rank/2
-    # elements Lagrangean once the signature is split: it is Dirac exactly
-    # when it is integrable
     subs = [Subbundle(spec, [Section.basis(i, spec.rank) for i in subset])
             for subset in itertools.combinations(range(spec.rank), spec.rank // 2)
             if all(spec.gram.entries[i][j].is_zero()
                    for i in subset for j in subset)]
-    if subs:
-        _require_split(spec)
     return [sub for sub in subs if not integrability_defect(spec, sub)]

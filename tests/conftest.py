@@ -17,6 +17,9 @@ from courantkit.structure import Section
 from courantkit.twist import base_form, c_twist, make_point, make_standard
 
 
+STD2_FRAME = Path(__file__).parent / "std2_frame.json"
+
+
 def sec(*values) -> Section:
     return Section.make(values)
 
@@ -114,6 +117,31 @@ def std3():
 @pytest.fixture(scope="session")
 def std4():
     return make_standard(4)
+
+
+def unipotent(rank, entries):
+    """I plus the given entries strictly above the diagonal: determinant 1."""
+    assert all(i < j for i, j in entries)
+    return Matrix([[ONE if i == j else entries.get((i, j), ZERO)
+                    for j in range(rank)] for i in range(rank)])
+
+
+# polynomial frames T for the standard bundles, e′ᵢ = Σₖ Tₖᵢ·eₖ
+# (tests/oracles.py::frame_change); std2's is the frame of STD2_FRAME
+FRAMES = {
+    "std2": unipotent(4, {(0, 1): Scalar.variable(1)}),
+    "std4": unipotent(8, {(0, 1): Scalar.variable(1),
+                          (1, 2): Scalar.variable(0) * Scalar.variable(2),
+                          (3, 6): Scalar.rational(2)}),
+}
+
+
+@pytest.fixture(scope="session")
+def std2_frame():
+    """std2 in the frame FRAMES["std2"]: Gram and anchor entries in x2."""
+    from courantkit.fileio import load_spec
+
+    return load_spec(str(STD2_FRAME))
 
 
 @pytest.fixture(scope="session")

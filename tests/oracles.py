@@ -16,7 +16,12 @@ checks:
   * the constant block of a subbundle is found by trying column
     combinations until a minor is nonzero instead of by elimination;
   * the dense bracket, pairing and anchor loops read every entry of the
-    Gram, anchor and table matrices instead of the spec's nonzero rows.
+    Gram, anchor and table matrices instead of the spec's nonzero rows;
+  * the inertia of a constant symmetric matrix comes from a symmetric
+    pivoting elimination instead of Descartes' rule on the characteristic
+    polynomial;
+  * a frame change builds the moved structure's table through the dense
+    bracket and T⁻¹ instead of through the kernel's bracket.
 """
 
 from __future__ import annotations
@@ -267,3 +272,62 @@ def dense_bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
                     if not ck.is_zero():
                         out[k] = out[k] + gram_pair * ck
     return Section(tuple(out))
+
+
+# -- inertia and frame changes ----------------------------------------------------
+
+
+def ldl_inertia(gram: Matrix) -> tuple[int, int]:
+    """(positive, negative) inertia of a constant symmetric matrix by a
+    symmetric elimination: congruence moves that keep the inertia, pivoting
+    on a nonzero diagonal entry, or first adding a row and column with a
+    nonzero off-diagonal entry to one with a zero diagonal."""
+    grid = [row[:] for row in gram.fraction_grid()]
+    n = gram.rows
+    pos = neg = 0
+    for k in range(n):
+        if grid[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if grid[j][j] != 0), None)
+            if pivot is not None:
+                grid[k], grid[pivot] = grid[pivot], grid[k]
+                for row in grid:
+                    row[k], row[pivot] = row[pivot], row[k]
+            else:
+                mate = next((j for j in range(k + 1, n) if grid[k][j] != 0), None)
+                if mate is None:
+                    continue
+                for c in range(n):
+                    grid[k][c] += grid[mate][c]
+                for r in range(n):
+                    grid[r][k] += grid[r][mate]
+        d = grid[k][k]
+        if d == 0:
+            continue
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(k + 1, n):
+            if grid[j][k] != 0:
+                f = grid[j][k] / d
+                for c in range(n):
+                    grid[j][c] -= f * grid[k][c]
+                for r in range(n):
+                    grid[r][j] -= f * grid[r][k]
+    return pos, neg
+
+
+def frame_change(spec: AlgebroidSpec, T: Matrix) -> AlgebroidSpec:
+    """An untwisted structure in the frame e′ᵢ = Σₖ Tₖᵢ·eₖ, for T whose
+    determinant is a nonzero constant: Gram′ = TᵀGT, anchor′ = Tᵀ·anchor
+    and [e′ᵢ, e′ⱼ] = T⁻¹·[Teᵢ, Teⱼ]."""
+    if spec.twist is not None:
+        raise ValueError("frame_change moves untwisted structures only")
+    Tt, T_inv = T.transpose(), T.inverse()
+    columns = [Section(col) for col in Tt.entries]
+    table = {(i, j): Section(T_inv.matvec(dense_bracket(spec, a, b).coeffs))
+             for i, a in enumerate(columns) for j, b in enumerate(columns)}
+    return AlgebroidSpec(
+        spec.ring, spec.nvars, spec.rank, Tt.matmul(spec.gram.matmul(T)),
+        None if spec.anchor is None else Tt.matmul(spec.anchor), table,
+        kind=spec.kind)

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from conftest import STD2_FRAME
+
 from courantkit.cli import main
 from courantkit.fileio import load_spec, save_spec
 
@@ -212,6 +214,11 @@ class TestDirac:
         doc = json.loads(out)
         assert code == 0 and len(doc["search"]) == 4
 
+    def test_non_split_signature_exit_two(self, capsys, so3_file):
+        code, out, err = run(capsys, "dirac", so3_file, "--subspace", "e1")
+        assert code == 2 and out == ""
+        assert "split signature, got (3,0)" in err
+
     def test_subspace_file(self, capsys, tmp_path, std2_file):
         sub = tmp_path / "sub.json"
         sub.write_text(json.dumps({"generators": ["dx1", "dx2"]}))
@@ -387,6 +394,10 @@ class TestGolden:
             "2cb7bb2630c64cd5590184922c020b0a1cfb0148260bf7a5510ffcd0c7a45487"),
         "dirac-search": (0,
             "e2f5690f5423f05ec5de9942449c7b962d5f97af0f28c68f95eddcb9a2e9cb75"),
+        "dirac-frame-search": (0,
+            "94b577bd1e753dad3c3220ec2bcb78c35c4a5ba0809a7ccf3d841d72c7104d25"),
+        "dirac-frame-subspace": (0,
+            "ae5959bf5a74d1bad619e3180e48e5d94933eae32612c227199f8ccc2009dad3"),
     }
 
     @pytest.fixture()
@@ -405,6 +416,10 @@ class TestGolden:
             "cohomology-so3xso3": ["cohomology", so3xso3_file, "--max-degree",
                                    "6"],
             "dirac-search": ["dirac", std4_file, "--search"],
+            # std2 in a polynomial frame: a Gram matrix with an entry x2
+            "dirac-frame-search": ["dirac", str(STD2_FRAME), "--search"],
+            "dirac-frame-subspace": ["dirac", str(STD2_FRAME), "--subspace",
+                                     "e1; e2"],
         }
 
     @pytest.mark.parametrize("name", sorted(PINS))

@@ -54,6 +54,38 @@ class TestSubbundle:
             express_in_generators(std2, sub, Section.basis(0, 4))
 
 
+class TestGraphOfTwoForm:
+    def test_reversed_key_is_the_negated_form(self, std2):
+        # x1·dx2∧dx1 = −x1·dx1∧dx2
+        assert (graph_of_two_form(std2, {(1, 0): x(0)}).generators
+                == graph_of_two_form(std2, {(0, 1): -x(0)}).generators)
+        # x1·dx1∧dx2 + x1·dx2∧dx1 = 0
+        assert (graph_of_two_form(std2, {(0, 1): x(0), (1, 0): x(0)}).generators
+                == [Section.basis(0, 4), Section.basis(1, 4)])
+
+    def test_repeated_index_vanishes(self, std2):
+        # dx2∧dx2 = 0: the graph of the zero form is the tangent span
+        sub = graph_of_two_form(std2, {(1, 1): x(0)})
+        assert sub.generators == [Section.basis(0, 4), Section.basis(1, 4)]
+
+    @pytest.mark.parametrize("key", [(0, -1), (0, 5)])
+    def test_index_out_of_range(self, std2, key):
+        with pytest.raises(ValueError, match=r"range\(2\)"):
+            graph_of_two_form(std2, {key: x(0)})
+
+
+class TestMembershipValidation:
+    def test_foreign_variable(self, std2):
+        sub = graph_of_two_form(std2, {(0, 1): x(0)})
+        with pytest.raises(SpecInvariantError, match="x6"):
+            express_in_generators(std2, sub, Section.make([x(5), ZERO, ZERO, ZERO]))
+
+    def test_wrong_length(self, std2):
+        sub = graph_of_two_form(std2, {(0, 1): x(0)})
+        with pytest.raises(SpecInvariantError, match="length 3, want 4"):
+            express_in_generators(std2, sub, Section.make([ONE, ZERO, ZERO]))
+
+
 class TestConstantBlock:
     """The block membership runs through is the first one, in the order of
     column combinations, whose minor is nonzero."""
@@ -140,6 +172,57 @@ class TestSignature:
         with pytest.raises(SpecInvariantError, match="split"):
             is_lagrangean(so3, sub)
 
+    @pytest.mark.parametrize("fixture", [
+        "so3", "split4", "hyperbolic4", "so3_plus_so3", "sl3",
+        "std1", "std2", "std3", "std4", "ctwist4"])
+    def test_fixture_grams_match_elimination(self, request, fixture):
+        from oracles import ldl_inertia
+
+        gram = request.getfixturevalue(fixture).gram
+        assert gram_signature(gram) == ldl_inertia(gram)
+
+    def test_polynomial_grams_read_their_constant_terms(self, std2, std4,
+                                                         std2_frame):
+        from conftest import FRAMES, corrupt_gram
+        from oracles import frame_change, ldl_inertia
+
+        specs = [std2_frame, corrupt_gram(std2, 0, x(0)),
+                 frame_change(std4, FRAMES["std4"])]
+        for spec in specs:
+            assert not spec.gram.is_rational()
+            constant = Matrix([[Scalar.rational(e.terms.get((), 0)) for e in row]
+                               for row in spec.gram.entries])
+            assert gram_signature(spec.gram) == ldl_inertia(constant)
+
+    def test_random_rational_matrices_match_elimination(self):
+        from fractions import Fraction
+
+        from oracles import ldl_inertia
+
+        rng = random.Random(29)
+        outcomes = set()
+        for _ in range(240):
+            n = rng.randint(1, 6)
+            if n > 1 and rng.random() < 0.3:
+                # Σ ±vₖvₖᵀ over fewer than n vectors: singular
+                vecs = [[rng.randint(-2, 2) for _ in range(n)]
+                        for _ in range(rng.randint(1, n - 1))]
+                signs = [rng.choice((1, -1)) for _ in vecs]
+                grid = [[sum(s * v[i] * v[j] for s, v in zip(signs, vecs))
+                         for j in range(n)] for i in range(n)]
+            else:
+                grid = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        grid[i][j] = grid[j][i] = Fraction(
+                            rng.choice((0, 0, 1, -1, 2, -3)), rng.choice((1, 1, 2, 3)))
+            gram = Matrix(grid)
+            pos, neg = gram_signature(gram)
+            assert (pos, neg) == ldl_inertia(gram)
+            outcomes.add((pos + neg == n, pos == neg))
+        # singular and nondegenerate, split and not, all drawn
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
 
 class TestIsotropy:
     def test_cotangent_lagrangean(self, std2):
@@ -198,12 +281,16 @@ class TestCheckDirac:
     def test_needs_constant_split_gram(self, so3, std2):
         with pytest.raises(SpecInvariantError, match=r"split signature, got \(3,0\)"):
             check_dirac(so3, Subbundle(so3, [Section.basis(0, 3)]))
+        # a polynomial Gram matrix is judged, not refused: its constant terms
+        # are std2's split Gram matrix
         entries = [list(row) for row in std2.gram.entries]
         entries[0][1] = entries[1][0] = x(0)  # the determinant stays -1
         polynomial = AlgebroidSpec("polynomial", 2, 4, Matrix(entries),
                                    std2.anchor, {})
-        with pytest.raises(SpecInvariantError, match="constant Gram matrix"):
-            check_dirac(polynomial, Subbundle(polynomial, [Section.basis(2, 4)]))
+        report = check_dirac(polynomial, Subbundle(polynomial, [Section.basis(2, 4)]))
+        assert report.failing() == ["lagrangean"]
+        lagrangean = next(c for c in report.checks if c.axiom == "lagrangean")
+        assert lagrangean.witness["inputs"] == {"dim": "1", "rank": "4"}
 
     def test_positive_and_negative(self, std2, std3):
         good = graph_of_two_form(std2, {(0, 1): x(0)})
@@ -360,7 +447,8 @@ class TestSearch:
 
         monkeypatch.setattr(dirac, "gram_signature", counting)
         found = search_coordinate_dirac(spec)
-        assert len(calls) == 1
+        # a half-rank zero Gram block already proves the signature split
+        assert calls == []
         # the same subbundles as check_dirac on every basis subset of half rank
         expected = []
         for subset in itertools.combinations(range(spec.rank), spec.rank // 2):
