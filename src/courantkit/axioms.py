@@ -1,10 +1,10 @@
 """Executable axiom suites with failure witnesses.
 
 Every suite evaluates its axioms exactly: on all basis-section tuples, and
-additionally on seeded random polynomial sections.  The extension rules make
-the axioms that are R-multilinear determined by basis tuples, but randomised
-sections guard the extension machinery itself (a corrupted Gram matrix, for
-instance, only surfaces on non-constant sections).
+additionally on seeded random polynomial sections.  The R-multilinear axioms
+(symmetric part, invariance) are decided on basis tuples, where a corrupted
+Gram matrix fails them; random sections catch what is not tensorial: std2
+with its first Gram entry set to x1 fails Jacobi at seeds 2–4 only with them.
 
 A check passes only when the defect is identically zero as a canonical
 Scalar/Section; failures carry the full input tuple and the exact defect.

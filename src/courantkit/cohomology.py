@@ -12,6 +12,10 @@ contraction by an image section of the splitting vanishes) and the weaker
 ins_h(α) = 0.  The slotwise reading defines membership; the weak kernel's
 dimension is computed alongside and any disagreement is reported instead of
 silently picking one.
+
+Cochains, ins_h ranks and D's matrix reduce kerforms' `_coordinates`; as
+the reduced row echelon form is unique, row order changes no kernel basis,
+rank or solved block, nor the cochain an inconsistent D is reported for.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from courantkit.exact import Matrix, Scalar, _eliminate, _kernel, _scalar_matrix, wedge_indices
+from courantkit.exact import Matrix, _eliminate, _kernel, _scalar_matrix
 from courantkit.kerforms import (
     KerForm,
+    _combination,
+    _coordinates,
     contract,
     cov_derivative,
     d_squared,
@@ -59,31 +65,6 @@ def annihilates_twist(spec: AlgebroidSpec, form: KerForm) -> bool:
                for v in twist_image_sections(spec))
 
 
-def _form_coordinates(forms: list[KerForm], degree: int, rank: int,
-                      monos: list[tuple[int, ...]] | None) -> Rows:
-    """Rational coordinates of forms: one row per (wedge, monomial) axis,
-    one column per form."""
-    axes = [(w, m) for w in wedge_indices(rank, degree) for m in monos or [()]]
-    index = {a: i for i, a in enumerate(axes)}
-    rows = [[Fraction(0)] * len(forms) for _ in axes]
-    for col, form in enumerate(forms):
-        for key, value in form.coeffs.items():
-            for exp, coeff in value.terms.items():
-                slot = index.get((key, exp))
-                if slot is None:
-                    raise ValueError("form exceeds the coordinate truncation")
-                rows[slot][col] = Fraction(coeff)
-    return rows
-
-
-def _mono_closure(forms: list[KerForm]) -> list[tuple[int, ...]]:
-    monos = {()}
-    for form in forms:
-        for value in form.coeffs.values():
-            monos.update(value.terms.keys())
-    return sorted(monos)
-
-
 def cochain_basis(spec: AlgebroidSpec, degree: int,
                   max_degree: int | None = None) -> list[KerForm]:
     """Basis of the degree-p cochains (ker ρ̃ ∩ slotwise twist annihilator).
@@ -102,24 +83,10 @@ def _cochains(spec: AlgebroidSpec, degree: int, ambient: list[KerForm],
     sections ``victims`` (from twist_image_sections)."""
     if not ambient or not victims or degree == 0:
         return ambient
-    contracted = [[contract(spec, form, v) for v in victims] for form in ambient]
-    monos = None if spec.is_point() else _mono_closure(
-        [c for row in contracted for c in row])
-    rows: Rows = []
-    for v_idx in range(len(victims)):
-        images = [row[v_idx] for row in contracted]
-        coords = _form_coordinates(images, degree - 1, spec.rank, monos)
-        rows += [row for row in coords if any(row)]
-    if not rows:
-        return ambient
-    basis = []
-    for combo in _kernel(rows, len(ambient)):
-        total = KerForm(spec, degree, {})
-        for c, form in zip(combo, ambient):
-            if c:
-                total = total + form.scale(Scalar.rational(c))
-        basis.append(total)
-    return basis
+    rows = _coordinates([{(v, key): value for v, victim in enumerate(victims)
+                          for key, value in contract(spec, form, victim).coeffs.items()}
+                         for form in ambient])
+    return [_combination(vec, ambient) for vec in _kernel(rows, len(ambient))]
 
 
 def weak_kernel_dimension(spec: AlgebroidSpec, degree: int,
@@ -133,9 +100,7 @@ def _weak_dimension(spec: AlgebroidSpec, degree: int,
     """weak_kernel_dimension inside the given basis of ker ρ̃."""
     if not ambient or spec.twist is None or spec.twist.is_zero():
         return len(ambient)
-    images = [ins_h(spec, form) for form in ambient]
-    monos = None if spec.is_point() else _mono_closure(images)
-    rows = _form_coordinates(images, degree + 2, spec.rank, monos)
+    rows = _coordinates([ins_h(spec, form).coeffs for form in ambient])
     return len(ambient) - len(_eliminate(rows, len(ambient)))
 
 
@@ -172,9 +137,7 @@ def _differential(spec: AlgebroidSpec, degree: int, source: list[KerForm],
     basis by one reduction of [target | images]."""
     images = [cov_derivative(spec, form) for form in source]
     width = len(target)
-    rows = [t + i for t, i in zip(
-        _form_coordinates(target, degree + 1, spec.rank, None),
-        _form_coordinates(images, degree + 1, spec.rank, None))]
+    rows = _coordinates([form.coeffs for form in target + images])
     pivots = _eliminate(rows, width)
     space = f"degree-{degree + 1}" if target else "(zero)"
     for idx, form in enumerate(source):

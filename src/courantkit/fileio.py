@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 from courantkit.exact import Matrix, ParseError, Scalar, ZERO, _split_signed_terms, parse_scalar
 from courantkit.kerforms import KerForm, _form_coeffs, _sort_wedge
@@ -95,7 +96,7 @@ def spec_from_dict(doc: dict) -> AlgebroidSpec:
     if not isinstance(bracket_doc, dict):
         raise StructureFileError("bracket must be an object", "$.bracket")
     for key, entry in bracket_doc.items():
-        m = re.fullmatch(r"(\d+),(\d+)", key)
+        m = re.fullmatch(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)", key)
         if not m:
             raise StructureFileError(f'bracket key {key!r} is not "i,j"',
                                      f"$.bracket[{key!r}]")
@@ -175,10 +176,19 @@ def dumps_canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; a repeated key is a StructureFileError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise StructureFileError(f"duplicate key {key!r}")
+    return doc
+
+
 def parse_json(text: str):
     """The document in a JSON text; malformed text is a StructureFileError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise StructureFileError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} col {exc.colno}")

@@ -34,6 +34,11 @@ the slot of idx.
 
 D² is generally nonzero; on twisted structures it equals the degree-2
 derivation ins_h built from slotwise insertion of the twist.
+
+Linear algebra on forms has one coordinate map: `_coordinates` gives one
+Fraction column per sparse vector and one row per (key, monomial) used, and
+`_combination` maps a kernel vector back to a form.  Row order and absent
+zero rows do not matter: the reduced row echelon form is unique.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from courantkit.exact import ONE, Scalar, ZERO, _kernel, wedge_indices
+from courantkit.exact import ONE, Scalar, ZERO, _ZERO, _kernel, wedge_indices
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
@@ -287,27 +292,34 @@ def kerform_basis(spec: AlgebroidSpec, degree: int,
     if max_degree is None:
         raise ValueError(
             "a monomial truncation bound is required over a polynomial base")
-    monos = monomials(spec.nvars, max_degree)
-    domain = [(I, m) for I in all_wedges for m in monos]
-    col_of = {key: c for c, key in enumerate(domain)}
-    rows: dict[tuple[int, Wedge, tuple[int, ...]], dict[int, Fraction]] = {}
-    for (I, m), col in col_of.items():
-        mono = Scalar.monomial(m)
-        form = KerForm(spec, degree, {I: mono})
-        for (j, rest), value in rho_tilde(spec, form).items():
+    domain = [KerForm(spec, degree, {I: Scalar.monomial(m)})
+              for I in all_wedges for m in monomials(spec.nvars, max_degree)]
+    images = _coordinates([rho_tilde(spec, form) for form in domain])
+    return [_combination(vec, domain) for vec in _kernel(images, len(domain))]
+
+
+def _coordinates(vectors: Sequence[dict]) -> list[list[Fraction]]:
+    """Fraction rows of sparse vectors {key: Scalar}: one column per vector,
+    one row per (key, monomial) that some vector uses."""
+    rows: dict[tuple, list[Fraction]] = {}
+    for col, vec in enumerate(vectors):
+        for key, value in vec.items():
             for exp, coeff in value.terms.items():
-                rows.setdefault((j, rest, exp), {})[col] = Fraction(coeff)
-    zero = Fraction(0)
-    grid = [[rows[k].get(c, zero) for c in range(len(domain))]
-            for k in sorted(rows)]
-    basis = []
-    for vec in _kernel(grid, len(domain)):
-        coeffs: dict[Wedge, Scalar] = {}
-        for (I, m), c in col_of.items():
-            if vec[c]:
-                coeffs[I] = coeffs.get(I, ZERO) + Scalar.monomial(m, vec[c])
-        basis.append(KerForm(spec, degree, coeffs))
-    return basis
+                row = rows.get((key, exp))
+                if row is None:
+                    row = rows[(key, exp)] = [_ZERO] * len(vectors)
+                row[col] = Fraction(coeff)
+    return list(rows.values())
+
+
+def _combination(vec: Sequence[Fraction], forms: Sequence[KerForm]) -> KerForm:
+    """Σ vec[k]·forms[k]: the form that a coordinate vector stands for."""
+    coeffs: dict[Wedge, Scalar] = {}
+    for c, form in zip(vec, forms):
+        if c:
+            for key, value in form.coeffs.items():
+                coeffs[key] = coeffs.get(key, ZERO) + value * c
+    return KerForm(forms[0].spec, forms[0].degree, coeffs)
 
 
 # -- pairings -----------------------------------------------------------------

@@ -142,9 +142,6 @@ class AlgebroidSpec:
         for (i, j), sec in bracket_table.items():
             if not (0 <= i < rank and 0 <= j < rank):
                 raise SpecInvariantError(f"bracket index ({i},{j}) out of range")
-            if sec.rank != rank:
-                raise SpecInvariantError(
-                    f"bracket entry ({i},{j}) has length {sec.rank}, want {rank}")
             self.validate_section(sec, f"bracket entry ({i},{j})")
             if not sec.is_zero():
                 table[(i, j)] = sec
@@ -287,18 +284,6 @@ def pairing(spec: AlgebroidSpec, phi: Section, psi: Section) -> Scalar:
                 if g[j].terms:
                     total = total + fi * entry * g[j]
     return total
-
-
-def lambda_pairing(spec: AlgebroidSpec, left: Sequence[Section],
-                   right: Sequence[Section]) -> Scalar:
-    """Determinant pairing det(⟨aᵢ,bⱼ⟩) of two section wedges of equal degree."""
-    if len(left) != len(right):
-        raise ValueError(
-            f"lambda_pairing degree mismatch: {len(left)} vs {len(right)}")
-    if not left:
-        return ONE
-    grid = Matrix([[pairing(spec, a, b) for b in right] for a in left])
-    return grid.det()
 
 
 def anchor_apply(spec: AlgebroidSpec, psi: Section) -> tuple[Scalar, ...]:

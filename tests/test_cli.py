@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -252,12 +253,23 @@ class TestErrorExits:
                                       "gram": [["1", "0"], ["0"]]}))
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes('{"kind": "é"}'.encode("latin-1"))
+        text = Path(std2_file).read_text()
+        doc = json.loads(text)
+        doc["bracket"]["00,1"] = ["0", "0", "0", "5"]
+        zero_key = tmp_path / "zero_key.json"
+        zero_key.write_text(json.dumps(doc))
+        repeated = tmp_path / "repeated.json"
+        repeated.write_text(text.replace('"rank": 4', '"rank": 4, "rank": 2'))
         return {"<std2>": std2_file, "<ragged>": str(ragged),
-                "<latin1>": str(latin1)}
+                "<latin1>": str(latin1), "<zero-key>": str(zero_key),
+                "<repeated>": str(repeated)}
 
     CASES = {
         "ragged-gram": (["verify", "<ragged>"], "rows differ"),
         "not-utf8": (["verify", "<latin1>"], "UTF-8"),
+        "bracket-key-leading-zero": (["verify", "<zero-key>"],
+                                     "bracket key '00,1' is not"),
+        "repeated-json-key": (["verify", "<repeated>"], "duplicate key 'rank'"),
         "standard-n0": (["make", "standard", "--n", "0"], "--n"),
         "ctwist-n2": (["make", "ctwist", "--n", "2", "--c", "0"], "n >= 3"),
         "ctwist-2form": (["make", "ctwist", "--n", "2", "--c", "dx1^dx2"],

@@ -4,11 +4,15 @@ Each demo runs as a script in its own interpreter, importing the package
 from ``src``; the pin is the SHA-256 of its standard output.  A refactor
 that keeps the mathematics must keep these bytes; a deliberate change to a
 demo or to what it prints updates its pin with it.
+
+README's "Library quick start" block runs the same way, so the documented
+API cannot drift from the code.
 """
 
 import hashlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -43,3 +47,13 @@ def test_stdout_pinned(name):
                           env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
     assert hashlib.sha256(done.stdout).hexdigest() == PINS[name]
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")

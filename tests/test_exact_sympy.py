@@ -6,6 +6,7 @@ sympy is used only here, in tests; the module is skipped where it is not
 installed.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,15 @@ from courantkit.exact import (
     ExactError,
     Matrix,
     Scalar,
+    ZERO,
+    _kernel,
     kernel_basis,
     parse_scalar,
     rref,
     solve_rational,
 )
+from courantkit.kerforms import _coordinates
+from courantkit.rand import rand_rational, rand_scalar
 
 sympy = pytest.importorskip("sympy")
 
@@ -211,3 +216,44 @@ class TestLinearAlgebraAgainstSympy:
     def test_inverse_polynomial(self, m):
         product = (to_matrix(m) * to_matrix(m.inverse())).applyfunc(sympy.expand)
         assert product == sympy.eye(m.rows)
+
+
+@st.composite
+def sparse_vectors(draw, max_count=5):
+    """Lists of sparse vectors {key: Scalar} in x1, x2 over the keys a..d;
+    some are combinations of earlier ones, so kernels are often nonzero."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = []
+    for _ in range(rng.randint(0, max_count)):
+        if vectors and rng.random() < 0.4:
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            ca, cb = rand_rational(rng), rand_rational(rng)
+            vectors.append({k: a.get(k, ZERO) * ca + b.get(k, ZERO) * cb
+                            for k in sorted(set(a) | set(b))})
+        else:
+            vectors.append({k: rand_scalar(rng, 2, 2)
+                            for k in sorted(rng.sample("abcd", rng.randint(0, 4)))})
+    return vectors
+
+
+class TestCoordinatesAgainstSympy:
+    @given(sparse_vectors())
+    @settings(max_examples=80)
+    def test_kernel_of_coordinates(self, vectors):
+        n = len(vectors)
+        kernel = _kernel(_coordinates(vectors), n)
+        # the same matrix, built here: one row per (key, monomial) in sorted
+        # order, zero rows of zero coefficients included
+        axes = sorted({(k, exp) for vec in vectors for k in vec
+                       for exp in vec[k].terms})
+        m = sympy.Matrix(len(axes), n, lambda r, c: sympy.Rational(
+            Fraction(vectors[c].get(axes[r][0], ZERO).terms.get(axes[r][1], 0))))
+        nullspace = m.nullspace()
+        found = sympy.Matrix(n, len(kernel), lambda r, c: sympy.Rational(kernel[c][r]))
+        expected = sympy.Matrix.hstack(sympy.zeros(n, 0), *nullspace)
+        assert len(kernel) == len(nullspace) == found.rank()
+        assert m * found == sympy.zeros(len(axes), len(kernel))
+        assert found.row_join(expected).rank() == len(nullspace)
+        # neither the order of the keys nor of the rows changes the kernel
+        flipped = [dict(reversed(vec.items())) for vec in vectors]
+        assert _kernel(_coordinates(flipped), n) == kernel

@@ -62,6 +62,24 @@ class TestLoad:
         with pytest.raises(StructureFileError, match="bracket key"):
             spec_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["00,1", "0,01", "٠,1"])
+    def test_non_canonical_bracket_key_rejected(self, key):
+        # "00,1" would load as (0, 1) and override the "0,1" entry
+        doc = so3_doc()
+        doc["bracket"][key] = ["0", "0", "5"]
+        with pytest.raises(StructureFileError, match="bracket key"):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"rank": 3, "rank": 2}', "rank"),
+        ('{"bracket": {"0,1": ["0", "0", "1"], "0,1": ["0", "0", "5"]}}', "0,1"),
+    ])
+    def test_repeated_json_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(StructureFileError, match=f"duplicate key '{key}'"):
+            load_spec(str(path))
+
     def test_boolean_rank_rejected(self):
         doc = so3_doc()
         doc["rank"] = True

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
 from courantkit.kerforms import (
     KerForm,
     UncertifiedFormError,
+    _coordinates,
     basis_wedge_form,
     contract,
     cov_derivative,
@@ -80,6 +82,27 @@ class TestKerformBasis:
     def test_members_certified(self, std2):
         for form in kerform_basis(std2, 2, max_degree=1):
             assert form.certified
+
+    @pytest.mark.parametrize("name, degree, truncation", [
+        ("ctwist4", 1, 1), ("ctwist4", 2, 1), ("std2", 2, 2)])
+    def test_against_sympy_nullity(self, request, name, degree, truncation):
+        sympy = pytest.importorskip("sympy")
+        spec = request.getfixturevalue(name)
+        basis = kerform_basis(spec, degree, max_degree=truncation)
+        assert all(rho_tilde(spec, form) == {} for form in basis)
+        # the ρ̃ coefficient matrix on the domain x^m·e_I, built here: one
+        # row per (vector field index, wedge, monomial) in sorted order
+        domain = [KerForm(spec, degree, {I: Scalar.monomial(m)})
+                  for I in wedge_indices(spec.rank, degree)
+                  for m in monomials(spec.nvars, truncation)]
+        images = [rho_tilde(spec, form) for form in domain]
+        axes = sorted({(key, exp) for image in images
+                       for key, value in image.items() for exp in value.terms})
+        rho_matrix = sympy.Matrix(len(axes), len(domain), lambda r, c: sympy.Rational(
+            Fraction(images[c].get(axes[r][0], ZERO).terms.get(axes[r][1], 0))))
+        assert len(basis) == len(domain) - rho_matrix.rank()
+        coords = _coordinates([form.coeffs for form in basis])
+        assert sympy.Matrix(coords).rank() == len(basis)
 
     def test_monomial_order(self):
         # every exponent tuple of total degree <= d, once, in increasing order

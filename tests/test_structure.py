@@ -20,7 +20,6 @@ from courantkit.structure import (
     bracket,
     d0,
     jacobiator,
-    lambda_pairing,
     pairing,
     rho_apply,
     rho_star,
@@ -38,6 +37,12 @@ class TestSpecInvariants:
         gram = Matrix([[ONE, ONE], [ZERO, ONE]])
         with pytest.raises(SpecInvariantError, match="symmetric"):
             AlgebroidSpec("point", 0, 2, gram, None, {})
+
+    def test_bracket_entry_of_wrong_length_named(self):
+        table = {(0, 1): Section.make([1, 0, 0])}
+        with pytest.raises(SpecInvariantError) as exc:
+            AlgebroidSpec("point", 0, 2, Matrix.identity(2), None, table)
+        assert str(exc.value) == "bracket entry (0,1) has length 3, want 2"
 
     def test_non_unit_determinant_rejected(self):
         gram = Matrix([[x(0), ZERO], [ZERO, ONE]])
@@ -71,18 +76,6 @@ class TestPairing:
     def test_standard_convention(self, std2):
         # ⟨∂1 + 0, 0 + dx1⟩ = 1 under ⟨X+ξ,Y+η⟩ = η(X)+ξ(Y)
         assert pairing(std2, Section.basis(0, 4), Section.basis(2, 4)) == ONE
-
-    def test_lambda_pairing_determinant(self, split4):
-        basis = split4.basis_sections()
-        assert lambda_pairing(split4, basis[:2], basis[:2]) == ONE
-        assert lambda_pairing(split4, [basis[0], basis[2]],
-                              [basis[0], basis[2]]) == Scalar.rational(-1)
-        assert lambda_pairing(split4, basis[:2], basis[2:]).is_zero()
-
-    def test_lambda_pairing_degree_mismatch(self, split4):
-        basis = split4.basis_sections()
-        with pytest.raises(ValueError, match="degree mismatch"):
-            lambda_pairing(split4, basis[:2], basis[:3])
 
 
 class TestAnchor:
