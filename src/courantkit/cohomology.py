@@ -35,7 +35,7 @@ from courantkit.kerforms import (
     kerform_basis,
     tilde_split_basis,
 )
-from courantkit.structure import AlgebroidSpec, Section, d0_generator
+from courantkit.structure import AlgebroidSpec, Section
 
 
 Rows = list[list[Fraction]]
@@ -199,18 +199,11 @@ def _product_nonzero(left: Rows, right: Rows) -> bool:
 def cd_cochain_membership(spec: AlgebroidSpec, form: KerForm) -> bool:
     """Ring/module cochain test: killed by every ι_{D₀xⱼ} and by the twist.
 
-    Generator sufficiency for the ι condition follows from D₀ being a
-    derivation.  The form must already be certified in ker ρ̃ (rejected
-    upstream otherwise).
+    The form must be certified in ker ρ̃, and that is the ι condition:
+    ⟨eᵢ, D₀xⱼ⟩ = (gram·gram⁻¹·anchor)ᵢⱼ = anchorᵢⱼ, so ι_{D₀xⱼ}α is the
+    ∂ⱼ-component of ρ̃α (and D₀ is a derivation, so the generators suffice).
     """
     form.require_certified("cochain candidate")
-    if form.degree > 0:
-        for j in range(spec.nvars):
-            gen = d0_generator(spec, j)
-            if gen.is_zero():
-                continue
-            if not contract(spec, form, gen).is_zero():
-                return False
     return annihilates_twist(spec, form)
 
 

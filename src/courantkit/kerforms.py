@@ -9,10 +9,11 @@ Forms evaluate through the Gram pairing (multivector convention),
 ⟨α, ψ1∧…∧ψp⟩ = Σ_I α_I·det(⟨e_{I_a}, ψ_b⟩), in two ways and never as a
 determinant (determinants appear only in tests/oracles.py): `_wedge_map`
 pairs α with every basis wedge at once, `_insert` with given sections.
-`_wedge_map` is Λ^p of a symmetric matrix on its sparse rows: every slot
-index a of a wedge becomes Σ_b M[a][b]·e_b.  On the Gram rows it gives
-⟨α, e_J⟩ for every J; on the rows of gram⁻¹ it is the back-solve of the
-Λ-Gram system, since Λ^p(gram)⁻¹ = Λ^p(gram⁻¹) (Cauchy–Binet).  `_insert`
+`_wedge_map` is Λ^p of a matrix given by its sparse rows: every slot index
+a of a wedge becomes Σ_b M[a][b]·e_b.  On the Gram rows it gives ⟨α, e_J⟩
+for every J; on the rows of gram⁻¹ it is the back-solve of the Λ-Gram
+system, since Λ^p(gram)⁻¹ = Λ^p(gram⁻¹) (Cauchy–Binet); on the rows of the
+D₀ generators it is the pullback of base forms, `twist.pullback`.  `_insert`
 lowers each section through the Gram rows and removes one slot, the
 first-column expansion of the determinant; pair_sections, pair_basis,
 `contract` and the splitting α̃ are all this contraction.  The covariant
@@ -52,7 +53,6 @@ from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
-    apply_vector_field,
 )
 
 Wedge = tuple[int, ...]
@@ -245,17 +245,14 @@ def rho_tilde(spec: AlgebroidSpec, form: KerForm) -> dict[tuple[int, Wedge], Sca
     """
     if form.degree < 1:
         raise ValueError("ρ̃ is defined on forms of degree >= 1")
-    if spec.anchor is None:
+    if spec._anchor_rows is None:
         return {}
     out: dict[tuple[int, Wedge], Scalar] = {}
     for key, value in form.coeffs.items():
         for pos, idx in enumerate(key):
-            row = spec.anchor.entries[idx]
             rest = key[:pos] + key[pos + 1:]
-            for j in range(spec.nvars):
-                if row[j].is_zero():
-                    continue
-                term = value * row[j]
+            for j, entry in spec._anchor_rows[idx]:
+                term = value * entry
                 if pos % 2:
                     term = -term
                 slot = (j, rest)
@@ -327,7 +324,7 @@ def _combination(vec: Sequence[Fraction], forms: Sequence[KerForm]) -> KerForm:
 
 def _wedge_map(rows: Sequence[Sequence[tuple[int, Scalar]]],
                coeffs: dict[Wedge, Scalar]) -> dict[Wedge, Scalar]:
-    """Λ^p of a symmetric matrix, given by its sparse rows, on a multivector.
+    """Λ^p of a matrix, given by its sparse rows, on a multivector.
 
     Every slot index a of every wedge becomes Σ_b rows[a][b]·e_b, so the
     coefficient on e_J is Σ_I coeffs[I]·det(M[I, J]); only nonzero
@@ -449,9 +446,9 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
     c_m·⟨α, e_m∧e_rest⟩ to the wedge (j, i) + rest for every rest avoiding
     i and j (any other rest repeats an index and sorts to sign 0); sorting
     (j, i) + rest gives the sign (−1)^{a+b}, a < b being the slots of i
-    and j.  Each non-constant ⟨α, e_K⟩ adds ρ(e_idx)⟨α, e_K⟩
-    to (idx,) + K for every idx outside K, and sorting gives (−1)^pos, pos
-    being the slot of idx.
+    and j.  Each non-constant ⟨α, e_K⟩ adds ρ(e_idx)⟨α, e_K⟩, read off the
+    sparse anchor row of idx, to (idx,) + K for every idx outside K, and
+    sorting gives (−1)^pos, pos being the slot of idx.
     """
     table = _wedge_map(spec._gram_rows, form.coeffs)
     lowered: dict[int, list[tuple[Wedge, Scalar]]] = {}
@@ -468,12 +465,13 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
                 for rest, value in lowered.get(m, ()):
                     if i not in rest and j not in rest:
                         _accumulate(values, (j, i) + rest, c * value)
-    if use_anchor and spec.anchor is not None:
+    if use_anchor and spec._anchor_rows is not None:
         for K, value in table.items():
             if not value.is_rational():
-                for idx, row in enumerate(spec.anchor.entries):
+                for idx, row in enumerate(spec._anchor_rows):
                     if idx not in K:
-                        _accumulate(values, (idx,) + K, apply_vector_field(row, value))
+                        _accumulate(values, (idx,) + K, sum(
+                            (entry * value.partial(j) for j, entry in row), ZERO))
     return solve_wedge_values(spec, form.degree + 1,
                               {J: v for J, v in values.items() if v.terms})
 

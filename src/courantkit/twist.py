@@ -1,28 +1,29 @@
 """Constructors: standard split bundle, point algebras, and twists by 3-forms.
 
 The twist ansatz replaces the bracket by [φ,ψ]_B = [φ,ψ]₀ + B̃(φ,ψ) for a
-certified 3-form B.  Its Jacobiator is governed by the curvature 4-form
-H = D₀B − B̃² (the second summand read from the table of B̃ on basis pairs
-by tensoriality and solved back through the Λ⁴ Gram system; see curvature_H
-for the sign), and the twisted structure is admissible exactly when
+certified 3-form B.  Its Jacobiator gains the curvature 4-form
+H = D₀B − B̃² (see curvature_H for the sign) on top of the base's twist.
+B̃² = −½·ι_B̃B, so `eval_covariant` gives D₀B from the bracket table and
+B̃² from the table of B̃.  The twisted structure is admissible exactly when
 D_B H = 0 — automatic whenever ker ρ has rank at most 4, since B̃² and the
 relevant 5-forms both vanish there.
 
 Base differential forms on ℚ[x1..xn] (used for pullbacks and the exact
 twist family) are plain dictionaries {increasing variable tuple: Scalar}.
+The pullback sends dx_I to D₀x_{I1}∧…∧D₀x_{Ip}: it is Λᵖ of the D₀ rows.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
+from courantkit.exact import HALF, Matrix, ONE, Scalar, ZERO
 from courantkit.kerforms import (
     KerForm,
     _accumulate,
+    _wedge_map,
     eval_covariant,
     cov_derivative,
-    solve_wedge_values,
     tilde_split_basis,
     zero_form,
 )
@@ -30,8 +31,7 @@ from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
-    d0_generator,
-    pairing,
+    _d0_entry,
 )
 
 BaseForm = dict[tuple[int, ...], Scalar]
@@ -59,25 +59,19 @@ def de_rham(form: BaseForm, nvars: int) -> BaseForm:
 
 
 def pullback(spec: AlgebroidSpec, form: BaseForm, degree: int) -> KerForm:
-    """Λ^p ρ* applied coefficientwise; lands in ker ρ̃ on valid structures."""
+    """Λ^p ρ*, the wedge map on the sparse rows of the D₀ generators; lands
+    in ker ρ̃ on valid structures."""
     if spec.is_point() or spec.anchor is None:
         if form:
             raise SpecInvariantError(
                 "no nonzero base forms exist over this base")
         return zero_form(spec, degree)
-    one_forms = [KerForm(spec, 1,
-                         {(i,): c for i, c in enumerate(d0_generator(spec, j).coeffs)})
-                 for j in range(spec.nvars)]
-    total = zero_form(spec, degree)
-    for key, value in form.items():
+    for key in form:
         if len(key) != degree:
             raise ValueError(f"base form term {key} has degree {len(key)}, "
                              f"expected {degree}")
-        term = KerForm(spec, 0, {(): value})
-        for j in key:
-            term = term.wedge(one_forms[j])
-        total = total + term
-    return total
+    rows = [_d0_entry(spec, j)[1] for j in range(spec.nvars)]
+    return KerForm(spec, degree, _wedge_map(rows, form))
 
 
 def pullback_4form(spec: AlgebroidSpec, h: BaseForm) -> KerForm:
@@ -141,38 +135,21 @@ def make_point(rank: int, gram: Matrix,
 
 
 def btilde_squared_form(spec: AlgebroidSpec, b: KerForm) -> KerForm:
-    """The 4-form whose splitting is B̃²(ψ₁,ψ₂,ψ₃) = B̃(B̃(ψ₁,ψ₂),ψ₃) + cycl.
+    """The 4-form whose splitting is B̃²(ψ₁,ψ₂,ψ₃) = B̃(B̃(ψ₁,ψ₂),ψ₃) + cycl.,
+    computed as −½·ι_B̃B.
 
-    Values W(a,b,c,d) = ⟨B̃²(e_a,e_b,e_c), e_d⟩ on increasing basis 4-tuples
-    are read from the table of B̃ by tensoriality, B̃(Σₘ cₘ·eₘ, e_z) =
-    Σₘ cₘ·B̃(eₘ, e_z), and solved back through the Λ⁴ Gram system.
+    T(x,y,z,w) = ⟨B̃(B̃(x,y),z),w⟩ = Σ B(x,y,·)·gram⁻¹·B(·,z,w) is skew within
+    each pair and, gram⁻¹ being symmetric, symmetric under (x,y) ↔ (z,w).
+    So the six pair terms of ι_B̃B on e_i∧e_j∧e_k∧e_l, with eval_covariant's
+    signs (−1)^{a+b}, fold into −2·(T(i,j,k,l) + T(j,k,i,l) + T(k,i,j,l)):
+    −2 times the cyclic sum ⟨B̃²(e_i,e_j,e_k), e_l⟩.
     """
-    return _btilde_squared(spec, _split_table(spec, b))
-
-
-def _btilde_squared(spec: AlgebroidSpec,
-                    table: dict[tuple[int, int], Section]) -> KerForm:
-    """btilde_squared_form read from a table of B̃ already built."""
-    e = spec.basis_sections()
-    values = {}
-    for J in wedge_indices(spec.rank, 4):
-        i, j, k, l = J
-        val = ZERO
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = table.get((x, y))
-            if inner is None:
-                continue
-            for m, c in enumerate(inner.coeffs):
-                outer = table.get((m, z))
-                if outer is not None and c.terms:
-                    val = val + c * pairing(spec, outer, e[l])
-        if not val.is_zero():
-            values[J] = val
-    return solve_wedge_values(spec, 4, values)
+    return iota_btilde(spec, b, b).scale(-HALF)
 
 
 def curvature_H(spec0: AlgebroidSpec, b: KerForm) -> KerForm:
-    """The Jacobiator 4-form of the twisted bracket: H = D₀B − B̃².
+    """The part H = D₀B − B̃² that the ansatz adds to the Jacobiator 4-form;
+    the twisted structure's twist is spec0's twist, if any, plus H.
 
     The relative sign is forced by the Jacobiator identity: with the
     outer-first cyclic convention for B̃² the quadratic part of the twisted
@@ -196,8 +173,9 @@ def _split_table(spec: AlgebroidSpec, b: KerForm) -> dict[tuple[int, int], Secti
 
 
 def twist_bracket(spec0: AlgebroidSpec, b: KerForm) -> AlgebroidSpec:
-    """New structure with twist H = D₀B − B̃² whose bracket table is spec0's
-    with the table of B̃ added entry by entry: [eᵢ,eⱼ]₀ + B̃(eᵢ,eⱼ)."""
+    """New structure with twist H₀ + D₀B − B̃², H₀ being spec0's twist (none
+    on an untwisted base), whose bracket table is spec0's with the table of
+    B̃ added entry by entry: [eᵢ,eⱼ]₀ + B̃(eᵢ,eⱼ)."""
     b.require_certified("twisting 3-form")
     if b.degree != 3:
         raise ValueError("the twisting form must have degree 3")
@@ -205,8 +183,11 @@ def twist_bracket(spec0: AlgebroidSpec, b: KerForm) -> AlgebroidSpec:
     new_table = dict(spec0.bracket_table)
     for key, value in split.items():
         new_table[key] = new_table[key] + value if key in new_table else value
-    # curvature_H, with B̃² read from the same table
-    h = cov_derivative(spec0, b) - _btilde_squared(spec0, split)
+    # curvature_H, with B̃² = −½·ι_B̃B read from the same table
+    b2 = eval_covariant(spec0, b, split, use_anchor=False).scale(-HALF)
+    h = cov_derivative(spec0, b) - b2
+    if spec0.twist is not None:
+        h = h + spec0.twist
     return AlgebroidSpec(spec0.ring, spec0.nvars, spec0.rank, spec0.gram,
                          spec0.anchor, new_table, h.coeffs, "h-twisted")
 
@@ -234,7 +215,7 @@ def integrability_expansion(spec0: AlgebroidSpec, b: KerForm) -> KerForm:
     and B̃² read from one table of B̃.
     """
     table = _split_table(spec0, b)
-    b2 = _btilde_squared(spec0, table)
+    b2 = eval_covariant(spec0, b, table, use_anchor=False).scale(-HALF)
     d0b = cov_derivative(spec0, b)
     return (eval_covariant(spec0, d0b, table, use_anchor=False)
             - cov_derivative(spec0, b2)

@@ -9,7 +9,9 @@ import pytest
 from conftest import STD2_FRAME
 
 from courantkit.cli import main
+from courantkit.exact import Matrix, ONE, Scalar, ZERO
 from courantkit.fileio import load_spec, save_spec
+from courantkit.twist import make_point
 
 
 def run(capsys, *argv):
@@ -50,6 +52,16 @@ def std2_file(tmp_path, std2):
 def std4_file(tmp_path, std4):
     path = tmp_path / "std4.json"
     save_spec(std4, str(path))
+    return str(path)
+
+
+@pytest.fixture()
+def split6_file(tmp_path):
+    """The abelian point algebra with Gram diag(1, 1, 1, −1, −1, −1)."""
+    path = tmp_path / "split6.json"
+    save_spec(make_point(6, Matrix([[(ONE if i < 3 else Scalar.rational(-1))
+                                     if i == j else ZERO for j in range(6)]
+                                    for i in range(6)]), {}), str(path))
     return str(path)
 
 
@@ -130,6 +142,24 @@ class TestMake:
         assert spec.table_bracket(0, 1).coeffs[2] == spec.gram.entries[0][0]
         code, _, _ = run(capsys, "verify", str(out_path), "--suite", "h-twisted")
         assert code == 0
+
+    def test_twist_keeps_the_base_twist(self, capsys, tmp_path):
+        # ct4 twisted again by x2·dx1∧dx3∧dx4: its curvature −dx4∧dx5∧dx6∧dx7
+        # cancels ct4's twist dx4∧dx5∧dx6∧dx7, so the written twist is zero
+        base, out_path = tmp_path / "ct4.json", tmp_path / "t.json"
+        code, _, _ = run(capsys, "make", "ctwist", "--n", "4",
+                         "--c", "x1*dx2^dx3^dx4", "-o", str(base))
+        assert code == 0
+        code, _, _ = run(capsys, "make", "twist", "--base", str(base),
+                         "--b", "x2*dx1^dx3^dx4", "-o", str(out_path))
+        assert code == 0
+        twist = load_spec(str(out_path)).twist
+        assert twist is not None and twist.is_zero()
+        for argv in (["verify", str(out_path), "--suite", "h-twisted"],
+                     ["verify", str(out_path), "--suite", "h-twisted-cd"],
+                     ["linfty", str(out_path)]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, (argv, out)
 
     def test_make_to_stdout(self, capsys):
         code, out, _ = run(capsys, "make", "standard", "--n", "1")
@@ -410,11 +440,17 @@ class TestGolden:
             "94b577bd1e753dad3c3220ec2bcb78c35c4a5ba0809a7ccf3d841d72c7104d25"),
         "dirac-frame-subspace": (0,
             "ae5959bf5a74d1bad619e3180e48e5d94933eae32612c227199f8ccc2009dad3"),
+        "make-ctwist4": (0,
+            "97df5bc3479f99afbae47ca2b6355d0f65de012916300ca0bb7e0e830218d7f1"),
+        "make-ctwist5": (0,
+            "64704e92a3cdd7b7d1ee0a19c7f8421d8c09b540f9aff07ecd32d029a8c9f5de"),
+        "make-twist-split6": (0,
+            "b9a4a7a49dcf6c14229a652c6215000c404bcaa5766ee98b97e0f66161b176f9"),
     }
 
     @pytest.fixture()
     def commands(self, ctwist_file, std2_file, std4_file, so3_file, sl3_file,
-                 so3xso3_file):
+                 so3xso3_file, split6_file):
         return {
             "verify-h-twisted": ["verify", ctwist_file, "--suite", "h-twisted"],
             "verify-courant": ["verify", ctwist_file, "--suite", "courant"],
@@ -432,6 +468,14 @@ class TestGolden:
             "dirac-frame-search": ["dirac", str(STD2_FRAME), "--search"],
             "dirac-frame-subspace": ["dirac", str(STD2_FRAME), "--subspace",
                                      "e1; e2"],
+            "make-ctwist4": ["make", "ctwist", "--n", "4", "--c",
+                             "x1*dx2^dx3^dx4"],
+            "make-ctwist5": ["make", "ctwist", "--n", "5", "--c",
+                             "x1*x5*dx2^dx3^dx4 + x2^2*dx1^dx3^dx5 - dx1^dx2^dx5"],
+            # D₀B = 0 and B̃² = 2·e0∧e1∧e4∧e5 − 2·e0∧e2∧e3∧e5 + e1∧e2∧e3∧e4,
+            # so the written twist is −B̃²
+            "make-twist-split6": ["make", "twist", "--base", split6_file,
+                                  "--b", "e1^e2^e3 + e1^e4^e5 + 2*e2^e4^e6"],
         }
 
     @pytest.mark.parametrize("name", sorted(PINS))

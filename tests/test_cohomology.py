@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import so3_table
+from conftest import corrupt_gram, so3_table
 from oracles import naive_matrix_from_ce
 from test_exact import is_canonical_coefficient
 
@@ -23,8 +23,15 @@ from courantkit.cohomology import (
     readings_agree,
 )
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
-from courantkit.kerforms import KerForm, basis_wedge_form, kerform_basis
+from courantkit.kerforms import (
+    KerForm,
+    basis_wedge_form,
+    contract,
+    kerform_basis,
+    rho_tilde,
+)
 from courantkit.rand import rand_wedge_coeffs
+from courantkit.structure import d0_generator
 from courantkit.twist import base_form, c_twist, make_point, make_standard, twist_bracket
 
 x = Scalar.variable
@@ -236,6 +243,24 @@ class TestCdMembership:
         bad = basis_wedge_form(std2, (0, 3))
         with pytest.raises(UncertifiedFormError):
             cd_cochain_membership(std2, bad)
+
+    @pytest.mark.parametrize("name", ["std3", "ctwist4", "polynomial-gram"])
+    def test_d0_contraction_is_rho_tilde(self, name, std3, ctwist4):
+        # ⟨eᵢ, D₀xⱼ⟩ = anchorᵢⱼ, so ι_{D₀xⱼ}α is the ∂ⱼ-component of ρ̃α even
+        # on uncertified forms: certification is the ι condition
+        spec = {"std3": std3, "ctwist4": ctwist4,
+                "polynomial-gram": corrupt_gram(std3, 0, Scalar.variable(0))}[name]
+        rng = random.Random(9)
+        nonzero = 0
+        for degree in (1, 2, 3) * 4:
+            form = KerForm(spec, degree, rand_wedge_coeffs(rng, spec, degree, 1))
+            image = rho_tilde(spec, form)
+            nonzero += bool(image)
+            for j in range(spec.nvars):
+                component = {rest: v for (k, rest), v in image.items() if k == j}
+                assert contract(spec, form, d0_generator(spec, j)) == \
+                    KerForm(spec, degree - 1, component)
+        assert nonzero >= 9
 
     def test_twisted_condition_bites(self, ctwist4):
         # dx3 ∧ dx4 pairs nontrivially against the twist's image

@@ -1,11 +1,12 @@
 """Tests for the constructors and the twist-by-B machinery."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import corrupt_gram, sec
-from oracles import det_pairing, dorfman_standard, gram_solve_split
+from conftest import corrupt_gram, sec, unipotent
+from oracles import det_pairing, dorfman_standard, frame_change, gram_solve_split
 
 from courantkit.axioms import check_axioms
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
@@ -13,12 +14,20 @@ from courantkit.kerforms import (
     KerForm,
     basis_wedge_form,
     cov_derivative,
+    section_form,
     tilde_split,
     tilde_split_basis,
     zero_form,
 )
-from courantkit.rand import rand_section, rand_wedge_coeffs
-from courantkit.structure import Section, SpecInvariantError, bracket, jacobiator
+from courantkit.linfty import build_twisted, verify_linfty
+from courantkit.rand import rand_scalar, rand_section, rand_wedge_coeffs
+from courantkit.structure import (
+    Section,
+    SpecInvariantError,
+    bracket,
+    d0_generator,
+    jacobiator,
+)
 from courantkit.twist import (
     _split_table,
     base_form,
@@ -103,6 +112,23 @@ class TestTwistBracket:
         twisted = twist_bracket(split4, b)
         assert check_axioms(twisted, "h-twisted", seed=seed).passed
         assert integrability_defect(split4, b).is_zero()
+
+    def test_keeps_the_base_twist(self):
+        # the rank-6 split point algebra twisted twice: the second twist must
+        # add its curvature to the first one's, not replace it
+        split6 = make_point(6, Matrix([[(ONE if i < 3 else Scalar.rational(-1))
+                                         if i == j else ZERO for j in range(6)]
+                                        for i in range(6)]), {})
+        once = twist_bracket(split6, KerForm(split6, 3, {
+            (0, 1, 2): ONE, (0, 3, 4): ONE, (1, 3, 5): Scalar.rational(2)}))
+        b = KerForm(once, 3, {(0, 4, 5): ONE, (2, 3, 4): Scalar.rational(-3)})
+        twice = twist_bracket(once, b)
+        assert not once.twist.is_zero() and not curvature_H(once, b).is_zero()
+        assert twice.twist.coeffs == (once.twist + curvature_H(once, b)).coeffs
+        for suite in ("h-twisted", "h-twisted-cd"):
+            report = check_axioms(twice, suite, seed=0)
+            assert report.passed, (suite, report.failing())
+        assert verify_linfty(build_twisted(twice), seed=0).passed
 
     def test_jacobiator_equals_twist_split(self, split4):
         rng = random.Random(3)
@@ -251,8 +277,21 @@ class TestBtildeSquaredTable:
         def random_b(spec, seed):
             return KerForm(spec, 3, rand_wedge_coeffs(random.Random(seed), spec, 3))
 
+        def random_gram(rank, seed):
+            # Uᵀ·diag(±1, ±2)·U, U unipotent with rational entries
+            rng = random.Random(seed)
+            u = [[Scalar.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                  if j > i else (ONE if i == j else ZERO) for j in range(rank)]
+                 for i in range(rank)]
+            d = [Scalar.rational(rng.choice([1, -1, 2, -2])) for _ in range(rank)]
+            return make_point(rank, Matrix([[sum(
+                (u[k][i] * d[k] * u[k][j] for k in range(rank)), ZERO)
+                for j in range(rank)] for i in range(rank)]), {})
+
         std4 = make_standard(4)
         ab5, id6, id7 = diagonal(5, 2), diagonal(6, 0), diagonal(7, 0)
+        gram6 = random_gram(6, 5)
+        poly3 = corrupt_gram(make_standard(3), 0, x(0))
         return {
             "ct4": (std4, pullback(std4, base_form({(1, 2, 3): x(0)}), 3)),
             "ct4b": (std4, pullback(std4, base_form(
@@ -260,10 +299,14 @@ class TestBtildeSquaredTable:
             "ab5": (ab5, random_b(ab5, 0)),
             "identity-6": (id6, random_b(id6, 1)),
             "identity-7": (id7, random_b(id7, 2)),
+            "gram-6": (gram6, random_b(gram6, 3)),
+            "polynomial-gram": (poly3, KerForm(poly3, 3, rand_wedge_coeffs(
+                random.Random(4), poly3, 3, 2))),
         }
 
     @pytest.mark.parametrize("case", ["ct4", "ct4b", "ab5", "identity-6",
-                                      "identity-7"])
+                                      "identity-7", "gram-6",
+                                      "polynomial-gram"])
     def test_matches_gram_solve(self, case):
         spec, b = self.cases()[case]
         split, e = gram_solve_split(spec, b), spec.basis_sections()
@@ -332,6 +375,37 @@ class TestPullback:
     def test_closed_form_pullback_is_closed(self, std4):
         h = base_form({(0, 1, 2, 3): ONE})  # top form, closed
         assert cov_derivative(std4, pullback_4form(std4, h)).is_zero()
+
+    @pytest.mark.parametrize("name", ["std4", "ct4", "std3-frame",
+                                      "std3-polynomial-gram"])
+    def test_equals_wedge_of_d0_generators(self, name):
+        # ρ*(dx_I) = D₀x_{I1}∧…∧D₀x_{Ip}, built as a wedge of one-forms
+        std3 = make_standard(3)
+        spec = {
+            "std4": lambda: make_standard(4),
+            "ct4": lambda: c_twist(4, base_form({(1, 2, 3): x(0)})),
+            "std3-frame": lambda: frame_change(std3, unipotent(6, {
+                (0, 1): x(1), (2, 4): x(0) * x(2), (1, 5): Scalar.rational(3)})),
+            "std3-polynomial-gram": lambda: corrupt_gram(std3, 0, x(0)),
+        }[name]()
+        rows = [section_form(spec, d0_generator(spec, j))
+                for j in range(spec.nvars)]
+        rng = random.Random(7)
+        nonzero = 0
+        for degree in range(min(4, spec.nvars) + 1):
+            for _ in range(3):
+                form = base_form({key: rand_scalar(rng, spec.nvars, 2)
+                                  for key in wedge_indices(spec.nvars, degree)
+                                  if rng.random() < 0.6})
+                expected = zero_form(spec, degree)
+                for key, value in form.items():
+                    term = KerForm(spec, 0, {(): value})
+                    for j in key:
+                        term = term.wedge(rows[j])
+                    expected = expected + term
+                assert pullback(spec, form, degree) == expected, (degree, form)
+                nonzero += not expected.is_zero()
+        assert nonzero >= 6
 
     def test_point_base_rejects_nonzero(self, so3):
         with pytest.raises(SpecInvariantError):
