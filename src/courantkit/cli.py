@@ -22,7 +22,7 @@ from courantkit.dirac import (
     _check_dirac,
     search_coordinate_dirac,
 )
-from courantkit.exact import ExactError, ParseError
+from courantkit.exact import ParseError
 from courantkit.fileio import StructureFileError, dumps_canonical
 from courantkit.kerforms import UncertifiedFormError
 from courantkit.linfty import build_classical, build_twisted, verify_linfty
@@ -36,7 +36,8 @@ class UsageError(Exception):
     """The command line lacks an argument or combines arguments wrongly."""
 
 
-_USER_ERRORS = (StructureFileError, SpecInvariantError, ParseError, ExactError,
+# no input reaches an ExactError, so one is a bug and exits 3
+_USER_ERRORS = (StructureFileError, SpecInvariantError, ParseError,
                 UnknownSuiteError, SuiteNotApplicableError, MembershipError,
                 UncertifiedFormError, UsageError, OSError)
 

@@ -49,7 +49,11 @@ class MembershipError(ValueError):
 
 @dataclass
 class Subbundle:
-    """Generator sections spanning a subbundle of the module."""
+    """Generator sections spanning a subbundle of the module.  The g
+    generators must be independent, and det(M·Mᵀ) ≠ 0 decides it: by
+    Cauchy–Binet it is the sum of the squares of the g×g minors of their
+    coefficient matrix M, and a sum of squares of real polynomials is zero
+    only if each one is."""
 
     spec: AlgebroidSpec
     generators: list[Section]
@@ -59,13 +63,9 @@ class Subbundle:
             self.spec.validate_section(g, "subbundle generator")
         if not self.generators:
             raise SpecInvariantError("a subbundle needs at least one generator")
-        # independent over the fraction field iff some g×g minor is a nonzero
-        # polynomial; columns that vanish on every generator are never needed
-        cols = [c for c in range(self.spec.rank)
-                if any(not g.coeffs[c].is_zero() for g in self.generators)]
-        if all(Matrix([[g.coeffs[c] for c in chosen]
-                       for g in self.generators]).det().is_zero()
-               for chosen in itertools.combinations(cols, self.dim)):
+        coeffs = [g.coeffs for g in self.generators]
+        if Matrix([[sum((a * b for a, b in zip(u, v) if a.terms and b.terms), ZERO)
+                    for v in coeffs] for u in coeffs]).det().is_zero():
             raise SpecInvariantError("subbundle generators are dependent")
         # the membership block, derived once: the pivots of [rows | I] reduced
         # to [R | E] are the first constant-column combination with a nonzero

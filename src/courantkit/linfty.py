@@ -49,6 +49,7 @@ from courantkit.structure import (
     bracket,
     d0,
     pairing,
+    rho_apply,
 )
 
 _MINUS_SIXTH = Scalar.rational(-1) / 6
@@ -76,32 +77,31 @@ def _l2(spec: AlgebroidSpec, x: Section, y: Section) -> Section:
     return bracket(spec, x, y) - d0(spec, pairing(spec, x, y)).scale(HALF)
 
 
+def _metric_l3(spec: AlgebroidSpec, l2: Callable, x: Section, y: Section,
+               z: Section) -> Scalar:
+    """−⅙·Σ_cyc⟨l2(a,b),c⟩, the metric part of both packagings' l3."""
+    return _MINUS_SIXTH * sum((pairing(spec, l2(a, b), c) for a, b, c
+                               in ((x, y, z), (y, z, x), (z, x, y))), ZERO)
+
+
 def build_classical(spec: AlgebroidSpec) -> LInftyData:
     """Classical packaging with base functions in degree one; rejects
-    twisted input."""
+    twisted input.  The action ½⟨x,D₀f⟩ is ½·ρ(x)f: D₀f = G⁻¹·A·∇f with G
+    symmetric, so ⟨x,D₀f⟩ = xᵀ·A·∇f."""
     if spec.twist is not None and not spec.twist.is_zero():
         raise SpecInvariantError(
             "the classical packaging needs an untwisted structure")
     v1 = [Scalar.rational(1)] + [Scalar.variable(j) for j in range(spec.nvars)]
-
-    def act(l2: Callable, x: Section, f: Scalar) -> Scalar:
-        return HALF * pairing(spec, x, d0(spec, f))
-
-    def l3(l2: Callable, x: Section, y: Section, z: Section) -> Scalar:
-        # the pairing takes the skew bracket l2: with the non-skew bracket
-        # the cyclic sum is not alternating and the packaging fails
-        total = ZERO
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            total = total + pairing(spec, l2(a, b), c)
-        return _MINUS_SIXTH * total
-
     return LInftyData(spec, True, spec.basis_sections(), v1,
                       boundary=lambda f: d0(spec, f),
-                      l2=lambda x, y: _l2(spec, x, y), act=act, l3=l3)
+                      l2=lambda x, y: _l2(spec, x, y),
+                      act=lambda l2, x, f: HALF * rho_apply(spec, x, f),
+                      l3=partial(_metric_l3, spec))
 
 
 def build_twisted(spec: AlgebroidSpec) -> LInftyData:
-    """Twisted packaging with V1 the sections of ker ρ."""
+    """Twisted packaging with V1 the sections of ker ρ.  D₀ is ℚ-linear, so
+    the metric term −⅙·Σ_cyc D₀⟨l2(a,b),c⟩ is D₀ of the classical l3."""
     if spec.twist is None:
         raise SpecInvariantError(
             "the twisted packaging needs a structure with a twist "
@@ -111,17 +111,12 @@ def build_twisted(spec: AlgebroidSpec) -> LInftyData:
     else:
         v1 = [form.as_section() for form in kerform_basis(spec, 1, max_degree=0)]
     split = tilde_split(spec, spec.twist)
-
-    def l3(l2: Callable, x: Section, y: Section, z: Section) -> Section:
-        total = Section.zero(spec.rank)
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            total = total + d0(spec, pairing(spec, l2(a, b), c))
-        return total.scale(_MINUS_SIXTH) + split(x, y, z)
-
     return LInftyData(spec, False, spec.basis_sections(), v1,
                       boundary=lambda v: v,
                       l2=lambda x, y: _l2(spec, x, y),
-                      act=lambda l2, x, v: l2(x, v), l3=l3)
+                      act=lambda l2, x, v: l2(x, v),
+                      l3=lambda l2, x, y, z: (d0(spec, _metric_l3(spec, l2, x, y, z))
+                                              + split(x, y, z)))
 
 
 # -- the five defining equations ------------------------------------------------

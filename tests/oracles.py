@@ -15,6 +15,8 @@ checks:
     instead of slot insertion;
   * the constant block of a subbundle is found by trying column
     combinations until a minor is nonzero instead of by elimination;
+  * the independence of subbundle generators is decided by trying every
+    g×g minor instead of by one Cauchy–Binet determinant;
   * the dense bracket, pairing and anchor loops read every entry of the
     Gram, anchor and table matrices instead of the spec's nonzero rows;
   * the inertia of a constant symmetric matrix comes from a symmetric
@@ -200,6 +202,15 @@ def constant_block_by_minors(sub) -> tuple[tuple[int, ...], Matrix]:
         if not block.det().is_zero():
             return cols, block.inverse()
     raise NoConstantBlock
+
+
+def independent_by_minors(generators) -> bool:
+    """Whether some g×g minor of the generator matrix is a nonzero
+    polynomial, trying the column combinations one by one."""
+    rank = generators[0].rank
+    return any(not Matrix([[gen.coeffs[c] for c in cols]
+                           for gen in generators]).det().is_zero()
+               for cols in itertools.combinations(range(rank), len(generators)))
 
 
 # -- dense reference loops of the bracket kernel --------------------------------

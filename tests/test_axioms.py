@@ -112,6 +112,23 @@ class TestPositive:
         assert "anchor-morphism" in check_axioms(
             bad, "strongly-anchored", seed=0, samples=0).failing()
 
+    def test_anchor_morphism_needs_random_sections(self, std2):
+        # where the basis-tuple shortcut stops: with anchor entry (2, 0) set
+        # to 1, ρ∘D₀ ≠ 0, so the anchor-morphism defect is not tensorial and
+        # is zero on every basis pair but not on random polynomial ones
+        from courantkit.exact import Matrix
+        from courantkit.structure import AlgebroidSpec
+
+        rows = [list(r) for r in std2.anchor.entries]
+        rows[2][0] = ONE
+        bad = AlgebroidSpec("polynomial", 2, 4, std2.gram, Matrix(rows), {})
+        assert check_axioms(bad, "strongly-anchored", seed=0,
+                            samples=0).passed
+        for seed in range(4):
+            assert check_axioms(bad, "strongly-anchored",
+                                seed=seed).failing() == ["anchor-morphism"]
+        assert check_axioms(bad, "strongly-anchored", seed=4).passed
+
 
 class TestErrors:
     def test_unknown_suite(self, so3):
@@ -149,13 +166,22 @@ class TestNegativeControls:
         report = check_axioms(bad, "courant", seed=1)
         assert "symmetric-part" in report.failing()
 
-    def test_standard_gram_corruption_caught_by_random_sections(self, std2):
+    def test_standard_gram_corruption_caught_by_basis_tuples(self, std2):
         # a polynomial diagonal entry keeps symmetry and the unit determinant
-        # (so the file gate stays quiet); every basis-tuple check stays green
-        # and only the seeded random polynomial sections expose the defect
+        # (so the file gate stays quiet); the tensorial checks fail on the
+        # basis tuple (e1, e1) without any random section
         bad = corrupt_gram(std2, 0, x(0))
-        report = check_axioms(bad, "courant", seed=1)
-        assert "symmetric-part" in report.failing()
+        e1 = ["1", "0", "0", "0"]
+        checks = {c.axiom: c for c in check_axioms(bad, "courant", seed=1,
+                                                   samples=0).checks}
+        assert [a for a, c in checks.items() if c.status == "fail"] == [
+            "symmetric-part", "invariance"]
+        assert checks["symmetric-part"].witness["inputs"] == {
+            "phi": e1, "psi": e1}
+        assert checks["invariance"].witness["inputs"] == {
+            "phi": e1, "psi1": e1, "psi2": e1}
+        assert "symmetric-part" in check_axioms(bad, "courant",
+                                                seed=1).failing()
 
     def test_standard_constant_gram_bump_stays_valid(self, std2):
         # a constant diagonal bump yields another genuinely valid structure:

@@ -179,6 +179,20 @@ class TestCohomology:
                              "--max-degree", "2")
         assert code == 2 and "truncation" in err
 
+    def test_cochain_escape_exit_one(self, capsys, tmp_path, so3_plus_so3):
+        from conftest import corrupt_twist
+
+        from courantkit.fileio import dumps_canonical
+
+        path = tmp_path / "escape.json"
+        save_spec(corrupt_twist(so3_plus_so3, (0, 1, 3, 4), ONE), str(path))
+        code, out, err = run(capsys, "cohomology", str(path), "--max-degree", "2")
+        expected = {"error": "D maps cochain #0 of degree 1 (KerForm((1)·e2)) "
+                             "outside the degree-2 cochain space",
+                    "kind": "cochain-escape", "schema": 1}
+        assert code == 1 and err == ""
+        assert json.loads(out) == expected and out == dumps_canonical(expected)
+
     def test_polynomial_truncated(self, capsys, std2_file):
         code, out, _ = run(capsys, "cohomology", std2_file, "--max-degree", "2",
                            "--truncate", "1")
@@ -360,6 +374,21 @@ class TestErrorExits:
         assert code == 3 and out == ""
         assert "internal error" in err and "Traceback" in err
         assert "an internal defect" in err
+
+    def test_exact_error_is_an_internal_error(self, capsys, monkeypatch,
+                                              std2_file):
+        # no input reaches an ExactError, so one that escapes is a bug
+        import courantkit.cli as cli
+        from courantkit.exact import ExactError
+
+        def broken(*args, **kwargs):
+            raise ExactError("matrix is singular")
+
+        monkeypatch.setattr(cli, "check_axioms", broken)
+        code, out, err = run(capsys, "verify", std2_file)
+        assert code == 3 and out == ""
+        assert "internal error" in err and "Traceback" in err
+        assert "ExactError: matrix is singular" in err
 
     def test_rank_mismatch_is_an_internal_error(self, capsys, monkeypatch,
                                                 std2_file):

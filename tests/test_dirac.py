@@ -21,6 +21,7 @@ from courantkit.dirac import (
 )
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
 from courantkit.kerforms import basis_wedge_form
+from courantkit.rand import rand_scalar, rand_section
 from courantkit.structure import AlgebroidSpec, Section, SpecInvariantError
 from courantkit.twist import make_point, twist_bracket
 
@@ -38,6 +39,30 @@ class TestSubbundle:
         # 2×2 minor is the nonzero polynomial x1 − 2
         sub = Subbundle(std1, [Section.make([x(0) - 2, ZERO]), Section.basis(1, 2)])
         assert sub.dim == 2
+
+    def test_independence_against_minors(self, std3):
+        # Subbundle takes one determinant, det(M·Mᵀ); the oracle tries every
+        # g×g minor.  Half the sets repeat a generator times a polynomial
+        # (g₂ = f·g₁); random polynomial sections mostly have no constant block
+        from oracles import independent_by_minors
+
+        rng = random.Random(23)
+        seen = {"dependent": 0, "blockless": 0}
+        for _ in range(40):
+            gens = [rand_section(rng, std3, 2) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                gens.insert(rng.randrange(1, len(gens) + 1),
+                            gens[0].scale(rand_scalar(rng, 3, 2)))
+            independent = independent_by_minors(gens)
+            try:
+                sub = Subbundle(std3, gens)
+            except SpecInvariantError as exc:
+                assert not independent and "dependent" in str(exc)
+                seen["dependent"] += 1
+                continue
+            assert independent
+            seen["blockless"] += sub._block is None
+        assert seen["dependent"] >= 10 and seen["blockless"] >= 10, seen
 
     def test_membership_through_constant_block(self, std2):
         sub = Subbundle(std2, [Section.basis(2, 4), Section.basis(3, 4)])

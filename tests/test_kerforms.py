@@ -62,6 +62,18 @@ class TestRhoTilde:
         with pytest.raises(ValueError, match="degree"):
             rho_tilde(std2, zero_form(std2, 0))
 
+    def test_cancelled_component_is_dropped(self, std2):
+        # with anchor row 1 equal to row 0, the ∂1 ⊗ e2 terms of e0∧e2 and
+        # −e1∧e2 cancel: the sum leaves no entry, not a stored zero
+        from courantkit.structure import AlgebroidSpec
+
+        rows = [list(r) for r in std2.anchor.entries]
+        rows[1] = list(rows[0])
+        spec = AlgebroidSpec("polynomial", 2, 4, std2.gram, Matrix(rows), {})
+        alpha = basis_wedge_form(spec, (0, 2)) - basis_wedge_form(spec, (1, 2))
+        assert rho_tilde(spec, alpha) == {}
+        assert alpha.certified
+
 
 class TestKerformBasis:
     def test_point_full_exterior_power(self, split4):
