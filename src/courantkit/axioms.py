@@ -1,13 +1,16 @@
 """Executable axiom suites with failure witnesses.
 
-Every suite evaluates its axioms exactly, on all basis-section tuples, then
-on seeded random polynomial sections and functions.  Lemma C: symmetric-part
-and invariance read basis tuples only, since a defect ℚ[x]-linear in every
-slot vanishes once it vanishes on the basis, and basis tuples come first in
-the tuple order, so a failure shows first on a basis tuple, its witness.
-Jacobi, Leibniz and anchor-morphism are not tensorial: std2 with anchor
-entry (2, 0) set to 1 has ρ∘D₀ ≠ 0 and fails anchor-morphism on random
-pairs only.
+Every suite evaluates its axioms exactly, on all basis-section tuples, then,
+unless a lemma makes a finite set decide the axiom, on seeded random
+polynomial sections and functions.  Lemma C: symmetric-part and invariance
+read basis tuples only, since a defect ℚ[x]-linear in every slot vanishes
+once it vanishes on the basis, and basis tuples come first in the tuple
+order, so a failure shows first on a basis tuple, its witness.  Lemma L:
+the Leibniz defect is a first-order operator that vanishes when f = 1, so
+leibniz reads basis pairs times the functions 1, x1, …, xn only (the proof
+is in _ax_leibniz).  Jacobi and anchor-morphism are not tensorial: std2
+with anchor entry (2, 0) set to 1 has ρ∘D₀ ≠ 0 and fails anchor-morphism
+on random pairs only.
 
 A check passes only when the defect is identically zero as a canonical
 Scalar/Section; failures carry the full input tuple and the exact defect.
@@ -34,8 +37,7 @@ one of rho_apply(spec, ψ, f) keyed by (ψ, f).  Every checker reads the
 bracket and ρ through them, the Jacobiator and the anchor-morphism defect
 included, so each distinct argument tuple is evaluated once per call.  Keys
 are the exact ordered arguments, never filled from skewness or any other
-property under test.  Leibniz's [φ, f·ψ] bypasses the table: its argument
-pairs do not repeat within a call, so a table would only hold them.
+property under test; Leibniz's [φ, 1·ψ] is the key (φ, ψ).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from courantkit.exact import Scalar
+from courantkit.exact import ONE, Scalar
 from courantkit.kerforms import (
     KerForm,
     UncertifiedFormError,
@@ -254,14 +256,20 @@ def _ax_twist_closed(spec: AlgebroidSpec, pool: _Pool, br: Callable,
 
 def _ax_leibniz(spec: AlgebroidSpec, pool: _Pool, br: Callable,
                 rho: Callable) -> dict | None:
-    # [φ,ψ] rides along unnamed; [φ,f·ψ] never repeats, so it is not tabled
+    """Lemma L: L(φ,f,ψ) = [φ,f·ψ] − ρ(φ)f·ψ − f·[φ,ψ] vanishes on every
+    tuple once it vanishes on (eᵢ, xᵥ, eⱼ).  Write φ = a·eᵢ, ψ = b·eⱼ.  By
+    the bracket's two extension rules L is ℚ-trilinear in (a, f, b) with
+    ℚ[x] coefficients and total order ≤ 1: L = c⁰·afb + c¹·(∂a)fb +
+    c²·a(∂f)b + c³·af(∂b).  L(φ,1,ψ) = [φ,ψ] − 0 − [φ,ψ] = 0 for every φ, ψ,
+    so c⁰ = c¹ = c³ = 0, and L(eᵢ,xᵥ,eⱼ) = c²ᵢⱼᵥ.  f = 1 leads each pair,
+    so a point base still evaluates every basis pair."""
+    functions = [ONE] + [Scalar.variable(v) for v in range(spec.nvars)]
     return first_failure(
-        ((phi, f, psi, br(phi, psi)) for phi, psi in pool.pairs()
-         for f in pool.functions),
+        ((phi, f, psi) for phi, psi in itertools.product(pool.basis, repeat=2)
+         for f in functions),
         ("phi", "f", "psi"),
-        lambda phi, f, psi, phi_psi: (bracket(spec, phi, psi.scale(f))
-                                      - psi.scale(rho(phi, f))
-                                      - phi_psi.scale(f)))
+        lambda phi, f, psi: (br(phi, psi.scale(f)) - psi.scale(rho(phi, f))
+                             - br(phi, psi).scale(f)))
 
 
 def _ax_symmetric_part(spec: AlgebroidSpec, pool: _Pool, br: Callable,
@@ -404,7 +412,8 @@ def check_axioms(spec: AlgebroidSpec, suite: str,
     """Run one axiom suite; deterministic for a fixed seed.
 
     ``sections`` are extra caller-supplied test sections; ``samples`` random
-    polynomial sections of the given degree are always added.
+    polynomial sections of the given degree are always added.  Neither
+    reaches symmetric-part, invariance or leibniz, which read fixed tuples.
     """
     if suite not in SUITES:
         raise UnknownSuiteError(

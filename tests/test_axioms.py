@@ -130,6 +130,93 @@ class TestPositive:
         assert check_axioms(bad, "strongly-anchored", seed=4).passed
 
 
+class TestLemmaL:
+    """leibniz reads basis pairs times (1, x1, …, xn) only; these tests cover
+    what that drops and where the finite set stops deciding the rule."""
+
+    FIXTURES = ["so3", "split4", "hyperbolic4", "so3_plus_so3", "sl3", "std1",
+                "std2", "std3", "std4", "std2_frame", "ctwist4"]
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_dense_leibniz_defect_vanishes(self, request, name):
+        # the rule the basis set decides, on random polynomial sections and
+        # functions through the dense bracket and anchor
+        import random
+
+        from oracles import dense_anchor_apply, dense_bracket
+
+        from courantkit.rand import rand_scalar, rand_section
+        from courantkit.structure import apply_vector_field
+
+        spec = request.getfixturevalue(name)
+        rng = random.Random(20)
+        for _ in range(6):
+            phi, psi = rand_section(rng, spec, 2), rand_section(rng, spec, 2)
+            f = rand_scalar(rng, spec.nvars, 3)
+            rho_phi_f = apply_vector_field(dense_anchor_apply(spec, phi), f)
+            defect = (dense_bracket(spec, phi, psi.scale(f))
+                      - psi.scale(rho_phi_f)
+                      - dense_bracket(spec, phi, psi).scale(f))
+            assert defect.is_zero(), (phi, f, psi)
+
+    @staticmethod
+    def mutated(monkeypatch, extra):
+        """Patch the bracket check_axioms reads to bracket + extra(φ, ψ)."""
+        import courantkit.axioms as axioms
+        from courantkit.structure import bracket
+
+        monkeypatch.setattr(
+            axioms, "bracket",
+            lambda spec, phi, psi: bracket(spec, phi, psi) + extra(spec, phi, psi))
+
+    @staticmethod
+    def right_rule(spec, phi, psi):
+        """Σⱼ ρ(φ)[gⱼ]·eⱼ for ψ = Σⱼ gⱼeⱼ."""
+        from oracles import dense_anchor_apply
+
+        from courantkit.structure import apply_vector_field
+
+        rho_phi = dense_anchor_apply(spec, phi)
+        return Section(tuple(apply_vector_field(rho_phi, g) for g in psi.coeffs))
+
+    @pytest.mark.parametrize("name,suite", [("ctwist4", "h-twisted"),
+                                            ("std2", "courant")])
+    def test_dropped_right_rule_fails_on_a_monomial(self, monkeypatch, request,
+                                                    name, suite):
+        # without the right rule L(e1, x1, e1) = −ρ(e1)x1·e1 = −e1
+        spec = request.getfixturevalue(name)
+        self.mutated(monkeypatch, lambda *a: -self.right_rule(*a))
+        e1 = Section.basis(0, spec.rank).to_text()
+        for seed in range(5):
+            checks = {c.axiom: c for c in check_axioms(spec, suite,
+                                                       seed=seed).checks}
+            assert checks["leibniz"].status == "fail"
+            assert checks["leibniz"].witness == {
+                "inputs": {"phi": e1, "f": "x1", "psi": e1},
+                "defect": (-Section.basis(0, spec.rank)).to_text()}
+
+    def test_order_two_term_escapes_the_monomial_set(self, monkeypatch, std2):
+        # where Lemma L stops: + Σⱼ ∂₁²gⱼ·eⱼ is second order, vanishes on
+        # every f of degree ≤ 1, and shows only on a degree-2 function
+        import courantkit.axioms as axioms
+        from courantkit.structure import rho_apply
+
+        def second_derivative(spec, phi, psi):
+            return Section(tuple(g.partial(0).partial(0) for g in psi.coeffs))
+
+        self.mutated(monkeypatch, second_derivative)
+        for seed in range(5):
+            checks = {c.axiom: c.status for c in check_axioms(
+                std2, "courant", seed=seed).checks}
+            assert checks["leibniz"] == "pass"
+        e1 = Section.basis(0, 4)
+        f = x(0) * x(0)
+        defect = (axioms.bracket(std2, e1, e1.scale(f))
+                  - e1.scale(rho_apply(std2, e1, f))
+                  - axioms.bracket(std2, e1, e1).scale(f))
+        assert defect == e1.scale(Scalar.rational(2))
+
+
 class TestErrors:
     def test_unknown_suite(self, so3):
         with pytest.raises(UnknownSuiteError, match="unknown suite"):
@@ -315,11 +402,11 @@ class TestCallTables:
         return counts
 
     def test_ct4_h_twisted_evaluates_few_tuples(self, monkeypatch, ctwist4):
-        # without the tables the suite makes 4,855 bracket and 1,008 ρ
-        # evaluations; with them 690 and 98
+        # without the tables the suite makes 4,900 bracket and 832 ρ
+        # evaluations; with them 429 and 48
         counts = self.counting(monkeypatch)
         assert check_axioms(ctwist4, "h-twisted", seed=0).passed
-        assert counts["bracket"] <= 700 and counts["rho_apply"] <= 100
+        assert counts["bracket"] <= 430 and counts["rho_apply"] <= 50
         # nothing outlives the call: a second call evaluates as much again
         first = dict(counts)
         check_axioms(ctwist4, "h-twisted", seed=0)
