@@ -21,18 +21,18 @@ for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 so3 = make_point(3, Matrix.identity(3), table)
 
 print("== so(3), untwisted suite ==")
-report = check_axioms(so3, "courant", seed=0)
+report = check_axioms(so3, "courant")
 for check in report.checks:
     print(f"  {check.axiom:16s} {check.status}")
 
 print("\n== standard split bundle over Q[x1,x2] ==")
 std2 = make_standard(2)
-report = check_axioms(std2, "courant", seed=0)
+report = check_axioms(std2, "courant")
 print("  all axioms pass:", report.passed)
 
 # The ring/module suites run on the same data.
 for suite in ("courant-dorfman", "sa-courant-dorfman", "lie-rinehart"):
-    report = check_axioms(std2, suite, seed=0)
+    report = check_axioms(std2, suite)
     verdict = "pass" if report.passed else f"fails {report.failing()}"
     print(f"  suite {suite:22s} {verdict}")
 print("  (the bracket is not skew on polynomial sections, so the")
@@ -44,7 +44,7 @@ from courantkit.structure import AlgebroidSpec
 bad_table = dict(table)
 bad_table[(0, 1)] = Section.make([1, 0, 1])   # [e1,e2] := e1 + e3
 bad = AlgebroidSpec("point", 0, 3, Matrix.identity(3), None, bad_table)
-report = check_axioms(bad, "courant", seed=0)
+report = check_axioms(bad, "courant")
 failing = [c for c in report.checks if c.status == "fail"][0]
 print("  first failing axiom:", failing.axiom)
 print("  witness:", json.dumps(failing.witness, sort_keys=True))

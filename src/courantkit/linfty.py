@@ -23,10 +23,13 @@ act(l2, x, v) and l3(l2, x, y, z), so whichever l2 map a caller supplies is
 the one both of them see.
 
 verify_linfty checks the five defining equations exactly on basis tuples and
-seeded random tuples; all five pass precisely when the underlying structure
-satisfies its axiom suite.  Each call evaluates l2 once per distinct ordered
-pair and l3 once per distinct ordered triple, through two tables keyed by
-the exact argument values that the call owns and drops when it returns.
+seeded random tuples.  The twisted packaging reads the pairing only through
+D and H̃, so its equations can pass where the axiom suite fails: split4
+twisted by e1∧e2∧e3 with Gram entry (0, 0) set to 2 fails h-twisted's
+invariance (over a point D = 0) and passes every equation.  Each call
+evaluates l2 once per distinct ordered pair and l3 once per distinct ordered
+triple, through two tables keyed by the exact argument values that the call
+owns and drops when it returns.
 """
 
 from __future__ import annotations

@@ -177,6 +177,16 @@ def corrupt_gram(spec, i, value):
                          _twist_coeffs(spec), spec.kind)
 
 
+def corrupt_anchor(spec, i, j, value):
+    """Set one anchor entry of an untwisted polynomial structure."""
+    from courantkit.structure import AlgebroidSpec
+
+    rows = [list(row) for row in spec.anchor.entries]
+    rows[i][j] = value
+    return AlgebroidSpec(spec.ring, spec.nvars, spec.rank, spec.gram,
+                         Matrix(rows), dict(spec.bracket_table), None, spec.kind)
+
+
 def corrupt_twist(spec, key, value):
     from courantkit.structure import AlgebroidSpec
 

@@ -23,7 +23,9 @@ checks:
     pivoting elimination instead of Descartes' rule on the characteristic
     polynomial;
   * a frame change builds the moved structure's table through the dense
-    bracket and T⁻¹ instead of through the kernel's bracket.
+    bracket and T⁻¹ instead of through the kernel's bracket;
+  * Lemma A's complete sets enumerate every exponent vector up to the
+    degree bound, where the axiom suites build each row's own finite set.
 """
 
 from __future__ import annotations
@@ -283,6 +285,30 @@ def dense_bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
                     if not ck.is_zero():
                         out[k] = out[k] + gram_pair * ck
     return Section(tuple(out))
+
+
+def monomial_tuples(spec: AlgebroidSpec, kinds: str, k: int):
+    """Lemma A's complete set: every tuple whose entries are x^β·eᵢ (kind
+    "s") or x^β (kind "f") with Σ|β| ≤ k over the tuple, by total degree.
+    A multilinear operator of total order ≤ k vanishes iff it vanishes on
+    every such tuple."""
+    monomials = []
+    for beta in itertools.product(range(k + 1), repeat=spec.nvars):
+        if sum(beta) <= k:
+            m = Scalar.rational(1)
+            for v, power in enumerate(beta):
+                for _ in range(power):
+                    m = m * Scalar.variable(v)
+            monomials.append((sum(beta), m))
+    weights = sorted((ms for ms in itertools.product(monomials, repeat=len(kinds))
+                      if sum(d for d, _ in ms) <= k),
+                     key=lambda ms: sum(d for d, _ in ms))
+    basis = spec.basis_sections()
+    for ms in weights:
+        for slots in itertools.product(*(basis if kind == "s" else [None]
+                                         for kind in kinds)):
+            yield tuple(m if e is None else e.scale(m)
+                        for (_, m), e in zip(ms, slots))
 
 
 # -- inertia and frame changes ----------------------------------------------------

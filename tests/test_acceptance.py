@@ -71,7 +71,7 @@ def test_criterion_1_axiom_suites(so3, std1, std2, std3):
         for name, spec in (("so3", so3), ("standard1", std1),
                            ("standard2", std2), ("standard3", std3)):
             start = time.monotonic()
-            report = check_axioms(spec, "courant", seed=0)
+            report = check_axioms(spec, "courant")
             assert report.passed, (name, report.failing())
             assert time.monotonic() - start < 10.0, name
 
@@ -81,7 +81,7 @@ def test_criterion_2_rank_four_twists(split4):
     with criterion(2, "every rank-4 twist is admissible (50 seeds)", 60.0):
         twists = _random_b_twists(split4, 50)
         for i, (b, twisted) in enumerate(twists):
-            report = check_axioms(twisted, "h-twisted", seed=i, samples=2)
+            report = check_axioms(twisted, "h-twisted")
             assert report.passed, (i, report.failing())
             assert integrability_defect(split4, b).is_zero(), i
 
@@ -107,11 +107,11 @@ def test_criterion_4_nontrivial_twisted_fixture(std4, ctwist4):
         expected_twist = pullback(std4, {(0, 1, 2, 3): ONE}, 4)
         assert ctwist4.twist == KerForm(ctwist4, 4, expected_twist.coeffs)
         assert not ctwist4.twist.is_zero()
-        assert check_axioms(ctwist4, "h-twisted", seed=0).passed
+        assert check_axioms(ctwist4, "h-twisted").passed
         basis = ctwist4.basis_sections()
         assert jacobiator(ctwist4, basis[0], basis[1], basis[2]) == \
             Section.basis(7, 8)
-        courant = check_axioms(ctwist4, "courant", seed=0)
+        courant = check_axioms(ctwist4, "courant")
         jac = next(c for c in courant.checks if c.axiom == "jacobi")
         assert jac.status == "fail" and jac.witness is not None
 
@@ -226,7 +226,7 @@ def test_criterion_9_negative_controls(so3, std2, split4, ctwist4):
         flips = []
 
         def expect_flip(spec, suite, label):
-            report = check_axioms(spec, suite, seed=1)
+            report = check_axioms(spec, suite)
             assert not report.passed, label
             flips.append((label, report.failing()))
 

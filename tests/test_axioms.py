@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import corrupt_bracket, corrupt_gram, corrupt_twist, sec
+from conftest import corrupt_anchor, corrupt_bracket, corrupt_gram, corrupt_twist, sec
 
 from courantkit.axioms import (
     SUITES,
@@ -21,24 +21,24 @@ x = Scalar.variable
 
 class TestPositive:
     def test_so3_courant(self, so3):
-        report = check_axioms(so3, "courant", seed=1)
+        report = check_axioms(so3, "courant")
         assert report.passed, report.failing()
 
     @pytest.mark.parametrize("fixture", ["std1", "std2", "std3"])
     def test_standard_courant(self, fixture, request):
         spec = request.getfixturevalue(fixture)
-        report = check_axioms(spec, "courant", seed=1)
+        report = check_axioms(spec, "courant")
         assert report.passed, report.failing()
 
     def test_standard_strongly_anchored(self, std2):
-        assert check_axioms(std2, "strongly-anchored", seed=1).passed
+        assert check_axioms(std2, "strongly-anchored").passed
 
     def test_ctwist_h_twisted(self, ctwist4):
-        report = check_axioms(ctwist4, "h-twisted", seed=1)
+        report = check_axioms(ctwist4, "h-twisted")
         assert report.passed, report.failing()
 
     def test_ctwist_courant_fails_jacobi_with_witness(self, ctwist4):
-        report = check_axioms(ctwist4, "courant", seed=1)
+        report = check_axioms(ctwist4, "courant")
         assert not report.passed
         failing = {c.axiom: c for c in report.checks if c.status == "fail"}
         assert "jacobi" in failing
@@ -49,24 +49,24 @@ class TestPositive:
         for spec in (so3, std2):
             for suite in ("courant-dorfman", "almost-courant-dorfman",
                           "sa-courant-dorfman"):
-                report = check_axioms(spec, suite, seed=2)
+                report = check_axioms(spec, suite)
                 assert report.passed, (suite, report.failing())
 
     def test_h_twisted_cd(self, ctwist4):
-        report = check_axioms(ctwist4, "h-twisted-cd", seed=2)
+        report = check_axioms(ctwist4, "h-twisted-cd")
         assert report.passed, report.failing()
 
     def test_lie_rinehart_on_lie_algebra(self, so3):
-        assert check_axioms(so3, "lie-rinehart", seed=1).passed
+        assert check_axioms(so3, "lie-rinehart").passed
 
     def test_lie_rinehart_fails_on_dorfman(self, std2):
         # the bracket is not skew on polynomial sections
-        report = check_axioms(std2, "lie-rinehart", seed=1)
+        report = check_axioms(std2, "lie-rinehart")
         assert "antisymmetry" in report.failing()
 
     def test_zero_twist_h_suite(self, std2):
         twisted = twist_bracket(std2, zero_form(std2, 3))
-        report = check_axioms(twisted, "h-twisted", seed=1)
+        report = check_axioms(twisted, "h-twisted")
         assert report.passed, report.failing()
 
     def test_point_twist_with_nonzero_curvature_cd_suite(self):
@@ -88,46 +88,34 @@ class TestPositive:
         twisted = twist_bracket(ab5, b)
         assert not twisted.twist.is_zero()
         for suite in ("h-twisted", "h-twisted-cd"):
-            report = check_axioms(twisted, suite, seed=3)
+            report = check_axioms(twisted, suite)
             assert report.passed, (suite, report.failing())
 
-    def test_random_sections_are_load_bearing(self, std2):
-        # a polynomial anchor corruption is invisible to every basis-tuple
-        # check (the zero bracket table hides it) and only surfaces on
-        # non-constant sections — randomised or caller-supplied
-        from courantkit.exact import Matrix, ZERO
-        from courantkit.structure import AlgebroidSpec
+    def test_polynomial_anchor_corruption_fails_on_finite_sets(self, std2):
+        # ρ(e1) = ∂1 + x2·∂2 is invisible to every tensorial check (the zero
+        # bracket table hides it); A(e1, e2) = ρ[e1,e2] − [ρe1, ρe2] = ∂2 ≠ 0
+        # on a basis pair, so Jacobi fails on (e1, e2, x2·e1) by
+        # Jac(a,b,f·c) = f·Jac − A(a,b)f·c
+        bad = corrupt_anchor(std2, 0, 1, x(1))
+        e1, e2 = (Section.basis(i, 4).to_text() for i in (0, 1))
+        checks = {c.axiom: c for c in check_axioms(bad, "courant").checks}
+        assert [a for a, c in checks.items() if c.status == "fail"] == ["jacobi"]
+        assert checks["jacobi"].witness == {
+            "inputs": {"phi": e1, "psi1": e2, "psi2": ["x2", "0", "0", "0"]},
+            "defect": ["-1", "0", "0", "0"]}
+        checks = {c.axiom: c for c in check_axioms(bad, "strongly-anchored").checks}
+        assert checks["anchor-morphism"].witness == {
+            "inputs": {"phi": e1, "psi": e2}, "defect": ["0", "1"]}
 
-        rows = [list(r) for r in std2.anchor.entries]
-        rows[0][1] = x(1)
-        bad = AlgebroidSpec("polynomial", 2, 4, std2.gram, Matrix(rows), {})
-        assert check_axioms(bad, "courant", seed=0, samples=0).passed
-        assert "jacobi" in check_axioms(bad, "courant", seed=0,
-                                        samples=3).failing()
-        revealing = Section.make([x(1), ZERO, ZERO, ZERO])
-        report = check_axioms(bad, "courant", sections=[revealing],
-                              seed=0, samples=0)
-        assert "jacobi" in report.failing()
-        # the anchor-morphism axiom sees it on basis pairs directly
-        assert "anchor-morphism" in check_axioms(
-            bad, "strongly-anchored", seed=0, samples=0).failing()
-
-    def test_anchor_morphism_needs_random_sections(self, std2):
-        # where the basis-tuple shortcut stops: with anchor entry (2, 0) set
-        # to 1, ρ∘D₀ ≠ 0, so the anchor-morphism defect is not tensorial and
-        # is zero on every basis pair but not on random polynomial ones
-        from courantkit.exact import Matrix
-        from courantkit.structure import AlgebroidSpec
-
-        rows = [list(r) for r in std2.anchor.entries]
-        rows[2][0] = ONE
-        bad = AlgebroidSpec("polynomial", 2, 4, std2.gram, Matrix(rows), {})
-        assert check_axioms(bad, "strongly-anchored", seed=0,
-                            samples=0).passed
-        for seed in range(4):
-            assert check_axioms(bad, "strongly-anchored",
-                                seed=seed).failing() == ["anchor-morphism"]
-        assert check_axioms(bad, "strongly-anchored", seed=4).passed
+    def test_anchor_morphism_fails_on_a_degree_one_pair(self, std2):
+        # with anchor entry (2, 0) set to 1, ρ∘D₀ ≠ 0: A is zero on every
+        # basis pair, and A(x1·e1, e3) = ⟨e1,e3⟩·ρ(D₀x1) = 2·∂1
+        bad = corrupt_anchor(std2, 2, 0, ONE)
+        report = check_axioms(bad, "strongly-anchored")
+        assert report.failing() == ["anchor-morphism"]
+        assert report.checks[0].witness == {
+            "inputs": {"phi": ["x1", "0", "0", "0"], "psi": ["0", "0", "1", "0"]},
+            "defect": ["2", "0"]}
 
 
 class TestLemmaL:
@@ -187,13 +175,11 @@ class TestLemmaL:
         spec = request.getfixturevalue(name)
         self.mutated(monkeypatch, lambda *a: -self.right_rule(*a))
         e1 = Section.basis(0, spec.rank).to_text()
-        for seed in range(5):
-            checks = {c.axiom: c for c in check_axioms(spec, suite,
-                                                       seed=seed).checks}
-            assert checks["leibniz"].status == "fail"
-            assert checks["leibniz"].witness == {
-                "inputs": {"phi": e1, "f": "x1", "psi": e1},
-                "defect": (-Section.basis(0, spec.rank)).to_text()}
+        checks = {c.axiom: c for c in check_axioms(spec, suite).checks}
+        assert checks["leibniz"].status == "fail"
+        assert checks["leibniz"].witness == {
+            "inputs": {"phi": e1, "f": "x1", "psi": e1},
+            "defect": (-Section.basis(0, spec.rank)).to_text()}
 
     def test_order_two_term_escapes_the_monomial_set(self, monkeypatch, std2):
         # where Lemma L stops: + Σⱼ ∂₁²gⱼ·eⱼ is second order, vanishes on
@@ -205,16 +191,202 @@ class TestLemmaL:
             return Section(tuple(g.partial(0).partial(0) for g in psi.coeffs))
 
         self.mutated(monkeypatch, second_derivative)
-        for seed in range(5):
-            checks = {c.axiom: c.status for c in check_axioms(
-                std2, "courant", seed=seed).checks}
-            assert checks["leibniz"] == "pass"
+        checks = {c.axiom: c.status for c in check_axioms(std2, "courant").checks}
+        assert checks["leibniz"] == "pass"
         e1 = Section.basis(0, 4)
         f = x(0) * x(0)
         defect = (axioms.bracket(std2, e1, e1.scale(f))
                   - e1.scale(rho_apply(std2, e1, f))
                   - axioms.bracket(std2, e1, e1).scale(f))
         assert defect == e1.scale(Scalar.rational(2))
+
+
+def dense_rows(spec):
+    """Each row's defect through the dense oracles, with the kinds of its
+    slots for oracles.monomial_tuples: "s" a section, "f" a function."""
+    from functools import lru_cache
+
+    from oracles import (
+        _vf_apply,
+        dense_anchor_apply,
+        dense_bracket,
+        dense_pairing,
+        gram_solve_split,
+    )
+    from courantkit.structure import d0
+
+    br = lru_cache(maxsize=None)(lambda a, b: dense_bracket(spec, a, b))
+    pr = lambda a, b: dense_pairing(spec, a, b)
+    rho = lambda a, f: _vf_apply(dense_anchor_apply(spec, a), f)
+
+    def jacobi(a, b, c):
+        return br(a, br(b, c)) - br(br(a, b), c) - br(b, br(a, c))
+
+    def anchor_morphism(a, b):
+        ra, rb = dense_anchor_apply(spec, a), dense_anchor_apply(spec, b)
+        return tuple(r - _vf_apply(ra, v) + _vf_apply(rb, u) for r, u, v in
+                     zip(dense_anchor_apply(spec, br(a, b)), ra, rb))
+
+    def anchor_action(a, b, f):
+        return rho(br(a, b), f) - rho(a, rho(b, f)) + rho(b, rho(a, f))
+
+    rows = {
+        "jacobi": ("sss", jacobi),
+        "leibniz": ("sfs", lambda a, f, b: (br(a, b.scale(f)) - b.scale(rho(a, f))
+                                            - br(a, b).scale(f))),
+        "symmetric-part": ("ss", lambda a, b: (br(a, b) + br(b, a)
+                                               - d0(spec, pr(a, b)))),
+        "invariance": ("sss", lambda a, b, c: (rho(a, pr(b, c)) - pr(br(a, b), c)
+                                               - pr(b, br(a, c)))),
+        "anchor-morphism": ("ss", anchor_morphism),
+        "derivation-bracket": ("fs", lambda f, a: br(d0(spec, f), a)),
+        "derivation-isotropy": ("ff", lambda f, g: pr(d0(spec, f), d0(spec, g))),
+        "anchor-representation": ("ssf", anchor_action),
+        "anchor-compatibility": ("ssf", anchor_action),
+        "antisymmetry": ("ss", lambda a, b: br(a, b) + br(b, a)),
+        "jacobi-cyclic": ("sss", lambda a, b, c: (br(a, br(b, c)) + br(b, br(c, a))
+                                                  + br(c, br(a, b)))),
+    }
+    if spec.twist is not None:
+        h = gram_solve_split(spec, spec.twist)
+        rows["twisted-jacobi"] = ("sss", lambda a, b, c: jacobi(a, b, c) - h(a, b, c))
+    return rows
+
+
+class TestFiniteSets:
+    """Every row decides its axiom on its finite set: each verdict equals the
+    ground truth of Lemma A at degree 2 (every defect here has total order
+    ≤ 2), computed through the dense oracles, and the structures that
+    seeded random sections let pass fail with a witness of degree ≤ 2."""
+
+    @staticmethod
+    def structure(request, name):
+        from courantkit.kerforms import basis_wedge_form
+        from courantkit.twist import twist_bracket
+
+        std2, std3 = (request.getfixturevalue(n) for n in ("std2", "std3"))
+        split4 = request.getfixturevalue("split4")
+        zero_twisted = twist_bracket(std2, zero_form(std2, 3))
+        return {
+            "std2+rho": lambda: corrupt_anchor(std2, 2, 0, ONE),
+            "std3 anchor (1,2) x1": lambda: corrupt_anchor(std3, 1, 2, x(0)),
+            "std3 anchor (4,1) x3": lambda: corrupt_anchor(std3, 4, 1, x(2)),
+            "std2 gram x1": lambda: corrupt_gram(std2, 0, x(0)),
+            "std2 bracket (1,2) x2*e3": lambda: corrupt_bracket(
+                std2, 0, 1, Section.basis(2, 4).scale(x(1))),
+            "std2 bracket (3,3) e2": lambda: corrupt_bracket(
+                std2, 2, 2, Section.basis(1, 4)),
+            "std3 bracket (1,5) x2*e6": lambda: corrupt_bracket(
+                std3, 0, 4, Section.basis(5, 6).scale(x(1))),
+            "split4 twisted": lambda: twist_bracket(
+                split4, basis_wedge_form(split4, (0, 1, 2))),
+            "std2 zero twist": lambda: zero_twisted,
+            "std2 zero twist, gram x1": lambda: corrupt_gram(zero_twisted, 0, x(0)),
+            "std2 skew [e1,.]": lambda: skew_left_e1(std2),
+        }.get(name, lambda: request.getfixturevalue(name))()
+
+    @pytest.mark.parametrize("name", [
+        "std1", "std2", "std3", "so3", "split4", "std2+rho",
+        "std3 anchor (1,2) x1", "std3 anchor (4,1) x3", "std2 gram x1",
+        "std2 bracket (1,2) x2*e3", "std2 bracket (3,3) e2",
+        "std3 bracket (1,5) x2*e6", "split4 twisted", "std2 zero twist",
+        "std2 zero twist, gram x1", "std2 skew [e1,.]"])
+    def test_every_row_matches_degree_two_ground_truth(self, request, name):
+        from oracles import monomial_tuples
+
+        spec = self.structure(request, name)
+        rows, truth = dense_rows(spec), {}
+        for suite in SUITES:
+            if spec.twist is None and suite in ("h-twisted", "h-twisted-cd"):
+                continue
+            for check in check_axioms(spec, suite).checks:
+                if check.axiom not in rows:
+                    continue  # the twist rows read the twist, no tuples
+                if check.axiom not in truth:
+                    kinds, defect = rows[check.axiom]
+                    truth[check.axiom] = first_failure(
+                        monomial_tuples(spec, kinds, 2), kinds, defect) is None
+                assert (check.status == "pass") == truth[check.axiom], (
+                    suite, check.axiom)
+
+    def test_std2_rho_fails_jacobi_on_a_degree_two_triple(self, std2):
+        # A(x1·e1, e3) = 2·∂1, so Jac(x1·e1, e3, x1·e1) = −2·e1
+        bad = corrupt_anchor(std2, 2, 0, ONE)
+        checks = {c.axiom: c for c in check_axioms(bad, "courant").checks}
+        assert [a for a, c in checks.items() if c.status == "fail"] == ["jacobi"]
+        x1e1 = ["x1", "0", "0", "0"]
+        assert checks["jacobi"].witness == {
+            "inputs": {"phi": x1e1, "psi1": ["0", "0", "1", "0"], "psi2": x1e1},
+            "defect": ["-2", "0", "0", "0"]}
+
+    def test_std2_lie_rinehart_fails_antisymmetry_by_d0(self, std2):
+        # [x1·e1, e3] + [e3, x1·e1] = ⟨e1,e3⟩·D₀x1 = e3
+        checks = {c.axiom: c for c in check_axioms(std2, "lie-rinehart").checks}
+        assert checks["antisymmetry"].witness == {
+            "inputs": {"phi": ["x1", "0", "0", "0"], "psi": ["0", "0", "1", "0"]},
+            "defect": ["0", "0", "1", "0"]}
+
+    def test_ctwist_polynomial_gram_fails_twisted_jacobi(self, ctwist4):
+        # invariance fails on basis tuples, so twisted Jacobi reads the
+        # triples with one variable in slot b or a
+        bad = corrupt_gram(ctwist4, 0, x(0))
+        checks = {c.axiom: c for c in check_axioms(bad, "h-twisted").checks}
+        e1 = Section.basis(0, 8)
+        assert checks["twisted-jacobi"].witness == {
+            "inputs": {"phi": e1.to_text(), "psi1": e1.scale(x(0)).to_text(),
+                       "psi2": e1.to_text()},
+            "defect": Section.basis(4, 8).to_text()}
+
+
+    def test_slot_a_excess_fails_jacobi(self, std2):
+        # [e1,·] gains ι_(·)(dx1∧dx2), skew for the pairing: invariance and
+        # A hold, S(e1,e1) = 2·e4, and the slot-b excess ⟨b,c⟩S(a,D₀f)
+        # vanishes, so only a variable in slot a reaches the failure:
+        # Jac(x1·e1, e1, e1) = (ρ(e1)x1)·S(e1,e1)
+        bad = skew_left_e1(std2)
+        checks = {c.axiom: c for c in check_axioms(bad, "courant").checks}
+        assert [a for a, c in checks.items() if c.status == "fail"] == [
+            "jacobi", "symmetric-part"]
+        e1 = ["1", "0", "0", "0"]
+        assert checks["jacobi"].witness == {
+            "inputs": {"phi": ["x1", "0", "0", "0"], "psi1": e1, "psi2": e1},
+            "defect": ["0", "0", "0", "2"]}
+
+    @pytest.mark.parametrize("name", ["std2 skew [e1,.]", "std2 gram x1",
+                                      "std2+rho"])
+    def test_slot_a_excess_identity(self, request, name):
+        # Jac(f·a,b,c) + Jac(b,f·a,c) − f·(Jac(a,b,c) + Jac(b,a,c))
+        #   = (ρ(c)f)S(a,b) − ⟨S(a,b),c⟩D₀f − ⟨a,b⟩T(f,c),
+        # through the dense oracles, on structures where S fails
+        from oracles import (
+            _vf_apply,
+            dense_anchor_apply,
+            dense_bracket,
+            dense_pairing,
+            monomial_tuples,
+        )
+        from courantkit.structure import d0
+
+        spec = self.structure(request, name)
+        br = lambda a, b: dense_bracket(spec, a, b)
+        jac = lambda a, b, c: br(a, br(b, c)) - br(br(a, b), c) - br(b, br(a, c))
+        for a, b, c, f in monomial_tuples(spec, "sssf", 1):
+            if f.is_rational():
+                continue
+            s_ab = br(a, b) + br(b, a) - d0(spec, dense_pairing(spec, a, b))
+            fa = a.scale(f)
+            excess = (jac(fa, b, c) + jac(b, fa, c)
+                      - (jac(a, b, c) + jac(b, a, c)).scale(f))
+            assert excess == (
+                s_ab.scale(_vf_apply(dense_anchor_apply(spec, c), f))
+                - d0(spec, f).scale(dense_pairing(spec, s_ab, c))
+                - br(d0(spec, f), c).scale(dense_pairing(spec, a, b))), (a, b, c, f)
+
+
+def skew_left_e1(std2):
+    """std2 with [e1,ψ] += ι_ψ(dx1∧dx2) on basis ψ: [e1,e1] = e4, [e1,e2] = −e3."""
+    return corrupt_bracket(corrupt_bracket(std2, 0, 0, Section.basis(3, 4)),
+                           0, 1, -Section.basis(2, 4))
 
 
 class TestErrors:
@@ -229,8 +401,9 @@ class TestErrors:
 
 class TestDeterminism:
     def test_same_seed_same_report(self, ctwist4):
-        a = check_axioms(ctwist4, "courant", seed=9).to_json()
-        b = check_axioms(ctwist4, "courant", seed=9).to_json()
+        # the suites sample nothing, so two calls give one report
+        a = check_axioms(ctwist4, "courant").to_json()
+        b = check_axioms(ctwist4, "courant").to_json()
         assert a == b
 
 
@@ -239,64 +412,65 @@ class TestNegativeControls:
 
     def test_so3_bracket_corruption(self, so3):
         bad = corrupt_bracket(so3, 0, 1, sec(1, 0, 1))
-        report = check_axioms(bad, "courant", seed=1)
+        report = check_axioms(bad, "courant")
         assert not report.passed
         assert report.failing()
 
     def test_so3_gram_corruption(self, so3):
         bad = corrupt_gram(so3, 0, Scalar.rational(2))
-        report = check_axioms(bad, "courant", seed=1)
+        report = check_axioms(bad, "courant")
         assert "invariance" in report.failing()
 
     def test_standard_bracket_corruption(self, std2):
         bad = corrupt_bracket(std2, 0, 2, Section.basis(3, 4))
-        report = check_axioms(bad, "courant", seed=1)
+        report = check_axioms(bad, "courant")
         assert "symmetric-part" in report.failing()
 
     def test_standard_gram_corruption_caught_by_basis_tuples(self, std2):
         # a polynomial diagonal entry keeps symmetry and the unit determinant
         # (so the file gate stays quiet); the tensorial checks fail on the
-        # basis tuple (e1, e1) without any random section
+        # basis tuple (e1, e1), and with them failing Jacobi reads the triples
+        # with one variable in slot b or a, failing on (e1, x1·e1, e1)
         bad = corrupt_gram(std2, 0, x(0))
         e1 = ["1", "0", "0", "0"]
-        checks = {c.axiom: c for c in check_axioms(bad, "courant", seed=1,
-                                                   samples=0).checks}
+        checks = {c.axiom: c for c in check_axioms(bad, "courant").checks}
         assert [a for a, c in checks.items() if c.status == "fail"] == [
-            "symmetric-part", "invariance"]
+            "jacobi", "symmetric-part", "invariance"]
         assert checks["symmetric-part"].witness["inputs"] == {
             "phi": e1, "psi": e1}
         assert checks["invariance"].witness["inputs"] == {
             "phi": e1, "psi1": e1, "psi2": e1}
-        assert "symmetric-part" in check_axioms(bad, "courant",
-                                                seed=1).failing()
+        assert checks["jacobi"].witness == {
+            "inputs": {"phi": e1, "psi1": ["x1", "0", "0", "0"], "psi2": e1},
+            "defect": ["0", "0", "1", "0"]}
 
     def test_standard_constant_gram_bump_stays_valid(self, std2):
         # a constant diagonal bump yields another genuinely valid structure:
         # the extension bracket adapts to the new pairing, so this is NOT a
         # usable negative control (documented, not a vacuous pass)
         good = corrupt_gram(std2, 0, ONE)
-        assert check_axioms(good, "courant", seed=1, samples=5).passed
+        assert check_axioms(good, "courant").passed
 
     def test_ctwist_twist_corruption(self, ctwist4):
         bad = corrupt_twist(ctwist4, (4, 5, 6, 7), ONE)
-        report = check_axioms(bad, "h-twisted", seed=1)
+        report = check_axioms(bad, "h-twisted")
         assert "twisted-jacobi" in report.failing()
 
     def test_ctwist_bracket_corruption(self, ctwist4):
         bad = corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
-        report = check_axioms(bad, "h-twisted", seed=1)
+        report = check_axioms(bad, "h-twisted")
         assert not report.passed
 
     def test_witness_carries_inputs_and_defect(self, so3):
         bad = corrupt_bracket(so3, 0, 1, sec(1, 0, 1))
-        report = check_axioms(bad, "courant", seed=1)
+        report = check_axioms(bad, "courant")
         failed = [c for c in report.checks if c.status == "fail"][0]
         assert set(failed.witness) == {"inputs", "defect"}
 
 
 class TestReportJson:
     def test_shape(self, so3):
-        doc = check_axioms(so3, "courant", seed=0).to_json()
+        doc = check_axioms(so3, "courant").to_json()
         assert doc["suite"] == "courant"
         assert doc["passed"] is True
         assert {c["axiom"] for c in doc["checks"]} == {
@@ -402,12 +576,12 @@ class TestCallTables:
         return counts
 
     def test_ct4_h_twisted_evaluates_few_tuples(self, monkeypatch, ctwist4):
-        # without the tables the suite makes 4,900 bracket and 832 ρ
-        # evaluations; with them 429 and 48
+        # without the tables the suite makes 4,964 bracket and 832 ρ
+        # evaluations; with them 412 and 48
         counts = self.counting(monkeypatch)
-        assert check_axioms(ctwist4, "h-twisted", seed=0).passed
-        assert counts["bracket"] <= 430 and counts["rho_apply"] <= 50
+        assert check_axioms(ctwist4, "h-twisted").passed
+        assert counts["bracket"] <= 415 and counts["rho_apply"] <= 50
         # nothing outlives the call: a second call evaluates as much again
         first = dict(counts)
-        check_axioms(ctwist4, "h-twisted", seed=0)
+        check_axioms(ctwist4, "h-twisted")
         assert counts == {name: 2 * n for name, n in first.items()}

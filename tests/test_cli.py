@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import STD2_FRAME
+from conftest import STD2_FRAME, corrupt_anchor
 
 from courantkit.cli import main
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
@@ -106,6 +106,21 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", ctwist_file, "--suite", "courant",
                          "--seed", "11")
         assert out1 == out2
+
+    def test_stdout_ignores_seed_degree_and_tuples(self, capsys, tmp_path,
+                                                   std2, ctwist_file):
+        # every row reads a finite set, so the sampling flags change nothing;
+        # std2 with anchor entry (2, 0) set to 1 passed both suites at some
+        # seeds when the rows sampled
+        path = str(tmp_path / "std2rho.json")
+        save_spec(corrupt_anchor(std2, 2, 0, ONE), path)
+        for argv in ([path, "--suite", "strongly-anchored"],
+                     [path, "--suite", "courant"],
+                     [ctwist_file, "--suite", "courant"]):
+            runs = {run(capsys, "verify", *argv, *flags) for flags in (
+                [], ["--seed", "4"], ["--seed", "1", "--degree", "3"],
+                ["--tuples", "8", "--degree", "3"])}
+            assert len(runs) == 1 and next(iter(runs))[0] == 1, argv
 
     def test_text_mode(self, capsys, so3_file):
         code, out, _ = run(capsys, "--text", "verify", so3_file,

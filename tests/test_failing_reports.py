@@ -1,8 +1,10 @@
 """Failing reports print exactly what they printed when pinned.
 
 Each pin is the list of failing checks and the SHA-256 of the report's
-canonical JSON at seed 0.  Witnesses depend on the order in which a check
-draws and evaluates its tuples, so these pins guard that order for every
+canonical JSON (at seed 0 for the homotopy packagings and the induced
+algebroid, which draw random sections; the axiom suites draw none).
+Witnesses depend on the order in which a check draws and evaluates its
+tuples, so these pins guard that order for every
 check that has a failing structure here: all eight suites, both homotopy
 packagings (every equation except ``values-in-v1``, which no structure here
 breaks) and the induced Dirac algebroid.
@@ -16,8 +18,10 @@ import pytest
 from conftest import corrupt_bracket, corrupt_twist, sec
 
 from courantkit.axioms import SUITES, check_axioms
+from courantkit.cli import main
 from courantkit.dirac import Subbundle, induced_htla
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
+from courantkit.fileio import save_spec
 from courantkit.kerforms import basis_wedge_form
 from courantkit.linfty import build_classical, build_twisted, verify_linfty
 from courantkit.structure import AlgebroidSpec, Section
@@ -70,17 +74,17 @@ class TestSuitePins:
     @pytest.mark.parametrize("suite", sorted(BRACKET_PINS))
     def test_corrupted_bracket(self, ctwist4, suite):
         bad = corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
-        assert_pinned(check_axioms(bad, suite, seed=0), *BRACKET_PINS[suite])
+        assert_pinned(check_axioms(bad, suite), *BRACKET_PINS[suite])
 
     @pytest.mark.parametrize("suite,failing,sha", [
         ("courant", ["jacobi"],
          "57eb143127bbbbc30380cd8478136d0efcd76ebb43e40aced6582a7380bf57b6"),
         ("lie-rinehart", ["antisymmetry", "jacobi-cyclic"],
-         "a12bfb8ae3c829ed1ca9451374dddfbd9183fc9e45cd05c18988c1a80e00cf86"),
+         "3551040aca48491f93b86f0dad4ceb99e232db035aa058de6c185718058202a0"),
     ])
     def test_twisted_structure_under_untwisted_suites(self, ctwist4, suite,
                                                      failing, sha):
-        assert_pinned(check_axioms(ctwist4, suite, seed=0), failing, sha)
+        assert_pinned(check_axioms(ctwist4, suite), failing, sha)
 
     @pytest.mark.parametrize("key,value,suite,failing,sha", [
         ((4, 5, 6, 7), ONE, "h-twisted", ["twisted-jacobi"],
@@ -95,7 +99,7 @@ class TestSuitePins:
     ])
     def test_corrupted_twist(self, ctwist4, key, value, suite, failing, sha):
         bad = corrupt_twist(ctwist4, key, value)
-        assert_pinned(check_axioms(bad, suite, seed=0), failing, sha)
+        assert_pinned(check_axioms(bad, suite), failing, sha)
 
 
 class TestLinftyPins:
@@ -161,8 +165,13 @@ class TestOneOrderSkewBreak:
                "defect": ["0", "0", "0", "0", "0", "0", "0", "-x1 + 1"]}
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_symmetric_part_witness(self, ctwist4, seed):
+    def test_symmetric_part_witness(self, ctwist4, tmp_path, capsys, seed):
+        # verify samples nothing, so every --seed prints this witness
         bad = corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
-        report = check_axioms(bad, "h-twisted", seed=seed)
-        check = next(c for c in report.checks if c.axiom == "symmetric-part")
-        assert (check.status, check.witness) == ("fail", self.WITNESS)
+        path = str(tmp_path / "bad.json")
+        save_spec(bad, path)
+        assert main(["verify", path, "--suite", "h-twisted",
+                     "--seed", str(seed)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        check = next(c for c in report["checks"] if c["axiom"] == "symmetric-part")
+        assert (check["status"], check["witness"]) == ("fail", self.WITNESS)

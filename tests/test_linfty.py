@@ -193,6 +193,20 @@ class TestVerify:
             assert basis <= set(triples)
             assert set(itertools.product(v0, data.v1_basis)) <= set(pairs)
 
+    def test_equations_miss_a_broken_invariance(self, split4):
+        # what the module docstring says the equations cannot see: over a
+        # point D = 0, and this Gram bump breaks invariance only
+        from conftest import corrupt_gram
+
+        from courantkit.axioms import check_axioms
+        from courantkit.kerforms import basis_wedge_form
+
+        twisted = twist_bracket(split4, basis_wedge_form(split4, (0, 1, 2)))
+        bad = corrupt_gram(twisted, 0, Scalar.rational(2))
+        assert check_axioms(bad, "h-twisted").failing() == ["invariance"]
+        for seed in range(5):
+            assert verify_linfty(build_twisted(bad), seed=seed).passed, seed
+
     def test_determinism(self, ctwist4):
         a = verify_linfty(build_twisted(ctwist4), seed=7).to_json()
         b = verify_linfty(build_twisted(ctwist4), seed=7).to_json()

@@ -54,7 +54,7 @@ class TestMakeStandard:
         assert std1.bracket_table == {}
 
     def test_passes_courant(self, std2):
-        assert check_axioms(std2, "courant", seed=0).passed
+        assert check_axioms(std2, "courant").passed
 
     def test_lie_derivative_entry(self, std2):
         value = bracket(std2, Section.basis(0, 4),
@@ -74,11 +74,11 @@ class TestMakeStandard:
 
 class TestMakePoint:
     def test_so3_is_quadratic_lie_algebra(self, so3):
-        assert check_axioms(so3, "courant", seed=0).passed
+        assert check_axioms(so3, "courant").passed
 
     def test_abelian_table(self, split4):
         assert split4.bracket_table == {}
-        assert check_axioms(split4, "courant", seed=0).passed
+        assert check_axioms(split4, "courant").passed
 
     def test_non_skew_rejected(self):
         with pytest.raises(SpecInvariantError, match="skew|vanish"):
@@ -110,7 +110,7 @@ class TestTwistBracket:
         rng = random.Random(seed)
         b = KerForm(split4, 3, rand_wedge_coeffs(rng, split4, 3))
         twisted = twist_bracket(split4, b)
-        assert check_axioms(twisted, "h-twisted", seed=seed).passed
+        assert check_axioms(twisted, "h-twisted").passed
         assert integrability_defect(split4, b).is_zero()
 
     def test_keeps_the_base_twist(self):
@@ -126,7 +126,7 @@ class TestTwistBracket:
         assert not once.twist.is_zero() and not curvature_H(once, b).is_zero()
         assert twice.twist.coeffs == (once.twist + curvature_H(once, b)).coeffs
         for suite in ("h-twisted", "h-twisted-cd"):
-            report = check_axioms(twice, suite, seed=0)
+            report = check_axioms(twice, suite)
             assert report.passed, (suite, report.failing())
         assert verify_linfty(build_twisted(twice), seed=0).passed
 
@@ -238,7 +238,7 @@ class TestCurvature:
         assert not btilde_squared_form(ab5, b).is_zero()
         twisted = twist_bracket(ab5, b)
         assert not twisted.twist.is_zero()
-        report = check_axioms(twisted, "h-twisted", seed=0)
+        report = check_axioms(twisted, "h-twisted")
         assert report.passed, report.failing()
         wrong = curvature_H(ab5, b) + btilde_squared_form(
             ab5, b).scale(Scalar.rational(2))
@@ -420,7 +420,7 @@ class TestCTwist:
             Section.basis(7, 8)
 
     def test_passes_h_twisted(self, ctwist4):
-        assert check_axioms(ctwist4, "h-twisted", seed=0).passed
+        assert check_axioms(ctwist4, "h-twisted").passed
 
     def test_jacobiator_worked_example(self, ctwist4):
         basis = ctwist4.basis_sections()
@@ -430,7 +430,7 @@ class TestCTwist:
     def test_closed_c_gives_untwisted(self):
         spec = c_twist(3, base_form({(0, 1, 2): ONE}))
         assert spec.twist.is_zero()
-        assert check_axioms(spec, "courant", seed=0).passed
+        assert check_axioms(spec, "courant").passed
 
     def test_zero_c_is_standard(self):
         assert c_twist(3, base_form({})) == make_standard(3)
