@@ -138,8 +138,7 @@ def cmd_dirac(args) -> int:
            "induced": None}
     if report.passed:
         # the check above is induced_htla's precondition; do not repeat it
-        data, induced_report = _build_induced_htla(spec, sub, solved,
-                                                   args.seed, args.degree)
+        data, induced_report = _build_induced_htla(spec, sub, solved)
         doc["induced"] = data
         doc["induced_report"] = induced_report.to_json()
         _emit(doc, args)
@@ -180,7 +179,7 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
     suppress = {} if top_level else {"default": argparse.SUPPRESS}
     parser.add_argument("--seed", type=int,
                         **({"default": 0} if top_level else suppress),
-                        help="seed of linfty's and dirac's random sections (default 0)")
+                        help="seed of linfty's random sections (default 0)")
     parser.add_argument("--degree", type=_at_least(0),
                         **({"default": 2} if top_level else suppress),
                         help="polynomial degree of those sections (default 2)")

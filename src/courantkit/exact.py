@@ -445,10 +445,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
-
     def __getitem__(self, idx: tuple[int, int]) -> Scalar:
         return self.entries[idx[0]][idx[1]]
 
@@ -476,13 +472,6 @@ class Matrix:
             raise ValueError("dimension mismatch in matvec")
         return tuple(sum((row[j] * vec[j] for j in range(self.cols)), ZERO)
                      for row in self.entries)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matmul")
-        return Matrix([[sum((self.entries[i][k] * other.entries[k][j]
-                             for k in range(self.cols)), ZERO)
-                        for j in range(other.cols)] for i in range(self.rows)])
 
     def is_rational(self) -> bool:
         return all(e.is_rational() for row in self.entries for e in row)

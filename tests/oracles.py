@@ -25,7 +25,10 @@ checks:
   * a frame change builds the moved structure's table through the dense
     bracket and T⁻¹ instead of through the kernel's bracket;
   * Lemma A's complete sets enumerate every exponent vector up to the
-    degree bound, where the axiom suites build each row's own finite set.
+    degree bound, where the axiom suites and the induced Dirac algebroid
+    build each row's own finite set.
+
+zeros and matmul are the dense matrix helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -35,6 +38,20 @@ import itertools
 from courantkit.exact import Matrix, Scalar, ZERO, wedge_indices
 from courantkit.kerforms import KerForm, tilde_split_basis
 from courantkit.structure import AlgebroidSpec, Section, apply_vector_field, d0
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    """The rows × cols zero matrix (with no rows it has no columns either)."""
+    return Matrix([[ZERO] * cols for _ in range(rows)])
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a·b, summing every product of entries, the zero ones included."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matmul")
+    return Matrix([[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)),
+                        ZERO)
+                    for j in range(b.cols)] for i in range(a.rows)])
 
 
 class NoConstantBlock(Exception):
@@ -98,7 +115,7 @@ def ce_dual_matrix(rank: int, structure, p: int) -> Matrix:
                 if col is None:
                     continue
                 grid[r][col] = grid[r][col] + (ck if sign > 0 else -ck)
-    return Matrix(grid) if target else Matrix.zeros(0, len(source))
+    return Matrix(grid) if target else zeros(0, len(source))
 
 
 def compound(m: Matrix, rows_deg: int, cols_deg: int | None = None) -> Matrix:
@@ -110,7 +127,7 @@ def compound(m: Matrix, rows_deg: int, cols_deg: int | None = None) -> Matrix:
     for I in rows:
         grid.append([Matrix([[m.entries[r][c] for c in J] for r in I]).det()
                      for J in cols])
-    return Matrix(grid) if rows else Matrix.zeros(0, len(cols))
+    return Matrix(grid) if rows else zeros(0, len(cols))
 
 
 def det_pairing(spec: AlgebroidSpec, form: KerForm,
@@ -138,8 +155,8 @@ def naive_matrix_from_ce(spec: AlgebroidSpec, p: int) -> Matrix:
     g_p = compound(spec.gram, p)
     g_next_inv = compound(spec.gram.inverse(), p + 1)
     if dual.rows == 0:
-        return Matrix.zeros(0, g_p.cols)
-    return g_next_inv.matmul(dual.matmul(g_p))
+        return zeros(0, g_p.cols)
+    return matmul(g_next_inv, matmul(dual, g_p))
 
 
 def ins_subset_oracle(spec: AlgebroidSpec, form: KerForm) -> KerForm:
@@ -287,11 +304,13 @@ def dense_bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
     return Section(tuple(out))
 
 
-def monomial_tuples(spec: AlgebroidSpec, kinds: str, k: int):
+def monomial_tuples(spec: AlgebroidSpec, kinds: str, k: int, basis=None):
     """Lemma A's complete set: every tuple whose entries are x^β·eᵢ (kind
     "s") or x^β (kind "f") with Σ|β| ≤ k over the tuple, by total degree.
     A multilinear operator of total order ≤ k vanishes iff it vanishes on
-    every such tuple."""
+    every such tuple.  ``basis`` replaces e₁, …, e_r, say by the generators
+    of a subbundle with a constant invertible block, whose sections are
+    exactly the ℚ[x]-combinations of them."""
     monomials = []
     for beta in itertools.product(range(k + 1), repeat=spec.nvars):
         if sum(beta) <= k:
@@ -303,7 +322,7 @@ def monomial_tuples(spec: AlgebroidSpec, kinds: str, k: int):
     weights = sorted((ms for ms in itertools.product(monomials, repeat=len(kinds))
                       if sum(d for d, _ in ms) <= k),
                      key=lambda ms: sum(d for d, _ in ms))
-    basis = spec.basis_sections()
+    basis = spec.basis_sections() if basis is None else basis
     for ms in weights:
         for slots in itertools.product(*(basis if kind == "s" else [None]
                                          for kind in kinds)):
@@ -365,6 +384,6 @@ def frame_change(spec: AlgebroidSpec, T: Matrix) -> AlgebroidSpec:
     table = {(i, j): Section(T_inv.matvec(dense_bracket(spec, a, b).coeffs))
              for i, a in enumerate(columns) for j, b in enumerate(columns)}
     return AlgebroidSpec(
-        spec.ring, spec.nvars, spec.rank, Tt.matmul(spec.gram.matmul(T)),
-        None if spec.anchor is None else Tt.matmul(spec.anchor), table,
+        spec.ring, spec.nvars, spec.rank, matmul(Tt, matmul(spec.gram, T)),
+        None if spec.anchor is None else matmul(Tt, spec.anchor), table,
         kind=spec.kind)

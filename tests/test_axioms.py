@@ -382,6 +382,31 @@ class TestFiniteSets:
                 - d0(spec, f).scale(dense_pairing(spec, s_ab, c))
                 - br(d0(spec, f), c).scale(dense_pairing(spec, a, b))), (a, b, c, f)
 
+    def test_order_three_term_escapes_the_degree_two_set(self, std1):
+        # where Lemma A at degree 2 stops: with [a,b] = a₁′b₂·e1 + a₁′b₁′·e2
+        # (′ = ∂/∂x1, aᵢ the i-th coefficient) the cyclic Jacobiator's e1
+        # part is 3·a₁′b₁′c₁′ and its e2 part is the cyclic sum of
+        # a₁′(b₁′c₂)′: order 3, each term needs three degrees, so no tuple
+        # of degree ≤ 2 sees it
+        import courantkit.axioms as axioms
+        from oracles import monomial_tuples
+
+        def br(a, b):
+            da, db = a.coeffs[0].partial(0), b.coeffs[0].partial(0)
+            return Section((da * b.coeffs[1], da * db))
+
+        def cyclic(a, b, c):
+            return br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
+
+        basis = std1.basis_sections()
+        t = axioms._Tuples(basis, [x(0)], basis[0], basis[1])
+        assert axioms._ax_cyclic_jacobi(std1, t, br, None) is None
+        assert first_failure(monomial_tuples(std1, "sss", 2), "abc", cyclic) is None
+        # b₁′(c₁′a₂)′ = (2·x1)′ at (e2, x1·e1, x1²·e1)
+        assert first_failure(monomial_tuples(std1, "sss", 3), "abc", cyclic) == {
+            "inputs": {"a": ["0", "1"], "b": ["x1", "0"], "c": ["x1^2", "0"]},
+            "defect": ["0", "2"]}
+
 
 def skew_left_e1(std2):
     """std2 with [e1,ψ] += ι_ψ(dx1∧dx2) on basis ψ: [e1,e1] = e4, [e1,e2] = −e3."""

@@ -1,10 +1,11 @@
 """Tests for subbundle checks, Dirac structures, and the induced algebroid."""
 
+import itertools
 import random
 
 import pytest
 
-from conftest import corrupt_bracket, sec
+from conftest import corrupt_bracket, corrupt_twist, sec
 
 from courantkit.dirac import (
     MembershipError,
@@ -341,16 +342,15 @@ class TestInduced:
         sub = graph_of_two_form(std2, {(0, 1): x(0)})
         _, solved = dirac._check_dirac(std2, sub)
         monkeypatch.setattr(dirac, "bracket", counting)
-        dirac._build_induced_htla(std2, sub, solved, 0, 2)
-        g = sub.dim
+        dirac._build_induced_htla(std2, sub, solved)
+        g, n = sub.dim, std2.nvars
         # the restricted structure reads the g² solved pairs.  Through the
-        # call's table: the g² generator pairs (antisymmetry), six pairs for
-        # the Jacobi triple of random sections and five for (r₀, g₀, g₋₁),
-        # whose [g₀, g₋₁] the table holds, and the g Leibniz pairs of a
-        # generator and a random section.  Directly, one [x,f·y] per Leibniz
-        # pair (x a generator, y a generator or the random section) and each
-        # of the two test functions.  No pair is bracketed twice.
-        assert len(calls) == g * g + 6 + 5 + g + g * (g + 1) * 2
+        # call's table: the g² generator pairs (antisymmetry, whose values
+        # also give the anchor defects Jacobi reads; they vanish on this Lie
+        # algebroid, and g = 2 leaves no generator triple or quad), and the
+        # g²·n Leibniz pairs (gᵢ, xᵥ·gⱼ); Leibniz's [gᵢ, 1·gⱼ] and [gᵢ, gⱼ]
+        # are the table's.  No pair is bracketed twice.
+        assert len(calls) == g * g + g * g * n
         assert len(set(calls)) == len(calls)
 
     def test_closed_graph_yields_lie_algebroid(self, std2):
@@ -511,3 +511,190 @@ class TestSearch:
                         closed = False
             assert (subset in subsets) == closed
         assert subsets <= untwisted_subsets
+
+
+def induced_dense_rows(spec, gens):
+    """Each induced row's defect on sections of L = span(gens) through the
+    dense oracles, with the kinds of its slots for oracles.monomial_tuples
+    and the row's order bound.  H̃|L lands in L iff it pairs to zero with
+    every generator: L is Lagrangean with a constant invertible block, so
+    L^⊥ = L and a section of L^⊥ has polynomial coordinates."""
+    from functools import lru_cache
+
+    from oracles import (
+        _vf_apply,
+        dense_anchor_apply,
+        dense_bracket,
+        dense_pairing,
+        gram_solve_split,
+    )
+
+    br = lru_cache(maxsize=None)(lambda a, b: dense_bracket(spec, a, b))
+    rho = lambda a, f: _vf_apply(dense_anchor_apply(spec, a), f)
+    split = (gram_solve_split(spec, spec.twist) if spec.twist is not None
+             else lambda *abc: Section.zero(spec.rank))
+    basis_split = lru_cache(maxsize=None)(
+        lambda *key: split(*(Section.basis(i, spec.rank) for i in key)))
+
+    def h(*abc):
+        # H̃ is ℚ[x]-trilinear: expand over the basis triples, each split once
+        total = Section.zero(spec.rank)
+        for terms in itertools.product(*([(i, c) for i, c in enumerate(a.coeffs)
+                                          if c.terms] for a in abc)):
+            value = basis_split(*(i for i, _ in terms))
+            if not value.is_zero():
+                total = total + value.scale(terms[0][1] * terms[1][1] * terms[2][1])
+        return total
+
+    def escapes(a, b, c):
+        value = h(a, b, c)
+        return (dense_anchor_apply(spec, value)
+                + tuple(dense_pairing(spec, value, gen) for gen in gens))
+
+    def jacobi(a, b, c):
+        return br(a, br(b, c)) - br(br(a, b), c) - br(b, br(a, c)) - h(a, b, c)
+
+    def closedness(*quad):
+        total = Section.zero(spec.rank)
+        for k in range(4):
+            value = br(quad[k], h(*quad[:k], *quad[k + 1:]))
+            total = total + (value if k % 2 == 0 else -value)
+        for k, l in itertools.combinations(range(4), 2):
+            rest = [quad[m] for m in range(4) if m not in (k, l)]
+            value = h(br(quad[k], quad[l]), *rest)
+            total = total + (value if (k + l) % 2 == 0 else -value)
+        return total
+
+    return {
+        "twist-values-in-kernel": ("sss", 0, escapes),
+        "antisymmetry": ("ss", 1, lambda a, b: br(a, b) + br(b, a)),
+        "jacobi": ("sss", 2, jacobi),
+        "leibniz": ("sfs", 1, lambda a, f, b: (br(a, b.scale(f)) - b.scale(rho(a, f))
+                                               - br(a, b).scale(f))),
+        "twist-closed": ("ssss", 1, closedness),
+    }
+
+
+class TestInducedFiniteSets:
+    """Every induced row decides its rule on its finite set: each verdict
+    equals Lemma A's ground truth on L at the row's order bound (0 for the
+    tensorial H̃|L, 1 for antisymmetry, Leibniz and the connection
+    derivative, 2 for Jacobi), over the tuples of x^β·gᵢ through the dense
+    oracles."""
+
+    @staticmethod
+    def rank8_twisted():
+        from courantkit.kerforms import KerForm
+        from courantkit.rand import rand_wedge_coeffs
+
+        hyperbolic = TestNonzeroInheritedForm._hyperbolic
+        ab6 = make_point(6, hyperbolic(6, 3), {})
+        b6 = KerForm(ab6, 3, rand_wedge_coeffs(random.Random(0), ab6, 3))
+        ab8 = make_point(8, hyperbolic(8, 3), {})
+        return twist_bracket(ab8, KerForm(ab8, 3, dict(b6.coeffs)))
+
+    @classmethod
+    def structure(cls, request, name):
+        """(spec, generator indices or generators)."""
+        std2, std3, ct4 = (request.getfixturevalue(n)
+                           for n in ("std2", "std3", "ctwist4"))
+        e = Section.basis
+        cotangent = range(4, 8)
+        build = {
+            "std2 graph": lambda: (std2, graph_of_two_form(
+                std2, {(0, 1): x(0)}).generators),
+            "std3 cotangent": lambda: (std3, range(3, 6)),
+            "ct4 cotangent": lambda: (ct4, cotangent),
+            "rank-8 twisted point": lambda: (cls.rank8_twisted(), (0, 1, 5, 6)),
+            "ct4 twist (1,2,3,4) += x1": lambda: (
+                corrupt_twist(ct4, (0, 1, 2, 3), x(0)), cotangent),
+            "ct4 twist (1,2,3,4) += 1": lambda: (
+                corrupt_twist(ct4, (0, 1, 2, 3), ONE), cotangent),
+            "ct4 twist (1,2,3,5) += x1": lambda: (
+                corrupt_twist(ct4, (0, 1, 2, 4), x(0)), cotangent),
+            "rank-6 skew": lambda: (AlgebroidSpec(
+                "point", 0, 6, TestNonzeroInheritedForm._hyperbolic(6, 3), None,
+                {(0, 1): e(5, 6), (1, 0): e(1, 6), (5, 5): e(0, 6)}), (0, 1, 5)),
+            "std2ab": lambda: (std2ab(std2), (0, 1)),
+            "std2 one-sided [e1,e2] = x1*e2": lambda: (corrupt_bracket(
+                std2, 0, 1, e(1, 4).scale(x(0))), (0, 1)),
+            "rank-8 twisted point, [e1,e2] += e6": lambda: (
+                cls.one_sided_rank8(), (0, 1, 5, 6)),
+            # only a variable in slot a sees N: Jac(x1·e1, e1, e1) =
+            # (ρ(e1)x1)·N(e1,e1) = 2·e4, while A vanishes on span(e1, e4)
+            "std2 span(e1, e4), [e1,e1] = e4": lambda: (corrupt_bracket(
+                std2, 0, 0, e(3, 4)), (0, 3)),
+            # only a repeated triple sees Jacobi fail: Jac(e1,e1,e1) = −e3
+            "rank-6 [e1,e1] = e2, [e2,e1] = e3": lambda: (AlgebroidSpec(
+                "point", 0, 6, TestNonzeroInheritedForm._hyperbolic(6, 3), None,
+                {(0, 0): e(1, 6), (1, 0): e(2, 6)}), (0, 1, 2)),
+        }
+        spec, gens = build[name]()
+        return spec, [g if isinstance(g, Section) else e(g, spec.rank) for g in gens]
+
+    @classmethod
+    def one_sided_rank8(cls):
+        twisted = cls.rank8_twisted()
+        old = twisted.bracket_table.get((0, 1), Section.zero(8))
+        return corrupt_bracket(twisted, 0, 1, old + Section.basis(5, 8))
+
+    @pytest.mark.parametrize("name,failing", [
+        ("std2 graph", []),
+        ("std3 cotangent", []),
+        ("ct4 cotangent", []),
+        ("rank-8 twisted point", []),
+        ("ct4 twist (1,2,3,4) += x1",
+         ["twist-values-in-kernel", "jacobi", "twist-closed"]),
+        ("ct4 twist (1,2,3,4) += 1",
+         ["twist-values-in-kernel", "jacobi", "twist-closed"]),
+        ("ct4 twist (1,2,3,5) += x1", ["jacobi"]),
+        ("rank-6 skew", ["antisymmetry", "jacobi"]),
+        ("std2ab", ["jacobi"]),
+        ("std2 one-sided [e1,e2] = x1*e2", ["antisymmetry", "jacobi"]),
+        ("rank-8 twisted point, [e1,e2] += e6",
+         ["antisymmetry", "jacobi", "twist-closed"]),
+        ("std2 span(e1, e4), [e1,e1] = e4", ["antisymmetry", "jacobi"]),
+        ("rank-6 [e1,e1] = e2, [e2,e1] = e3", ["antisymmetry", "jacobi"]),
+    ])
+    def test_every_row_matches_ground_truth(self, request, name, failing):
+        from courantkit.axioms import first_failure
+        from oracles import monomial_tuples
+
+        spec, gens = self.structure(request, name)
+        sub = Subbundle(spec, gens)
+        _, report = induced_htla(spec, sub)
+        assert report.failing() == failing
+        rows = induced_dense_rows(spec, gens)
+        for check in report.checks:
+            kinds, order, defect = rows[check.axiom]
+            truth = first_failure(monomial_tuples(spec, kinds, order, gens),
+                                  kinds, defect) is None
+            assert (check.status == "pass") == truth, check.axiom
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_std2ab_fails_jacobi_at_every_seed(self, std2, tmp_path, capsys, seed):
+        # two generators leave no triple; A(e1,e2) = x1·∂2, so (e1, e2, x2·e1)
+        # gives −A(e1,e2)x2·e1 = −x1·e1 whatever --seed says
+        import json
+
+        from courantkit.cli import main
+        from courantkit.fileio import save_spec
+
+        path = str(tmp_path / "std2ab.json")
+        save_spec(std2ab(std2), path)
+        assert main(["dirac", path, "--subspace", "e1; e2", "--seed", seed]) == 1
+        report = json.loads(capsys.readouterr().out)["induced_report"]
+        assert [c["axiom"] for c in report["checks"] if c["status"] == "fail"] == [
+            "jacobi"]
+        jacobi = next(c for c in report["checks"] if c["axiom"] == "jacobi")
+        assert jacobi["witness"] == {
+            "inputs": {"x": ["1", "0", "0", "0"], "y": ["0", "1", "0", "0"],
+                       "z": ["x2", "0", "0", "0"]},
+            "defect": ["-x1", "0", "0", "0"]}
+
+
+def std2ab(std2):
+    """std2 with [e1,e2] = x1·e2 = −[e2,e1]: the tangent span stays Dirac and
+    its bracket skew, but ρ[e1,e2] = x1·∂2 while [∂1,∂2] = 0."""
+    e2 = Section.basis(1, 4).scale(x(0))
+    return corrupt_bracket(corrupt_bracket(std2, 0, 1, e2), 1, 0, -e2)

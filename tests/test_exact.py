@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import matmul, zeros
+
 from courantkit.exact import (
     ONE,
     ZERO,
@@ -194,8 +196,8 @@ class TestRref:
         assert pivots == (0, 1, 2)
 
     def test_zero(self):
-        reduced, rank, pivots = rref(Matrix.zeros(2, 3))
-        assert reduced == Matrix.zeros(2, 3)
+        reduced, rank, pivots = rref(zeros(2, 3))
+        assert reduced == zeros(2, 3)
         assert rank == 0
         assert pivots == ()
 
@@ -215,7 +217,7 @@ class TestKernel:
         assert kernel_basis(Matrix.identity(3)) == []
 
     def test_zero_full_kernel(self):
-        vecs = kernel_basis(Matrix.zeros(2, 3))
+        vecs = kernel_basis(zeros(2, 3))
         assert len(vecs) == 3
         assert vecs[0] == (ONE, ZERO, ZERO)
 
@@ -245,11 +247,11 @@ class TestMatrix:
 
     def test_inverse_rational(self):
         m = mat([[1, 2], [3, 4]])
-        assert m.matmul(m.inverse()) == Matrix.identity(2)
+        assert matmul(m, m.inverse()) == Matrix.identity(2)
 
     def test_inverse_polynomial_unit_det(self):
         m = Matrix([[ONE, x(0)], [x(0), x(0) ** 2 + 1]])
-        assert m.matmul(m.inverse()) == Matrix.identity(2)
+        assert matmul(m, m.inverse()) == Matrix.identity(2)
 
     def test_inverse_singular_rejected(self):
         with pytest.raises(ExactError, match="singular"):
@@ -340,4 +342,4 @@ class TestNoFloat:
     def test_polynomial_det_and_inverse(self, m):
         inverse = m.inverse()
         assert _canonical([m.det(), inverse])
-        assert m.matmul(inverse) == Matrix.identity(3)
+        assert matmul(m, inverse) == Matrix.identity(3)

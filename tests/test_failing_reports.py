@@ -1,8 +1,8 @@
 """Failing reports print exactly what they printed when pinned.
 
 Each pin is the list of failing checks and the SHA-256 of the report's
-canonical JSON (at seed 0 for the homotopy packagings and the induced
-algebroid, which draw random sections; the axiom suites draw none).
+canonical JSON (at seed 0 for the homotopy packagings, which draw random
+sections; the axiom suites and the induced algebroid draw none).
 Witnesses depend on the order in which a check draws and evaluates its
 tuples, so these pins guard that order for every
 check that has a failing structure here: all eight suites, both homotopy
@@ -135,10 +135,13 @@ class TestInducedPins:
     def test_twist_values_and_jacobi(self, ctwist4):
         bad = corrupt_twist(ctwist4, (0, 1, 2, 3), x(0))
         sub = Subbundle(bad, [Section.basis(i, 8) for i in range(4, 8)])
-        _, report = induced_htla(bad, sub, seed=0)
+        _, report = induced_htla(bad, sub)
+        # H̃(e5,e6,e7) = x1·e4 leaves ker ρ, so twist-closed also reads the
+        # quads with one variable in the first slot: (x4·e5, e5, e6, e7)
+        # gives −ρ(x1·e4)x4·e5 = −x1·e5
         assert_pinned(
-            report, ["twist-values-in-kernel", "jacobi"],
-            "e6a515979af03d7bd28a9bd6071b546c49f9ca4eacacb3a892eb95923cdbf74d")
+            report, ["twist-values-in-kernel", "jacobi", "twist-closed"],
+            "8169e5148ed1b88b3838babbc5aa9d9093e10ad716b0c3b894e362c975bd3075")
 
     def test_antisymmetry(self):
         # the rank-6 hyperbolic pairing of test_dirac's TestNonzeroInheritedForm,
@@ -149,7 +152,7 @@ class TestInducedPins:
                  (5, 5): Section.basis(0, 6)}
         spec = AlgebroidSpec("point", 0, 6, gram, None, table)
         sub = Subbundle(spec, [Section.basis(i, 6) for i in (0, 1, 5)])
-        _, report = induced_htla(spec, sub, seed=0)
+        _, report = induced_htla(spec, sub)
         assert_pinned(
             report, ["antisymmetry", "jacobi"],
             "b9459829bbe22cfc045dcd69c3ff8a46b374eb6e2d1874a03df8add69504bbff")

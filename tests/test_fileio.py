@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from oracles import matmul
+
 from courantkit.exact import ParseError, Scalar, ONE, ZERO, parse_scalar
 from courantkit.fileio import (
     StructureFileError,
@@ -234,7 +236,7 @@ class TestRoundTripProperty:
         a = Matrix([[Scalar.rational(v) for v in row] for row in shear])
         diag = Matrix([[Scalar.rational(signs[i] if i == j else 0)
                         for j in range(rank)] for i in range(rank)])
-        gram = a.transpose().matmul(diag).matmul(a)
+        gram = matmul(matmul(a.transpose(), diag), a)
         table = {}
         for i in range(rank):
             for j in range(i + 1, rank):
