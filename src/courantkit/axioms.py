@@ -33,6 +33,17 @@ bracket and ρ through them, the Jacobiator and the anchor-morphism defect
 included, so each distinct argument tuple is evaluated once per call.  Keys
 are the exact ordered arguments, never filled from skewness or any other
 property under test; Leibniz's [φ, 1·ψ] is the key (φ, ψ).
+
+The two rows that are tensorial on their basis tuples also keep call-owned
+tables keyed by basis indices, filled on first use.  `twisted-jacobi` reads
+H̃ on each increasing index triple: H̃ is the contraction of the twist by
+its sections, so it is ℚ[x]-multilinear and alternating, and H̃(f·eᵢ, eⱼ,
+eₖ) is f times the sign of the sort times the increasing entry, or zero on
+a repeated index.  `invariance` reads the lowered rows G·[eₐ,e_b]: since
+the Gram matrix is symmetric (the constructor checks it), ⟨e_b,[eₐ,e_c]⟩ =
+⟨[eₐ,e_c],e_b⟩, so both of its pairings are entries of those rows.  Each
+entry equals the value it replaces, and the rows are built from the call's
+bracket table.
 """
 
 from __future__ import annotations
@@ -42,10 +53,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from courantkit.exact import ONE, Scalar
+from courantkit.exact import ONE, Scalar, ZERO
 from courantkit.kerforms import (
     KerForm,
     UncertifiedFormError,
+    _sort_wedge,
+    _wedge_map,
     cov_derivative,
     rho_tilde,
     tilde_split,
@@ -170,20 +183,31 @@ class CheckReport:
 
 @dataclass
 class _Tuples:
-    """Built once per check_axioms call: the basis, x1, …, xn, the first
-    basis pair (p, q) with ⟨p,q⟩ ≠ 0 (p = e1, the Gram matrix being
+    """Built once per check_axioms call: the basis, x1, …, xn, the indices of
+    the first basis pair (p, q) with ⟨p,q⟩ ≠ 0 (p = e1, the Gram matrix being
     nondegenerate) and the verdicts of the rows evaluated so far."""
 
     basis: list[Section]
     xs: list[Scalar]
-    p: Section
-    q: Section
+    p: int
+    q: int
     verdicts: dict = field(default_factory=dict)
 
-    def pairs(self) -> Iterable[tuple[Section, Section]]:
-        yield from itertools.product(self.basis, repeat=2)
+    def section(self, i: int, f: Scalar) -> Section:
+        """f·eᵢ, the basis section itself when f = 1."""
+        return self.basis[i] if f is ONE else self.basis[i].scale(f)
+
+    def pair_keys(self) -> Iterable[tuple[int, int, Scalar]]:
+        """(i, j, f) for each pair (f·eᵢ, eⱼ) of pairs()."""
+        yield from ((i, j, ONE) for i, j in
+                    itertools.product(range(len(self.basis)), repeat=2))
         for x in self.xs:
-            yield self.p.scale(x), self.q
+            yield self.p, self.q, x
+
+    def pairs(self) -> Iterable[tuple[Section, Section]]:
+        """The basis pairs, then (xᵥ·p, q) for each variable."""
+        for i, j, f in self.pair_keys():
+            yield self.section(i, f), self.basis[j]
 
 
 def _verdict(axiom: str, checker: Callable, spec: AlgebroidSpec, t: _Tuples,
@@ -223,32 +247,58 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     identity is (ρ(c)f)S(a,b) − ⟨S(a,b),c⟩D₀f − ⟨a,b⟩T(f,c) less slot b's
     at (b, a, c), are tensorial in a, b, c and derivations in f: (3)
     decides them, and with its slot-a tuples (2) reads −A again.
+
+    Each tuple carries two entries past the witness names: the basis indices
+    (i, j, k) of its slots and the monomial f it holds in one of them (1 in
+    (1), the pair's monomial times xᵥ in (2), xᵥ in (3)).
     """
     basis, xs = t.basis, t.xs
-    yield from itertools.product(basis, repeat=3)
-    for a, b in t.pairs():
+    triples = list(itertools.product(range(len(basis)), repeat=3))
+    for ijk in triples:
+        yield (*(basis[i] for i in ijk), ijk, ONE)
+    for i, j, f in t.pair_keys():
+        a, b = t.section(i, f), basis[j]
         for v, component in enumerate(_anchor_morphism_defect(spec, br, a, b)):
             if component.terms:
-                yield a, b, basis[0].scale(xs[v])
+                yield (a, b, basis[0].scale(xs[v]), (i, j, 0),
+                       xs[v] if f is ONE else f * xs[v])
     if (_verdict("symmetric-part", _ax_symmetric_part, spec, t, br, rho)
             or _verdict("invariance", _ax_invariance, spec, t, br, rho)):
-        for a, b, c in itertools.product(basis, repeat=3):
+        for ijk in triples:
+            a, b, c = (basis[i] for i in ijk)
             for x in xs:
-                yield a, b.scale(x), c
-                yield a.scale(x), b, c
+                yield a, b.scale(x), c, ijk, x
+                yield a.scale(x), b, c, ijk, x
 
 
 def _ax_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable,
                rho: Callable) -> dict | None:
-    return first_failure(_jacobi_tuples(spec, t, br, rho),
-                         ("phi", "psi1", "psi2"), partial(_jacobiator, br))
+    return first_failure(_jacobi_tuples(spec, t, br, rho), ("phi", "psi1", "psi2"),
+                         lambda a, b, c, ijk, f: _jacobiator(br, a, b, c))
 
 
 def _ax_twisted_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable,
                        rho: Callable) -> dict | None:
+    """Jac − H̃ on Jacobi's set.  H̃ = tilde_split of the twist is a
+    contraction of a form, so it is ℚ[x]-multilinear and alternating: on a
+    tuple with indices (i, j, k) and monomial f it is f·σ·H̃(e_I), with I the
+    sorted indices and σ the sign of the sort, and zero when an index
+    repeats.  H̃(e_I) is evaluated once per increasing I, on first use."""
     h = tilde_split(spec, spec.twist)
-    return first_failure(_jacobi_tuples(spec, t, br, rho), ("phi", "psi1", "psi2"),
-                         lambda *abc: _jacobiator(br, *abc) - h(*abc))
+    values: dict = {}
+
+    def defect(a, b, c, ijk, f):
+        jac = _jacobiator(br, a, b, c)
+        key, sign = _sort_wedge(ijk)
+        if not sign:
+            return jac
+        if key not in values:
+            values[key] = h(*(t.basis[i] for i in key))
+        value = values[key] if sign > 0 else -values[key]
+        return jac - (value if f is ONE else value.scale(f))
+
+    return first_failure(_jacobi_tuples(spec, t, br, rho),
+                         ("phi", "psi1", "psi2"), defect)
 
 
 def _ax_twist_membership(spec: AlgebroidSpec, t: _Tuples, br: Callable,
@@ -302,12 +352,27 @@ def _ax_invariance(spec: AlgebroidSpec, t: _Tuples, br: Callable,
                    rho: Callable) -> dict | None:
     """Lemma C: the defect is symmetric in ψ₁, ψ₂ and ℚ[x]-linear in ψ₁ by
     the right rule; in φ, the left rule adds four terms that cancel in pairs
-    since ⟨D₀f,ψ⟩ = ρ(ψ)f (see the module docstring)."""
+    since ⟨D₀f,ψ⟩ = ρ(ψ)f (see the module docstring).  On basis sections it
+    is ρ(eₐ)G_bc − L_ab[c] − L_ac[b], with L_ab = G·[eₐ,e_b] the lowered
+    bracket: ⟨e_b,[eₐ,e_c]⟩ = ⟨[eₐ,e_c],e_b⟩ as G is symmetric.  L_ab is
+    built once per (a, b), on first use."""
+    basis, gram = t.basis, spec.gram.entries
+    lowered: dict = {}
+
+    def row(a: int, b: int) -> dict:
+        if (a, b) not in lowered:
+            coeffs = br(basis[a], basis[b]).coeffs
+            lowered[a, b] = _wedge_map(spec._gram_rows, {
+                (k,): c for k, c in enumerate(coeffs) if c.terms})
+        return lowered[a, b]
+
     return first_failure(
-        itertools.product(t.basis, repeat=3), ("phi", "psi1", "psi2"),
-        lambda phi, psi1, psi2: (rho(phi, pairing(spec, psi1, psi2))
-                                 - pairing(spec, br(phi, psi1), psi2)
-                                 - pairing(spec, psi1, br(phi, psi2))))
+        ((basis[a], basis[b], basis[c], a, b, c)
+         for a, b, c in itertools.product(range(len(basis)), repeat=3)),
+        ("phi", "psi1", "psi2"),
+        lambda phi, psi1, psi2, a, b, c: (rho(phi, gram[b][c])
+                                          - row(a, b).get((c,), ZERO)
+                                          - row(a, c).get((b,), ZERO)))
 
 
 def _ax_anchor_morphism(spec: AlgebroidSpec, t: _Tuples, br: Callable,
@@ -328,7 +393,7 @@ def _ax_derivation_bracket(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     to ρ(D₀xᵥ), which (xᵥ, xᵤ·p) then read.  D₀xᵥ rides along unnamed."""
     return first_failure(
         ((x, phi, d0_generator(spec, v)) for v, x in enumerate(t.xs)
-         for phi in t.basis + [t.p.scale(u) for u in t.xs]),
+         for phi in t.basis + [t.basis[t.p].scale(u) for u in t.xs]),
         ("f", "phi"), lambda f, phi, df: br(df, phi))
 
 
@@ -460,9 +525,9 @@ def check_axioms(spec: AlgebroidSpec, suite: str) -> CheckReport:
         raise SuiteNotApplicableError(
             f"suite {suite!r} needs a twist, but the structure declares none")
     basis = spec.basis_sections()
-    q = next(e for e in basis if not pairing(spec, basis[0], e).is_zero())
-    t = _Tuples(basis, [Scalar.variable(v) for v in range(spec.nvars)],
-                basis[0], q)
+    q = next(j for j, e in enumerate(basis)
+             if not pairing(spec, basis[0], e).is_zero())
+    t = _Tuples(basis, [Scalar.variable(v) for v in range(spec.nvars)], 0, q)
     # the call's own tables (see the module docstring), built here from the
     # module's bindings of bracket and rho_apply
     br = _tabled(partial(bracket, spec))

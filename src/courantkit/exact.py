@@ -348,6 +348,7 @@ ONE = Scalar.rational(1)
 HALF = Scalar.rational(Fraction(1, 2))
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
 _VAR_RE = re.compile(r"^x(\d+)(\^(\d+))?$")
 
@@ -388,8 +389,11 @@ def parse_scalar(text: str) -> Scalar:
     """Parse the polynomial text syntax: terms of ``coef*x<i>^<e>*...``.
 
     Coefficients are rationals like ``3/2``; variables are ``x1..xn``.
-    Examples: ``"x1^2 - 2*x2"``, ``"3/2*x1*x2^3"``, ``"0"``.
+    Examples: ``"x1^2 - 2*x2"``, ``"3/2*x1*x2^3"``, ``"0"``.  An ASCII
+    integer literal, most entries of a structure file, is read directly.
     """
+    if _INTEGER_RE.fullmatch(text):
+        return Scalar.rational(int(text))
     result = ZERO
     for sign, chunk, start in _split_signed_terms(text):
         coeff = Fraction(sign)

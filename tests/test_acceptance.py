@@ -67,7 +67,7 @@ def _random_b_twists(split4, count: int):
 
 def test_criterion_1_axiom_suites(so3, std1, std2, std3):
     """so(3) and the standard bundles pass the untwisted suite exactly."""
-    with criterion(1, "axiom suites as executable definitions", 40.0):
+    with criterion(1, "axiom suites as executable definitions", 10.0):
         for name, spec in (("so3", so3), ("standard1", std1),
                            ("standard2", std2), ("standard3", std3)):
             start = time.monotonic()
@@ -78,7 +78,7 @@ def test_criterion_1_axiom_suites(so3, std1, std2, std3):
 
 def test_criterion_2_rank_four_twists(split4):
     """50 seeded random 3-forms all twist the rank-4 split structure."""
-    with criterion(2, "every rank-4 twist is admissible (50 seeds)", 60.0):
+    with criterion(2, "every rank-4 twist is admissible (50 seeds)", 10.0):
         twists = _random_b_twists(split4, 50)
         for i, (b, twisted) in enumerate(twists):
             report = check_axioms(twisted, "h-twisted")
@@ -88,7 +88,7 @@ def test_criterion_2_rank_four_twists(split4):
 
 def test_criterion_3_pullback_lemma(std4):
     """D∘ρ* = ρ*∘d on 20 random polynomial base forms (p ≤ 3, deg ≤ 2)."""
-    with criterion(3, "pullback lemma on 20 random base forms", 30.0):
+    with criterion(3, "pullback lemma on 20 random base forms", 10.0):
         rng = random.Random(7)
         for t in range(20):
             degree = 1 + t % 3
@@ -102,7 +102,7 @@ def test_criterion_3_pullback_lemma(std4):
 
 def test_criterion_4_nontrivial_twisted_fixture(std4, ctwist4):
     """The exact-twist fixture: twisted suite passes, untwisted Jacobi fails."""
-    with criterion(4, "nontrivial twisted fixture with exact twist", 30.0):
+    with criterion(4, "nontrivial twisted fixture with exact twist", 10.0):
         c3 = base_form({(1, 2, 3): x(0)})
         expected_twist = pullback(std4, {(0, 1, 2, 3): ONE}, 4)
         assert ctwist4.twist == KerForm(ctwist4, 4, expected_twist.coeffs)
@@ -118,7 +118,7 @@ def test_criterion_4_nontrivial_twisted_fixture(std4, ctwist4):
 
 def test_criterion_5_homotopy_packaging(so3, std1, std2, std3, split4, ctwist4):
     """The two-term packaging verifies on every fixture family."""
-    with criterion(5, "homotopy packaging as an executable theorem", 120.0):
+    with criterion(5, "homotopy packaging as an executable theorem", 10.0):
         untwisted = [so3, std1, std2, std3]
         for spec in untwisted:
             report = verify_linfty(build_classical(spec), seed=0, samples=2)
@@ -136,7 +136,7 @@ def test_criterion_5_homotopy_packaging(so3, std1, std2, std3, split4, ctwist4):
 def test_criterion_6_square_of_the_derivative(ctwist4):
     """D² vanishes on functions, equals the twist insertion in degree 1,
     and is an even derivation — all exactly."""
-    with criterion(6, "square of the covariant derivative", 30.0):
+    with criterion(6, "square of the covariant derivative", 10.0):
         assert d_squared(ctwist4, KerForm(ctwist4, 0, {(): x(0) * x(1)})).is_zero()
         assert d_squared(ctwist4, KerForm(ctwist4, 0, {(): ONE})).is_zero()
         degree_one = kerform_basis(ctwist4, 1, max_degree=0)
@@ -176,7 +176,7 @@ def _random_kernel_form(rng, spec, kernel_one_forms, degree):
 
 def test_criterion_7_naive_complex(so3, split4):
     """d² = 0 exactly, no cochain escapes, Betti matches the CE oracle."""
-    with criterion(7, "naive cochain complexes over points", 30.0):
+    with criterion(7, "naive cochain complexes over points", 10.0):
         fixtures = [so3, split4,
                     twist_bracket(split4, basis_wedge_form(split4, (0, 1, 2)))]
         rng = random.Random(5)
@@ -196,7 +196,7 @@ def test_criterion_7_naive_complex(so3, split4):
 
 def test_criterion_8_dirac_structures(std2, std3, ctwist4):
     """Graph Dirac fixtures and the induced twisted Lie algebroid."""
-    with criterion(8, "Dirac structures and their induced algebroids", 60.0):
+    with criterion(8, "Dirac structures and their induced algebroids", 10.0):
         good = graph_of_two_form(std2, {(0, 1): x(0)})
         report = check_dirac(std2, good)
         assert report.passed, report.failing()
@@ -222,7 +222,7 @@ def test_criterion_8_dirac_structures(std2, std3, ctwist4):
 
 def test_criterion_9_negative_controls(so3, std2, split4, ctwist4):
     """Chosen single-entry corruptions flip a named axiom on every fixture."""
-    with criterion(9, "negative controls flip named axioms", 60.0):
+    with criterion(9, "negative controls flip named axioms", 10.0):
         flips = []
 
         def expect_flip(spec, suite, label):

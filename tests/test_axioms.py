@@ -337,6 +337,17 @@ class TestFiniteSets:
                        "psi2": e1.to_text()},
             "defect": Section.basis(4, 8).to_text()}
 
+    def test_ctwist_fallback_scales_the_twist_by_the_monomial(self, ctwist4):
+        # with ⟨e2,e2⟩ = x2 the fallback passes (e1, x1·e2, e3), where Jac =
+        # x1·H̃(e1,e2,e3) = x1·e8, and fails first at (x1·e2, e2, e1)
+        bad = corrupt_gram(ctwist4, 1, x(1))
+        checks = {c.axiom: c for c in check_axioms(bad, "h-twisted").checks}
+        e1, e2 = Section.basis(0, 8), Section.basis(1, 8)
+        assert checks["twisted-jacobi"].witness == {
+            "inputs": {"phi": e2.scale(x(0)).to_text(), "psi1": e2.to_text(),
+                       "psi2": e1.to_text()},
+            "defect": (-Section.basis(5, 8)).to_text()}
+
 
     def test_slot_a_excess_fails_jacobi(self, std2):
         # [e1,·] gains ι_(·)(dx1∧dx2), skew for the pairing: invariance and
@@ -399,7 +410,7 @@ class TestFiniteSets:
             return br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
 
         basis = std1.basis_sections()
-        t = axioms._Tuples(basis, [x(0)], basis[0], basis[1])
+        t = axioms._Tuples(basis, [x(0)], 0, 1)
         assert axioms._ax_cyclic_jacobi(std1, t, br, None) is None
         assert first_failure(monomial_tuples(std1, "sss", 2), "abc", cyclic) is None
         # b₁′(c₁′a₂)′ = (2·x1)′ at (e2, x1·e1, x1²·e1)
@@ -580,14 +591,15 @@ class TestRhoReadings:
 
 class TestCallTables:
     """check_axioms reads the bracket and ρ through tables that each call
-    owns; the counts are evaluations of structure.bracket and rho_apply."""
+    owns; the counts are evaluations of structure.bracket, rho_apply and
+    pairing."""
 
     @staticmethod
     def counting(monkeypatch):
         import courantkit.axioms as axioms
         import courantkit.structure as structure
 
-        counts = {"bracket": 0, "rho_apply": 0}
+        counts = {"bracket": 0, "rho_apply": 0, "pairing": 0}
         for name in counts:
             fn = getattr(structure, name)
 
@@ -610,3 +622,32 @@ class TestCallTables:
         first = dict(counts)
         check_axioms(ctwist4, "h-twisted")
         assert counts == {name: 2 * n for name, n in first.items()}
+
+    def test_ct4_h_twisted_splits_each_increasing_triple_once(self, monkeypatch,
+                                                              ctwist4):
+        # twisted-jacobi reads H̃ on 8³ basis triples from at most C(8,3) = 56
+        # applications of the twist map (without the table: 512)
+        import courantkit.axioms as axioms
+
+        split, applied = axioms.tilde_split, []
+
+        def counted_split(spec, form):
+            h = split(spec, form)
+
+            def apply(*sections):
+                applied.append(sections)
+                return h(*sections)
+
+            return apply
+
+        monkeypatch.setattr(axioms, "tilde_split", counted_split)
+        assert check_axioms(ctwist4, "h-twisted").passed
+        assert 0 < len(applied) <= 56
+
+    def test_invariance_pairs_no_tuple(self, monkeypatch, ctwist4):
+        # invariance reads 8³ = 512 basis triples; its pairings are Gram
+        # entries and lowered bracket rows, so the suite's pairing calls are
+        # symmetric-part's 64 basis pairs and the search for q
+        counts = self.counting(monkeypatch)
+        assert check_axioms(ctwist4, "h-twisted").passed
+        assert counts["pairing"] <= 8 * 8 + 8

@@ -174,6 +174,27 @@ class TestText:
         assert str(info.value) == (
             f"bad factor 'é' at position {position} in {text!r}")
 
+    # integer literals take a direct path; these values and messages are
+    # those of the general parser, which reads every other text
+    @pytest.mark.parametrize("text, value", [
+        ("0", ZERO), ("-0", ZERO), ("007", q(7)), ("-12", q(-12)),
+        ("+1", ONE), (" 1 ", ONE), ("١", ONE), ("1/2", q(1, 2)), ("x1", x(0)),
+    ])
+    def test_integer_literal_corpus(self, text, value):
+        parsed = parse_scalar(text)
+        assert parsed == value and parsed.terms == value.terms
+
+    @pytest.mark.parametrize("text, message", [
+        ("1_0", "bad factor '1_0' at position 0 in '1_0'"),
+        ("²", "bad factor '²' at position 0 in '²'"),
+        ("", "empty expression at position 0 in ''"),
+        ("-", "missing term at position 1 in '-'"),
+    ])
+    def test_integer_literal_corpus_errors(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(text)
+        assert str(info.value) == message
+
     @given(scalars())
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, s):
