@@ -35,8 +35,8 @@ are the exact ordered arguments, never filled from skewness or any other
 property under test; Leibniz's [φ, 1·ψ] is the key (φ, ψ).
 
 The two rows that are tensorial on their basis tuples also keep call-owned
-tables keyed by basis indices, filled on first use.  `twisted-jacobi` reads
-H̃ on each increasing index triple: H̃ is the contraction of the twist by
+tables keyed by basis indices.  `twisted-jacobi` reads H̃ off
+kerforms.split_table over the basis: H̃ is the contraction of the twist by
 its sections, so it is ℚ[x]-multilinear and alternating, and H̃(f·eᵢ, eⱼ,
 eₖ) is f times the sign of the sort times the increasing entry, or zero on
 a repeated index.  `invariance` reads the lowered rows G·[eₐ,e_b]: since
@@ -57,11 +57,11 @@ from courantkit.exact import ONE, Scalar, ZERO
 from courantkit.kerforms import (
     KerForm,
     UncertifiedFormError,
-    _sort_wedge,
     _wedge_map,
     cov_derivative,
     rho_tilde,
-    tilde_split,
+    split_table,
+    split_value,
 )
 from courantkit.structure import (
     AlgebroidSpec,
@@ -193,10 +193,6 @@ class _Tuples:
     q: int
     verdicts: dict = field(default_factory=dict)
 
-    def section(self, i: int, f: Scalar) -> Section:
-        """f·eᵢ, the basis section itself when f = 1."""
-        return self.basis[i] if f is ONE else self.basis[i].scale(f)
-
     def pair_keys(self) -> Iterable[tuple[int, int, Scalar]]:
         """(i, j, f) for each pair (f·eᵢ, eⱼ) of pairs()."""
         yield from ((i, j, ONE) for i, j in
@@ -207,7 +203,7 @@ class _Tuples:
     def pairs(self) -> Iterable[tuple[Section, Section]]:
         """The basis pairs, then (xᵥ·p, q) for each variable."""
         for i, j, f in self.pair_keys():
-            yield self.section(i, f), self.basis[j]
+            yield self.basis[i] if f is ONE else self.basis[i].scale(f), self.basis[j]
 
 
 def _verdict(axiom: str, checker: Callable, spec: AlgebroidSpec, t: _Tuples,
@@ -256,12 +252,7 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     triples = list(itertools.product(range(len(basis)), repeat=3))
     for ijk in triples:
         yield (*(basis[i] for i in ijk), ijk, ONE)
-    for i, j, f in t.pair_keys():
-        a, b = t.section(i, f), basis[j]
-        for v, component in enumerate(_anchor_morphism_defect(spec, br, a, b)):
-            if component.terms:
-                yield (a, b, basis[0].scale(xs[v]), (i, j, 0),
-                       xs[v] if f is ONE else f * xs[v])
+    yield from _anchor_fallback(spec, br, basis, xs, t.pair_keys())
     if (_verdict("symmetric-part", _ax_symmetric_part, spec, t, br, rho)
             or _verdict("invariance", _ax_invariance, spec, t, br, rho)):
         for ijk in triples:
@@ -271,34 +262,34 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
                 yield a.scale(x), b, c, ijk, x
 
 
-def _ax_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-               rho: Callable) -> dict | None:
+def _anchor_fallback(spec: AlgebroidSpec, br: Callable, sections: list[Section],
+                     xs: list[Scalar], keys: Iterable[tuple]) -> Iterable[tuple]:
+    """Lemma B's step (2), over the basis or the generators of a Dirac L: for
+    each key (i, j, f), (f·sᵢ, sⱼ, xᵥ·s₀) wherever A(f·sᵢ, sⱼ)xᵥ ≠ 0, with
+    its indices (i, j, 0) and monomial f·xᵥ."""
+    for i, j, f in keys:
+        a, b = sections[i] if f is ONE else sections[i].scale(f), sections[j]
+        for v, component in enumerate(_anchor_morphism_defect(spec, br, a, b)):
+            if component.terms:
+                yield (a, b, sections[0].scale(xs[v]), (i, j, 0),
+                       xs[v] if f is ONE else f * xs[v])
+
+
+def _jacobi_defect(br: Callable, table: dict, a: Section, b: Section,
+                   c: Section, indices: tuple, f: Scalar) -> Section:
+    """Jac − H̃ on the sections of ``indices``, one times f, H̃ read off
+    split_table's ``table`` over those sections (empty when untwisted)."""
+    jac = _jacobiator(br, a, b, c)
+    value = split_value(table, indices, f)
+    return jac if value is None else jac - value
+
+
+def _ax_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable, rho: Callable,
+               twisted: bool) -> dict | None:
+    """Jac, or Jac − H̃ with H̃ from split_table over the basis, on Jacobi's set."""
+    table = split_table(spec, spec.twist, t.basis) if twisted else {}
     return first_failure(_jacobi_tuples(spec, t, br, rho), ("phi", "psi1", "psi2"),
-                         lambda a, b, c, ijk, f: _jacobiator(br, a, b, c))
-
-
-def _ax_twisted_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                       rho: Callable) -> dict | None:
-    """Jac − H̃ on Jacobi's set.  H̃ = tilde_split of the twist is a
-    contraction of a form, so it is ℚ[x]-multilinear and alternating: on a
-    tuple with indices (i, j, k) and monomial f it is f·σ·H̃(e_I), with I the
-    sorted indices and σ the sign of the sort, and zero when an index
-    repeats.  H̃(e_I) is evaluated once per increasing I, on first use."""
-    h = tilde_split(spec, spec.twist)
-    values: dict = {}
-
-    def defect(a, b, c, ijk, f):
-        jac = _jacobiator(br, a, b, c)
-        key, sign = _sort_wedge(ijk)
-        if not sign:
-            return jac
-        if key not in values:
-            values[key] = h(*(t.basis[i] for i in key))
-        value = values[key] if sign > 0 else -values[key]
-        return jac - (value if f is ONE else value.scale(f))
-
-    return first_failure(_jacobi_tuples(spec, t, br, rho),
-                         ("phi", "psi1", "psi2"), defect)
+                         partial(_jacobi_defect, br, table))
 
 
 def _ax_twist_membership(spec: AlgebroidSpec, t: _Tuples, br: Callable,
@@ -319,33 +310,38 @@ def _ax_twist_closed(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     return first_failure([(spec.twist,)], ("twist",), lambda twist: defect)
 
 
-def _ax_leibniz(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                rho: Callable) -> dict | None:
+def _leibniz_failure(sections: list[Section], xs: list[Scalar], br: Callable,
+                     rho: Callable, names: tuple[str, str, str]) -> dict | None:
     """Lemma L: L(φ,f,ψ) = [φ,f·ψ] − ρ(φ)f·ψ − f·[φ,ψ] vanishes on every
-    tuple once it vanishes on (eᵢ, xᵥ, eⱼ).  Write φ = a·eᵢ, ψ = b·eⱼ.  By
-    the bracket's two extension rules L is ℚ-trilinear in (a, f, b) with
-    ℚ[x] coefficients and total order ≤ 1: L = c⁰·afb + c¹·(∂a)fb +
-    c²·a(∂f)b + c³·af(∂b).  L(φ,1,ψ) = [φ,ψ] − 0 − [φ,ψ] = 0 for every φ, ψ,
-    so c⁰ = c¹ = c³ = 0, and L(eᵢ,xᵥ,eⱼ) = c²ᵢⱼᵥ.  f = 1 leads each pair,
-    so a point base still evaluates every basis pair."""
-    functions = [ONE] + t.xs
+    tuple once it vanishes on (sᵢ, xᵥ, sⱼ), s the basis or a Dirac L's
+    generators.  With φ = a·sᵢ, ψ = b·sⱼ the bracket's two extension rules
+    make L ℚ-trilinear in (a, f, b) with ℚ[x] coefficients and total order
+    ≤ 1: L = c⁰·afb + c¹·(∂a)fb + c²·a(∂f)b + c³·af(∂b).  L(φ,1,ψ) = [φ,ψ]
+    − 0 − [φ,ψ] = 0, so c⁰ = c¹ = c³ = 0, and L(sᵢ,xᵥ,sⱼ) = c²ᵢⱼᵥ.  f = 1
+    leads each pair, so a point base still evaluates every pair."""
     return first_failure(
-        ((phi, f, psi) for phi, psi in itertools.product(t.basis, repeat=2)
-         for f in functions),
-        ("phi", "f", "psi"),
+        ((phi, f, psi) for phi, psi in itertools.product(sections, repeat=2)
+         for f in [ONE] + xs),
+        names,
         lambda phi, f, psi: (br(phi, psi.scale(f)) - psi.scale(rho(phi, f))
                              - br(phi, psi).scale(f)))
+
+
+def _ax_leibniz(spec: AlgebroidSpec, t: _Tuples, br: Callable,
+                rho: Callable) -> dict | None:
+    return _leibniz_failure(t.basis, t.xs, br, rho, ("phi", "f", "psi"))
 
 
 def _ax_symmetric_part(spec: AlgebroidSpec, t: _Tuples, br: Callable,
                        rho: Callable) -> dict | None:
     """Lemma C: S(φ,ψ) = [φ,ψ] + [ψ,φ] − D₀⟨φ,ψ⟩ is symmetric, and ℚ[x]-linear
     in ψ by the bracket's two extension rules and D₀(fh) = f·D₀h + h·D₀f.
-    [ψ,ψ] − ½D₀⟨ψ,ψ⟩ is ½·S(ψ,ψ), so it needs no pass of its own."""
+    [ψ,ψ] − ½D₀⟨ψ,ψ⟩ is ½·S(ψ,ψ), so it needs no pass of its own.  On basis
+    pairs ⟨eₐ,e_b⟩ is the Gram entry G_ab, which rides along unnamed."""
     return first_failure(
-        itertools.product(t.basis, repeat=2), ("phi", "psi"),
-        lambda phi, psi: (br(phi, psi) + br(psi, phi)
-                          - d0(spec, pairing(spec, phi, psi))))
+        ((phi, psi, g) for phi, row in zip(t.basis, spec.gram.entries)
+         for psi, g in zip(t.basis, row)), ("phi", "psi"),
+        lambda phi, psi, g: br(phi, psi) + br(psi, phi) - d0(spec, g))
 
 
 def _ax_invariance(spec: AlgebroidSpec, t: _Tuples, br: Callable,
@@ -456,7 +452,7 @@ def _ax_cyclic_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable,
 
 SUITES: dict[str, list[tuple[str, Callable]]] = {
     "courant": [
-        ("jacobi", _ax_jacobi),
+        ("jacobi", partial(_ax_jacobi, twisted=False)),
         ("leibniz", _ax_leibniz),
         ("symmetric-part", _ax_symmetric_part),
         ("invariance", _ax_invariance),
@@ -469,7 +465,7 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
     ],
     "h-twisted": [
         ("twist-membership", _ax_twist_membership),
-        ("twisted-jacobi", _ax_twisted_jacobi),
+        ("twisted-jacobi", partial(_ax_jacobi, twisted=True)),
         ("twist-closed", _ax_twist_closed),
         ("leibniz", _ax_leibniz),
         ("symmetric-part", _ax_symmetric_part),
@@ -479,7 +475,7 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
         ("leibniz", _ax_leibniz),
         ("invariance", _ax_invariance),
         ("symmetric-part", _ax_symmetric_part),
-        ("jacobi", _ax_jacobi),
+        ("jacobi", partial(_ax_jacobi, twisted=False)),
         ("derivation-bracket", _ax_derivation_bracket),
         ("derivation-isotropy", _ax_derivation_isotropy),
     ],
@@ -499,7 +495,7 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
         ("leibniz", _ax_leibniz),
         ("invariance", _ax_invariance),
         ("symmetric-part", _ax_symmetric_part),
-        ("twisted-jacobi", _ax_twisted_jacobi),
+        ("twisted-jacobi", partial(_ax_jacobi, twisted=True)),
         ("twist-closed", _ax_twist_closed),
         ("derivation-bracket", _ax_derivation_bracket),
         ("derivation-isotropy", _ax_derivation_isotropy),
@@ -525,8 +521,7 @@ def check_axioms(spec: AlgebroidSpec, suite: str) -> CheckReport:
         raise SuiteNotApplicableError(
             f"suite {suite!r} needs a twist, but the structure declares none")
     basis = spec.basis_sections()
-    q = next(j for j, e in enumerate(basis)
-             if not pairing(spec, basis[0], e).is_zero())
+    q = next(j for j, g in enumerate(spec.gram.entries[0]) if not g.is_zero())
     t = _Tuples(basis, [Scalar.variable(v) for v in range(spec.nvars)], 0, q)
     # the call's own tables (see the module docstring), built here from the
     # module's bindings of bracket and rho_apply

@@ -20,7 +20,6 @@ rank or solved block, nor the cochain an inconsistent D is reported for.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from courantkit.exact import Matrix, _eliminate, _kernel, _scalar_matrix
@@ -33,7 +32,7 @@ from courantkit.kerforms import (
     d_squared,
     ins_h,
     kerform_basis,
-    tilde_split_basis,
+    split_table,
 )
 from courantkit.structure import AlgebroidSpec, Section
 
@@ -46,15 +45,10 @@ class CochainEscapeError(RuntimeError):
 
 
 def twist_image_sections(spec: AlgebroidSpec) -> list[Section]:
-    """Generators of the image of the twist's splitting: H̃(eᵢ,eⱼ,eₖ), i<j<k."""
-    if spec.twist is None or spec.twist.is_zero():
-        return []
-    out = []
-    for i, j, k in itertools.combinations(range(spec.rank), 3):
-        value = tilde_split_basis(spec, spec.twist, (i, j, k))
-        if not value.is_zero():
-            out.append(value)
-    return out
+    """Generators of the image of the twist's splitting: the nonzero
+    H̃(eᵢ,eⱼ,eₖ), i<j<k."""
+    return [] if spec.twist is None else list(
+        split_table(spec, spec.twist, spec.basis_sections()).values())
 
 
 def annihilates_twist(spec: AlgebroidSpec, form: KerForm) -> bool:

@@ -20,7 +20,8 @@ anchor terms replaced by ∇_ψ v = [ψ, v].  induced_htla samples nothing:
 each of its five rows reads a finite set of generator tuples, possibly
 scaled by one variable, that decides it exactly (the sets are listed in its
 docstring and proved in _build_induced_htla, _jacobi_triples and
-_closed_quads).
+_closed_quads).  H̃ on generator tuples is kerforms.split_table over the
+generators, and the jacobi and leibniz rows run the axiom suites' code.
 """
 
 from __future__ import annotations
@@ -31,15 +32,14 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable
 
-from courantkit.axioms import CheckReport, _tabled, first_failure, witness
+from courantkit.axioms import (CheckReport, _anchor_fallback, _leibniz_failure,
+                               _tabled, _jacobi_defect, first_failure, witness)
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, _eliminate, _scalar_matrix
-from courantkit.kerforms import tilde_split, zero_form
+from courantkit.kerforms import split_table, split_value, tilde_split, zero_form
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
-    _anchor_morphism_defect,
-    _jacobiator,
     anchor_apply,
     bracket,
     pairing,
@@ -290,12 +290,11 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     read through one table owned by the call.
 
     twist-values-in-kernel: H̃ is alternating and ℚ[x]-trilinear and
-    ker ρ ∩ L is a submodule, so the increasing generator triples decide it.
-    antisymmetry: N is symmetric and ℚ[x]-bilinear on L, so the pairs i < j
-    and the diagonal, where [g,g] is ½·N(g,g), decide it.  leibniz: as in
-    Lemma L (axioms._ax_leibniz), L(a·gᵢ, f, b·gⱼ) is ℚ-trilinear in (a, f,
-    b) of total order ≤ 1 and zero at f = 1, so L(gᵢ, xᵥ, gⱼ) decide it; the
-    right extension rule makes those zero, so the row never fails.
+    ker ρ ∩ L is a submodule, so the nonzero values on increasing generator
+    triples decide it.  antisymmetry: N is symmetric and ℚ[x]-bilinear on
+    L, so the pairs i < j and the diagonal, where [g,g] is ½·N(g,g), decide
+    it.  leibniz: the suites' Lemma L over the generators; the right
+    extension rule makes those tuples zero, so the row never fails.
     """
     br = _tabled(partial(bracket, spec))
     gens = sub.generators
@@ -303,23 +302,17 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     xs = [Scalar.variable(v) for v in range(spec.nvars)]
     report = CheckReport(suite="induced-twisted-lie-algebroid")
 
-    # restricted data
-    struct = {pair: coeffs for pair, (coeffs, _) in solved.items()}
-    h = tilde_split(spec, spec.twist or zero_form(spec, 4))
-    twist_vals = {key: h(*(gens[k] for k in key))
-                  for key in itertools.combinations(range(g), 3)}
+    table = split_table(spec, spec.twist, gens) if spec.twist is not None else {}
     twist_solved = {key: express_in_generators(spec, sub, value)
-                    for key, value in twist_vals.items()}
-
-    def escapes(value: Section, residual: Section) -> str | None:
-        in_ker = all(c.is_zero() for c in anchor_apply(spec, value))
-        return (None if residual.is_zero() and in_ker
-                else "restricted twist value escapes ker ρ ∩ L")
+                    for key, value in table.items()}
 
     # the residual rides along unnamed
     escaped = first_failure(
-        ((str(key), value, twist_solved[key][1]) for key, value in twist_vals.items()),
-        ("triple", "value"), lambda _, value, residual: escapes(value, residual))
+        ((str(key), value, twist_solved[key][1]) for key, value in table.items()),
+        ("triple", "value"), lambda _, value, residual: (
+            None if residual.is_zero() and not any(
+                c.terms for c in anchor_apply(spec, value))
+            else "restricted twist value escapes ker ρ ∩ L"))
     report.add("twist-values-in-kernel", escaped)
 
     # the label leads each tuple; the sections ride along unnamed
@@ -334,19 +327,22 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
 
     report.add("jacobi", first_failure(
         _jacobi_triples(spec, gens, xs, br, skew is not None), ("x", "y", "z"),
-        lambda x, y, z: _jacobiator(br, x, y, z) - h(x, y, z)))
+        partial(_jacobi_defect, br, table)))
 
-    report.add("leibniz", first_failure(
-        ((x, f, y) for x in gens for y in gens for f in [ONE] + xs),
-        ("x", "f", "y"),
-        lambda x, f, y: (br(x, y.scale(f)) - y.scale(rho_apply(spec, x, f))
-                         - br(x, y).scale(f))))
+    report.add("leibniz", _leibniz_failure(gens, xs, br, partial(rho_apply, spec),
+                                           ("x", "f", "y")))
 
-    def closedness(*quad: Section) -> Section:
+    h = tilde_split(spec, spec.twist or zero_form(spec, 4))
+
+    def closedness(w, x, y, z, key, f) -> Section:
+        # H̃ of three generators is the table's, f sitting in slot 0
+        quad = (w, x, y, z)
         total = Section.zero(spec.rank)
         for k in range(4):
-            value = br(quad[k], h(*quad[:k], *quad[k + 1:]))
-            total = total + (value if k % 2 == 0 else -value)
+            value = split_value(table, key[:k] + key[k + 1:], f if k else ONE)
+            if value is not None:
+                value = br(quad[k], value)
+                total = total + (value if k % 2 == 0 else -value)
         for k, l in itertools.combinations(range(4), 2):
             rest = [quad[m] for m in range(4) if m != k and m != l]
             value = h(br(quad[k], quad[l]), rest[0], rest[1])
@@ -364,28 +360,25 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
         "rank": g,
         "anchor": [[c.to_text() for c in anchor_apply(spec, gen)] for gen in gens]
         if not spec.is_point() else None,
-        "bracket": {f"{i},{j}": [c.to_text() for c in struct[(i, j)]]
-                    for (i, j) in sorted(struct) if any(
-                        not s.is_zero() for s in struct[(i, j)])},
-        "h3": [{"indices": list(key),
-                "value": [c.to_text() for c in twist_solved[key][0]]}
-               for key, value in sorted(twist_vals.items())
-               if not value.is_zero()],
+        "bracket": {f"{i},{j}": [c.to_text() for c in coeffs]
+                    for (i, j), (coeffs, _) in sorted(solved.items())
+                    if any(not c.is_zero() for c in coeffs)},
+        "h3": [{"indices": list(key), "value": [c.to_text() for c in coeffs]}
+               for key, (coeffs, _) in twist_solved.items()],
     }
     return data, report
 
 
-def _non_increasing(gens: list[Section],
-                    arity: int) -> Iterable[tuple[Section, ...]]:
-    """The generator tuples whose indices do not strictly increase, in
-    index order."""
+def _keyed(gens: list[Section], arity: int, increasing: bool) -> Iterable[tuple]:
+    """(*sections, key, 1) for each generator index tuple key that strictly
+    increases, or for each other one, in index order."""
     for key in itertools.product(range(len(gens)), repeat=arity):
-        if any(a >= b for a, b in zip(key, key[1:])):
-            yield tuple(gens[k] for k in key)
+        if all(a < b for a, b in zip(key, key[1:])) == increasing:
+            yield (*(gens[k] for k in key), key, ONE)
 
 
 def _jacobi_triples(spec: AlgebroidSpec, gens: list[Section], xs: list[Scalar],
-                    br: Callable, skew_fails: bool) -> Iterable[tuple[Section, ...]]:
+                    br: Callable, skew_fails: bool) -> Iterable[tuple]:
     """Lemma B on L.  J = Jac − H̃; with ⟨a,b⟩ = 0 and I = 0 on L, the
     identities of axioms._jacobi_tuples become
 
@@ -405,21 +398,23 @@ def _jacobi_triples(spec: AlgebroidSpec, gens: list[Section], xs: list[Scalar],
     f·J is (ρ(c)f)·N(a,b) − ⟨N(a,b),c⟩D₀f: zero when N ≡ 0, and otherwise
     tensorial in a, b, c and a derivation in f, so (3)'s degree-1 tuples,
     which read it, decide it.  Hence J ≡ 0 on L.
+
+    As in axioms._jacobi_tuples, a tuple (x, y, z, indices, f) carries its
+    generator indices and monomial; (2) is axioms._anchor_fallback.
     """
-    yield from itertools.combinations(gens, 3)
-    for a, b in itertools.product(gens, repeat=2):
-        for v, component in enumerate(_anchor_morphism_defect(spec, br, a, b)):
-            if component.terms:
-                yield a, b, gens[0].scale(xs[v])
+    g = range(len(gens))
+    yield from _keyed(gens, 3, True)
+    yield from _anchor_fallback(spec, br, gens, xs, ((i, j, ONE) for i in g for j in g))
     if skew_fails:
-        yield from _non_increasing(gens, 3)
-        for a, b, c in itertools.product(gens, repeat=3):
+        yield from _keyed(gens, 3, False)
+        for ijk in itertools.product(g, repeat=3):
+            a, b, c = (gens[k] for k in ijk)
             for x in xs:
-                yield a.scale(x), b, c
+                yield a.scale(x), b, c, ijk, x
 
 
 def _closed_quads(gens: list[Section], xs: list[Scalar], skew_fails: bool,
-                  values_escape: bool) -> Iterable[tuple[Section, ...]]:
+                  values_escape: bool) -> Iterable[tuple]:
     """C(x₀,…,x₃) = Σₖ (−1)ᵏ[xₖ, H̃(x̂ₖ)] + Σ_{k<l} (−1)^{k+l} H̃([xₖ,xₗ], x̂ₖₗ),
     the hats dropping those slots.  On L the two extension rules give, with
     V = H̃ of the other three sections in order,
@@ -438,16 +433,17 @@ def _closed_quads(gens: list[Section], xs: list[Scalar], skew_fails: bool,
     alternation.  F ≡ 0: (3), if read, reads −F(xᵥ; gᵢ, H̃(gⱼ,gₖ,gₗ)).  C
     is then tensorial in every slot, so C ≡ 0 on L.  On fewer than four
     generators a passing antisymmetry and twist-values-in-kernel leave no
-    tuple: C is then alternating and tensorial, so zero.
+    tuple: C is then alternating and tensorial, so zero.  Each quad carries
+    its generator indices and the monomial in slot 0 (xᵥ in (3), else 1).
     """
-    yield from itertools.combinations(gens, 4)
+    yield from _keyed(gens, 4, True)
     if skew_fails:
-        yield from _non_increasing(gens, 4)
+        yield from _keyed(gens, 4, False)
     if values_escape:
-        for a in gens:
-            for rest in itertools.combinations(gens, 3):
+        for i, a in enumerate(gens):
+            for *rest, key, _ in _keyed(gens, 3, True):
                 for x in xs:
-                    yield (a.scale(x),) + rest
+                    yield (a.scale(x), *rest, (i, *key), x)
 
 
 def search_coordinate_dirac(spec: AlgebroidSpec) -> list[Subbundle]:

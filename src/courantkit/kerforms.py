@@ -16,7 +16,9 @@ system, since Λ^p(gram)⁻¹ = Λ^p(gram⁻¹) (Cauchy–Binet); on the rows of
 D₀ generators it is the pullback of base forms, `twist.pullback`.  `_insert`
 lowers each section through the Gram rows and removes one slot, the
 first-column expansion of the determinant; pair_sections, pair_basis,
-`contract` and the splitting α̃ are all this contraction.  The covariant
+`contract` and the splitting α̃ are all this contraction; α̃ is thus
+ℚ[x]-multilinear and alternating, and `split_table` is its one table (B̃,
+the twist images, and H̃ of both Jacobi rows).  The covariant
 derivative is defined by its pairings with all basis wedges,
 
   ⟨Dα, ψ0∧…∧ψp⟩ = Σᵢ (−1)ⁱ ρ(ψᵢ)⟨α, …ψ̂ᵢ…⟩ + Σ_{i<j} (−1)^{i+j} ⟨α, [ψᵢ,ψⱼ]∧…⟩
@@ -517,6 +519,28 @@ def tilde_split(spec: AlgebroidSpec, form: KerForm) -> Callable[..., Section]:
         return KerForm(spec, 1, coeffs).as_section()
 
     return split
+
+
+def split_table(spec: AlgebroidSpec, form: KerForm,
+                sections: Sequence[Section]) -> dict[Wedge, Section]:
+    """α̃ applied once to each increasing index tuple I of ``sections``, in
+    itertools.combinations order: the nonzero values α̃(s_I), keyed by I."""
+    split = tilde_split(spec, form)
+    values = {key: split(*(sections[k] for k in key)) for key in
+              itertools.combinations(range(len(sections)), form.degree - 1)}
+    return {key: value for key, value in values.items() if not value.is_zero()}
+
+
+def split_value(table: dict[Wedge, Section], indices: Sequence[int],
+                f: Scalar) -> Section | None:
+    """α̃ on the sections of ``indices``, one times f, off split_table's
+    ``table``: f·σ·table[I], I the sorted indices and σ the sign of the sort,
+    or None, for zero, on a repeated index or a key the table lacks."""
+    key, sign = _sort_wedge(indices)
+    value = table.get(key) if sign else None
+    if value is None or (sign > 0 and f is ONE):
+        return value
+    return value.scale(f if sign > 0 else -f)
 
 
 def tilde_split_basis(spec: AlgebroidSpec, form: KerForm,

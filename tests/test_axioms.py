@@ -626,10 +626,11 @@ class TestCallTables:
     def test_ct4_h_twisted_splits_each_increasing_triple_once(self, monkeypatch,
                                                               ctwist4):
         # twisted-jacobi reads H̃ on 8³ basis triples from at most C(8,3) = 56
-        # applications of the twist map (without the table: 512)
-        import courantkit.axioms as axioms
+        # applications of the twist map (without the table: 512); the table
+        # is kerforms.split_table, which reads kerforms' tilde_split
+        import courantkit.kerforms as kerforms
 
-        split, applied = axioms.tilde_split, []
+        split, applied = kerforms.tilde_split, []
 
         def counted_split(spec, form):
             h = split(spec, form)
@@ -640,7 +641,7 @@ class TestCallTables:
 
             return apply
 
-        monkeypatch.setattr(axioms, "tilde_split", counted_split)
+        monkeypatch.setattr(kerforms, "tilde_split", counted_split)
         assert check_axioms(ctwist4, "h-twisted").passed
         assert 0 < len(applied) <= 56
 

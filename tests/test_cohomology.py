@@ -303,23 +303,23 @@ class TestSummary:
 
     def test_twist_images_built_once_per_summary(self, monkeypatch):
         # complex_summary builds the cochain bases of degrees 0..5 on the
-        # rank-5 point from one set of C(5, 3) = 10 twist image values, then
-        # stops at the degree-1 escape
+        # rank-5 point from one table of the twist's splitting over the
+        # basis, C(5, 3) = 10 values, then stops at the degree-1 escape
         import courantkit.cohomology as cohomology
 
-        calls, evaluate = [], cohomology.tilde_split_basis
+        calls, build = [], cohomology.split_table
 
-        def counting(spec, form, key):
-            calls.append(key)
-            return evaluate(spec, form, key)
+        def counting(spec, form, sections):
+            calls.append(len(sections))
+            return build(spec, form, sections)
 
-        monkeypatch.setattr(cohomology, "tilde_split_basis", counting)
+        monkeypatch.setattr(cohomology, "split_table", counting)
         with pytest.raises(CochainEscapeError):
             complex_summary(_rank5_twisted(), 4)
-        assert len(calls) == 10
+        assert calls == [5]
         calls.clear()
         cochain_basis(_rank5_twisted(), 2)
-        assert len(calls) == 10
+        assert calls == [5]
 
 
     def test_summary_builds_each_ambient_basis_once(self, monkeypatch, sl3):

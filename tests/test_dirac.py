@@ -353,6 +353,34 @@ class TestInduced:
         assert len(calls) == g * g + g * g * n
         assert len(set(calls)) == len(calls)
 
+    def test_twisted_subbundle_splits_each_triple_once(self, monkeypatch,
+                                                       ctwist4):
+        # on span(e1, e2, e3, e8) the table over the generators applies H̃ to
+        # the C(4, 3) = 4 increasing triples, and jacobi and twist-closed's
+        # first sum read it; only twist-closed's six terms with a bracket in
+        # a slot apply H̃ again (without the table: 18 applications)
+        import courantkit.dirac as dirac
+        import courantkit.kerforms as kerforms
+
+        split, applied = kerforms.tilde_split, []
+
+        def counted_split(spec, form):
+            h = split(spec, form)
+
+            def apply(*sections):
+                applied.append(sections)
+                return h(*sections)
+
+            return apply
+
+        monkeypatch.setattr(kerforms, "tilde_split", counted_split)
+        monkeypatch.setattr(dirac, "tilde_split", counted_split)
+        sub = Subbundle(ctwist4, [Section.basis(i, 8) for i in (0, 1, 2, 7)])
+        data, report = induced_htla(ctwist4, sub)
+        assert report.passed, report.failing()
+        assert data["h3"] == [{"indices": [0, 1, 2], "value": ["0", "0", "0", "1"]}]
+        assert len(applied) <= 10
+
     def test_closed_graph_yields_lie_algebroid(self, std2):
         sub = graph_of_two_form(std2, {(0, 1): x(0)})
         data, report = induced_htla(std2, sub)
@@ -670,6 +698,31 @@ class TestInducedFiniteSets:
             truth = first_failure(monomial_tuples(spec, kinds, order, gens),
                                   kinds, defect) is None
             assert (check.status == "pass") == truth, check.axiom
+
+    @pytest.mark.parametrize("name", [
+        "ct4 twist (1,2,3,4) += x1", "ct4 twist (1,2,3,4) += 1",
+        "ct4 twist (1,2,3,5) += x1", "rank-6 skew", "std2ab",
+        "std2 one-sided [e1,e2] = x1*e2",
+        "rank-8 twisted point, [e1,e2] += e6",
+        "std2 span(e1, e4), [e1,e1] = e4", "rank-6 [e1,e1] = e2, [e2,e1] = e3"])
+    def test_witness_defects_match_dense_oracles(self, request, name):
+        # the jacobi and twist-closed witnesses replay through the dense
+        # oracles: H̃ read off the generators' table, with its sign and the
+        # monomial of a scaled slot, is H̃ of the witness's sections
+        from courantkit.exact import parse_scalar
+
+        spec, gens = self.structure(request, name)
+        _, report = induced_htla(spec, Subbundle(spec, gens))
+        rows = induced_dense_rows(spec, gens)
+        replayed = 0
+        for check in report.checks:
+            if check.status == "fail" and check.axiom in ("jacobi", "twist-closed"):
+                args = [Section(tuple(parse_scalar(c) for c in coeffs))
+                        for coeffs in check.witness["inputs"].values()]
+                defect = rows[check.axiom][2](*args)
+                assert defect.to_text() == check.witness["defect"], check.axiom
+                replayed += 1
+        assert replayed
 
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_std2ab_fails_jacobi_at_every_seed(self, std2, tmp_path, capsys, seed):

@@ -16,7 +16,8 @@ CACHES = {"cache", "lru_cache", "cached_property"}
 # must not call; tilde_split_basis stays allowed, since the insertion oracle
 # checks the derivation extension, not α̃
 KERNEL_PAIRINGS = {"pair_sections", "pair_basis", "pair_prefixed", "contract",
-                   "tilde_split", "_insert", "_wedge_map", "solve_wedge_values"}
+                   "tilde_split", "split_table", "split_value", "_insert",
+                   "_wedge_map", "solve_wedge_values"}
 
 
 def _annotation_names(node: ast.AST) -> set[str]:

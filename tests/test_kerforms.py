@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corrupt_gram
+from conftest import corrupt_gram, corrupt_twist
 from oracles import compound, det_pairing, gram_solve_split, ins_subset_oracle
 
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, wedge_indices
@@ -30,13 +30,15 @@ from courantkit.kerforms import (
     scalar_form,
     section_form,
     solve_wedge_values,
+    split_table,
+    split_value,
     tilde_split,
     tilde_split_basis,
     zero_form,
 )
 from courantkit.rand import rand_scalar, rand_section, rand_wedge_coeffs
 from courantkit.structure import Section, SpecInvariantError
-from courantkit.twist import _split_table, base_form, make_point, make_standard, pullback
+from courantkit.twist import base_form, make_point, make_standard, pullback
 
 x = Scalar.variable
 
@@ -303,6 +305,47 @@ class TestTildeSplitTable:
         assert tilde_split_basis(std2, alpha, (1, 1)).is_zero()
 
 
+class TestSplitValue:
+    """split_table with split_value equals the splitting on every ordered
+    triple of its family, repeated indices included, unscaled and with one
+    slot scaled by a variable; the table holds the nonzero values on the
+    increasing triples only."""
+
+    @staticmethod
+    def agrees(spec, sections):
+        split = tilde_split(spec, spec.twist)
+        table = split_table(spec, spec.twist, sections)
+        assert list(table) == [
+            key for key in itertools.combinations(range(len(sections)), 3)
+            if not split(*(sections[k] for k in key)).is_zero()]
+        for ijk in itertools.product(range(len(sections)), repeat=3):
+            args = [sections[k] for k in ijk]
+            read = split_value(table, ijk, ONE)
+            assert (read or Section.zero(spec.rank)) == split(*args), ijk
+            for v in range(spec.nvars):
+                slot = v % 3
+                scaled = [a.scale(x(v)) if m == slot else a
+                          for m, a in enumerate(args)]
+                read = split_value(table, ijk, x(v))
+                assert (read or Section.zero(spec.rank)) == split(*scaled), (ijk, v)
+        return table
+
+    def test_basis_family(self, ctwist4):
+        table = self.agrees(ctwist4, ctwist4.basis_sections())
+        assert table[(0, 1, 2)] == Section.basis(7, 8)
+
+    def test_basis_family_corrupted_twist(self, ctwist4):
+        spec = corrupt_twist(ctwist4, (0, 1, 2, 3), x(0))
+        table = self.agrees(spec, spec.basis_sections())
+        assert table != split_table(ctwist4, ctwist4.twist,
+                                    ctwist4.basis_sections())
+
+    def test_generator_family(self, ctwist4):
+        # e1; e2; e3; e8 has one nonzero triple: H̃(e1,e2,e3) = e8
+        gens = [Section.basis(i, 8) for i in (0, 1, 2, 7)]
+        assert self.agrees(ctwist4, gens) == {(0, 1, 2): Section.basis(7, 8)}
+
+
 class TestSquareAndInsertion:
     def test_degree_zero_squares_to_zero(self, ctwist4):
         f = KerForm(ctwist4, 0, {(): x(0) * x(3)})
@@ -523,7 +566,7 @@ class TestWedgeMapAgainstMinors:
                  (so3_plus_so3, KerForm(so3_plus_so3, 3,
                                         rand_wedge_coeffs(rng, so3_plus_so3, 3)))]
         for spec, b in cases:
-            table = _split_table(spec, b)
+            table = split_table(spec, b, spec.basis_sections())
             assert table
             oracle = MinorsCovariant(spec)
             forms = [b] + [KerForm(spec, p, rand_wedge_coeffs(rng, spec, p, 1))

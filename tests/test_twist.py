@@ -15,6 +15,8 @@ from courantkit.kerforms import (
     basis_wedge_form,
     cov_derivative,
     section_form,
+    split_table,
+    split_value,
     tilde_split,
     tilde_split_basis,
     zero_form,
@@ -29,7 +31,6 @@ from courantkit.structure import (
     jacobiator,
 )
 from courantkit.twist import (
-    _split_table,
     base_form,
     btilde_squared_form,
     c_twist,
@@ -144,23 +145,25 @@ class TestTwistBracket:
 
 
 class TestSplitTable:
-    """The table of B̃ on basis pairs holds exactly its nonzero values."""
+    """The table of B̃ on basis pairs holds exactly its nonzero values on the
+    pairs i < j, and split_value reads B̃ on every ordered pair off it."""
 
     @staticmethod
     def _agrees(spec, b):
-        table = _split_table(spec, b)
-        split, e = tilde_split(spec, b), spec.basis_sections()
+        e = spec.basis_sections()
+        table, split = split_table(spec, b, e), tilde_split(spec, b)
         zero_pairs = 0
         for i in range(spec.rank):
             for j in range(spec.rank):
-                value = split(e[i], e[j])
+                value, read = split(e[i], e[j]), split_value(table, (i, j), ONE)
                 if value.is_zero():
-                    assert (i, j) not in table
+                    assert read is None and (i, j) not in table
                     zero_pairs += 1
                 else:
-                    assert table[(i, j)] == value
-        assert len(table) + zero_pairs == spec.rank ** 2
-        assert table and len(table) < spec.rank ** 2 - spec.rank
+                    assert read == value
+                    assert ((i, j) in table) == (i < j)
+        assert 2 * len(table) + zero_pairs == spec.rank ** 2
+        assert table and 2 * len(table) < spec.rank ** 2 - spec.rank
         return table
 
     def test_ctwist4_b(self):
