@@ -387,8 +387,9 @@ def _ax_derivation_bracket(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     + h·T(f,ψ), the ρ terms cancelling as ⟨D₀h,ψ⟩ = ρ(ψ)h; T(xᵥ, g·ψ) =
     g·T(xᵥ,ψ) + ρ(D₀xᵥ)g·ψ by the right rule.  So (xᵥ, eᵢ) decide T(xᵥ,·) up
     to ρ(D₀xᵥ), which (xᵥ, xᵤ·p) then read.  D₀xᵥ rides along unnamed."""
+    gens = [d0_generator(spec, v) for v in range(len(t.xs))]
     return first_failure(
-        ((x, phi, d0_generator(spec, v)) for v, x in enumerate(t.xs)
+        ((x, phi, df) for x, df in zip(t.xs, gens)
          for phi in t.basis + [t.basis[t.p].scale(u) for u in t.xs]),
         ("f", "phi"), lambda f, phi, df: br(df, phi))
 

@@ -34,7 +34,7 @@ from typing import Callable, Iterable
 
 from courantkit.axioms import (CheckReport, _anchor_fallback, _leibniz_failure,
                                _tabled, _jacobi_defect, first_failure, witness)
-from courantkit.exact import Matrix, ONE, Scalar, ZERO, _eliminate, _scalar_matrix
+from courantkit.exact import Matrix, ONE, Scalar, ZERO, _eliminate
 from courantkit.kerforms import split_table, split_value, tilde_split, zero_form
 from courantkit.structure import (
     AlgebroidSpec,
@@ -54,10 +54,10 @@ class MembershipError(ValueError):
 @dataclass
 class Subbundle:
     """Generator sections spanning a subbundle of the module.  The g
-    generators must be independent, and det(M·Mᵀ) ≠ 0 decides it: by
-    Cauchy–Binet it is the sum of the squares of the g×g minors of their
-    coefficient matrix M, and a sum of squares of real polynomials is zero
-    only if each one is."""
+    generators must be independent: a constant block is a nonzero g×g minor,
+    and without one det(M·Mᵀ) ≠ 0 decides it, as by Cauchy–Binet it is the
+    sum of the squares of the g×g minors of their coefficient matrix M, and a
+    sum of squares of real polynomials is zero only if each one is."""
 
     spec: AlgebroidSpec
     generators: list[Section]
@@ -67,13 +67,10 @@ class Subbundle:
             self.spec.validate_section(g, "subbundle generator")
         if not self.generators:
             raise SpecInvariantError("a subbundle needs at least one generator")
-        coeffs = [g.coeffs for g in self.generators]
-        if Matrix([[sum((a * b for a, b in zip(u, v) if a.terms and b.terms), ZERO)
-                    for v in coeffs] for u in coeffs]).det().is_zero():
-            raise SpecInvariantError("subbundle generators are dependent")
         # the membership block, derived once: the pivots of [rows | I] reduced
         # to [R | E] are the first constant-column combination with a nonzero
-        # minor and E = block⁻¹; _block is (pivots, Eᵀ), or None without one
+        # minor and E = block⁻¹; _block holds, for each generator a, the
+        # (column, entry) pairs of E's column a, or is None without a block
         g = self.dim
         constant_cols = [c for c in range(self.spec.rank)
                          if all(gen.coeffs[c].is_rational() for gen in self.generators)]
@@ -82,9 +79,15 @@ class Subbundle:
                 + [Fraction(1) if a == b else Fraction(0) for b in range(g)]
                 for a, gen in enumerate(self.generators)]
         pivots = _eliminate(rows, k)
-        self._block = None if len(pivots) < g else (
-            tuple(constant_cols[p] for p in pivots),
-            _scalar_matrix(row[k:] for row in rows).transpose())
+        self._block = None if len(pivots) < g else tuple(
+            tuple((constant_cols[p], Scalar.rational(row[k + a]))
+                  for p, row in zip(pivots, rows) if row[k + a])
+            for a in range(g))
+        if self._block is None:
+            coeffs = [gen.coeffs for gen in self.generators]
+            if Matrix([[sum((a * b for a, b in zip(u, v) if a.terms and b.terms), ZERO)
+                        for v in coeffs] for u in coeffs]).det().is_zero():
+                raise SpecInvariantError("subbundle generators are dependent")
 
     @property
     def dim(self) -> int:
@@ -187,12 +190,12 @@ def express_in_generators(spec: AlgebroidSpec, sub: Subbundle,
         raise MembershipError(
             "no invertible constant-column block: span membership over the "
             "polynomial ring is undecidable for this generator matrix")
-    cols, block_inv_t = sub._block
-    coeffs = block_inv_t.matvec([sec.coeffs[c] for c in cols])
+    coeffs = tuple(sum((sec.coeffs[c] * e for c, e in row if sec.coeffs[c].terms),
+                       ZERO) for row in sub._block)
     recombined = Section.zero(spec.rank)
     for c, gen in zip(coeffs, sub.generators):
         recombined = recombined + gen.scale(c)
-    return tuple(coeffs), sec - recombined
+    return coeffs, sec - recombined
 
 
 Solved = dict[tuple[int, int], tuple[tuple[Scalar, ...], Section]]

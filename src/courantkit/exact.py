@@ -31,6 +31,11 @@ Variables are named x1, x2, ... in text form (x1 is exponent position 0).
 Rational linear algebra runs on lists of Fraction rows, reduced by the one
 Gauss–Jordan elimination ``_eliminate``; Scalars appear only at the API
 (``rref``, ``kernel_basis``, ``solve_rational``, the rational inverse).
+``Matrix`` keeps what the Gram and anchor matrices need: construction
+(``identity`` too), equality, the symmetry test, the determinant and the
+inverse.  Products with vectors run on sparse rows where they are used (the
+spec's back-solve, a subbundle's block); the dense ``matvec``, ``matmul``
+and ``transpose`` live in the test oracles.
 """
 
 from __future__ import annotations
@@ -449,9 +454,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, idx: tuple[int, int]) -> Scalar:
-        return self.entries[idx[0]][idx[1]]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries
 
@@ -462,20 +464,10 @@ class Matrix:
         body = "; ".join(", ".join(e.to_text() for e in row) for row in self.entries)
         return f"Matrix[{body}]"
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
             for i in range(self.rows) for j in range(i))
-
-    def matvec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch in matvec")
-        return tuple(sum((row[j] * vec[j] for j in range(self.cols)), ZERO)
-                     for row in self.entries)
 
     def is_rational(self) -> bool:
         return all(e.is_rational() for row in self.entries for e in row)

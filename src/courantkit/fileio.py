@@ -239,12 +239,12 @@ def _basis_index(spec: AlgebroidSpec, name: str, text: str, at: int) -> int:
 
 
 def _split_term(term: str, text: str,
-                offset: int) -> tuple[Scalar, list[str], int]:
+                offset: int) -> tuple[Scalar, list[tuple[str, int]]]:
     """Split one inline term, which starts at ``offset`` in ``text``, into
-    (polynomial coefficient, basis-name chain, offset of the chain)."""
+    its polynomial coefficient and its basis-name chain, each name paired
+    with its own offset in ``text``."""
     coeff = Scalar.rational(1)
-    names: list[str] = []
-    chain_at = offset
+    names: list[tuple[str, int]] = []
     for raw in term.split("*"):
         factor = raw.strip()
         at = offset + len(raw) - len(raw.lstrip())
@@ -254,10 +254,12 @@ def _split_term(term: str, text: str,
         if "e" in factor or "d" in factor:
             if names:
                 raise ParseError("two wedge chains in one term", text, at)
-            names, chain_at = [part.strip() for part in factor.split("^")], at
+            for part in factor.split("^"):
+                names.append((part.strip(), at + len(part) - len(part.lstrip())))
+                at += len(part) + 1
         else:
             coeff = coeff * _inline_poly_factor(factor, text, at)
-    return coeff, names, chain_at
+    return coeff, names
 
 
 def _inline_poly_factor(factor: str, text: str, at: int) -> Scalar:
@@ -270,14 +272,14 @@ def _inline_poly_factor(factor: str, text: str, at: int) -> Scalar:
 
 def _inline_terms(text: str, index) -> tuple[int, dict]:
     """The terms of an inline form summed by sorted index tuple: (degree,
-    {indices: coefficient}).  ``index(name, at)`` maps a basis name whose
-    chain starts at offset ``at`` to its slot."""
+    {indices: coefficient}).  ``index(name, at)`` maps a basis name that
+    starts at offset ``at`` to its slot."""
     coeffs: dict = {}
     degree = None
     for sign, term, start in _split_signed_terms(text):
         at = text.index(term, start)
-        value, names, chain_at = _split_term(term, text, at)
-        indices = [index(n, chain_at) for n in names]
+        value, names = _split_term(term, text, at)
+        indices = [index(name, name_at) for name, name_at in names]
         if degree is None:
             degree = len(indices)
         if len(indices) != degree:

@@ -13,13 +13,15 @@ pairs α with every basis wedge at once, `_insert` with given sections.
 a of a wedge becomes Σ_b M[a][b]·e_b.  On the Gram rows it gives ⟨α, e_J⟩
 for every J; on the rows of gram⁻¹ it is the back-solve of the Λ-Gram
 system, since Λ^p(gram)⁻¹ = Λ^p(gram⁻¹) (Cauchy–Binet); on the rows of the
-D₀ generators it is the pullback of base forms, `twist.pullback`.  `_insert`
-lowers each section through the Gram rows and removes one slot, the
-first-column expansion of the determinant; pair_sections, pair_basis,
-`contract` and the splitting α̃ are all this contraction; α̃ is thus
-ℚ[x]-multilinear and alternating, and `split_table` is its one table (B̃,
-the twist images, and H̃ of both Jacobi rows).  The covariant
-derivative is defined by its pairings with all basis wedges,
+D₀ generators it is the pullback of base forms, `twist.pullback`.  Both row
+sets are the spec's back-solve, whose degree-1 case is ρ* and D₀ (the D₀
+rows are gram⁻¹ on the anchor columns).  `_insert` lowers each section
+through the Gram rows and removes one slot, the first-column expansion of
+the determinant; pair_sections, pair_basis, `contract` and the splitting α̃
+are all this contraction; α̃ is thus ℚ[x]-multilinear and alternating, and
+`split_table` is its one table (B̃, the twist images, and H̃ of both Jacobi
+rows).  The covariant derivative is defined by its pairings with all basis
+wedges,
 
   ⟨Dα, ψ0∧…∧ψp⟩ = Σᵢ (−1)ⁱ ρ(ψᵢ)⟨α, …ψ̂ᵢ…⟩ + Σ_{i<j} (−1)^{i+j} ⟨α, [ψᵢ,ψⱼ]∧…⟩
 
@@ -425,9 +427,9 @@ def solve_wedge_values(spec: AlgebroidSpec, degree: int,
 
     Solves ⟨α, e_J⟩ = values[J] (absent wedges pair to zero) by applying the
     inverse of the Λ-Gram system, Λ^p(gram⁻¹), slotwise on the sparse rows
-    of gram⁻¹.
+    of gram⁻¹ that the spec's back-solve holds.
     """
-    return KerForm(spec, degree, _wedge_map(spec._inverse()[1], values))
+    return KerForm(spec, degree, _wedge_map(spec._back_solve()[0], values))
 
 
 def eval_covariant(spec: AlgebroidSpec, form: KerForm,

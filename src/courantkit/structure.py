@@ -26,9 +26,11 @@ with no 1/2 factor, so ρ*ξ = ξ on the standard bundle.
 
 The constructor also keeps sparse rows: the nonzero (index, entry) pairs of
 every Gram row, anchor row and table entry, built once from its arguments.
-pairing, anchor_apply, bracket and d0 loop over these rows (d0 over the
-rows of its generators), so no call tests a zero matrix entry.  The rows of
-gram⁻¹ and the D₀ generators are built on first use.
+pairing, anchor_apply and bracket loop over these rows, so no call tests a
+zero matrix entry.  The one back-solve of the Gram system, the sparse rows of
+gram⁻¹ and of D₀(xⱼ) = gram⁻¹·(anchor column j), is built on first use: ρ*ξ
+and D₀f are its combinations Σⱼ cⱼ·D₀(xⱼ), with cⱼ = ξⱼ and cⱼ = ∂ⱼf, and
+Λᵖ of its rows solves the Λ-Gram system and pulls base forms back.
 """
 
 from __future__ import annotations
@@ -157,8 +159,7 @@ class AlgebroidSpec:
                   for j in range(rank) if (i, j) in table)
             for i in range(rank))
         self._zero_section = Section.zero(rank)
-        self._gram_inv: tuple[Matrix, tuple] | None = None
-        self._d0_cache: dict[int, tuple[Section, tuple]] = {}
+        self._solve: tuple[tuple, tuple] | None = None
         from courantkit.kerforms import KerForm  # kerforms imports this module
         self.twist = None if twist is None else KerForm(self, 4, twist)
 
@@ -246,17 +247,16 @@ class AlgebroidSpec:
         return (f"AlgebroidSpec(rank={self.rank}, base={base}, kind={self.kind}, "
                 f"twist={'yes' if self.twist is not None else 'no'})")
 
-    # -- the inverse Gram matrix, computed on first use --------------------
-
-    def gram_inverse(self) -> Matrix:
-        return self._inverse()[0]
-
-    def _inverse(self) -> tuple[Matrix, tuple]:
-        """gram⁻¹ and its sparse rows, the back-solve of the Λ-Gram system."""
-        if self._gram_inv is None:
-            inv = self.gram.inverse()
-            self._gram_inv = (inv, tuple(map(_sparse, inv.entries)))
-        return self._gram_inv
+    def _back_solve(self) -> tuple[tuple, tuple]:
+        """The sparse rows of gram⁻¹ and of D₀(x₁), …, D₀(xₙ), built on first
+        use, the spec's only write after __init__.  gram⁻¹ is symmetric, so
+        gram⁻¹·(anchor column j) combines its rows with the column's entries."""
+        if self._solve is None:
+            inv = tuple(map(_sparse, self.gram.inverse().entries))
+            columns = () if self.anchor is None else zip(*self.anchor.entries)
+            self._solve = inv, tuple(_sparse(_combine(inv, col, self.rank))
+                                     for col in columns)
+        return self._solve
 
     def table_bracket(self, i: int, j: int) -> Section:
         return self.bracket_table.get((i, j), self._zero_section)
@@ -267,6 +267,16 @@ class AlgebroidSpec:
 
 def _sparse(entries: Sequence[Scalar]) -> tuple[tuple[int, Scalar], ...]:
     return tuple((k, e) for k, e in enumerate(entries) if e.terms)
+
+
+def _combine(rows: Sequence, coeffs: Sequence[Scalar], size: int) -> tuple[Scalar, ...]:
+    """Σⱼ cⱼ·rows[j] over sparse rows, as a vector of length ``size``."""
+    out = [ZERO] * size
+    for c, row in zip(coeffs, rows):
+        if c.terms:
+            for k, entry in row:
+                out[k] = out[k] + c * entry
+    return tuple(out)
 
 
 # -- pairing and anchor ------------------------------------------------------
@@ -322,49 +332,37 @@ def rho_apply(spec: AlgebroidSpec, psi: Section, f: Scalar) -> Scalar:
 
 
 def rho_star(spec: AlgebroidSpec, xi: Sequence[Scalar]) -> Section:
-    """ρ*ξ, defined by ⟨ρ*ξ, ψ⟩ = ξ(ρψ) for all ψ, solved through gram."""
+    """ρ*ξ, defined by ⟨ρ*ξ, ψ⟩ = ξ(ρψ) for all ψ: R-linear, so it is
+    Σⱼ ξⱼ·D₀(xⱼ) over the D₀ rows of the spec's back-solve."""
     if spec.is_point() or spec.anchor is None:
         if any(not c.is_zero() for c in xi):
             raise SpecInvariantError(
                 "no nonzero one-forms exist over this base; only ξ=0 is allowed")
-        return Section.zero(spec.rank)
+        return spec._zero_section
     if len(xi) != spec.nvars:
         raise ValueError(f"one-form needs {spec.nvars} coefficients")
-    w = spec.anchor.matvec(list(xi))
-    return Section(spec.gram_inverse().matvec(w))
+    return Section(_combine(spec._back_solve()[1], xi, spec.rank))
 
 
 def d0(spec: AlgebroidSpec, f: Scalar) -> Section:
-    """The derivation D₀: f ↦ ρ*(df) = Σⱼ ∂ⱼf·D₀(xⱼ), ρ* being R-linear,
-    summed over the cached generators d0_generator(spec, j).  Zero over a
-    point."""
+    """The derivation D₀: f ↦ ρ*(df) = Σⱼ ∂ⱼf·D₀(xⱼ), combined as in
+    rho_star.  Zero over a point, without an anchor and on constants, none
+    of which builds the back-solve."""
     if spec.is_point() or spec.anchor is None or f.is_rational():
-        return Section.zero(spec.rank)
-    out = [ZERO] * spec.rank
-    for j in range(min(spec.nvars, f.max_var_index + 1)):
-        dfj = f.partial(j)
-        if dfj.terms:
-            for k, ck in _d0_entry(spec, j)[1]:
-                out[k] = out[k] + dfj * ck
-    return Section(tuple(out))
+        return spec._zero_section
+    df = [f.partial(j) for j in range(min(spec.nvars, f.max_var_index + 1))]
+    return Section(_combine(spec._back_solve()[1], df, spec.rank))
 
 
 def d0_generator(spec: AlgebroidSpec, j: int) -> Section:
-    """Cached D₀(x_{j+1}) = ρ*(dx_{j+1}); zero without an anchor."""
-    return _d0_entry(spec, j)[0]
-
-
-def _d0_entry(spec: AlgebroidSpec, j: int) -> tuple[Section, tuple]:
-    """D₀(x_{j+1}) and its nonzero (index, entry) pairs, cached on the spec."""
-    cached = spec._d0_cache.get(j)
-    if cached is None:
-        if spec.anchor is None:
-            gen = Section.zero(spec.rank)
-        else:
-            gen = rho_star(spec, [ONE if k == j else ZERO
-                                  for k in range(spec.nvars)])
-        cached = spec._d0_cache[j] = (gen, _sparse(gen.coeffs))
-    return cached
+    """D₀(x_{j+1}) = ρ*(dx_{j+1}), row j of the back-solve's D₀ rows; zero
+    without an anchor.  j must name a variable, 0 ≤ j < nvars."""
+    if not 0 <= j < spec.nvars:
+        raise ValueError(f"variable index {j} out of range for "
+                         f"{spec.nvars} variable(s)")
+    if spec.anchor is None:
+        return spec._zero_section
+    return rho_star(spec, [ONE if k == j else ZERO for k in range(spec.nvars)])
 
 
 # -- the bracket -------------------------------------------------------------

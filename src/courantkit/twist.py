@@ -29,7 +29,6 @@ from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
-    _d0_entry,
 )
 
 BaseForm = dict[tuple[int, ...], Scalar]
@@ -57,8 +56,8 @@ def de_rham(form: BaseForm, nvars: int) -> BaseForm:
 
 
 def pullback(spec: AlgebroidSpec, form: BaseForm, degree: int) -> KerForm:
-    """Λ^p ρ*, the wedge map on the sparse rows of the D₀ generators; lands
-    in ker ρ̃ on valid structures."""
+    """Λ^p ρ*, the wedge map on the sparse D₀ rows of the spec's back-solve;
+    lands in ker ρ̃ on valid structures."""
     if spec.is_point() or spec.anchor is None:
         if form:
             raise SpecInvariantError(
@@ -68,8 +67,7 @@ def pullback(spec: AlgebroidSpec, form: BaseForm, degree: int) -> KerForm:
         if len(key) != degree:
             raise ValueError(f"base form term {key} has degree {len(key)}, "
                              f"expected {degree}")
-    rows = [_d0_entry(spec, j)[1] for j in range(spec.nvars)]
-    return KerForm(spec, degree, _wedge_map(rows, form))
+    return KerForm(spec, degree, _wedge_map(spec._back_solve()[1], form))
 
 
 def pullback_4form(spec: AlgebroidSpec, h: BaseForm) -> KerForm:

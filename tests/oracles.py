@@ -28,7 +28,8 @@ checks:
     degree bound, where the axiom suites and the induced Dirac algebroid
     build each row's own finite set.
 
-zeros and matmul are the dense matrix helpers that only the tests use.
+zeros, matmul, matvec and transpose are the dense matrix helpers that only
+the tests use.
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix([[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)),
                         ZERO)
                     for j in range(b.cols)] for i in range(a.rows)])
+
+
+def matvec(m: Matrix, vec) -> tuple[Scalar, ...]:
+    """m·vec, summing every product of entries, the zero ones included."""
+    if len(vec) != m.cols:
+        raise ValueError("dimension mismatch in matvec")
+    return tuple(sum((row[j] * vec[j] for j in range(m.cols)), ZERO)
+                 for row in m.entries)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix([[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
 
 
 class NoConstantBlock(Exception):
@@ -138,7 +151,7 @@ def det_pairing(spec: AlgebroidSpec, form: KerForm,
         raise ValueError("wrong number of sections for this degree")
     if form.degree == 0:
         return form.as_scalar()
-    gram_cols = [spec.gram.matvec(list(sec.coeffs)) for sec in sections]
+    gram_cols = [matvec(spec.gram, sec.coeffs) for sec in sections]
     total = ZERO
     for I, value in form.coeffs.items():
         grid = Matrix([[gram_cols[b][a] for b in range(len(sections))] for a in I])
@@ -201,12 +214,12 @@ def gram_solve_split(spec: AlgebroidSpec, form: KerForm):
     ⟨α̃(ψ1,…,ψ_{p−1}), e_j⟩ = ⟨α, ψ1∧…∧ψ_{p−1}∧e_j⟩ by determinant pairings
     of the given sections, then α̃ = gram⁻¹·w.
     """
-    gram_inv = spec.gram_inverse()
+    gram_inv = spec.gram.inverse()
 
     def split(*sections: Section) -> Section:
         w = [det_pairing(spec, form, list(sections) + [Section.basis(j, spec.rank)])
              for j in range(spec.rank)]
-        return Section(gram_inv.matvec(w))
+        return Section(matvec(gram_inv, w))
 
     return split
 
@@ -379,9 +392,9 @@ def frame_change(spec: AlgebroidSpec, T: Matrix) -> AlgebroidSpec:
     and [e′ᵢ, e′ⱼ] = T⁻¹·[Teᵢ, Teⱼ]."""
     if spec.twist is not None:
         raise ValueError("frame_change moves untwisted structures only")
-    Tt, T_inv = T.transpose(), T.inverse()
+    Tt, T_inv = transpose(T), T.inverse()
     columns = [Section(col) for col in Tt.entries]
-    table = {(i, j): Section(T_inv.matvec(dense_bracket(spec, a, b).coeffs))
+    table = {(i, j): Section(matvec(T_inv, dense_bracket(spec, a, b).coeffs))
              for i, a in enumerate(columns) for j, b in enumerate(columns)}
     return AlgebroidSpec(
         spec.ring, spec.nvars, spec.rank, matmul(Tt, matmul(spec.gram, T)),

@@ -254,6 +254,19 @@ def test_no_spec_field_assigned_after_construction():
     assert found == []
 
 
+def test_spec_methods_write_only_the_back_solve():
+    # outside __init__, the one attribute AlgebroidSpec's methods assign is
+    # the back-solve of the Gram system, built on first use
+    tree = ast.parse((PACKAGE / "structure.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "AlgebroidSpec")
+    written = {node.attr for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)}
+    assert written == {"_solve"}
+
+
 @pytest.mark.parametrize("source, found", [
     ("spec.twist = h\n", ["1: spec.twist"]),
     ("a.kind, b = k, 1\nout.twist += h\ndel out.twist\n",

@@ -19,6 +19,7 @@ from courantkit.structure import (
     anchor_morphism_defect,
     bracket,
     d0,
+    d0_generator,
     jacobiator,
     pairing,
     rho_apply,
@@ -152,6 +153,52 @@ class TestRhoStarAndD0:
             f = rand_scalar(rng, spec.nvars, 3)
             df = [f.partial(j) for j in range(spec.nvars)]
             assert d0(spec, f) == rho_star(spec, df), f
+
+    @pytest.mark.parametrize("case", ["std3", "ctwist4", "ctwist4-polynomial-gram",
+                                      "std2_frame"])
+    def test_rho_star_pairs_as_the_one_form_on_the_anchor(self, request, case):
+        # ⟨ρ*ξ, eᵢ⟩ = ξ(ρeᵢ) through the dense oracles; d0 and rho_star read
+        # the same rows, so this is what checks the rows themselves.  The
+        # last two cases have a polynomial gram⁻¹
+        if case == "ctwist4-polynomial-gram":
+            spec = corrupt_gram(request.getfixturevalue("ctwist4"), 0, x(0))
+        else:
+            spec = request.getfixturevalue(case)
+        n = spec.nvars
+        rng = random.Random(5)
+        forms = [[ONE if k == j else ZERO for k in range(n)] for j in range(n)]
+        forms += [[rand_scalar(rng, n, 2) for _ in range(n)] for _ in range(4)]
+        for xi in forms:
+            image = rho_star(spec, xi)
+            for e in spec.basis_sections():
+                rho_e = dense_anchor_apply(spec, e)
+                want = sum((a * b for a, b in zip(xi, rho_e)), ZERO)
+                assert dense_pairing(spec, image, e) == want, (xi, e)
+
+    @pytest.mark.parametrize("j", [2, 7, -1])
+    def test_d0_generator_rejects_a_missing_variable(self, std2, j):
+        # std2 has x1 and x2 only (j = 0, 1); -1 must not wrap round to x2
+        with pytest.raises(ValueError, match=f"variable index {j} out of range"):
+            d0_generator(std2, j)
+
+    def test_back_solve_built_on_first_use_only(self):
+        from courantkit.twist import make_standard
+
+        spec = make_standard(2)
+        assert spec._solve is None
+        assert d0(spec, ONE).is_zero() and spec._solve is None
+        d0(spec, x(0))
+        built = spec._solve
+        assert built is not None
+        rho_star(spec, (ONE, x(1)))
+        assert spec._solve is built
+        # a point and an anchorless spec reach D₀ without building it
+        point = AlgebroidSpec("point", 0, 2, Matrix.identity(2), None, {})
+        assert d0(point, x(0)).is_zero() and rho_star(point, ()).is_zero()
+        anchorless = AlgebroidSpec("polynomial", 2, 4, spec.gram, None, {})
+        assert d0(anchorless, x(0)).is_zero()
+        assert d0_generator(anchorless, 1).is_zero()
+        assert point._solve is None and anchorless._solve is None
 
     def test_rho_star_images_isotropic(self, std3):
         # ⟨ρ*ξ, ρ*η⟩ = 0 whenever the ring/module rules hold
