@@ -35,11 +35,11 @@ are the exact ordered arguments, never filled from skewness or any other
 property under test; Leibniz's [φ, 1·ψ] is the key (φ, ψ).
 
 The two rows that are tensorial on their basis tuples also keep call-owned
-tables keyed by basis indices.  `twisted-jacobi` reads H̃ off
-kerforms.split_table over the basis: H̃ is the contraction of the twist by
-its sections, so it is ℚ[x]-multilinear and alternating, and H̃(f·eᵢ, eⱼ,
-eₖ) is f times the sign of the sort times the increasing entry, or zero on
-a repeated index.  `invariance` reads the lowered rows G·[eₐ,e_b]: since
+tables keyed by basis indices.  `twisted-jacobi` reads H̃ through
+kerforms.split_lookup over the basis, filled on first read: H̃ is the
+contraction of the twist by its sections, so it is ℚ[x]-multilinear and
+alternating, and H̃(f·eᵢ, eⱼ, eₖ) is f times the sign of the sort times the
+increasing entry, or zero on a repeated index.  `invariance` reads the lowered rows G·[eₐ,e_b]: since
 the Gram matrix is symmetric (the constructor checks it), ⟨e_b,[eₐ,e_c]⟩ =
 ⟨[eₐ,e_c],e_b⟩, so both of its pairings are entries of those rows.  Each
 entry equals the value it replaces, and the rows are built from the call's
@@ -57,17 +57,18 @@ from courantkit.exact import ONE, Scalar, ZERO
 from courantkit.kerforms import (
     KerForm,
     UncertifiedFormError,
-    _wedge_map,
     cov_derivative,
     rho_tilde,
-    split_table,
+    split_lookup,
     split_value,
 )
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
     _anchor_morphism_defect,
+    _combine,
     _jacobiator,
+    _tabled,
     bracket,
     d0,
     d0_generator,
@@ -129,21 +130,6 @@ def first_failure(tuples: Iterable[tuple], names: Sequence[str],
         if not _is_zero(value):
             return witness(dict(zip(names, t)), value)
     return None
-
-
-def _tabled(fn: Callable) -> Callable:
-    """fn behind a table keyed by its exact argument tuple: each distinct
-    tuple is evaluated once for as long as the returned map lives."""
-    values: dict = {}
-
-    def lookup(*args):
-        try:
-            return values[args]
-        except KeyError:
-            value = values[args] = fn(*args)
-            return value
-
-    return lookup
 
 
 @dataclass
@@ -275,21 +261,21 @@ def _anchor_fallback(spec: AlgebroidSpec, br: Callable, sections: list[Section],
                        xs[v] if f is ONE else f * xs[v])
 
 
-def _jacobi_defect(br: Callable, table: dict, a: Section, b: Section,
+def _jacobi_defect(br: Callable, lookup: Callable, a: Section, b: Section,
                    c: Section, indices: tuple, f: Scalar) -> Section:
-    """Jac − H̃ on the sections of ``indices``, one times f, H̃ read off
-    split_table's ``table`` over those sections (empty when untwisted)."""
+    """Jac − H̃ on the sections of ``indices``, one times f, H̃ read through
+    split_value's ``lookup`` over those sections ({}.get when untwisted)."""
     jac = _jacobiator(br, a, b, c)
-    value = split_value(table, indices, f)
+    value = split_value(lookup, indices, f)
     return jac if value is None else jac - value
 
 
 def _ax_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable, rho: Callable,
                twisted: bool) -> dict | None:
-    """Jac, or Jac − H̃ with H̃ from split_table over the basis, on Jacobi's set."""
-    table = split_table(spec, spec.twist, t.basis) if twisted else {}
+    """Jac, or Jac − H̃ read through split_lookup over the basis, on Jacobi's set."""
+    lookup = split_lookup(spec, spec.twist, t.basis) if twisted else {}.get
     return first_failure(_jacobi_tuples(spec, t, br, rho), ("phi", "psi1", "psi2"),
-                         partial(_jacobi_defect, br, table))
+                         partial(_jacobi_defect, br, lookup))
 
 
 def _ax_twist_membership(spec: AlgebroidSpec, t: _Tuples, br: Callable,
@@ -357,9 +343,7 @@ def _ax_invariance(spec: AlgebroidSpec, t: _Tuples, br: Callable,
 
     def row(a: int, b: int) -> dict:
         if (a, b) not in lowered:
-            coeffs = br(basis[a], basis[b]).coeffs
-            lowered[a, b] = _wedge_map(spec._gram_rows, {
-                (k,): c for k, c in enumerate(coeffs) if c.terms})
+            lowered[a, b] = _combine(spec._gram_rows, br(basis[a], basis[b]).entries)
         return lowered[a, b]
 
     return first_failure(
@@ -367,8 +351,8 @@ def _ax_invariance(spec: AlgebroidSpec, t: _Tuples, br: Callable,
          for a, b, c in itertools.product(range(len(basis)), repeat=3)),
         ("phi", "psi1", "psi2"),
         lambda phi, psi1, psi2, a, b, c: (rho(phi, gram[b][c])
-                                          - row(a, b).get((c,), ZERO)
-                                          - row(a, c).get((b,), ZERO)))
+                                          - row(a, b).get(c, ZERO)
+                                          - row(a, c).get(b, ZERO)))
 
 
 def _ax_anchor_morphism(spec: AlgebroidSpec, t: _Tuples, br: Callable,

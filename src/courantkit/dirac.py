@@ -33,13 +33,14 @@ from functools import partial
 from typing import Callable, Iterable
 
 from courantkit.axioms import (CheckReport, _anchor_fallback, _leibniz_failure,
-                               _tabled, _jacobi_defect, first_failure, witness)
+                               _jacobi_defect, first_failure, witness)
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, _eliminate
 from courantkit.kerforms import split_table, split_value, tilde_split, zero_form
 from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
+    _tabled,
     anchor_apply,
     bracket,
     pairing,
@@ -72,20 +73,20 @@ class Subbundle:
         # minor and E = block⁻¹; _block holds, for each generator a, the
         # (column, entry) pairs of E's column a, or is None without a block
         g = self.dim
-        constant_cols = [c for c in range(self.spec.rank)
-                         if all(gen.coeffs[c].is_rational() for gen in self.generators)]
+        coeffs = [dict(gen.entries) for gen in self.generators]
+        polynomial_cols = {c for u in coeffs for c, e in u.items() if not e.is_rational()}
+        constant_cols = [c for c in range(self.spec.rank) if c not in polynomial_cols]
         k = len(constant_cols)
-        rows = [[gen.coeffs[c].as_fraction() for c in constant_cols]
+        rows = [[u.get(c, ZERO).as_fraction() for c in constant_cols]
                 + [Fraction(1) if a == b else Fraction(0) for b in range(g)]
-                for a, gen in enumerate(self.generators)]
+                for a, u in enumerate(coeffs)]
         pivots = _eliminate(rows, k)
         self._block = None if len(pivots) < g else tuple(
             tuple((constant_cols[p], Scalar.rational(row[k + a]))
                   for p, row in zip(pivots, rows) if row[k + a])
             for a in range(g))
         if self._block is None:
-            coeffs = [gen.coeffs for gen in self.generators]
-            if Matrix([[sum((a * b for a, b in zip(u, v) if a.terms and b.terms), ZERO)
+            if Matrix([[sum((a * v[c] for c, a in u.items() if c in v), ZERO)
                         for v in coeffs] for u in coeffs]).det().is_zero():
                 raise SpecInvariantError("subbundle generators are dependent")
 
@@ -190,8 +191,8 @@ def express_in_generators(spec: AlgebroidSpec, sub: Subbundle,
         raise MembershipError(
             "no invertible constant-column block: span membership over the "
             "polynomial ring is undecidable for this generator matrix")
-    coeffs = tuple(sum((sec.coeffs[c] * e for c, e in row if sec.coeffs[c].terms),
-                       ZERO) for row in sub._block)
+    s = dict(sec.entries)
+    coeffs = tuple(sum((s[c] * e for c, e in row if c in s), ZERO) for row in sub._block)
     recombined = Section.zero(spec.rank)
     for c, gen in zip(coeffs, sub.generators):
         recombined = recombined + gen.scale(c)
@@ -330,7 +331,7 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
 
     report.add("jacobi", first_failure(
         _jacobi_triples(spec, gens, xs, br, skew is not None), ("x", "y", "z"),
-        partial(_jacobi_defect, br, table)))
+        partial(_jacobi_defect, br, table.get)))
 
     report.add("leibniz", _leibniz_failure(gens, xs, br, partial(rho_apply, spec),
                                            ("x", "f", "y")))
@@ -342,7 +343,7 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
         quad = (w, x, y, z)
         total = Section.zero(spec.rank)
         for k in range(4):
-            value = split_value(table, key[:k] + key[k + 1:], f if k else ONE)
+            value = split_value(table.get, key[:k] + key[k + 1:], f if k else ONE)
             if value is not None:
                 value = br(quad[k], value)
                 total = total + (value if k % 2 == 0 else -value)

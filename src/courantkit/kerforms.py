@@ -15,27 +15,22 @@ for every J; on the rows of gram⁻¹ it is the back-solve of the Λ-Gram
 system, since Λ^p(gram)⁻¹ = Λ^p(gram⁻¹) (Cauchy–Binet); on the rows of the
 D₀ generators it is the pullback of base forms, `twist.pullback`.  Both row
 sets are the spec's back-solve, whose degree-1 case is ρ* and D₀ (the D₀
-rows are gram⁻¹ on the anchor columns).  `_insert` lowers each section
-through the Gram rows and removes one slot, the first-column expansion of
-the determinant; pair_sections, pair_basis, `contract` and the splitting α̃
-are all this contraction; α̃ is thus ℚ[x]-multilinear and alternating, and
-`split_table` is its one table (B̃, the twist images, and H̃ of both Jacobi
-rows).  The covariant derivative is defined by its pairings with all basis
-wedges,
+rows are gram⁻¹ on the anchor columns).  `_insert` lowers each section's
+entries through the Gram rows and removes one slot, the first-column
+expansion of the determinant; pair_sections, pair_basis, `contract` and the
+splitting α̃ are all this contraction; α̃ is thus ℚ[x]-multilinear and
+alternating, and `split_lookup` is its one table, filled on first read (H̃
+of the suites' Jacobi row), which `split_table` reads in full (B̃, the twist
+images, and H̃ of the induced Jacobi row).  The covariant derivative is
+defined by its pairings with all basis wedges,
 
   ⟨Dα, ψ0∧…∧ψp⟩ = Σᵢ (−1)ⁱ ρ(ψᵢ)⟨α, …ψ̂ᵢ…⟩ + Σ_{i<j} (−1)^{i+j} ⟨α, [ψᵢ,ψⱼ]∧…⟩
 
 evaluated from the nonzero entries of one `_wedge_map` table, pushed
-forward instead of pulled for every wedge of degree p+1, and solved back
-through the other.
-The bracket enters as a table of its nonzero values on basis pairs: D
-reads the structure's bracket_table, ι_B̃ the table of B̃.  A value
-[eᵢ,eⱼ] = Σ c_m·e_m with i < j meets each nonzero ⟨α, e_K⟩ whose K holds m
-in slot q, as ⟨α, e_m∧e_rest⟩ = (−1)^q·⟨α, e_K⟩ with rest = K minus m, and
-lands on the sorted (j, i) + rest: the sort's sign is (−1)^{a+b} for the
-slots a < b of i and j in the result.  The anchor term sends each
-non-constant ⟨α, e_K⟩ to the sorted (idx,) + K, with the sign (−1)^pos of
-the slot of idx.
+forward instead of pulled for every wedge of degree p+1 (eval_covariant
+gives the signs), and solved back through the other.  The bracket enters as
+a table of its nonzero values on basis pairs: D reads the structure's
+bracket_table, ι_B̃ the table of B̃.
 
 D² is generally nonzero; on twisted structures it equals the degree-2
 derivation ins_h built from slotwise insertion of the twist.
@@ -57,6 +52,8 @@ from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
+    _combine,
+    _tabled,
 )
 
 Wedge = tuple[int, ...]
@@ -192,10 +189,8 @@ class KerForm:
         """View a degree-1 form as the section with the same coefficients."""
         if self.degree != 1:
             raise ValueError("only degree-1 forms are sections")
-        out = [ZERO] * self.spec.rank
-        for (i,), value in self.coeffs.items():
-            out[i] = value
-        return Section(tuple(out))
+        return Section._of(self.spec.rank,
+                           tuple([(i, value) for (i,), value in self.coeffs.items()]))
 
     def as_scalar(self) -> Scalar:
         if self.degree != 0:
@@ -235,7 +230,7 @@ def basis_wedge_form(spec: AlgebroidSpec, indices: Sequence[int]) -> KerForm:
 
 
 def section_form(spec: AlgebroidSpec, sec: Section) -> KerForm:
-    return KerForm(spec, 1, {(i,): c for i, c in enumerate(sec.coeffs)})
+    return KerForm(spec, 1, {(i,): c for i, c in sec.entries})
 
 
 # -- the anchor extension ρ̃ -------------------------------------------------
@@ -255,7 +250,7 @@ def rho_tilde(spec: AlgebroidSpec, form: KerForm) -> dict[tuple[int, Wedge], Sca
     for key, value in form.coeffs.items():
         for pos, idx in enumerate(key):
             rest = key[:pos] + key[pos + 1:]
-            for j, entry in spec._anchor_rows[idx]:
+            for j, entry in spec._anchor_rows[idx].items():
                 term = value * entry
                 if pos % 2:
                     term = -term
@@ -326,7 +321,7 @@ def _combination(vec: Sequence[Fraction], forms: Sequence[KerForm]) -> KerForm:
 # -- pairings -----------------------------------------------------------------
 
 
-def _wedge_map(rows: Sequence[Sequence[tuple[int, Scalar]]],
+def _wedge_map(rows: Sequence[dict[int, Scalar]],
                coeffs: dict[Wedge, Scalar]) -> dict[Wedge, Scalar]:
     """Λ^p of a matrix, given by its sparse rows, on a multivector.
 
@@ -336,7 +331,7 @@ def _wedge_map(rows: Sequence[Sequence[tuple[int, Scalar]]],
     """
     out: dict[Wedge, Scalar] = {}
     for I, value in coeffs.items():
-        for terms in itertools.product(*(rows[a] for a in I)):
+        for terms in itertools.product(*(rows[a].items() for a in I)):
             key, sign = _sort_wedge([b for b, _ in terms])
             if sign == 0:
                 continue
@@ -356,7 +351,7 @@ def pair_sections(spec: AlgebroidSpec, form: KerForm,
         raise ValueError("wrong number of sections for this degree")
     for sec in sections:
         spec.validate_section(sec)
-    return _insert(spec, form.coeffs, [sec.coeffs for sec in sections]).get((), ZERO)
+    return _insert(spec, form.coeffs, [sec.entries for sec in sections]).get((), ZERO)
 
 
 def pair_basis(spec: AlgebroidSpec, form: KerForm, cols: Sequence[int]) -> Scalar:
@@ -366,9 +361,9 @@ def pair_basis(spec: AlgebroidSpec, form: KerForm, cols: Sequence[int]) -> Scala
 
 
 def _insert(spec: AlgebroidSpec, coeffs: dict[Wedge, Scalar],
-            vecs: Sequence[Sequence[Scalar]]) -> dict[Wedge, Scalar]:
-    """Insert sections into the leading slots, the first one first:
-    the result pairs with η as ``coeffs`` pairs with vec1∧…∧vec_k∧η.
+            vecs: Sequence[Sequence[tuple[int, Scalar]]]) -> dict[Wedge, Scalar]:
+    """Insert sections, as entry lists, into the leading slots, the first one
+    first: the result pairs with η as ``coeffs`` pairs with vec1∧…∧vec_k∧η.
 
     Each section is lowered through the sparse Gram rows (the Gram is
     symmetric), ⟨e_a, vec⟩ = Σ_j vec_j·gram[j][a]; every wedge then loses its
@@ -376,13 +371,7 @@ def _insert(spec: AlgebroidSpec, coeffs: dict[Wedge, Scalar],
     determinant.
     """
     for vec in vecs:
-        lowered: dict[int, Scalar] = {}
-        for c, row in zip(vec, spec._gram_rows):
-            if c.terms:
-                for a, entry in row:
-                    term = c * entry
-                    prev = lowered.get(a)
-                    lowered[a] = term if prev is None else prev + term
+        lowered = _combine(spec._gram_rows, vec)
         out: dict[Wedge, Scalar] = {}
         for I, value in coeffs.items():
             for pos, a in enumerate(I):
@@ -409,11 +398,10 @@ def contract(spec: AlgebroidSpec, form: KerForm,
             f"cannot contract a degree-{form.degree} form by degree {k}")
     if isinstance(chi, Section):
         spec.validate_section(chi)
-        return KerForm(spec, form.degree - 1, _insert(spec, form.coeffs, [chi.coeffs]))
+        return KerForm(spec, form.degree - 1, _insert(spec, form.coeffs, [chi.entries]))
     total: dict[Wedge, Scalar] = {}
     for J, d in chi.coeffs.items():
-        basis = [Section.basis(j, spec.rank).coeffs for j in J]
-        for key, value in _insert(spec, form.coeffs, basis).items():
+        for key, value in _insert(spec, form.coeffs, [((j, ONE),) for j in J]).items():
             _accumulate(total, key, d * value)
     return KerForm(spec, form.degree - k, total)
 
@@ -464,18 +452,17 @@ def eval_covariant(spec: AlgebroidSpec, form: KerForm,
     for (i, j), sec in brackets.items():
         if i >= j:
             continue
-        for m, c in enumerate(sec.coeffs):
-            if c.terms:
-                for rest, value in lowered.get(m, ()):
-                    if i not in rest and j not in rest:
-                        _accumulate(values, (j, i) + rest, c * value)
+        for m, c in sec.entries:
+            for rest, value in lowered.get(m, ()):
+                if i not in rest and j not in rest:
+                    _accumulate(values, (j, i) + rest, c * value)
     if use_anchor and spec._anchor_rows is not None:
         for K, value in table.items():
             if not value.is_rational():
                 for idx, row in enumerate(spec._anchor_rows):
                     if idx not in K:
                         _accumulate(values, (idx,) + K, sum(
-                            (entry * value.partial(j) for j, entry in row), ZERO))
+                            (e * value.partial(j) for j, e in row.items()), ZERO))
     return solve_wedge_values(spec, form.degree + 1,
                               {J: v for J, v in values.items() if v.terms})
 
@@ -517,29 +504,37 @@ def tilde_split(spec: AlgebroidSpec, form: KerForm) -> Callable[..., Section]:
             raise ValueError(f"expected {k} sections, got {len(sections)}")
         for sec in sections:
             spec.validate_section(sec)
-        coeffs = _insert(spec, form.coeffs, [sec.coeffs for sec in sections])
+        coeffs = _insert(spec, form.coeffs, [sec.entries for sec in sections])
         return KerForm(spec, 1, coeffs).as_section()
 
     return split
 
 
+def split_lookup(spec: AlgebroidSpec, form: KerForm,
+                 sections: Sequence[Section]) -> Callable[[Wedge], Section]:
+    """α̃ on the sections of an increasing index tuple I, applied on the first
+    read of I and kept for later reads."""
+    split = tilde_split(spec, form)
+    return _tabled(lambda key: split(*(sections[k] for k in key)))
+
+
 def split_table(spec: AlgebroidSpec, form: KerForm,
                 sections: Sequence[Section]) -> dict[Wedge, Section]:
-    """α̃ applied once to each increasing index tuple I of ``sections``, in
+    """split_lookup read on each increasing index tuple I of ``sections``, in
     itertools.combinations order: the nonzero values α̃(s_I), keyed by I."""
-    split = tilde_split(spec, form)
-    values = {key: split(*(sections[k] for k in key)) for key in
+    lookup = split_lookup(spec, form, sections)
+    values = {key: lookup(key) for key in
               itertools.combinations(range(len(sections)), form.degree - 1)}
     return {key: value for key, value in values.items() if not value.is_zero()}
 
 
-def split_value(table: dict[Wedge, Section], indices: Sequence[int],
+def split_value(lookup: Callable[[Wedge], Section | None], indices: Sequence[int],
                 f: Scalar) -> Section | None:
-    """α̃ on the sections of ``indices``, one times f, off split_table's
-    ``table``: f·σ·table[I], I the sorted indices and σ the sign of the sort,
-    or None, for zero, on a repeated index or a key the table lacks."""
+    """α̃ on the sections of ``indices``, one times f, through ``lookup``, a
+    split_lookup or a split_table's ``get``: f·σ·lookup(I), σ the sign of
+    sorting the indices to I, or None on a repeated index or an absent key."""
     key, sign = _sort_wedge(indices)
-    value = table.get(key) if sign else None
+    value = lookup(key) if sign else None
     if value is None or (sign > 0 and f is ONE):
         return value
     return value.scale(f if sign > 0 else -f)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
-from courantkit.axioms import CheckReport, _tabled, first_failure
+from courantkit.axioms import CheckReport, first_failure
 from courantkit.exact import HALF, Scalar, ZERO
 from courantkit.kerforms import kerform_basis, tilde_split
 from courantkit.rand import rand_combination, rand_scalar, rand_section
@@ -48,6 +48,7 @@ from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
+    _tabled,
     anchor_apply,
     bracket,
     d0,

@@ -3,8 +3,9 @@
 An AlgebroidSpec is the single source of truth for one structure: the rank,
 the base ring (a point or ℚ[x1..xn]), the Gram matrix of the pairing ⟨.,.⟩,
 the anchor matrix, the bracket structure functions on basis sections, and an
-optional degree-4 twist form.  Sections are coefficient vectors over the
-scalar ring in the module basis e_0..e_{r-1}.
+optional degree-4 twist form.  A Section holds its rank and its nonzero
+coefficients in the module basis e_0..e_{r-1}; nothing but printing reads
+its dense coefficient vector.
 
 The constructor takes the twist as its coefficients and builds its KerForm
 last, so a structure needs no twist or kind assigned after construction.
@@ -17,27 +18,27 @@ extension rules:
 
 so a finite table determines the bracket on all polynomial sections.  d0 is
 the derivation f ↦ ρ*(df), with ρ* defined through the Gram system by
-⟨ρ*ξ, ψ⟩ = ξ(ρψ).  ``bracket`` sums the ℚ[x]-bilinear table part first and
-then the anchor and d0 terms, which only non-constant coefficients reach;
-on two constant sections it is a table lookup.
+⟨ρ*ξ, ψ⟩ = ξ(ρψ).
 
 Pairing convention for split-type structures: ⟨X+ξ, Y+η⟩ = η(X) + ξ(Y),
 with no 1/2 factor, so ρ*ξ = ξ on the standard bundle.
 
-The constructor also keeps sparse rows: the nonzero (index, entry) pairs of
-every Gram row, anchor row and table entry, built once from its arguments.
-pairing, anchor_apply and bracket loop over these rows, so no call tests a
-zero matrix entry.  The one back-solve of the Gram system, the sparse rows of
-gram⁻¹ and of D₀(xⱼ) = gram⁻¹·(anchor column j), is built on first use: ρ*ξ
-and D₀f are its combinations Σⱼ cⱼ·D₀(xⱼ), with cⱼ = ξⱼ and cⱼ = ∂ⱼf, and
-Λᵖ of its rows solves the Λ-Gram system and pulls base forms back.
+The constructor also keeps sparse rows, built once from its arguments: the
+nonzero entries of each Gram and anchor row as a dict {index: entry}, and
+table row i as a dict {j: entries of [eᵢ,eⱼ]}.  pairing, anchor_apply and
+bracket walk the entries of their sections and the rows these index, so no
+call reads a zero coefficient or matrix entry.  The one back-solve of the
+Gram system, the sparse rows of gram⁻¹ and of D₀(xⱼ) = gram⁻¹·(anchor
+column j), is built on first use: ρ*ξ and D₀f are its combinations
+Σⱼ cⱼ·D₀(xⱼ), with cⱼ = ξⱼ and cⱼ = ∂ⱼf, and Λᵖ of its rows solves the
+Λ-Gram system and pulls base forms back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Sequence
 
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
 
@@ -49,56 +50,78 @@ class SpecInvariantError(ValueError):
 KINDS = ("almost", "strongly-anchored", "courant", "h-twisted")
 
 
-@dataclass(frozen=True)
 class Section:
-    """Element of the module: a coefficient vector in the e_i basis."""
+    """Element of the module: the rank and the nonzero (index, Scalar) pairs,
+    by increasing index, of a dense vector of Scalars.  The form is canonical,
+    so == and hash read the pairs; ``coeffs`` rebuilds the vector on read."""
 
-    coeffs: tuple[Scalar, ...]
+    __slots__ = ("rank", "entries")
+
+    def __init__(self, coeffs: Sequence[Scalar]):
+        self.rank = len(coeffs)
+        self.entries = tuple([(i, c) for i, c in enumerate(coeffs) if c.terms])
+
+    @classmethod
+    def _of(cls, rank: int, entries: tuple[tuple[int, Scalar], ...]) -> "Section":
+        """Wrap entries that are already canonical: nonzero, by index."""
+        out = object.__new__(cls)
+        out.rank, out.entries = rank, entries
+        return out
 
     @classmethod
     def make(cls, coeffs: Sequence) -> "Section":
-        return cls(tuple(c if isinstance(c, Scalar) else Scalar.rational(c)
-                         for c in coeffs))
+        return cls([c if isinstance(c, Scalar) else Scalar.rational(c) for c in coeffs])
 
     @classmethod
     def zero(cls, rank: int) -> "Section":
-        return cls((ZERO,) * rank)
+        return cls._of(rank, ())
 
     @classmethod
     def basis(cls, index: int, rank: int) -> "Section":
         if not 0 <= index < rank:
             raise ValueError(f"basis index {index} out of range for rank {rank}")
-        return cls(tuple(ONE if i == index else ZERO for i in range(rank)))
+        return cls._of(rank, ((index, ONE),))
 
     @property
-    def rank(self) -> int:
-        return len(self.coeffs)
+    def coeffs(self) -> tuple[Scalar, ...]:
+        values = dict(self.entries)
+        return tuple([values.get(i, ZERO) for i in range(self.rank)])
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.entries
+
+    def _merge(self, other: "Section", op: Callable) -> "Section":
+        """op(self, other) coefficientwise, on the indices other holds."""
+        if self.rank != other.rank:
+            raise ValueError(f"sections of rank {self.rank} and {other.rank}")
+        if not other.entries:
+            return self
+        merged = dict(self.entries)
+        for i, c in other.entries:
+            merged[i] = op(merged.get(i, ZERO), c)
+        return _section(self.rank, merged)
 
     def __add__(self, other: "Section") -> "Section":
-        return Section(tuple([a + b if b.terms else a for a, b in
-                              zip(self.coeffs, other.coeffs, strict=True)]))
+        return self._merge(other, add)
 
     def __sub__(self, other: "Section") -> "Section":
-        return Section(tuple([a - b if b.terms else a for a, b in
-                              zip(self.coeffs, other.coeffs, strict=True)]))
+        return self._merge(other, sub)
 
     def __neg__(self) -> "Section":
-        return Section(tuple([-a for a in self.coeffs]))
+        return Section._of(self.rank, tuple([(i, -c) for i, c in self.entries]))
 
     def scale(self, f: Scalar) -> "Section":
-        return Section(tuple([f * a if a.terms else a for a in self.coeffs]))
+        # ℚ[x] has no zero divisors: f·c ≠ 0 for f ≠ 0 and c ≠ 0
+        if not f.terms:
+            return Section._of(self.rank, ())
+        return Section._of(self.rank, tuple([(i, f * c) for i, c in self.entries]))
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is Section and self.rank == other.rank
+                and self.entries == other.entries)
 
     def __hash__(self) -> int:
-        # the dataclass hash of the coefficients, computed on first use and
-        # kept, as Scalar keeps its own
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.coeffs,))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.entries)
 
     def to_text(self) -> list[str]:
         return [c.to_text() for c in self.coeffs]
@@ -140,25 +163,17 @@ class AlgebroidSpec:
         self.kind = kind
         self._validate_gram()
         self._validate_anchor()
-        table: dict[tuple[int, int], Section] = {}
+        self.bracket_table, self._table_rows = {}, tuple({} for _ in range(rank))
         for (i, j), sec in bracket_table.items():
             if not (0 <= i < rank and 0 <= j < rank):
                 raise SpecInvariantError(f"bracket index ({i},{j}) out of range")
             self.validate_section(sec, f"bracket entry ({i},{j})")
             if not sec.is_zero():
-                table[(i, j)] = sec
-        self.bracket_table = table
-        # sparse rows: the nonzero (index, entry) pairs of each Gram and
-        # anchor row; row i of the table pairs each j with [eᵢ,eⱼ] ≠ 0 with
-        # the sparse row of [eᵢ,eⱼ]
-        self._gram_rows = tuple(map(_sparse, gram.entries))
-        self._anchor_rows = (None if anchor is None
-                             else tuple(map(_sparse, anchor.entries)))
-        self._table_rows = tuple(
-            tuple((j, _sparse(table[(i, j)].coeffs))
-                  for j in range(rank) if (i, j) in table)
-            for i in range(rank))
-        self._zero_section = Section.zero(rank)
+                self.bracket_table[(i, j)] = sec
+                self._table_rows[i][j] = sec.entries
+        self._gram_rows = tuple(_sparse(enumerate(row)) for row in gram.entries)
+        self._anchor_rows = (None if anchor is None else
+                             tuple(_sparse(enumerate(row)) for row in anchor.entries))
         self._solve: tuple[tuple, tuple] | None = None
         from courantkit.kerforms import KerForm  # kerforms imports this module
         self.twist = None if twist is None else KerForm(self, 4, twist)
@@ -211,12 +226,11 @@ class AlgebroidSpec:
         One pass over the exponent keys: a key carries no trailing zeros,
         so its length is one more than the last variable index it uses.
         """
-        coeffs = sec.coeffs
-        if len(coeffs) != self.rank:
-            raise SpecInvariantError(f"{what} has length {len(coeffs)}, want {self.rank}")
+        if sec.rank != self.rank:
+            raise SpecInvariantError(f"{what} has length {sec.rank}, want {self.rank}")
         nvars = self.nvars
         polynomial = False
-        for c in coeffs:
+        for _, c in sec.entries:
             for exp in c.terms:
                 if exp:
                     if len(exp) > nvars:
@@ -252,31 +266,50 @@ class AlgebroidSpec:
         use, the spec's only write after __init__.  gram⁻¹ is symmetric, so
         gram⁻¹·(anchor column j) combines its rows with the column's entries."""
         if self._solve is None:
-            inv = tuple(map(_sparse, self.gram.inverse().entries))
+            inv = tuple(_sparse(enumerate(row)) for row in self.gram.inverse().entries)
             columns = () if self.anchor is None else zip(*self.anchor.entries)
-            self._solve = inv, tuple(_sparse(_combine(inv, col, self.rank))
+            self._solve = inv, tuple(_sparse(_combine(inv, enumerate(col)).items())
                                      for col in columns)
         return self._solve
 
     def table_bracket(self, i: int, j: int) -> Section:
-        return self.bracket_table.get((i, j), self._zero_section)
+        return self.bracket_table.get((i, j), Section.zero(self.rank))
 
     def basis_sections(self) -> list[Section]:
         return [Section.basis(i, self.rank) for i in range(self.rank)]
 
 
-def _sparse(entries: Sequence[Scalar]) -> tuple[tuple[int, Scalar], ...]:
-    return tuple((k, e) for k, e in enumerate(entries) if e.terms)
+def _sparse(pairs: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
+    return {k: e for k, e in pairs if e.terms}
 
 
-def _combine(rows: Sequence, coeffs: Sequence[Scalar], size: int) -> tuple[Scalar, ...]:
-    """Σⱼ cⱼ·rows[j] over sparse rows, as a vector of length ``size``."""
-    out = [ZERO] * size
-    for c, row in zip(coeffs, rows):
-        if c.terms:
-            for k, entry in row:
-                out[k] = out[k] + c * entry
-    return tuple(out)
+def _section(rank: int, acc: dict[int, Scalar]) -> Section:
+    """The section of rank ``rank`` with the coefficients {index: value}."""
+    return Section._of(rank, tuple([(k, acc[k]) for k in sorted(acc) if acc[k].terms]))
+
+
+def _combine(rows: Sequence[dict], pairs: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
+    """Σⱼ cⱼ·rows[j] over sparse rows, for the pairs (j, cⱼ)."""
+    out: dict[int, Scalar] = {}
+    for j, c in pairs:
+        for k, entry in rows[j].items():
+            out[k] = out.get(k, ZERO) + c * entry
+    return out
+
+
+def _tabled(fn: Callable) -> Callable:
+    """fn behind a table keyed by its exact argument tuple: each distinct
+    tuple is evaluated once for as long as the returned map lives."""
+    values: dict = {}
+
+    def lookup(*args):
+        try:
+            return values[args]
+        except KeyError:
+            value = values[args] = fn(*args)
+            return value
+
+    return lookup
 
 
 # -- pairing and anchor ------------------------------------------------------
@@ -287,12 +320,12 @@ def pairing(spec: AlgebroidSpec, phi: Section, psi: Section) -> Scalar:
     spec.validate_section(phi)
     spec.validate_section(psi)
     total = ZERO
-    g = psi.coeffs
-    for fi, row in zip(phi.coeffs, spec._gram_rows):
-        if fi.terms:
-            for j, entry in row:
-                if g[j].terms:
-                    total = total + fi * entry * g[j]
+    for i, fi in phi.entries:
+        row = spec._gram_rows[i]
+        for j, gj in psi.entries:
+            entry = row.get(j)
+            if entry is not None:
+                total = total + fi * entry * gj
     return total
 
 
@@ -304,13 +337,10 @@ def anchor_apply(spec: AlgebroidSpec, psi: Section) -> tuple[Scalar, ...]:
 
 def _anchor_apply(spec: AlgebroidSpec, psi: Section) -> tuple[Scalar, ...]:
     """anchor_apply on a section the caller has already validated."""
-    out = [ZERO] * spec.nvars
-    if spec._anchor_rows is not None:
-        for ci, row in zip(psi.coeffs, spec._anchor_rows):
-            if ci.terms:
-                for j, entry in row:
-                    out[j] = out[j] + ci * entry
-    return tuple(out)
+    if spec._anchor_rows is None:
+        return (ZERO,) * spec.nvars
+    out = _combine(spec._anchor_rows, psi.entries)
+    return tuple([out.get(j, ZERO) for j in range(spec.nvars)])
 
 
 def apply_vector_field(vf: Sequence[Scalar], f: Scalar) -> Scalar:
@@ -334,14 +364,15 @@ def rho_apply(spec: AlgebroidSpec, psi: Section, f: Scalar) -> Scalar:
 def rho_star(spec: AlgebroidSpec, xi: Sequence[Scalar]) -> Section:
     """ρ*ξ, defined by ⟨ρ*ξ, ψ⟩ = ξ(ρψ) for all ψ: R-linear, so it is
     Σⱼ ξⱼ·D₀(xⱼ) over the D₀ rows of the spec's back-solve."""
-    if spec.is_point() or spec.anchor is None:
-        if any(not c.is_zero() for c in xi):
-            raise SpecInvariantError(
-                "no nonzero one-forms exist over this base; only ξ=0 is allowed")
-        return spec._zero_section
+    zero_base = spec.is_point() or spec.anchor is None
+    if zero_base and any(c.terms for c in xi):
+        raise SpecInvariantError(
+            "no nonzero one-forms exist over this base; only ξ=0 is allowed")
     if len(xi) != spec.nvars:
         raise ValueError(f"one-form needs {spec.nvars} coefficients")
-    return Section(_combine(spec._back_solve()[1], xi, spec.rank))
+    if zero_base:
+        return Section.zero(spec.rank)
+    return _section(spec.rank, _combine(spec._back_solve()[1], _sparse(enumerate(xi)).items()))
 
 
 def d0(spec: AlgebroidSpec, f: Scalar) -> Section:
@@ -349,9 +380,9 @@ def d0(spec: AlgebroidSpec, f: Scalar) -> Section:
     rho_star.  Zero over a point, without an anchor and on constants, none
     of which builds the back-solve."""
     if spec.is_point() or spec.anchor is None or f.is_rational():
-        return spec._zero_section
-    df = [f.partial(j) for j in range(min(spec.nvars, f.max_var_index + 1))]
-    return Section(_combine(spec._back_solve()[1], df, spec.rank))
+        return Section.zero(spec.rank)
+    df = _sparse((j, f.partial(j)) for j in range(min(spec.nvars, f.max_var_index + 1)))
+    return _section(spec.rank, _combine(spec._back_solve()[1], df.items()))
 
 
 def d0_generator(spec: AlgebroidSpec, j: int) -> Section:
@@ -361,7 +392,7 @@ def d0_generator(spec: AlgebroidSpec, j: int) -> Section:
         raise ValueError(f"variable index {j} out of range for "
                          f"{spec.nvars} variable(s)")
     if spec.anchor is None:
-        return spec._zero_section
+        return Section.zero(spec.rank)
     return rho_star(spec, [ONE if k == j else ZERO for k in range(spec.nvars)])
 
 
@@ -384,46 +415,33 @@ def bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
     """
     phi_polynomial = spec.validate_section(phi)
     psi_polynomial = spec.validate_section(psi)
-    f, g = phi.coeffs, psi.coeffs
-    out = [ZERO] * spec.rank
-    for fi, table_row in zip(f, spec._table_rows):
-        if fi.terms:
-            for j, entry in table_row:
-                gj = g[j]
-                if gj.terms:
-                    fg = fi * gj
-                    for k, ck in entry:
-                        out[k] = out[k] + fg * ck
-    if spec._anchor_rows is None:
-        return Section(tuple(out))
-    if psi_polynomial:
-        rho_phi = _anchor_apply(spec, phi)
-        for j, gj in enumerate(g):
-            if not gj.is_rational():
-                out[j] = out[j] + apply_vector_field(rho_phi, gj)
-    if phi_polynomial:
-        rho_psi = _anchor_apply(spec, psi)
-        for i, fi in enumerate(f):
-            if fi.is_rational():
-                continue
-            out[i] = out[i] - apply_vector_field(rho_psi, fi)
-            gram_pair = ZERO
-            for j, entry in spec._gram_rows[i]:
-                if g[j].terms:
-                    gram_pair = gram_pair + entry * g[j]
-            if gram_pair.terms:
-                for k, ck in enumerate(d0(spec, fi).coeffs):
-                    if ck.terms:
-                        out[k] = out[k] + gram_pair * ck
-    return Section(tuple(out))
-
-
-def tangent_bracket(nvars: int, x_field: Sequence[Scalar],
-                    y_field: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """[X,Y] of two base vector fields, componentwise X(Y_j) − Y(X_j)."""
-    return tuple(
-        apply_vector_field(x_field, y_field[j]) - apply_vector_field(y_field, x_field[j])
-        for j in range(nvars))
+    out: dict[int, Scalar] = {}
+    for i, fi in phi.entries:
+        table_row = spec._table_rows[i]
+        for j, gj in psi.entries:
+            entry = table_row.get(j)
+            if entry is not None:
+                fg = fi * gj
+                for k, ck in entry:
+                    out[k] = out.get(k, ZERO) + fg * ck
+    if spec._anchor_rows is not None:
+        if psi_polynomial:
+            rho_phi = _anchor_apply(spec, phi)
+            for j, gj in psi.entries:
+                if not gj.is_rational():
+                    out[j] = out.get(j, ZERO) + apply_vector_field(rho_phi, gj)
+        if phi_polynomial:
+            rho_psi = _anchor_apply(spec, psi)
+            for i, fi in phi.entries:
+                if fi.is_rational():
+                    continue
+                out[i] = out.get(i, ZERO) - apply_vector_field(rho_psi, fi)
+                row = spec._gram_rows[i]  # ⟨eᵢ,ψ⟩ over ψ's entries
+                gram_pair = sum((row[j] * gj for j, gj in psi.entries if j in row), ZERO)
+                if gram_pair.terms:
+                    for k, ck in d0(spec, fi).entries:
+                        out[k] = out.get(k, ZERO) + gram_pair * ck
+    return _section(spec.rank, out)
 
 
 def anchor_morphism_defect(spec: AlgebroidSpec, phi: Section,
@@ -434,11 +452,12 @@ def anchor_morphism_defect(spec: AlgebroidSpec, phi: Section,
 
 def _anchor_morphism_defect(spec: AlgebroidSpec, br: Callable, phi: Section,
                             psi: Section) -> tuple[Scalar, ...]:
-    """anchor_morphism_defect with the bracket read as br(φ, ψ)."""
+    """anchor_morphism_defect with the bracket read as br(φ, ψ): componentwise
+    ρ[φ,ψ]ⱼ − X(Yⱼ) + Y(Xⱼ), the base vector fields being X = ρφ and Y = ρψ."""
     lhs = anchor_apply(spec, br(phi, psi))
-    rhs = tangent_bracket(spec.nvars, anchor_apply(spec, phi),
-                          anchor_apply(spec, psi))
-    return tuple(a - b for a, b in zip(lhs, rhs, strict=True))
+    x, y = anchor_apply(spec, phi), anchor_apply(spec, psi)
+    return tuple(c - apply_vector_field(x, y[j]) + apply_vector_field(y, x[j])
+                 for j, c in enumerate(lhs))
 
 
 def jacobiator(spec: AlgebroidSpec, phi: Section, psi1: Section,

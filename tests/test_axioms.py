@@ -623,11 +623,10 @@ class TestCallTables:
         check_axioms(ctwist4, "h-twisted")
         assert counts == {name: 2 * n for name, n in first.items()}
 
-    def test_ct4_h_twisted_splits_each_increasing_triple_once(self, monkeypatch,
-                                                              ctwist4):
-        # twisted-jacobi reads H̃ on 8³ basis triples from at most C(8,3) = 56
-        # applications of the twist map (without the table: 512); the table
-        # is kerforms.split_table, which reads kerforms' tilde_split
+    @staticmethod
+    def counting_splits(monkeypatch) -> list:
+        """The argument tuples of every application of a map that
+        kerforms.tilde_split returns, in order."""
         import courantkit.kerforms as kerforms
 
         split, applied = kerforms.tilde_split, []
@@ -642,8 +641,31 @@ class TestCallTables:
             return apply
 
         monkeypatch.setattr(kerforms, "tilde_split", counted_split)
+        return applied
+
+    def test_ct4_h_twisted_splits_each_increasing_triple_once(self, monkeypatch,
+                                                              ctwist4):
+        # twisted-jacobi reads H̃ on 8³ basis triples from at most C(8,3) = 56
+        # applications of the twist map (without the table: 512); the table
+        # is kerforms.split_lookup, which reads kerforms' tilde_split
+        applied = self.counting_splits(monkeypatch)
         assert check_axioms(ctwist4, "h-twisted").passed
         assert 0 < len(applied) <= 56
+
+    @pytest.mark.parametrize("corruption,count", [("bracket", 1), ("twist", 53)])
+    def test_failing_twisted_jacobi_splits_only_the_triples_it_reads(
+            self, monkeypatch, ctwist4, corruption, count):
+        # the α̃ table is filled on the first read of each increasing triple,
+        # so a row that fails early applies H̃ to fewer than C(8,3) = 56
+        # triples, each once: [e2,e3] = e8 fails on the first triple that
+        # reads H̃, and the twist's e1∧e2∧e3∧e4 coefficient raised by x1
+        # fails after 53 of them
+        spec = (corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
+                if corruption == "bracket"
+                else corrupt_twist(ctwist4, (0, 1, 2, 3), Scalar.variable(0)))
+        applied = self.counting_splits(monkeypatch)
+        assert "twisted-jacobi" in check_axioms(spec, "h-twisted").failing()
+        assert len(applied) == len(set(applied)) == count
 
     def test_invariance_pairs_no_tuple(self, monkeypatch, ctwist4):
         # invariance reads 8³ = 512 basis triples; its pairings are Gram

@@ -320,13 +320,13 @@ class TestSplitValue:
             if not split(*(sections[k] for k in key)).is_zero()]
         for ijk in itertools.product(range(len(sections)), repeat=3):
             args = [sections[k] for k in ijk]
-            read = split_value(table, ijk, ONE)
+            read = split_value(table.get, ijk, ONE)
             assert (read or Section.zero(spec.rank)) == split(*args), ijk
             for v in range(spec.nvars):
                 slot = v % 3
                 scaled = [a.scale(x(v)) if m == slot else a
                           for m, a in enumerate(args)]
-                read = split_value(table, ijk, x(v))
+                read = split_value(table.get, ijk, x(v))
                 assert (read or Section.zero(spec.rank)) == split(*scaled), (ijk, v)
         return table
 

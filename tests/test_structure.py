@@ -1,6 +1,5 @@
 """Tests for the data model, pairing, anchor, derivations, and the bracket."""
 
-import dataclasses
 import random
 
 import pytest
@@ -174,6 +173,19 @@ class TestRhoStarAndD0:
                 rho_e = dense_anchor_apply(spec, e)
                 want = sum((a * b for a, b in zip(xi, rho_e)), ZERO)
                 assert dense_pairing(spec, image, e) == want, (xi, e)
+
+    @pytest.mark.parametrize("base", ["point", "anchorless", "std2"])
+    def test_rho_star_checks_the_length_on_every_base(self, std2, base):
+        # an all-zero ξ of the wrong length is rejected on every base, also
+        # where only ξ = 0 exists
+        spec = {"point": AlgebroidSpec("point", 0, 2, Matrix.identity(2), None, {}),
+                "anchorless": AlgebroidSpec("polynomial", 2, 4, std2.gram, None, {}),
+                "std2": std2}[base]
+        for length in {spec.nvars + 1, max(spec.nvars - 1, 1)}:
+            with pytest.raises(ValueError) as info:
+                rho_star(spec, (ZERO,) * length)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"one-form needs {spec.nvars} coefficients"
 
     @pytest.mark.parametrize("j", [2, 7, -1])
     def test_d0_generator_rejects_a_missing_variable(self, std2, j):
@@ -385,9 +397,11 @@ class TestSectionShape:
 
     def test_rank_mismatch_is_not_truncated(self):
         short, long = Section.make([1, 2]), Section.make([1, 2, 3])
-        for call in (lambda: short + long, lambda: long + short,
-                     lambda: short - long, lambda: long - short):
-            with pytest.raises(ValueError, match="zip"):
+        for call, ranks in ((lambda: short + long, "2 and 3"),
+                            (lambda: long + short, "3 and 2"),
+                            (lambda: short - long, "2 and 3"),
+                            (lambda: long - short, "3 and 2")):
+            with pytest.raises(ValueError, match=f"sections of rank {ranks}"):
                 call()
         assert short + Section.make([3, 4]) == Section.make([4, 6])
 
@@ -418,17 +432,94 @@ class TestSectionShape:
                     tuple(f * a for a in section.coeffs))
 
     def test_hash_is_kept_after_first_use(self, monkeypatch):
+        # a section stores its rank and its nonzero entries only; its hash
+        # reads each nonzero coefficient's hash, which the Scalar keeps
         def make():
             return Section.make([1, x(0) + HALF, 0])
 
         a, b = make(), make()
         assert a == b and a is not b and hash(a) == hash(b)
         assert repr(a) == "Section[1, x1 + 1/2, 0]"
-        assert [f.name for f in dataclasses.fields(Section)] == ["coeffs"]
+        assert Section.__slots__ == ("rank", "entries")
+        assert not hasattr(a, "__dict__")
+        assert a.rank == 3 and a.entries == ((0, ONE), (1, x(0) + HALF))
         calls, scalar_hash = [], Scalar.__hash__
         monkeypatch.setattr(Scalar, "__hash__",
                             lambda s: calls.append(s) or scalar_hash(s))
         c = make()
         first = hash(c)
-        assert len(calls) == 3
-        assert hash(c) == first == hash(a) and len(calls) == 3
+        assert calls == [ONE, x(0) + HALF]
+        assert hash(c) == first and len(calls) == 4
+
+
+def _scalars(nvars: int):
+    """Polynomials in x1..x_nvars of degree ≤ 2 per variable with up to
+    three terms; the empty dict, zero, is among them."""
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(exponents, coeffs, max_size=3).map(Scalar)
+
+
+def _sections(rank: int, nvars: int):
+    """Sections of the given rank, about half their coefficients zero."""
+    coeff = st.one_of(st.just(ZERO), _scalars(nvars))
+    return st.lists(coeff, min_size=rank, max_size=rank).map(Section)
+
+
+def _canonical(sec: Section) -> bool:
+    """Entries in increasing index order, none zero, matching the dense view."""
+    indices = [i for i, _ in sec.entries]
+    return (all(a < b for a, b in zip(indices, indices[1:]))
+            and all(c.terms for _, c in sec.entries)
+            and indices == [i for i, c in enumerate(sec.coeffs) if c.terms])
+
+
+def _kernel_specs() -> dict:
+    from conftest import STD2_FRAME
+    from courantkit.fileio import load_spec
+    from courantkit.twist import base_form, c_twist, make_standard
+
+    ctwist4 = c_twist(4, base_form({(1, 2, 3): x(0)}))
+    return {"std2": make_standard(2), "ctwist4": ctwist4,
+            "ctwist4-polynomial-gram": corrupt_gram(ctwist4, 0, x(0)),
+            "std2_frame": load_spec(str(STD2_FRAME))}
+
+
+_KERNEL_SPECS = _kernel_specs()
+
+
+class TestSparseAgainstDense:
+    """A section holds its nonzero entries only; every operation on them
+    agrees with the coefficientwise one on the dense view, and the kernel
+    with the dense loops of tests/oracles.py."""
+
+    @given(st.integers(1, 8).flatmap(lambda rank: st.tuples(
+        _sections(rank, 3), _sections(rank, 3), _scalars(3))))
+    @settings(max_examples=100)
+    def test_arithmetic_matches_the_dense_view(self, drawn):
+        a, b, f = drawn
+        dense_a, dense_b = a.coeffs, b.coeffs
+        assert len(dense_a) == a.rank == b.rank
+        for value, want in ((a + b, [p + q for p, q in zip(dense_a, dense_b)]),
+                            (a - b, [p - q for p, q in zip(dense_a, dense_b)]),
+                            (-a, [-p for p in dense_a]),
+                            (a.scale(f), [f * p for p in dense_a])):
+            assert _canonical(value)
+            assert value.coeffs == tuple(want)
+            assert value == Section(tuple(want))
+            assert hash(value) == hash(Section(tuple(want)))
+            assert value.is_zero() == all(c.is_zero() for c in want)
+        assert _canonical(a) and a == Section(dense_a) and hash(a) == hash(Section(dense_a))
+        assert (a == b) == (dense_a == dense_b)
+        assert (a - a).is_zero() and a + b - b == a
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_kernel_matches_the_dense_loops(self, name, data):
+        spec = _KERNEL_SPECS[name]
+        phi, psi = (data.draw(_sections(spec.rank, spec.nvars)) for _ in range(2))
+        value = bracket(spec, phi, psi)
+        assert _canonical(value) and value == dense_bracket(spec, phi, psi)
+        assert pairing(spec, phi, psi) == dense_pairing(spec, phi, psi)
+        assert anchor_apply(spec, psi) == dense_anchor_apply(spec, psi)

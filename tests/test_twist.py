@@ -155,7 +155,7 @@ class TestSplitTable:
         zero_pairs = 0
         for i in range(spec.rank):
             for j in range(spec.rank):
-                value, read = split(e[i], e[j]), split_value(table, (i, j), ONE)
+                value, read = split(e[i], e[j]), split_value(table.get, (i, j), ONE)
                 if value.is_zero():
                     assert read is None and (i, j) not in table
                     zero_pairs += 1
