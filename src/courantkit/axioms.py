@@ -32,7 +32,11 @@ one of rho_apply(spec, ψ, f) keyed by (ψ, f).  Every checker reads the
 bracket and ρ through them, the Jacobiator and the anchor-morphism defect
 included, so each distinct argument tuple is evaluated once per call.  Keys
 are the exact ordered arguments, never filled from skewness or any other
-property under test; Leibniz's [φ, 1·ψ] is the key (φ, ψ).
+property under test; Leibniz's [φ, 1·ψ] is the key (φ, ψ).  The decision
+sets, not the tables, may drop a tuple whose defect is exactly ± that of an
+earlier one (a mirror): by formula in symmetric-part and invariance, and in
+Jacobi only where the structure itself is checked to mirror it (see
+_jacobi_tuples), so the first failing tuple is never dropped.
 
 The two rows that are tensorial on their basis tuples also keep call-owned
 tables keyed by basis indices.  `twisted-jacobi` reads H̃ through
@@ -218,11 +222,12 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
       Jac(a,b,c) + Jac(b,a,c) = −[S(a,b),c] − T(⟨a,b⟩,c)
 
     and Jac − H̃ obeys them too, H̃ being alternating and tensorial.  The
-    set: (1) basis triples; (2) (a, b, xᵥ·e1) for each of A's pairs with
-    A(a,b)xᵥ ≠ 0; (3) only when S or I fails, each basis triple with one xᵥ
-    in slot b or in slot a.  If S = I = 0, invariance at (a, b, D₀f) gives
-    A(a,b)f = ⟨b,T(f,a)⟩, so Jac ≡ 0 iff (1) passes and A ≡ 0 (slot c, then
-    b, then a by the third identity; conversely the first forces A ≡ 0).
+    set: (1) the basis triples that no earlier one mirrors (see Mirrors);
+    (2) (a, b, xᵥ·e1) for each of A's pairs with A(a,b)xᵥ ≠ 0; (3) only
+    when S or I fails, each basis triple with one xᵥ in slot b or in slot
+    a.  If S = I = 0, invariance at (a, b, D₀f) gives A(a,b)f = ⟨b,T(f,a)⟩,
+    so Jac ≡ 0 iff (1) passes and A ≡ 0 (slot c, then b, then a by the
+    third identity; conversely the first forces A ≡ 0).
     Once (1) and A's basis pairs pass, T(f,eᵢ) = 0, so slot a gives
     Jac(xᵤp,q,e1) = 0 and (2) reads −A(a,b)xᵥ·e1.  Otherwise, once A ≡ 0,
     the excess of slot b over f·Jac, and that of slot a, which by the third
@@ -230,18 +235,39 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     at (b, a, c), are tensorial in a, b, c and derivations in f: (3)
     decides them, and with its slot-a tuples (2) reads −A again.
 
+    Mirrors.  With N(a,b) = [a,b] + [b,a], ℚ-bilinearity alone gives
+
+      (M1) Jac(a,b,c) + Jac(b,a,c) = −[N(a,b),c]
+      (M2) Jac(a,b,c) + Jac(a,c,b) = [a,N(b,c)] − N([a,b],c) − N(b,[a,c])
+
+    and Jac − H̃ obeys both, H̃ being alternating.  (1) skips (eₐ,e_b,e_c)
+    when a > b and N(eₐ,e_b) = 0, read through br, and when b > c, S = I = 0
+    and G_bc ∈ ℚ: then N(x,y) = D₀⟨x,y⟩ and I at (eₐ,e_b,e_c) turn (M2) into
+    [eₐ,D₀G_bc] − D₀(ρ(eₐ)G_bc) = 0.  Either way the skipped defect is minus
+    that at (b,a,c) or (a,c,b), which comes earlier in product order, so the
+    first nonzero basis triple is never skipped: (1) fails at the same
+    triple with the same defect as the full product, and passes iff every
+    basis triple does.  (e,e,e) is never skipped; where both rules hold
+    throughout, (1) is the C(r+2,3) triples a ≤ b ≤ c.
+
     Each tuple carries two entries past the witness names: the basis indices
     (i, j, k) of its slots and the monomial f it holds in one of them (1 in
     (1), the pair's monomial times xᵥ in (2), xᵥ in (3)).
     """
-    basis, xs = t.basis, t.xs
-    triples = list(itertools.product(range(len(basis)), repeat=3))
-    for ijk in triples:
-        yield (*(basis[i] for i in ijk), ijk, ONE)
+    basis, xs, gram = t.basis, t.xs, spec.gram.entries
+    lemma_c = not (_verdict("symmetric-part", _ax_symmetric_part, spec, t, br, rho)
+                   or _verdict("invariance", _ax_invariance, spec, t, br, rho))
+    r = range(len(basis))
+    for i, j in itertools.product(r, repeat=2):
+        a, b = basis[i], basis[j]
+        if i > j and (br(a, b) + br(b, a)).is_zero():
+            continue
+        for k in r:
+            if not (k < j and lemma_c and gram[j][k].is_rational()):
+                yield a, b, basis[k], (i, j, k), ONE
     yield from _anchor_fallback(spec, br, basis, xs, t.pair_keys())
-    if (_verdict("symmetric-part", _ax_symmetric_part, spec, t, br, rho)
-            or _verdict("invariance", _ax_invariance, spec, t, br, rho)):
-        for ijk in triples:
+    if not lemma_c:
+        for ijk in itertools.product(r, repeat=3):
             a, b, c = (basis[i] for i in ijk)
             for x in xs:
                 yield a, b.scale(x), c, ijk, x
@@ -323,10 +349,15 @@ def _ax_symmetric_part(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     """Lemma C: S(φ,ψ) = [φ,ψ] + [ψ,φ] − D₀⟨φ,ψ⟩ is symmetric, and ℚ[x]-linear
     in ψ by the bracket's two extension rules and D₀(fh) = f·D₀h + h·D₀f.
     [ψ,ψ] − ½D₀⟨ψ,ψ⟩ is ½·S(ψ,ψ), so it needs no pass of its own.  On basis
-    pairs ⟨eₐ,e_b⟩ is the Gram entry G_ab, which rides along unnamed."""
+    pairs ⟨eₐ,e_b⟩ is the Gram entry G_ab, which rides along unnamed.  As G
+    is symmetric (the constructor checks it), S(e_b,eₐ) = S(eₐ,e_b) by
+    formula, so the pairs a ≤ b in row-major order decide the row and give
+    the first failing basis pair."""
+    basis, gram = t.basis, spec.gram.entries
     return first_failure(
-        ((phi, psi, g) for phi, row in zip(t.basis, spec.gram.entries)
-         for psi, g in zip(t.basis, row)), ("phi", "psi"),
+        ((basis[a], basis[b], gram[a][b]) for a, b in
+         itertools.combinations_with_replacement(range(len(basis)), 2)),
+        ("phi", "psi"),
         lambda phi, psi, g: br(phi, psi) + br(psi, phi) - d0(spec, g))
 
 
@@ -337,7 +368,9 @@ def _ax_invariance(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     since ⟨D₀f,ψ⟩ = ρ(ψ)f (see the module docstring).  On basis sections it
     is ρ(eₐ)G_bc − L_ab[c] − L_ac[b], with L_ab = G·[eₐ,e_b] the lowered
     bracket: ⟨e_b,[eₐ,e_c]⟩ = ⟨[eₐ,e_c],e_b⟩ as G is symmetric.  L_ab is
-    built once per (a, b), on first use."""
+    built once per (a, b), on first use.  The formula is symmetric in b, c
+    (G_cb = G_bc), so (a,c,b) mirrors (a,b,c) and the triples (a, b ≤ c),
+    in product order, decide the row and give its first failing triple."""
     basis, gram = t.basis, spec.gram.entries
     lowered: dict = {}
 
@@ -346,9 +379,10 @@ def _ax_invariance(spec: AlgebroidSpec, t: _Tuples, br: Callable,
             lowered[a, b] = _combine(spec._gram_rows, br(basis[a], basis[b]).entries)
         return lowered[a, b]
 
+    r = range(len(basis))
     return first_failure(
         ((basis[a], basis[b], basis[c], a, b, c)
-         for a, b, c in itertools.product(range(len(basis)), repeat=3)),
+         for a in r for b, c in itertools.combinations_with_replacement(r, 2)),
         ("phi", "psi1", "psi2"),
         lambda phi, psi1, psi2, a, b, c: (rho(phi, gram[b][c])
                                           - row(a, b).get(c, ZERO)

@@ -1,5 +1,7 @@
 """Tests for the executable axiom suites, including negative controls."""
 
+import itertools
+
 import pytest
 
 from conftest import corrupt_anchor, corrupt_bracket, corrupt_gram, corrupt_twist, sec
@@ -253,6 +255,14 @@ def dense_rows(spec):
     return rows
 
 
+FINITE_SET_NAMES = [
+    "std1", "std2", "std3", "so3", "split4", "std2+rho",
+    "std3 anchor (1,2) x1", "std3 anchor (4,1) x3", "std2 gram x1",
+    "std2 bracket (1,2) x2*e3", "std2 bracket (3,3) e2",
+    "std3 bracket (1,5) x2*e6", "split4 twisted", "std2 zero twist",
+    "std2 zero twist, gram x1", "std2 skew [e1,.]"]
+
+
 class TestFiniteSets:
     """Every row decides its axiom on its finite set: each verdict equals the
     ground truth of Lemma A at degree 2 (every defect here has total order
@@ -285,12 +295,7 @@ class TestFiniteSets:
             "std2 skew [e1,.]": lambda: skew_left_e1(std2),
         }.get(name, lambda: request.getfixturevalue(name))()
 
-    @pytest.mark.parametrize("name", [
-        "std1", "std2", "std3", "so3", "split4", "std2+rho",
-        "std3 anchor (1,2) x1", "std3 anchor (4,1) x3", "std2 gram x1",
-        "std2 bracket (1,2) x2*e3", "std2 bracket (3,3) e2",
-        "std3 bracket (1,5) x2*e6", "split4 twisted", "std2 zero twist",
-        "std2 zero twist, gram x1", "std2 skew [e1,.]"])
+    @pytest.mark.parametrize("name", FINITE_SET_NAMES)
     def test_every_row_matches_degree_two_ground_truth(self, request, name):
         from oracles import monomial_tuples
 
@@ -423,6 +428,72 @@ def skew_left_e1(std2):
     """std2 with [e1,ψ] += ι_ψ(dx1∧dx2) on basis ψ: [e1,e1] = e4, [e1,e2] = −e3."""
     return corrupt_bracket(corrupt_bracket(std2, 0, 0, Section.basis(3, 4)),
                            0, 1, -Section.basis(2, 4))
+
+
+def btilde_in_frame(std2):
+    """std2 with B̃ added to its bracket, ⟨B̃(eᵢ,eⱼ),e_k⟩ = B(eᵢ,eⱼ,e_k) for
+    the constant 3-form B = e1∧e2∧e4 (no twist recorded), moved to the frame
+    e′₁ = e₁ + x2·e₄, where the Gram entry G′₁₂ is x2."""
+    from oracles import frame_change
+    from courantkit.exact import Matrix
+    from courantkit.structure import AlgebroidSpec
+
+    e = lambda i: Section.basis(i, 4)
+    table = {(0, 1): e(1), (1, 0): -e(1), (0, 3): -e(3), (3, 0): e(3),
+             (1, 3): e(2), (3, 1): -e(2)}
+    plus_b = AlgebroidSpec(std2.ring, std2.nvars, std2.rank, std2.gram,
+                           std2.anchor, table)
+    frame = Matrix([[x(1) if (k, i) == (3, 0) else ONE if k == i else ZERO
+                     for i in range(4)] for k in range(4)])
+    return frame_change(plus_b, frame)
+
+
+class TestMirroredSets:
+    """symmetric-part, invariance and Jacobi's step (1) skip each basis tuple
+    whose defect is minus or equal to that of an earlier one.  Replayed
+    through the dense oracles over every basis tuple in itertools.product
+    order, the first failure is the row's witness, inputs and defect; where
+    every basis tuple passes, the row's witness is not a basis tuple."""
+
+    ROWS = {"jacobi": ("phi", "psi1", "psi2"),
+            "twisted-jacobi": ("phi", "psi1", "psi2"),
+            "symmetric-part": ("phi", "psi"),
+            "invariance": ("phi", "psi1", "psi2")}
+
+    @staticmethod
+    def structure(request, name):
+        std2 = request.getfixturevalue("std2")
+        return {
+            "ct4 gram x1": lambda: corrupt_gram(
+                request.getfixturevalue("ctwist4"), 0, x(0)),
+            # N(e2,e1) = e2, so (e2,e1,e1) keeps its place before (e1,e2,e1)
+            "std2 [e2,e1] = e2": lambda: corrupt_bracket(
+                std2, 1, 0, Section.basis(1, 4)),
+            # S = I = 0 but G′₁₂ = x2, so (e1,e2,e1) keeps its place
+            # before (e1,e1,e2)
+            "std2+B in a frame": lambda: btilde_in_frame(std2),
+        }.get(name, lambda: TestFiniteSets.structure(request, name))()
+
+    @pytest.mark.parametrize("name", FINITE_SET_NAMES + [
+        "ct4 gram x1", "std2 [e2,e1] = e2", "std2+B in a frame"])
+    def test_witness_is_the_full_products_first_failure(self, request, name):
+        spec = self.structure(request, name)
+        rows, basis = dense_rows(spec), spec.basis_sections()
+        texts = [e.to_text() for e in basis]
+        for suite in ["courant"] + (["h-twisted"] if spec.twist is not None else []):
+            for check in check_axioms(spec, suite).checks:
+                names = self.ROWS.get(check.axiom)
+                if names is None:
+                    continue
+                reference = first_failure(
+                    itertools.product(basis, repeat=len(names)), names,
+                    rows[check.axiom][1])
+                if reference is not None:
+                    assert check.witness == reference, (suite, check.axiom)
+                else:
+                    assert check.witness is None or any(
+                        v not in texts for v in check.witness["inputs"].values()
+                    ), (suite, check.axiom)
 
 
 class TestErrors:
@@ -613,11 +684,11 @@ class TestCallTables:
         return counts
 
     def test_ct4_h_twisted_evaluates_few_tuples(self, monkeypatch, ctwist4):
-        # without the tables the suite makes 4,964 bracket and 832 ρ
-        # evaluations; with them 412 and 48
+        # without the tables the suite makes 1,620 bracket and 608 ρ
+        # evaluations; with them 360 and 48
         counts = self.counting(monkeypatch)
         assert check_axioms(ctwist4, "h-twisted").passed
-        assert counts["bracket"] <= 415 and counts["rho_apply"] <= 50
+        assert counts["bracket"] <= 360 and counts["rho_apply"] <= 50
         # nothing outlives the call: a second call evaluates as much again
         first = dict(counts)
         check_axioms(ctwist4, "h-twisted")
@@ -667,10 +738,29 @@ class TestCallTables:
         assert "twisted-jacobi" in check_axioms(spec, "h-twisted").failing()
         assert len(applied) == len(set(applied)) == count
 
+    @pytest.mark.parametrize("fixture,suite,count", [
+        ("ctwist4", "h-twisted", 120), ("std3", "courant", 56)])
+    def test_jacobi_skips_mirrored_basis_triples(self, monkeypatch, request,
+                                                 fixture, suite, count):
+        # S = I = 0, each N(eₐ,e_b) is zero and each Gram entry constant, so
+        # Jacobi's step (1) reads the C(r+2,3) triples a ≤ b ≤ c of the r³
+        # (512 on ct4, 216 on std3), and step (2) reads none
+        import courantkit.axioms as axioms
+
+        jacobiator, calls = axioms._jacobiator, []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return jacobiator(*args)
+
+        monkeypatch.setattr(axioms, "_jacobiator", counted)
+        assert check_axioms(request.getfixturevalue(fixture), suite).passed
+        assert len(calls) == len(set(calls)) == count
+
     def test_invariance_pairs_no_tuple(self, monkeypatch, ctwist4):
-        # invariance reads 8³ = 512 basis triples; its pairings are Gram
-        # entries and lowered bracket rows, so the suite's pairing calls are
-        # symmetric-part's 64 basis pairs and the search for q
+        # invariance reads the 8·36 = 288 basis triples (a, b ≤ c); its
+        # pairings are Gram entries and lowered bracket rows, and
+        # symmetric-part's are Gram entries, so the suite calls no pairing
         counts = self.counting(monkeypatch)
         assert check_axioms(ctwist4, "h-twisted").passed
-        assert counts["pairing"] <= 8 * 8 + 8
+        assert counts["pairing"] == 0
