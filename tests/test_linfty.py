@@ -7,9 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import corrupt_bracket, corrupt_gram, corrupt_twist, sec
+
+from courantkit import linfty
 from courantkit.exact import ONE, Scalar
-from courantkit.kerforms import KerForm, zero_form
+from courantkit.kerforms import KerForm, basis_wedge_form, zero_form
 from courantkit.linfty import (
+    _as_built,
+    _basis_l2,
     _check_l3_alternating,
     _check_values_in_v1,
     _with_tables,
@@ -19,7 +24,7 @@ from courantkit.linfty import (
 )
 from courantkit.rand import rand_section, rand_wedge_coeffs
 from courantkit.structure import Section, SpecInvariantError
-from courantkit.twist import twist_bracket
+from courantkit.twist import base_form, c_twist, twist_bracket
 
 x = Scalar.variable
 HALF = Scalar.rational(Fraction(1, 2))
@@ -247,3 +252,151 @@ class TestTables:
         assert first and pairs == first
         assert all(getattr(data, name) is value
                    for name, value in fields.items())
+
+
+def _builder(spec):
+    """The packaging the CLI picks: twisted whenever the spec has a twist."""
+    return build_twisted if spec.twist is not None else build_classical
+
+
+def _pass_through(data):
+    """data with every map wrapped in a lambda that calls it: the same values,
+    but no longer the builder's maps, so verify_linfty runs its full path."""
+    boundary, l2, act, l3 = data.boundary, data.l2, data.act, data.l3
+    return dataclasses.replace(data, boundary=lambda v: boundary(v),
+                               l2=lambda a, b: l2(a, b),
+                               act=lambda *args: act(*args),
+                               l3=lambda *args: l3(*args))
+
+
+def _decided_cases():
+    """name -> (spec builder, whether l2 + l2ᵀ vanishes): passing
+    structures, skew structures that fail other equations, and structures
+    whose l2 is not skew.  A name ending in "(classical)" runs the classical
+    packaging on a structure whose twist is zero."""
+    def ct4b(r):
+        return c_twist(4, base_form({(0, 1, 2): x(3) * x(3), (1, 2, 3): x(0)}))
+
+    def tw4(r):
+        return twist_bracket(r("split4"), basis_wedge_form(r("split4"), (0, 1, 2)))
+
+    def split4_b(r):
+        return corrupt_bracket(tw4(r), 0, 1, sec(0, 0, 2, 0))
+
+    return {
+        "ct4": (lambda r: r("ctwist4"), True),
+        "ct4b": (ct4b, True),
+        "std4": (lambda r: r("std4"), True),
+        "std2": (lambda r: r("std2"), True),
+        "so3": (lambda r: r("so3"), True),
+        "split4 + e1^e2^e3": (tw4, True),
+        "ct4 twist (0,1,2,3) + x1":
+            (lambda r: corrupt_twist(r("ctwist4"), (0, 1, 2, 3), x(0)), True),
+        "ct4 twist (4,5,6,7) + 1":
+            (lambda r: corrupt_twist(r("ctwist4"), (4, 5, 6, 7), ONE), True),
+        "ct4 gram (4,4) = 2":
+            (lambda r: corrupt_gram(r("ctwist4"), 4, Scalar.rational(2)), True),
+        "ct4b twist (0,1,2,3) + x2":
+            (lambda r: corrupt_twist(ct4b(r), (0, 1, 2, 3), x(1)), True),
+        "ct4 gram (0,0) = x1":
+            (lambda r: corrupt_gram(r("ctwist4"), 0, x(0)), False),
+        "std2 [e2,e1] = e2":
+            (lambda r: corrupt_bracket(r("std2"), 1, 0, Section.basis(1, 4)),
+             False),
+        "std4 [e1,e5] = e8":
+            (lambda r: corrupt_bracket(r("std4"), 0, 4, Section.basis(7, 8)),
+             False),
+        "split4 + e1^e2^e3, [e1,e2] = 2e3 (twisted)": (split4_b, False),
+        "split4 + e1^e2^e3, [e1,e2] = 2e3 (classical)": (split4_b, False),
+    }
+
+
+DECIDED_CASES = _decided_cases()
+
+
+class TestDecidedSkew:
+    """verify_linfty first decides whether l2 is skew on basis pairs (Lemma
+    C); when it is, it passes l2-skew and l3-alternating by proof, reads l2
+    by sign and skips Jacobi tuples that repeat a set.  None of that may move
+    a report."""
+
+    @pytest.mark.parametrize("name", sorted(DECIDED_CASES))
+    def test_report_equals_the_full_paths(self, request, name):
+        make, skew = DECIDED_CASES[name]
+        spec = make(request.getfixturevalue)
+        build = (build_classical if name.endswith("(classical)")
+                 else _builder(spec))
+        for seed in range(4):
+            decided = verify_linfty(build(spec), seed=seed).to_json()
+            full = verify_linfty(_pass_through(build(spec)), seed=seed).to_json()
+            assert decided == full, (name, seed)
+        data = build(spec)
+        assert _as_built(data) and _basis_l2(data)[1] is skew
+        assert not _as_built(_pass_through(data))
+
+    def test_any_replaced_map_leaves_the_decided_path(self, ctwist4, std2):
+        for spec in (ctwist4, std2):
+            data = _builder(spec)(spec)
+            assert _as_built(data)
+            for name in ("boundary", "l2", "act", "l3"):
+                fn = getattr(data, name)
+                changed = dataclasses.replace(data, **{name: lambda *a: fn(*a)})
+                assert not _as_built(changed), name
+            assert not _as_built(dataclasses.replace(data, spec=ctwist4
+                                                     if spec is std2 else std2))
+
+    @staticmethod
+    def counts(monkeypatch, spec, build, full=False):
+        """Evaluations of l2 and l3, and action-jacobi tuples, of one
+        verify_linfty call at seed 0, counted through the maps the builder
+        binds; ``full`` forces the full path."""
+        n = {"l2": 0, "l3": 0, "action-jacobi": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                n[key] += 1
+                return fn(*args)
+            return wrapper
+
+        l3 = "_metric_l3" if build is build_classical else "_twisted_l3"
+        with monkeypatch.context() as m:
+            for key, attr in (("l2", "_l2"), ("l3", l3),
+                              ("action-jacobi", "_eq_action_jacobi")):
+                m.setattr(linfty, attr, counting(key, getattr(linfty, attr)))
+            data = build(spec)
+            verify_linfty(_pass_through(data) if full else data, seed=0)
+        return n
+
+    @pytest.mark.parametrize("name, decided, full", [
+        ("ct4", (443, 347, 240), (540, 605, 330)),
+        ("ct4b", (476, 377, 240), (587, 635, 330)),
+        ("std4", (146, 445, 385), (205, 615, 385)),
+    ])
+    def test_evaluation_counts(self, request, monkeypatch, name, decided, full):
+        # (l2 evaluations, l3 evaluations, action-jacobi tuples) at seed 0;
+        # the classical action-jacobi is not the Jacobi defect and keeps all
+        spec = DECIDED_CASES[name][0](request.getfixturevalue)
+        keys = ("l2", "l3", "action-jacobi")
+        for forced, want in ((False, decided), (True, full)):
+            n = self.counts(monkeypatch, spec, _builder(spec), forced)
+            assert tuple(n[k] for k in keys) == want, forced
+
+    def test_counts_without_skew_equal_the_full_paths(self, monkeypatch,
+                                                     ctwist4):
+        # S(e1,e1) = −D₀x1 ≠ 0: the decided path stops at the first basis
+        # pair, which l2-skew reads anyway
+        bad = corrupt_gram(ctwist4, 0, x(0))
+        assert (self.counts(monkeypatch, bad, build_twisted)
+                == self.counts(monkeypatch, bad, build_twisted, full=True)
+                == {"l2": 538, "l3": 599, "action-jacobi": 330})
+
+    def test_skew_l2_passes_l3_alternating_unevaluated(self, monkeypatch,
+                                                      ctwist4):
+        def unexpected(*args):
+            raise AssertionError("l3-alternating was evaluated")
+
+        monkeypatch.setattr(linfty, "_check_l3_alternating", unexpected)
+        report = verify_linfty(build_twisted(ctwist4), seed=0)
+        assert report.passed
+        with pytest.raises(AssertionError, match="evaluated"):
+            verify_linfty(_pass_through(build_twisted(ctwist4)), seed=0)
