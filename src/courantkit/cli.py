@@ -4,13 +4,18 @@ All reports are JSON with a stable schema version field; identical
 invocations with identical seeds produce byte-identical output.  Exit codes:
 0 all checks pass, 1 a check failed, 2 parse, usage or invariant error,
 3 internal error (a bug: the traceback goes to stderr).
+
+The grammar is built once, at import (``_PARSER``).  ``main(argv)`` may be
+called many times in one process: each call parses its argv into a fresh
+namespace, and argparse never changes the parser while parsing.  ``main``
+returns every exit code above, a usage error's 2 and ``--help``'s 0
+included, instead of raising ``SystemExit``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
 from courantkit import fileio
 from courantkit.axioms import SUITES, SuiteNotApplicableError, UnknownSuiteError, check_axioms
@@ -244,9 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return exc.code
     try:
         return args.func(args)
     except CochainEscapeError as exc:
@@ -257,6 +267,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception:
+        import traceback  # only a bug reaches here; keep it out of start-up
+
         sys.stderr.write("internal error (a bug in courantkit):\n")
         traceback.print_exc()
         return 3

@@ -239,6 +239,11 @@ def _first_of_each_set(tuples: Iterable[tuple]) -> Iterator[tuple]:
             yield t
 
 
+def _rational(section: Section) -> bool:
+    """Whether every coefficient of section is a rational constant."""
+    return all(c.is_rational() for _, c in section.entries)
+
+
 _UNSHUFFLES_22 = [((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
                   ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1)]
 # the action sum enters with the opposite orientation to the l3∘l2 sum,
@@ -349,18 +354,28 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
     triples += [tuple(randoms[i % len(randoms)] for i in (t, t + 1, t + 2))
                 for t in range(len(randoms))] if randoms else []
     triples += _random_triples(data, randoms)[:1]
-    report.add("jacobi-up-to-boundary", first_failure(
+    jacobi = first_failure(
         _first_of_each_set(triples) if skew else triples, ("x", "y", "z"),
-        partial(_eq_jacobi_boundary, data)))
+        partial(_eq_jacobi_boundary, data))
+    report.add("jacobi-up-to-boundary", jacobi)
     # In the twisted packaging ∂ is the inclusion and x▷v = l2(x,v), so the
     # action defect A(x,y,v) = l2(x,l2(y,v)) − l2(y,l2(x,v)) − l2(l2(x,y),v)
     # − l3(x,y,v) is J(x,y,v) − l2(y,S(v,x)) − S(v,l2(x,y)), l2 being
     # additive in each slot: with S ≡ 0, A = J, which alternates.  The
     # classical action is ½ρ(x)f, and its defect is no Jacobi defect.
     tuples = ((x, y, v) for x, y in itertools.combinations(v0, 2) for v in v1)
+    if skew and not data.classical:
+        tuples = _first_of_each_set(tuples)
+        if jacobi is None:
+            # The Jacobi row passed every increasing basis triple.  J is
+            # ℚ-trilinear (l2 is ℚ-bilinear, l3 ℚ-trilinear, ∂ ℚ-linear) and
+            # alternates, so J(eₐ,e_b,e_c) is 0 or ± J on an increasing
+            # basis triple, and J vanishes on all ℚ-combinations of basis
+            # sections.  A tuple of three such sections has A = J = 0, so it
+            # cannot move the witness; over a point base that is every tuple.
+            tuples = (t for t in tuples if not all(map(_rational, t)))
     report.add("action-jacobi", first_failure(
-        _first_of_each_set(tuples) if skew and not data.classical else tuples,
-        ("x", "y", "v"), partial(_eq_action_jacobi, data)))
+        tuples, ("x", "y", "v"), partial(_eq_action_jacobi, data)))
     quads = list(itertools.combinations(data.v0_basis, 4))
     if randoms:
         pool = randoms + data.v0_basis

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line front end."""
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import STD2_FRAME, corrupt_anchor
 
+from courantkit import cli
 from courantkit.cli import main
 from courantkit.exact import Matrix, ONE, Scalar, ZERO
 from courantkit.fileio import load_spec, save_spec
@@ -417,6 +422,120 @@ class TestErrorExits:
         code, out, err = run(capsys, "verify", std2_file)
         assert code == 3 and out == ""
         assert "internal error" in err and "ValueError" in err
+
+
+class TestSharedGrammar:
+    """main parses every call with the one parser built at import: each call
+    prints and returns exactly what a parser built for it alone would."""
+
+    SEQUENCES = {
+        "text-then-json": [["--text", "verify", "<std2>"], ["verify", "<std2>"]],
+        "seed-placement": [["--seed", "3", "linfty", "<std2>"],
+                           ["linfty", "<std2>", "--seed", "3"],
+                           ["linfty", "<std2>"]],
+        "suite-then-default": [["verify", "<ct4>", "--suite", "h-twisted"],
+                               ["verify", "<ct4>"]],
+        "bad-suite": [["verify", "<std2>", "--suite", "nosuch"],
+                      ["verify", "<std2>"]],
+        "bad-degree": [["linfty", "<std2>", "--degree", "two"],
+                       ["linfty", "<std2>"]],
+        "no-subcommand": [["--seed", "1"], ["verify", "<std2>"]],
+        "help": [["--help"], ["verify", "--help"], ["verify", "<std2>"]],
+    }
+
+    @pytest.fixture()
+    def files(self, std2_file, ctwist_file):
+        return {"<std2>": std2_file, "<ct4>": ctwist_file}
+
+    @staticmethod
+    def runs(capsys, monkeypatch, calls, fresh):
+        """(exit code, stdout, stderr) of each call in turn; ``fresh`` gives
+        each call a parser of its own."""
+        results = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            results.append(run(capsys, *argv))
+        return results
+
+    @pytest.mark.parametrize("order", ["forwards", "reversed"])
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_same_output_as_a_fresh_parser(self, capsys, monkeypatch, files,
+                                           name, order):
+        calls = [[files.get(a, a) for a in argv] for argv in self.SEQUENCES[name]]
+        if order == "reversed":
+            calls.reverse()
+        shared = self.runs(capsys, monkeypatch, calls, fresh=False)
+        assert shared == self.runs(capsys, monkeypatch, calls, fresh=True)
+
+    def test_each_call_parses_into_a_fresh_namespace(self, capsys, monkeypatch,
+                                                     files):
+        calls = [[files.get(a, a) for a in argv]
+                 for name in ("text-then-json", "seed-placement",
+                              "suite-then-default")
+                 for argv in self.SEQUENCES[name]]
+        calls += calls[::-1]
+        want = [vars(cli.build_parser().parse_args(argv)) for argv in calls]
+        parsed = []
+        parse = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            namespace = parse(self, *args, **kwargs)
+            parsed.append((namespace, dict(vars(namespace))))
+            return namespace
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        for argv in calls:
+            main(argv)
+        capsys.readouterr()
+        assert [values for _, values in parsed] == want
+        assert len({id(namespace) for namespace, _ in parsed}) == len(calls)
+        assert want[2]["seed"] == want[3]["seed"] == 3 and want[4]["seed"] == 0
+
+    def test_calls_construct_no_parser(self, capsys, monkeypatch, files):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        calls = (self.SEQUENCES["bad-suite"] + self.SEQUENCES["help"]
+                 + self.SEQUENCES["seed-placement"]
+                 + self.SEQUENCES["suite-then-default"])
+        codes = [run(capsys, *[files.get(a, a) for a in argv])[0]
+                 for argv in calls]
+        assert codes == [2, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+        assert built == []
+
+    def test_import_builds_six_parsers(self):
+        # the top level and its five subcommands, once per process
+        script = ("import argparse\n"
+                  "built = []\n"
+                  "init = argparse.ArgumentParser.__init__\n"
+                  "def counting(self, *args, **kwargs):\n"
+                  "    built.append(1)\n"
+                  "    init(self, *args, **kwargs)\n"
+                  "argparse.ArgumentParser.__init__ = counting\n"
+                  "import courantkit.cli\n"
+                  "print(len(built))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "6\n", "")
+
+    def test_argparse_exits_are_returned(self, capsys, std2_file):
+        code, out, err = run(capsys, "verify", std2_file, "--suite", "nosuch")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: courantkit verify") and "invalid choice" in err
+        code, out, err = run(capsys)
+        assert code == 2 and out == "" and "required: command" in err
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: courantkit")
+        assert "{verify,make,cohomology,dirac,linfty}" in out
 
 
 class TestHashSeed:

@@ -368,8 +368,8 @@ class TestDecidedSkew:
         return n
 
     @pytest.mark.parametrize("name, decided, full", [
-        ("ct4", (443, 347, 240), (540, 605, 330)),
-        ("ct4b", (476, 377, 240), (587, 635, 330)),
+        ("ct4", (443, 347, 188), (540, 605, 330)),
+        ("ct4b", (476, 377, 188), (587, 635, 330)),
         ("std4", (146, 445, 385), (205, 615, 385)),
     ])
     def test_evaluation_counts(self, request, monkeypatch, name, decided, full):
