@@ -18,9 +18,8 @@ non-skew bracket the cyclic sum is not even alternating — and the global
 orientation of l3 is forced by the displayed defining equations under this
 package's pairing convention ⟨X+ξ,Y+η⟩ = η(X)+ξ(Y).
 
-The action and l3 read l2 only through their first argument,
-act(l2, x, v) and l3(l2, x, y, z), so whichever l2 map a caller supplies is
-the one both of them see.
+The action and l3 are methods that read l2 through self.l2, so the call
+tables that verify_linfty puts behind l2 are the ones both of them see.
 
 verify_linfty checks the five defining equations exactly on basis tuples and
 seeded random tuples.  The twisted packaging reads the pairing only through
@@ -30,24 +29,22 @@ invariance (over a point D = 0) and passes every equation.  Each call
 evaluates l2 and l3 through two tables keyed by the exact ordered argument
 values, which the call owns and drops when it returns.
 
-Each call first decides whether l2 is skew, when data's maps are the ones
-its builder binds: l2 + l2ᵀ is Lemma C's symmetric part S, so the basis
-pairs decide it (_basis_l2).  When S ≡ 0, the l2 table reads l2(x,y) as
-−l2(y,x) once (y,x) is in it, l2-skew and l3-alternating pass by proof
-(l3 alternates once l2 is skew), and the Jacobi row and the twisted
-action-Jacobi row skip each tuple with a repeated entry or with the set of
-an earlier tuple (both defects are then alternating), which never moves a
-witness.  When S ≢ 0, or when a caller replaced a map, every distinct
-ordered pair and triple is evaluated, and nothing is filled from skewness or
-alternation, which are then among the properties being checked.
+Each call first decides whether l2 is skew: l2 + l2ᵀ is Lemma C's
+symmetric part S, so the basis pairs decide it (_basis_l2).  When S ≡ 0,
+the l2 table reads l2(x,y) as −l2(y,x) once (y,x) is in it, l2-skew and
+l3-alternating pass by proof (l3 alternates once l2 is skew), and the Jacobi
+row and the twisted action-Jacobi row skip each tuple with a repeated entry
+or with the set of an earlier tuple (both defects are then alternating),
+which never moves a witness.  When S ≢ 0, every distinct ordered pair and
+triple is evaluated, and nothing is filled from skewness or alternation,
+which are then among the properties being checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from courantkit.axioms import CheckReport, first_failure
@@ -58,7 +55,6 @@ from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
-    _tabled,
     anchor_apply,
     bracket,
     d0,
@@ -69,92 +65,67 @@ from courantkit.structure import (
 _MINUS_SIXTH = Scalar.rational(-1) / 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class LInftyData:
-    """Test bases and the four structure maps of a two-term homotopy algebra.
+    """Test bases of a two-term homotopy algebra; ∂, l2, x▷v and l3 are
+    its methods.
 
-    V1 elements are Scalars in the classical packaging and ker-ρ Sections in
-    the twisted one; the maps accept and return accordingly.
+    Frozen, so the maps verify_linfty checks are always the packaging's own,
+    the only ones its proofs from a skew l2 hold for.  V1 elements are
+    Scalars in the classical packaging and ker-ρ Sections in the twisted
+    one; the maps accept and return accordingly.  ``split`` is the twisted
+    packaging's H̃ = tilde_split(spec, spec.twist), and None in the
+    classical one.
     """
 
     spec: AlgebroidSpec
     classical: bool
-    v0_basis: list[Section]
-    v1_basis: list
-    boundary: Callable          # ∂(v): V1 → V0
-    l2: Callable                # l2(x, y): V0 ∧ V0 → V0
-    act: Callable               # act(l2, x, v) = x▷v: V0 ⊗ V1 → V1
-    l3: Callable                # l3(l2, x, y, z): Λ³V0 → V1
+    v1_basis: tuple
+    split: Callable | None = None
 
+    @property
+    def v0_basis(self) -> list[Section]:
+        return self.spec.basis_sections()
 
-def _l2(spec: AlgebroidSpec, x: Section, y: Section) -> Section:
-    return bracket(spec, x, y) - d0(spec, pairing(spec, x, y)).scale(HALF)
+    def boundary(self, v):
+        """∂v: V1 → V0, D₀v classically and the inclusion when twisted."""
+        return d0(self.spec, v) if self.classical else v
 
+    def l2(self, x: Section, y: Section) -> Section:
+        """l2(x, y) = [x,y] − ½D₀⟨x,y⟩: V0 ⊗ V0 → V0."""
+        return (bracket(self.spec, x, y)
+                - d0(self.spec, pairing(self.spec, x, y)).scale(HALF))
 
-def _metric_l3(spec: AlgebroidSpec, l2: Callable, x: Section, y: Section,
-               z: Section) -> Scalar:
-    """−⅙·Σ_cyc⟨l2(a,b),c⟩, the metric part of both packagings' l3."""
-    return _MINUS_SIXTH * sum((pairing(spec, l2(a, b), c) for a, b, c
-                               in ((x, y, z), (y, z, x), (z, x, y))), ZERO)
+    def act(self, x: Section, v):
+        """x▷v: V0 ⊗ V1 → V1.  Classically ½⟨x,D₀f⟩ = ½·ρ(x)f: D₀f =
+        G⁻¹·A·∇f with G symmetric, so ⟨x,D₀f⟩ = xᵀ·A·∇f.  Twisted, l2(x, v)."""
+        if self.classical:
+            return HALF * rho_apply(self.spec, x, v)
+        return self.l2(x, v)
 
-
-# The builders bind these module-level maps, so that verify_linfty can tell
-# them from maps a caller put in their place (_as_built).
-
-def _classical_boundary(spec: AlgebroidSpec, f: Scalar) -> Section:
-    return d0(spec, f)
-
-
-def _classical_act(spec: AlgebroidSpec, l2: Callable, x: Section,
-                   f: Scalar) -> Scalar:
-    return HALF * rho_apply(spec, x, f)
-
-
-def _inclusion(v: Section) -> Section:
-    return v
-
-
-def _twisted_act(l2: Callable, x: Section, v: Section) -> Section:
-    return l2(x, v)
-
-
-def _twisted_l3(spec: AlgebroidSpec, split: Callable, l2: Callable,
-                x: Section, y: Section, z: Section) -> Section:
-    return d0(spec, _metric_l3(spec, l2, x, y, z)) + split(x, y, z)
-
-
-def _as_built(data: LInftyData) -> bool:
-    """Whether data's ∂, l2, action and l3 are the maps its packaging's
-    builder binds to data.spec, the only maps the identities that
-    verify_linfty draws from a skew l2 are proved for."""
-    def bound(fn: Callable, built: Callable) -> bool:
-        if isinstance(fn, partial):
-            return fn.func is built and fn.args[0] is data.spec
-        return fn is built
-
-    built = ((_classical_boundary, _l2, _classical_act, _metric_l3)
-             if data.classical else (_inclusion, _l2, _twisted_act, _twisted_l3))
-    return all(map(bound, (data.boundary, data.l2, data.act, data.l3), built))
+    def l3(self, x: Section, y: Section, z: Section):
+        """l3(x, y, z): Λ³V0 → V1, the metric term M = −⅙·Σ_cyc⟨l2(a,b),c⟩
+        classically and D₀M + H̃(x,y,z) when twisted (D₀ is ℚ-linear, so
+        D₀M is the cyclic sum of the D₀ terms)."""
+        metric = _MINUS_SIXTH * sum((pairing(self.spec, self.l2(a, b), c) for a, b, c
+                                     in ((x, y, z), (y, z, x), (z, x, y))), ZERO)
+        if self.classical:
+            return metric
+        return d0(self.spec, metric) + self.split(x, y, z)
 
 
 def build_classical(spec: AlgebroidSpec) -> LInftyData:
     """Classical packaging with base functions in degree one; rejects
-    twisted input.  The action ½⟨x,D₀f⟩ is ½·ρ(x)f: D₀f = G⁻¹·A·∇f with G
-    symmetric, so ⟨x,D₀f⟩ = xᵀ·A·∇f."""
+    twisted input."""
     if spec.twist is not None and not spec.twist.is_zero():
         raise SpecInvariantError(
             "the classical packaging needs an untwisted structure")
     v1 = [Scalar.rational(1)] + [Scalar.variable(j) for j in range(spec.nvars)]
-    return LInftyData(spec, True, spec.basis_sections(), v1,
-                      boundary=partial(_classical_boundary, spec),
-                      l2=partial(_l2, spec),
-                      act=partial(_classical_act, spec),
-                      l3=partial(_metric_l3, spec))
+    return LInftyData(spec, True, tuple(v1))
 
 
 def build_twisted(spec: AlgebroidSpec) -> LInftyData:
-    """Twisted packaging with V1 the sections of ker ρ.  D₀ is ℚ-linear, so
-    the metric term −⅙·Σ_cyc D₀⟨l2(a,b),c⟩ is D₀ of the classical l3."""
+    """Twisted packaging with V1 the sections of ker ρ."""
     if spec.twist is None:
         raise SpecInvariantError(
             "the twisted packaging needs a structure with a twist "
@@ -163,17 +134,12 @@ def build_twisted(spec: AlgebroidSpec) -> LInftyData:
         v1 = spec.basis_sections()
     else:
         v1 = [form.as_section() for form in kerform_basis(spec, 1, max_degree=0)]
-    return LInftyData(spec, False, spec.basis_sections(), v1,
-                      boundary=_inclusion,
-                      l2=partial(_l2, spec),
-                      act=_twisted_act,
-                      l3=partial(_twisted_l3, spec, tilde_split(spec, spec.twist)))
+    return LInftyData(spec, False, tuple(v1), tilde_split(spec, spec.twist))
 
 
 # -- the five defining equations ------------------------------------------------
 #
-# The equations and checks below read a copy made by _with_tables, whose
-# action and l3 are bound to its l2 table: act(x, v) and l3(x, y, z).
+# The equations and checks below read a _CallTables made by verify_linfty.
 
 
 def _basis_l2(data: LInftyData) -> tuple[dict, bool]:
@@ -187,7 +153,7 @@ def _basis_l2(data: LInftyData) -> tuple[dict, bool]:
     orders are evaluated, neither is read from the other; the walk ends at
     the first pair with S ≠ 0.
     """
-    basis = data.spec.basis_sections()
+    basis = data.v0_basis
     values: dict = {}
     for a, b in itertools.combinations_with_replacement(range(len(basis)), 2):
         x, y = basis[a], basis[b]
@@ -199,10 +165,9 @@ def _basis_l2(data: LInftyData) -> tuple[dict, bool]:
     return values, True
 
 
-def _with_tables(data: LInftyData, values: dict | None = None,
-                 skew: bool = False) -> LInftyData:
-    """A copy of data whose l2 and l3 read tables owned by the copy, with the
-    action and l3 bound to that l2 table; data itself is left untouched.
+class _CallTables(LInftyData):
+    """data's packaging with l2 and l3 read through tables that this object
+    owns; verify_linfty makes one per call and drops it when it returns.
 
     Keys are the ordered arguments, and the l2 table starts from ``values``.
     With ``skew``, a proof from _basis_l2 that l2 + l2ᵀ = S vanishes on all
@@ -210,18 +175,29 @@ def _with_tables(data: LInftyData, values: dict | None = None,
     table: l2(x,y) = S(x,y) − l2(y,x).  Without it nothing is filled from
     skewness or alternation, which are then among the properties checked.
     """
-    fn, table = data.l2, dict(values or {})
 
-    def l2(x: Section, y: Section) -> Section:
+    def __init__(self, data: LInftyData, values: dict, skew: bool):
+        super().__init__(data.spec, data.classical, data.v1_basis, data.split)
+        # plain dicts, not structure._tabled: a table holding a bound method
+        # of self is a reference cycle, alive until the cyclic collector runs
+        self._l2_values, self._l3_values, self._skew = values, {}, skew
+
+    def l2(self, x: Section, y: Section) -> Section:
+        table = self._l2_values
         try:
             return table[x, y]
         except KeyError:
-            mirror = table.get((y, x)) if skew else None
-            value = table[x, y] = fn(x, y) if mirror is None else -mirror
+            mirror = table.get((y, x)) if self._skew else None
+            value = table[x, y] = super().l2(x, y) if mirror is None else -mirror
             return value
 
-    return replace(data, l2=l2, act=partial(data.act, l2),
-                   l3=_tabled(partial(data.l3, l2)))
+    def l3(self, x: Section, y: Section, z: Section):
+        table = self._l3_values
+        try:
+            return table[x, y, z]
+        except KeyError:
+            value = table[x, y, z] = super().l3(x, y, z)
+            return value
 
 
 def _first_of_each_set(tuples: Iterable[tuple]) -> Iterator[tuple]:
@@ -300,10 +276,9 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
     Equations that are multilinear-alternating are evaluated on increasing
     basis tuples plus random tuples (alternation itself is covered by the
     skewness properties of l2 and l3, checked first).  The maps checked are
-    data's own, read through tables that this call owns (see _with_tables).
+    data's own, read through tables that this call owns (see _CallTables).
 
-    When data's maps are its builder's, _basis_l2 decides first whether
-    S = l2 + l2ᵀ vanishes on all sections.  If it does, l2(x,x) = ½S(x,x) = 0
+    _basis_l2 decides first whether S = l2 + l2ᵀ vanishes on all sections.  If it does, l2(x,x) = ½S(x,x) = 0
     passes l2-skew, and l3-alternating passes because l3 alternates:
 
     - with T(a,b,c) = ⟨l2(a,b),c⟩, the metric term M = −⅙·(T(x,y,z) +
@@ -327,9 +302,9 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
     else:
         rand_v1 = [rand_combination(rng, spec, data.v1_basis, degree)
                    for _ in range(2)]
-    v1 = data.v1_basis + rand_v1
-    values, skew = _basis_l2(data) if _as_built(data) else (None, False)
-    data = _with_tables(data, values, skew)
+    v1 = [*data.v1_basis, *rand_v1]
+    values, skew = _basis_l2(data)
+    data = _CallTables(data, values, skew)
     report = CheckReport(suite="l-infinity")
     report.add("l2-skew", None if skew else first_failure(
         ((x,) for x in v0), ("x",), lambda x: data.l2(x, x)))
@@ -339,10 +314,10 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
         report.add("values-in-v1", _check_values_in_v1(data, v0, v1, randoms))
     report.add("bracket-vs-boundary", first_failure(
         ((x, v) for x in v0 for v in v1), ("x", "v"),
-        partial(_eq_bracket_vs_boundary, data)))
+        lambda *t: _eq_bracket_vs_boundary(data, *t)))
     report.add("boundary-action-symmetry", first_failure(
         itertools.combinations_with_replacement(v1, 2), ("v", "w"),
-        partial(_eq_boundary_action, data)))
+        lambda *t: _eq_boundary_action(data, *t)))
     # With S ≡ 0 the Jacobi defect J(x,y,z) = Σ_cyc l2(a,l2(b,c)) − ∂l3(x,y,z)
     # alternates: the cyclic sum is unchanged by a rotation; swapping x and y
     # turns its terms into l2(y,l2(x,z)) = −l2(y,l2(z,x)), l2(x,l2(z,y)) =
@@ -356,7 +331,7 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
     triples += _random_triples(data, randoms)[:1]
     jacobi = first_failure(
         _first_of_each_set(triples) if skew else triples, ("x", "y", "z"),
-        partial(_eq_jacobi_boundary, data))
+        lambda *t: _eq_jacobi_boundary(data, *t))
     report.add("jacobi-up-to-boundary", jacobi)
     # In the twisted packaging ∂ is the inclusion and x▷v = l2(x,v), so the
     # action defect A(x,y,v) = l2(x,l2(y,v)) − l2(y,l2(x,v)) − l2(l2(x,y),v)
@@ -375,14 +350,15 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
             # cannot move the witness; over a point base that is every tuple.
             tuples = (t for t in tuples if not all(map(_rational, t)))
     report.add("action-jacobi", first_failure(
-        tuples, ("x", "y", "v"), partial(_eq_action_jacobi, data)))
+        tuples, ("x", "y", "v"), lambda *t: _eq_action_jacobi(data, *t)))
     quads = list(itertools.combinations(data.v0_basis, 4))
     if randoms:
         pool = randoms + data.v0_basis
         quads += [tuple(pool[(t + i) % len(pool)] for i in range(4))
                   for t in range(len(randoms))]
     report.add("higher-coherence", first_failure(
-        quads, ("x1", "x2", "x3", "x4"), partial(_eq_higher_coherence, data)))
+        quads, ("x1", "x2", "x3", "x4"),
+        lambda *t: _eq_higher_coherence(data, *t)))
     return report
 
 

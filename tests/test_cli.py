@@ -362,10 +362,7 @@ class TestErrorExits:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_exit_two(self, capsys, files, name):
         argv, message = self.CASES[name]
-        try:
-            code, out, err = run(capsys, *[files.get(a, a) for a in argv])
-        except SystemExit as exc:  # argparse rejects the value itself
-            code, out, err = exc.code, "", capsys.readouterr().err
+        code, out, err = run(capsys, *[files.get(a, a) for a in argv])
         assert code == 2 and out == ""
         assert "error" in err and message in err
         assert "Traceback" not in err

@@ -32,7 +32,7 @@ PINS = {
     "05_dirac.py":
         "40aa0ca8906e8d70773c8cdc05fbe75963602ede6d073a5b2f97289467c48373",
     "06_homotopy_packaging.py":
-        "93e8ea8a9939337e1b42a7342278053d6f9b9d905069536b909d70d538667819",
+        "da091021e43c781849e9528146d2f7b618ece262abd63f31cdc721291e032b56",
 }
 
 

@@ -13,11 +13,10 @@ from courantkit import linfty
 from courantkit.exact import ONE, Scalar
 from courantkit.kerforms import KerForm, basis_wedge_form, zero_form
 from courantkit.linfty import (
-    _as_built,
+    LInftyData,
     _basis_l2,
     _check_l3_alternating,
     _check_values_in_v1,
-    _with_tables,
     build_classical,
     build_twisted,
     verify_linfty,
@@ -34,14 +33,14 @@ class TestBuildClassical:
     def test_point_boundary_vanishes(self, so3):
         data = build_classical(so3)
         assert data.boundary(ONE).is_zero()
-        assert data.act(data.l2, Section.basis(0, 3), ONE).is_zero()
+        assert data.act(Section.basis(0, 3), ONE).is_zero()
 
     def test_so3_l3_value(self, so3):
         # three cyclic terms of 1/6·⟨l2(a,b),c⟩ each contribute 1/6; the
         # global orientation (here −) is the one forced on polynomial bases
         # by the defining equations — over a point either sign verifies
         data = build_classical(so3)
-        assert data.l3(data.l2, *so3.basis_sections()) == -HALF
+        assert data.l3(*so3.basis_sections()) == -HALF
 
     def test_standard_boundary(self, std2):
         data = build_classical(std2)
@@ -49,7 +48,7 @@ class TestBuildClassical:
 
     def test_action_worked_example(self, std2):
         data = build_classical(std2)
-        assert data.act(data.l2, Section.basis(0, 4), x(0)) == HALF
+        assert data.act(Section.basis(0, 4), x(0)) == HALF
 
     def test_rejects_twisted(self, ctwist4):
         with pytest.raises(SpecInvariantError, match="untwisted"):
@@ -72,8 +71,7 @@ class TestBuildTwisted:
     def test_l3_contains_twist_value(self, ctwist4):
         data = build_twisted(ctwist4)
         basis = ctwist4.basis_sections()
-        assert (data.l3(data.l2, basis[0], basis[1], basis[2])
-                == Section.basis(7, 8))
+        assert data.l3(basis[0], basis[1], basis[2]) == Section.basis(7, 8)
 
     def test_l2_skew_exactly(self, ctwist4):
         data = build_twisted(ctwist4)
@@ -81,6 +79,13 @@ class TestBuildTwisted:
         for _ in range(4):
             s = rand_section(rng, ctwist4, 2)
             assert data.l2(s, s).is_zero()
+
+    def test_built_data_is_frozen(self, ctwist4, std2):
+        for data in (build_twisted(ctwist4), build_classical(std2)):
+            for name in ("boundary", "l2", "act", "l3", "spec", "classical",
+                         "v0_basis", "v1_basis", "split"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(data, name, None)
 
 
 class TestVerify:
@@ -99,37 +104,38 @@ class TestVerify:
             report = verify_linfty(build_twisted(spec), seed=2)
             assert report.passed, report.failing()
 
-    def test_zeroed_l3_fails_with_witness(self, ctwist4):
+    def test_zeroed_l3_fails_with_witness(self, monkeypatch, ctwist4):
         data = build_twisted(ctwist4)
-        data.l3 = lambda l2, a, b, c: Section.zero(8)
+        monkeypatch.setattr(LInftyData, "l3", lambda self, a, b, c: Section.zero(8))
         report = verify_linfty(data, seed=1)
         assert "jacobi-up-to-boundary" in report.failing()
         failed = [c for c in report.checks
                   if c.axiom == "jacobi-up-to-boundary"][0]
         assert failed.witness is not None
 
-    def test_alternation_and_membership_see_random_sections(self, ctwist4):
+    def test_alternation_and_membership_see_random_sections(self, monkeypatch,
+                                                            ctwist4):
         # random sections reach both checks beside every basis triple
         data = build_twisted(ctwist4)
         seen = {"l3": [], "act": []}
 
         def recording(name, fn):
-            def wrapper(*args):
+            def wrapper(self, *args):
                 seen[name].append(any(
                     not c.is_rational() for a in args if isinstance(a, Section)
                     for c in a.coeffs))
-                return fn(*args)
+                return fn(self, *args)
             return wrapper
 
-        data.l3 = recording("l3", data.l3)
-        data.act = recording("act", data.act)
+        for name in seen:
+            monkeypatch.setattr(LInftyData, name,
+                                recording(name, getattr(LInftyData, name)))
         randoms = [rand_section(random.Random(3), ctwist4, 2)]
         v0 = data.v0_basis + randoms
-        assert _check_l3_alternating(_with_tables(data), randoms) is None
+        assert _check_l3_alternating(data, randoms) is None
         assert any(seen["l3"])
         seen["l3"].clear()
-        assert _check_values_in_v1(_with_tables(data), v0, data.v1_basis,
-                                   randoms) is None
+        assert _check_values_in_v1(data, v0, data.v1_basis, randoms) is None
         assert any(seen["act"]) and any(seen["l3"])
 
     def test_alternation_seen_past_the_first_five(self, ctwist4):
@@ -138,18 +144,20 @@ class TestVerify:
         # only alternation sees it among the first two checks
         data = build_twisted(ctwist4)
         e, kernel = data.v0_basis, data.v1_basis[0]
-        l3 = data.l3
 
-        def broken(l2, a, b, c):
-            value = l3(l2, a, b, c)
-            return value + kernel if (a, b, c) == (e[5], e[6], e[7]) else value
+        class Broken(LInftyData):
+            def l3(self, a, b, c):
+                value = super().l3(a, b, c)
+                return value + kernel if (a, b, c) == (e[5], e[6], e[7]) else value
 
-        data.l3 = broken
-        report = verify_linfty(data, seed=0)
-        assert "l3-alternating" in report.failing()
-        assert "values-in-v1" not in report.failing()
-        failed = [c for c in report.checks if c.axiom == "l3-alternating"][0]
-        assert failed.witness["inputs"] == {
+        fake = Broken(ctwist4, False, data.v1_basis, data.split)
+        rng = random.Random(0)
+        randoms = [rand_section(rng, ctwist4, 2) for _ in range(3)]
+        witness = _check_l3_alternating(fake, randoms)
+        assert witness is not None
+        assert _check_values_in_v1(fake, e + randoms, data.v1_basis,
+                                   randoms) is None
+        assert witness["inputs"] == {
             "x": e[5].to_text(), "y": e[6].to_text(), "z": e[7].to_text()}
 
     @pytest.mark.parametrize("x_index, v_index", [(6, 0), (0, 3)])
@@ -158,23 +166,25 @@ class TestVerify:
         # the first six, or a V1 element outside the first three
         data = build_twisted(ctwist4)
         bad = (data.v0_basis[x_index], data.v1_basis[v_index])
-        act = data.act
 
-        def broken(l2, x, v):
-            value = act(l2, x, v)
-            return value + data.v0_basis[0] if (x, v) == bad else value
+        class Broken(LInftyData):
+            def act(self, x, v):
+                value = super().act(x, v)
+                return value + self.v0_basis[0] if (x, v) == bad else value
 
-        data.act = broken
-        report = verify_linfty(data, seed=0)
-        assert "values-in-v1" in report.failing()
-        failed = [c for c in report.checks if c.axiom == "values-in-v1"][0]
-        assert failed.witness["inputs"] == {"x": bad[0].to_text(),
-                                            "v": bad[1].to_text()}
+        fake = Broken(ctwist4, False, data.v1_basis, data.split)
+        rng = random.Random(0)
+        randoms = [rand_section(rng, ctwist4, 2) for _ in range(3)]
+        witness = _check_values_in_v1(fake, data.v0_basis + randoms,
+                                      data.v1_basis, randoms)
+        assert witness is not None
+        assert witness["inputs"] == {"x": bad[0].to_text(),
+                                     "v": bad[1].to_text()}
 
     @pytest.mark.parametrize("name", ["so3", "std2", "std4", "so3_plus_so3",
                                       "ctwist4", "split4_twisted"])
     def test_every_basis_tuple_reaches_alternation_and_membership(
-            self, request, split4, name):
+            self, request, monkeypatch, split4, name):
         if name == "split4_twisted":
             b = KerForm(split4, 3, rand_wedge_coeffs(random.Random(5), split4, 3))
             spec, build = twist_bracket(split4, b), build_twisted
@@ -183,17 +193,19 @@ class TestVerify:
             build = build_twisted if name == "ctwist4" else build_classical
         data = build(spec)
         triples, pairs = [], []
-        l3, act = data.l3, data.act
-        data.l3 = lambda l2, *xs: triples.append(xs) or l3(l2, *xs)
-        data.act = lambda l2, *xv: pairs.append(xv) or act(l2, *xv)
+        l3, act = LInftyData.l3, LInftyData.act
+        monkeypatch.setattr(LInftyData, "l3", lambda self, *xs:
+                            triples.append(xs) or l3(self, *xs))
+        monkeypatch.setattr(LInftyData, "act", lambda self, *xv:
+                            pairs.append(xv) or act(self, *xv))
         basis = set(itertools.combinations(data.v0_basis, 3))
         randoms = [rand_section(random.Random(1), spec, 2)]
         v0 = data.v0_basis + randoms
-        assert _check_l3_alternating(_with_tables(data), randoms) is None
+        assert _check_l3_alternating(data, randoms) is None
         assert basis <= set(triples)
         if build is build_twisted:
             triples.clear()
-            assert _check_values_in_v1(_with_tables(data), v0, data.v1_basis,
+            assert _check_values_in_v1(data, v0, data.v1_basis,
                                        randoms) is None
             assert basis <= set(triples)
             assert set(itertools.product(v0, data.v1_basis)) <= set(pairs)
@@ -226,23 +238,26 @@ class TestVerify:
 
 
 class TestTables:
-    def test_each_map_runs_once_per_ordered_tuple(self, ctwist4):
+    def test_each_map_runs_once_per_ordered_tuple(self, monkeypatch, ctwist4):
         data = build_twisted(ctwist4)
         pairs, triples = [], []
-        l2, l3 = data.l2, data.l3
-        data.l2 = lambda a, b: pairs.append((a, b)) or l2(a, b)
-        data.l3 = lambda m, *xs: triples.append(xs) or l3(m, *xs)
+        l2, l3 = LInftyData.l2, LInftyData.l3
+        monkeypatch.setattr(LInftyData, "l2", lambda self, a, b:
+                            pairs.append((a, b)) or l2(self, a, b))
+        monkeypatch.setattr(LInftyData, "l3", lambda self, *xs:
+                            triples.append(xs) or l3(self, *xs))
         assert verify_linfty(data, seed=0).passed
         assert pairs and len(pairs) == len(set(pairs))
         assert triples and len(triples) == len(set(triples))
 
-    def test_tables_belong_to_the_call(self, ctwist4):
+    def test_tables_belong_to_the_call(self, monkeypatch, ctwist4):
         # a second call on the same data evaluates every pair again, and
-        # the caller's maps are the ones left on data afterwards
+        # data's fields are the ones left on it afterwards
         data = build_twisted(ctwist4)
         pairs = []
-        l2 = data.l2
-        data.l2 = lambda a, b: pairs.append((a, b)) or l2(a, b)
+        l2 = LInftyData.l2
+        monkeypatch.setattr(LInftyData, "l2", lambda self, a, b:
+                            pairs.append((a, b)) or l2(self, a, b))
         fields = {f.name: getattr(data, f.name)
                   for f in dataclasses.fields(data)}
         verify_linfty(data, seed=0)
@@ -259,14 +274,10 @@ def _builder(spec):
     return build_twisted if spec.twist is not None else build_classical
 
 
-def _pass_through(data):
-    """data with every map wrapped in a lambda that calls it: the same values,
-    but no longer the builder's maps, so verify_linfty runs its full path."""
-    boundary, l2, act, l3 = data.boundary, data.l2, data.act, data.l3
-    return dataclasses.replace(data, boundary=lambda v: boundary(v),
-                               l2=lambda a, b: l2(a, b),
-                               act=lambda *args: act(*args),
-                               l3=lambda *args: l3(*args))
+def _force_full_path(monkeypatch):
+    """Make verify_linfty evaluate every distinct ordered pair and triple,
+    as it does when l2 is not skew: _basis_l2 then decides nothing."""
+    monkeypatch.setattr(linfty, "_basis_l2", lambda data: ({}, False))
 
 
 def _decided_cases():
@@ -321,35 +332,24 @@ class TestDecidedSkew:
     a report."""
 
     @pytest.mark.parametrize("name", sorted(DECIDED_CASES))
-    def test_report_equals_the_full_paths(self, request, name):
+    def test_report_equals_the_full_paths(self, request, monkeypatch, name):
         make, skew = DECIDED_CASES[name]
         spec = make(request.getfixturevalue)
         build = (build_classical if name.endswith("(classical)")
                  else _builder(spec))
+        assert _basis_l2(build(spec))[1] is skew
         for seed in range(4):
             decided = verify_linfty(build(spec), seed=seed).to_json()
-            full = verify_linfty(_pass_through(build(spec)), seed=seed).to_json()
+            with monkeypatch.context() as m:
+                _force_full_path(m)
+                full = verify_linfty(build(spec), seed=seed).to_json()
             assert decided == full, (name, seed)
-        data = build(spec)
-        assert _as_built(data) and _basis_l2(data)[1] is skew
-        assert not _as_built(_pass_through(data))
-
-    def test_any_replaced_map_leaves_the_decided_path(self, ctwist4, std2):
-        for spec in (ctwist4, std2):
-            data = _builder(spec)(spec)
-            assert _as_built(data)
-            for name in ("boundary", "l2", "act", "l3"):
-                fn = getattr(data, name)
-                changed = dataclasses.replace(data, **{name: lambda *a: fn(*a)})
-                assert not _as_built(changed), name
-            assert not _as_built(dataclasses.replace(data, spec=ctwist4
-                                                     if spec is std2 else std2))
 
     @staticmethod
     def counts(monkeypatch, spec, build, full=False):
         """Evaluations of l2 and l3, and action-jacobi tuples, of one
-        verify_linfty call at seed 0, counted through the maps the builder
-        binds; ``full`` forces the full path."""
+        verify_linfty call at seed 0, counted through LInftyData's maps;
+        ``full`` forces the full path."""
         n = {"l2": 0, "l3": 0, "action-jacobi": 0}
 
         def counting(key, fn):
@@ -358,13 +358,15 @@ class TestDecidedSkew:
                 return fn(*args)
             return wrapper
 
-        l3 = "_metric_l3" if build is build_classical else "_twisted_l3"
         with monkeypatch.context() as m:
-            for key, attr in (("l2", "_l2"), ("l3", l3),
-                              ("action-jacobi", "_eq_action_jacobi")):
-                m.setattr(linfty, attr, counting(key, getattr(linfty, attr)))
-            data = build(spec)
-            verify_linfty(_pass_through(data) if full else data, seed=0)
+            for key, owner, attr in (("l2", LInftyData, "l2"),
+                                     ("l3", LInftyData, "l3"),
+                                     ("action-jacobi", linfty,
+                                      "_eq_action_jacobi")):
+                m.setattr(owner, attr, counting(key, getattr(owner, attr)))
+            if full:
+                _force_full_path(m)
+            verify_linfty(build(spec), seed=0)
         return n
 
     @pytest.mark.parametrize("name, decided, full", [
@@ -398,5 +400,6 @@ class TestDecidedSkew:
         monkeypatch.setattr(linfty, "_check_l3_alternating", unexpected)
         report = verify_linfty(build_twisted(ctwist4), seed=0)
         assert report.passed
+        _force_full_path(monkeypatch)
         with pytest.raises(AssertionError, match="evaluated"):
-            verify_linfty(_pass_through(build_twisted(ctwist4)), seed=0)
+            verify_linfty(build_twisted(ctwist4), seed=0)
