@@ -23,7 +23,7 @@ so3 = make_point(3, Matrix.identity(3), table)
 print("== so(3), untwisted suite ==")
 report = check_axioms(so3, "courant")
 for check in report.checks:
-    print(f"  {check.axiom:16s} {check.status}")
+    print(f"  {check.axiom:16s} {check.status} ({check.label})")
 
 print("\n== standard split bundle over Q[x1,x2] ==")
 std2 = make_standard(2)

@@ -25,7 +25,7 @@ print("  l3(e1,e2,e3) =", data.l3(e(0), e(1), e(2)),
       "(three cyclic terms of one sixth)")
 report = verify_linfty(data, seed=0)
 for check in report.checks:
-    print(f"  {check.axiom:26s} {check.status}")
+    print(f"  {check.axiom:26s} {check.status} ({check.label})")
 
 print("\n== classical packaging of the standard bundle ==")
 std2 = make_standard(2)

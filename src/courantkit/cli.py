@@ -34,7 +34,7 @@ from courantkit.linfty import build_classical, build_twisted, verify_linfty
 from courantkit.structure import SpecInvariantError
 from courantkit.twist import c_twist, make_standard, twist_bracket
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 class UsageError(Exception):

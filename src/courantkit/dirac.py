@@ -20,8 +20,9 @@ anchor terms replaced by ∇_ψ v = [ψ, v].  induced_htla samples nothing:
 each of its five rows reads a finite set of generator tuples, possibly
 scaled by one variable, that decides it exactly (the sets are listed in its
 docstring and proved in _build_induced_htla, _jacobi_triples and
-_closed_quads).  H̃ on generator tuples is kerforms.split_table over the
-generators, and the jacobi and leibniz rows run the axiom suites' code.
+_closed_quads), but leibniz, proved as in the suites.  H̃ on generator
+tuples is kerforms.split_table over the generators, and the jacobi row runs
+the axiom suites' code.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable
 
-from courantkit.axioms import (CheckReport, _anchor_fallback, _leibniz_failure,
-                               _jacobi_defect, first_failure, witness)
+from courantkit.axioms import (CheckReport, _anchor_fallback, _jacobi_defect,
+                               decide, first_failure, witness)
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, _eliminate
 from courantkit.kerforms import split_table, split_value, tilde_split, zero_form
 from courantkit.structure import (
@@ -44,7 +45,6 @@ from courantkit.structure import (
     anchor_apply,
     bracket,
     pairing,
-    rho_apply,
 )
 from courantkit.twist import base_form
 
@@ -273,8 +273,8 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle) -> tuple[dict, CheckReport
                                (a, b, xᵥ·g₁) where A(a,b)xᵥ ≠ 0, and when
                                antisymmetry fails every ordered triple and
                                each with one xᵥ in slot a
-      leibniz                  the anchor Leibniz rule along L: generators ×
-                               (1, x1, …, xn) × generators; never fails
+      leibniz                  the anchor Leibniz rule along L: proved, as
+                               structure.bracket builds it in
       twist-closed             the connection derivative of H̃|L vanishes:
                                increasing quads, then every ordered quad when
                                antisymmetry fails, and (xᵥ·gᵢ, gⱼ, gₖ, gₗ),
@@ -297,8 +297,9 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     ker ρ ∩ L is a submodule, so the nonzero values on increasing generator
     triples decide it.  antisymmetry: N is symmetric and ℚ[x]-bilinear on
     L, so the pairs i < j and the diagonal, where [g,g] is ½·N(g,g), decide
-    it.  leibniz: the suites' Lemma L over the generators; the right
-    extension rule makes those tuples zero, so the row never fails.
+    it.  leibniz is proved by structure.bracket's construction (see its
+    docstring).  A row with an empty set is "vacuous", as is
+    twist-values-in-kernel without a twist or a generator triple.
     """
     br = _tabled(partial(bracket, spec))
     gens = sub.generators
@@ -317,7 +318,8 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
             None if residual.is_zero() and not any(
                 c.terms for c in anchor_apply(spec, value))
             else "restricted twist value escapes ker ρ ∩ L"))
-    report.add("twist-values-in-kernel", escaped)
+    report.add("twist-values-in-kernel", escaped,
+               "decided" if spec.twist is not None and g >= 3 else "vacuous")
 
     # the label leads each tuple; the sections ride along unnamed
     skew = first_failure(
@@ -329,12 +331,11 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
         ("generator",), lambda _, x: br(x, x))
     report.add("antisymmetry", skew)
 
-    report.add("jacobi", first_failure(
+    report.add("jacobi", *decide(
         _jacobi_triples(spec, gens, xs, br, skew is not None), ("x", "y", "z"),
         partial(_jacobi_defect, br, table.get)))
 
-    report.add("leibniz", _leibniz_failure(gens, xs, br, partial(rho_apply, spec),
-                                           ("x", "f", "y")))
+    report.add("leibniz", None, "proved")
 
     h = tilde_split(spec, spec.twist or zero_form(spec, 4))
 
@@ -353,7 +354,7 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
             total = total + (value if (k + l) % 2 == 0 else -value)
         return total
 
-    report.add("twist-closed", first_failure(
+    report.add("twist-closed", *decide(
         _closed_quads(gens, xs, skew is not None, escaped is not None),
         ("w", "x", "y", "z"), closedness))
 

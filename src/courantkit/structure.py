@@ -412,6 +412,14 @@ def bracket(spec: AlgebroidSpec, phi: Section, psi: Section) -> Section:
     constants), so they run over the non-constant gⱼ and fᵢ only: ρ(φ) is
     computed only when ψ has a non-constant coefficient, and ρ(ψ) only when
     φ has one.  On two constant sections the bracket is the table's alone.
+
+    Hence the anchor Leibniz rule [φ, f·ψ] = ρ(φ)f·ψ + f·[φ,ψ] holds exactly
+    on every structure; the suites and the induced algebroid report their
+    leibniz rows from this proof.  Expand f·ψ = Σⱼ (f·gⱼ)eⱼ: the table sum is
+    f times ψ's; the right-rule sum Σⱼ ρ(φ)[f·gⱼ]·eⱼ gains exactly ρ(φ)f·ψ
+    over f times ψ's, ρ(φ) being a derivation; the left-rule sum is
+    ℚ[x]-linear in ψ, as ρ(ψ) and ⟨eᵢ,ψ⟩ are.  The skipped terms are zero (a
+    vector field or d0 on a constant), and without an anchor ρ and d0 vanish.
     """
     phi_polynomial = spec.validate_section(phi)
     psi_polynomial = spec.validate_section(psi)

@@ -121,8 +121,11 @@ class TestPositive:
 
 
 class TestLemmaL:
-    """leibniz reads basis pairs times (1, x1, …, xn) only; these tests cover
-    what that drops and where the finite set stops deciding the rule."""
+    """leibniz evaluates nothing: structure.bracket builds the rule into
+    every bracket (the proof is in its docstring), so only a fault in the
+    bracket code could break it.  These tests hold that code to the proof:
+    it must agree with the dense oracle and obey both extension rules, and
+    a fault injected into it must show."""
 
     FIXTURES = ["so3", "split4", "hyperbolic4", "so3_plus_so3", "sl3", "std1",
                 "std2", "std3", "std4", "std2_frame", "ctwist4"]
@@ -150,13 +153,72 @@ class TestLemmaL:
             assert defect.is_zero(), (phi, f, psi)
 
     @staticmethod
-    def mutated(monkeypatch, extra):
-        """Patch the bracket check_axioms reads to bracket + extra(φ, ψ)."""
-        import courantkit.axioms as axioms
-        from courantkit.structure import bracket
+    def bracket_failures(spec, draws: int = 12) -> dict:
+        """The first failure of each property of structure.bracket, read at
+        call time, so a fault patched into it shows:
 
+          dense   [φ,ψ] equals oracles.dense_bracket
+          right   [φ,f·ψ] = f·[φ,ψ] + ρ(φ)f·ψ
+          left    [f·φ,ψ] = f·[φ,ψ] − ρ(ψ)f·φ + ⟨φ,ψ⟩·D₀f
+
+        on (eᵢ, xᵥ, eⱼ) and then on seeded random (φ, f, ψ) of degree ≤ 2.
+        ρ and the pairing are the dense oracles'."""
+        import random
+
+        from oracles import _vf_apply, dense_anchor_apply, dense_bracket, dense_pairing
+
+        import courantkit.structure as structure
+        from courantkit.rand import rand_scalar, rand_section
+
+        def br(a, b):
+            return structure.bracket(spec, a, b)
+
+        def rho(a, f):
+            return _vf_apply(dense_anchor_apply(spec, a), f)
+
+        rng = random.Random(20)
+        basis = spec.basis_sections()
+        tuples = [(a, x(v), b) for a in basis for v in range(spec.nvars)
+                  for b in basis]
+        tuples += [(rand_section(rng, spec, 2), rand_scalar(rng, spec.nvars, 2),
+                    rand_section(rng, spec, 2)) for _ in range(draws)]
+        names = ("phi", "f", "psi")
+        found = {
+            "dense": first_failure(tuples, names, lambda a, f, b: (
+                br(a, b) - dense_bracket(spec, a, b))),
+            "right": first_failure(tuples, names, lambda a, f, b: (
+                br(a, b.scale(f)) - br(a, b).scale(f) - b.scale(rho(a, f)))),
+            "left": first_failure(tuples, names, lambda a, f, b: (
+                br(a.scale(f), b) - br(a, b).scale(f) + a.scale(rho(b, f))
+                - structure.d0(spec, f).scale(dense_pairing(spec, a, b)))),
+        }
+        return {rule: w for rule, w in found.items() if w is not None}
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_bracket_is_the_dense_oracle_and_obeys_both_rules(self, request,
+                                                               name):
+        assert self.bracket_failures(request.getfixturevalue(name)) == {}
+
+    @pytest.mark.parametrize("name", ["std2", "ctwist4"])
+    def test_every_suite_proves_leibniz(self, request, name):
+        spec = request.getfixturevalue(name)
+        for suite in SUITES:
+            if spec.twist is None and suite in ("h-twisted", "h-twisted-cd"):
+                continue
+            leibniz = next(c for c in check_axioms(spec, suite).checks
+                           if c.axiom == "leibniz")
+            assert (leibniz.status, leibniz.label, leibniz.witness) == (
+                "pass", "proved", None), suite
+
+    @staticmethod
+    def mutated(monkeypatch, extra):
+        """Patch structure.bracket, which the property test reads, to
+        bracket + extra(φ, ψ)."""
+        import courantkit.structure as structure
+
+        bracket = structure.bracket
         monkeypatch.setattr(
-            axioms, "bracket",
+            structure, "bracket",
             lambda spec, phi, psi: bracket(spec, phi, psi) + extra(spec, phi, psi))
 
     @staticmethod
@@ -173,33 +235,42 @@ class TestLemmaL:
                                             ("std2", "courant")])
     def test_dropped_right_rule_fails_on_a_monomial(self, monkeypatch, request,
                                                     name, suite):
-        # without the right rule L(e1, x1, e1) = −ρ(e1)x1·e1 = −e1
+        # without the right rule L(e1, x1, e1) = −ρ(e1)x1·e1 = −e1.  The
+        # suite's leibniz row stays proved: a fault in the bracket code is
+        # the property test's to catch
         spec = request.getfixturevalue(name)
         self.mutated(monkeypatch, lambda *a: -self.right_rule(*a))
+        leibniz = next(c for c in check_axioms(spec, suite).checks
+                       if c.axiom == "leibniz")
+        assert (leibniz.status, leibniz.label) == ("pass", "proved")
         e1 = Section.basis(0, spec.rank).to_text()
-        checks = {c.axiom: c for c in check_axioms(spec, suite).checks}
-        assert checks["leibniz"].status == "fail"
-        assert checks["leibniz"].witness == {
+        failures = self.bracket_failures(spec)
+        assert set(failures) == {"dense", "right"}
+        assert failures["right"] == {
             "inputs": {"phi": e1, "f": "x1", "psi": e1},
             "defect": (-Section.basis(0, spec.rank)).to_text()}
 
     def test_order_two_term_escapes_the_monomial_set(self, monkeypatch, std2):
-        # where Lemma L stops: + Σⱼ ∂₁²gⱼ·eⱼ is second order, vanishes on
-        # every f of degree ≤ 1, and shows only on a degree-2 function
-        import courantkit.axioms as axioms
+        # + Σⱼ ∂₁²gⱼ·eⱼ is second order: it vanishes on every f of degree
+        # ≤ 1, so the monomial tuples (eᵢ, xᵥ, eⱼ) miss it, and only the
+        # random draws of degree 2 show it
+        import courantkit.structure as structure
         from courantkit.structure import rho_apply
 
         def second_derivative(spec, phi, psi):
             return Section(tuple(g.partial(0).partial(0) for g in psi.coeffs))
 
         self.mutated(monkeypatch, second_derivative)
-        checks = {c.axiom: c.status for c in check_axioms(std2, "courant").checks}
-        assert checks["leibniz"] == "pass"
+        failures = self.bracket_failures(std2)
+        assert set(failures) == {"dense", "right", "left"}
+        for witness in failures.values():
+            assert witness["inputs"]["f"] not in ("x1", "x2"), witness
+        assert self.bracket_failures(std2, draws=0) == {}
         e1 = Section.basis(0, 4)
         f = x(0) * x(0)
-        defect = (axioms.bracket(std2, e1, e1.scale(f))
+        defect = (structure.bracket(std2, e1, e1.scale(f))
                   - e1.scale(rho_apply(std2, e1, f))
-                  - axioms.bracket(std2, e1, e1).scale(f))
+                  - structure.bracket(std2, e1, e1).scale(f))
         assert defect == e1.scale(Scalar.rational(2))
 
 
@@ -416,7 +487,7 @@ class TestFiniteSets:
 
         basis = std1.basis_sections()
         t = axioms._Tuples(basis, [x(0)], 0, 1)
-        assert axioms._ax_cyclic_jacobi(std1, t, br, None) is None
+        assert axioms._ax_cyclic_jacobi(std1, t, br, None) == (None, "decided")
         assert first_failure(monomial_tuples(std1, "sss", 2), "abc", cyclic) is None
         # b₁′(c₁′a₂)′ = (2·x1)′ at (e2, x1·e1, x1²·e1)
         assert first_failure(monomial_tuples(std1, "sss", 3), "abc", cyclic) == {
@@ -584,6 +655,23 @@ class TestReportJson:
             "jacobi", "leibniz", "symmetric-part", "invariance"}
         assert all(c["status"] == "pass" and c["witness"] is None
                    for c in doc["checks"])
+
+    def test_labels(self, so3, ctwist4, split4):
+        # decided on a finite set, proved (leibniz), or vacuous where the
+        # set is empty: a point has no variable to differentiate, and over
+        # a point ρ̃ vanishes
+        def labels(spec, suite):
+            return {c.axiom: c.label for c in check_axioms(spec, suite).checks}
+
+        assert labels(ctwist4, "h-twisted") == {
+            "twist-membership": "decided", "twisted-jacobi": "decided",
+            "twist-closed": "decided", "leibniz": "proved",
+            "symmetric-part": "decided", "invariance": "decided"}
+        point = labels(so3, "courant-dorfman")
+        assert point["derivation-bracket"] == point["derivation-isotropy"] == "vacuous"
+        assert labels(so3, "lie-rinehart")["anchor-representation"] == "vacuous"
+        twisted_point = twist_bracket(split4, basis_wedge_form(split4, (0, 1, 2)))
+        assert labels(twisted_point, "h-twisted")["twist-membership"] == "vacuous"
 
     def test_all_suites_have_checkers(self):
         assert set(SUITES) == {

@@ -81,7 +81,7 @@ class TestVerify:
     def test_pass_exit_zero(self, capsys, so3_file):
         code, out, _ = run(capsys, "verify", so3_file, "--suite", "courant")
         doc = json.loads(out)
-        assert code == 0 and doc["passed"] and doc["schema"] == 1
+        assert code == 0 and doc["passed"] and doc["schema"] == 2
 
     def test_axiom_failure_exit_one(self, capsys, ctwist_file):
         code, out, _ = run(capsys, "verify", ctwist_file, "--suite", "courant")
@@ -209,7 +209,7 @@ class TestCohomology:
         code, out, err = run(capsys, "cohomology", str(path), "--max-degree", "2")
         expected = {"error": "D maps cochain #0 of degree 1 (KerForm((1)·e2)) "
                              "outside the degree-2 cochain space",
-                    "kind": "cochain-escape", "schema": 1}
+                    "kind": "cochain-escape", "schema": 2}
         assert code == 1 and err == ""
         assert json.loads(out) == expected and out == dumps_canonical(expected)
 
@@ -579,27 +579,27 @@ class TestGolden:
 
     PINS = {
         "verify-h-twisted": (0,
-            "5c1e8c76ec7c7e160f13c0520862c36a1c021da882c2faaa4fe53983740838ed"),
+            "008117106d48af872ab1ab9ea2a7152873c25355b816b3e6887e1f5403d63e78"),
         "verify-courant": (1,
-            "a178a29655b70a58b37d80209be9f5fd7e4ea237b9479a237d522ed3e7c991a3"),
+            "5c0fc3f260c6a63e941a99fe8325754ea62e808e02d15499a4be7842835240de"),
         "linfty": (0,
-            "3aee430eb7a38f9b49399d2c5c7a0b9eb360380393684ef564e64b538e888551"),
+            "441cf511c339430030fbb8667ce995caacf7882d850af8c74651dc4e1017b817"),
         "dirac-subspace": (0,
-            "fa6df628acd18b26d7045afa665ab25b393e790d7d530cc9b3e292af661d413a"),
+            "865997ccb4e4a67d6baa374c83482e6604526ab3809cdd688b17e7573d180c0e"),
         "cohomology": (0,
-            "dc735092d3a45f8ac0facc812fd95671a97597b69ee8f1407d7cfc411a43e51d"),
+            "048d9413c3f370eb007f15710925a69f4decbc67038735eb06c049171438c119"),
         "cohomology-truncated": (0,
-            "ec8cdd812cedbebf4f7e7a99c1cc7b806539f8b6bd65d07a6e5f50be59a55e0d"),
+            "55006a8d68ed6aface7fafc712977c00a619ee22d2dc289d1fe45979aadaa514"),
         "cohomology-sl3": (0,
-            "75de93bbffa4d757f3c79b839e14680f08a5f0616267dc36c8c28b0f61834504"),
+            "152312d42fe4b2fe28016eb693e87191d91573534349e88d97da80fba7d7cd4e"),
         "cohomology-so3xso3": (0,
-            "2cb7bb2630c64cd5590184922c020b0a1cfb0148260bf7a5510ffcd0c7a45487"),
+            "be748552ac8af14d6611c691b3946de1bc874167ff2eeca5bd46cb9d24eeac32"),
         "dirac-search": (0,
-            "e2f5690f5423f05ec5de9942449c7b962d5f97af0f28c68f95eddcb9a2e9cb75"),
+            "1177b1b29ff2e2aab394597b6da0f72d54064e937abe13a0e217140613754e31"),
         "dirac-frame-search": (0,
-            "94b577bd1e753dad3c3220ec2bcb78c35c4a5ba0809a7ccf3d841d72c7104d25"),
+            "915de8fab96e83c71e026cab8b429c241553c83f13fee9d24a3b4043c0082018"),
         "dirac-frame-subspace": (0,
-            "ae5959bf5a74d1bad619e3180e48e5d94933eae32612c227199f8ccc2009dad3"),
+            "4a933e9985aabf5cc35b2ace5e31864911a1423f2c0b182fd5ce8d5e94dc3e2b"),
         "make-ctwist4": (0,
             "97df5bc3479f99afbae47ca2b6355d0f65de012916300ca0bb7e0e830218d7f1"),
         "make-ctwist5": (0,

@@ -22,7 +22,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PINS = {
     "01_axiom_suites.py":
-        "e444f5cbf719ac0c55c417daed37f8ffa8729b7b65798bb2481b567536ec9a49",
+        "4b7a3d9bd3c77ff61df08644be9eb148743af1deb715adeda3848420d5d63605",
     "02_twists.py":
         "d8993b6edf6cdd9fed80873fc4df7a966d803374dcdc290e4e27fb29a39f4868",
     "03_covariant_derivative.py":
@@ -32,7 +32,7 @@ PINS = {
     "05_dirac.py":
         "40aa0ca8906e8d70773c8cdc05fbe75963602ede6d073a5b2f97289467c48373",
     "06_homotopy_packaging.py":
-        "da091021e43c781849e9528146d2f7b618ece262abd63f31cdc721291e032b56",
+        "060a42e916208580a65b2e38731d380395b67d1fb77b81ffc05f5cbcf1fca085",
 }
 
 

@@ -348,14 +348,15 @@ class TestInduced:
         _, solved = dirac._check_dirac(std2, sub)
         monkeypatch.setattr(dirac, "bracket", counting)
         dirac._build_induced_htla(std2, sub, solved)
-        g, n = sub.dim, std2.nvars
+        g = sub.dim
         # the restricted structure reads the g² solved pairs.  Through the
         # call's table: the g² generator pairs (antisymmetry, whose values
         # also give the anchor defects Jacobi reads; they vanish on this Lie
-        # algebroid, and g = 2 leaves no generator triple or quad), and the
-        # g²·n Leibniz pairs (gᵢ, xᵥ·gⱼ); Leibniz's [gᵢ, 1·gⱼ] and [gᵢ, gⱼ]
-        # are the table's.  No pair is bracketed twice.
-        assert len(calls) == g * g + g * g * n
+        # algebroid, and g = 2 leaves no generator triple or quad).  Leibniz
+        # is proved by the bracket's construction and brackets nothing, so
+        # the g²·n pairs (gᵢ, xᵥ·gⱼ) it read are gone.  No pair is bracketed
+        # twice.
+        assert len(calls) == g * g
         assert len(set(calls)) == len(calls)
 
     def test_twisted_subbundle_splits_each_triple_once(self, monkeypatch,
@@ -385,6 +386,19 @@ class TestInduced:
         assert report.passed, report.failing()
         assert data["h3"] == [{"indices": [0, 1, 2], "value": ["0", "0", "0", "1"]}]
         assert len(applied) <= 10
+
+    def test_labels(self, std2, ctwist4):
+        # rank 2 and untwisted: no generator triple or quad, so jacobi and
+        # twist-closed have empty sets, and there is no H̃ to restrict
+        _, report = induced_htla(std2, graph_of_two_form(std2, {(0, 1): x(0)}))
+        assert {c.axiom: c.label for c in report.checks} == {
+            "twist-values-in-kernel": "vacuous", "antisymmetry": "decided",
+            "jacobi": "vacuous", "leibniz": "proved", "twist-closed": "vacuous"}
+        sub = Subbundle(ctwist4, [Section.basis(i, 8) for i in (0, 1, 2, 7)])
+        _, report = induced_htla(ctwist4, sub)
+        assert {c.axiom: c.label for c in report.checks} == {
+            "twist-values-in-kernel": "decided", "antisymmetry": "decided",
+            "jacobi": "decided", "leibniz": "proved", "twist-closed": "decided"}
 
     def test_closed_graph_yields_lie_algebroid(self, std2):
         sub = graph_of_two_form(std2, {(0, 1): x(0)})

@@ -1,13 +1,19 @@
 """Failing reports print exactly what they printed when pinned.
 
 Each pin is the list of failing checks and the SHA-256 of the report's
-canonical JSON (at seed 0 for the homotopy packagings, which draw random
-sections; the axiom suites and the induced algebroid draw none).
-Witnesses depend on the order in which a check draws and evaluates its
-tuples, so these pins guard that order for every
-check that has a failing structure here: all eight suites, both homotopy
-packagings (every equation except ``values-in-v1``, which no structure here
-breaks) and the induced Dirac algebroid.
+canonical JSON without its labels (at seed 0 for the homotopy packagings,
+which draw random sections; the axiom suites and the induced algebroid draw
+none).  Witnesses depend on the order in which a check draws and evaluates
+its tuples, so these pins guard that order for every check that has a
+failing structure here: all eight suites, both homotopy packagings (every
+equation except ``values-in-v1``, which no structure here breaks) and the
+induced Dirac algebroid.  The labels say how a verdict was reached, not
+what it is; the CLI goldens in test_cli pin them byte for byte, and
+assert_pinned checks here that they agree with the statuses.  The digests
+are those of the schema-1 reports, which had no labels.
+
+TestWitnessReplay recomputes each failing witness of the axiom-suite pins
+through the dense oracles.
 """
 
 import hashlib
@@ -20,7 +26,7 @@ from conftest import corrupt_bracket, corrupt_twist, sec
 from courantkit.axioms import SUITES, check_axioms
 from courantkit.cli import main
 from courantkit.dirac import Subbundle, induced_htla
-from courantkit.exact import Matrix, ONE, Scalar, ZERO
+from courantkit.exact import Matrix, ONE, Scalar, ZERO, parse_scalar
 from courantkit.fileio import save_spec
 from courantkit.kerforms import basis_wedge_form
 from courantkit.linfty import build_classical, build_twisted, verify_linfty
@@ -31,12 +37,19 @@ x = Scalar.variable
 
 
 def digest(report) -> str:
-    text = json.dumps(report.to_json(), sort_keys=True)
+    doc = report.to_json()
+    doc["checks"] = [{k: v for k, v in check.items() if k != "label"}
+                     for check in doc["checks"]]
+    text = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def assert_pinned(report, failing, sha):
     assert (report.failing(), digest(report)) == (failing, sha)
+    # a failure is evaluated, so it is decided or sampled, never by proof
+    for check in report.checks:
+        assert check.label in (("decided", "sampled") if check.status == "fail"
+                               else ("proved", "decided", "sampled", "vacuous"))
 
 
 BRACKET_PINS = {
@@ -67,6 +80,35 @@ BRACKET_PINS = {
 }
 
 
+UNTWISTED_PINS = [
+    ("courant", ["jacobi"],
+     "57eb143127bbbbc30380cd8478136d0efcd76ebb43e40aced6582a7380bf57b6"),
+    ("lie-rinehart", ["antisymmetry", "jacobi-cyclic"],
+     "3551040aca48491f93b86f0dad4ceb99e232db035aa058de6c185718058202a0"),
+]
+
+TWIST_PINS = [
+    ((4, 5, 6, 7), ONE, "h-twisted", ["twisted-jacobi"],
+     "7827fcac7dc4494000a714e54045e749ca36ad121514345c8bc884b40a4c835b"),
+    ((4, 5, 6, 7), ONE, "h-twisted-cd", ["twisted-jacobi"],
+     "937bbf415395d9420133c1a9bdf1395c2f901cf8b2e9afff2288bef24745dc8f"),
+    ((0, 1, 2, 3), x(0), "h-twisted",
+     ["twist-membership", "twisted-jacobi", "twist-closed"],
+     "18fb1f9842799b1d1b784b6bf77c3d8350d22e8009ad9604d12b19098b64a692"),
+    ((0, 1, 2, 3), x(0), "h-twisted-cd", ["twisted-jacobi", "twist-closed"],
+     "a64f3def3dc302fb82636bd0485a3fc142a16d79f39770c00b973efcd390f33c"),
+]
+
+
+def suite_pins(ctwist4) -> list[tuple]:
+    """(structure, suite) of each axiom-suite pin of TestSuitePins."""
+    bad = corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
+    return ([(bad, suite) for suite in sorted(BRACKET_PINS)]
+            + [(ctwist4, suite) for suite, _, _ in UNTWISTED_PINS]
+            + [(corrupt_twist(ctwist4, key, value), suite)
+               for key, value, suite, _, _ in TWIST_PINS])
+
+
 class TestSuitePins:
     def test_every_suite_is_pinned(self):
         assert sorted(BRACKET_PINS) == sorted(SUITES)
@@ -76,27 +118,12 @@ class TestSuitePins:
         bad = corrupt_bracket(ctwist4, 1, 2, Section.basis(7, 8))
         assert_pinned(check_axioms(bad, suite), *BRACKET_PINS[suite])
 
-    @pytest.mark.parametrize("suite,failing,sha", [
-        ("courant", ["jacobi"],
-         "57eb143127bbbbc30380cd8478136d0efcd76ebb43e40aced6582a7380bf57b6"),
-        ("lie-rinehart", ["antisymmetry", "jacobi-cyclic"],
-         "3551040aca48491f93b86f0dad4ceb99e232db035aa058de6c185718058202a0"),
-    ])
+    @pytest.mark.parametrize("suite,failing,sha", UNTWISTED_PINS)
     def test_twisted_structure_under_untwisted_suites(self, ctwist4, suite,
                                                      failing, sha):
         assert_pinned(check_axioms(ctwist4, suite), failing, sha)
 
-    @pytest.mark.parametrize("key,value,suite,failing,sha", [
-        ((4, 5, 6, 7), ONE, "h-twisted", ["twisted-jacobi"],
-         "7827fcac7dc4494000a714e54045e749ca36ad121514345c8bc884b40a4c835b"),
-        ((4, 5, 6, 7), ONE, "h-twisted-cd", ["twisted-jacobi"],
-         "937bbf415395d9420133c1a9bdf1395c2f901cf8b2e9afff2288bef24745dc8f"),
-        ((0, 1, 2, 3), x(0), "h-twisted",
-         ["twist-membership", "twisted-jacobi", "twist-closed"],
-         "18fb1f9842799b1d1b784b6bf77c3d8350d22e8009ad9604d12b19098b64a692"),
-        ((0, 1, 2, 3), x(0), "h-twisted-cd", ["twisted-jacobi", "twist-closed"],
-         "a64f3def3dc302fb82636bd0485a3fc142a16d79f39770c00b973efcd390f33c"),
-    ])
+    @pytest.mark.parametrize("key,value,suite,failing,sha", TWIST_PINS)
     def test_corrupted_twist(self, ctwist4, key, value, suite, failing, sha):
         bad = corrupt_twist(ctwist4, key, value)
         assert_pinned(check_axioms(bad, suite), failing, sha)
@@ -156,6 +183,54 @@ class TestInducedPins:
         assert_pinned(
             report, ["antisymmetry", "jacobi"],
             "b9459829bbe22cfc045dcd69c3ff8a46b374eb6e2d1874a03df8add69504bbff")
+
+
+def _parse(value):
+    """A witness input from its JSON text: a Section or a Scalar."""
+    if isinstance(value, list):
+        return Section(tuple(parse_scalar(c) for c in value))
+    return parse_scalar(value)
+
+
+def _text(defect):
+    """A defect as a witness prints it."""
+    if isinstance(defect, tuple):
+        return [c.to_text() for c in defect]
+    return defect.to_text()
+
+
+class TestWitnessReplay:
+    """Each failing witness of the axiom-suite pins, parsed from the
+    report's JSON and recomputed through test_axioms.dense_rows, the dense
+    oracles' defect of its row, prints the reported defect.
+
+    Not replayed: twist-membership and twist-closed, whose inputs are the
+    twist itself and whose defects are a component of ρ̃(twist) and the
+    covariant derivative of the twist, rows dense_rows has no oracle for;
+    and the L∞ and induced pins, which are not axiom-suite pins (the
+    induced witnesses are replayed by test_dirac's TestInducedFiniteSets).
+    """
+
+    def test_every_failing_witness_replays(self, ctwist4):
+        from test_axioms import dense_rows
+
+        replayed, skipped = 0, set()
+        for spec, suite in suite_pins(ctwist4):
+            rows = dense_rows(spec)
+            doc = json.loads(json.dumps(check_axioms(spec, suite).to_json()))
+            for check in doc["checks"]:
+                if check["status"] != "fail":
+                    continue
+                if check["axiom"] not in rows:
+                    skipped.add(check["axiom"])
+                    continue
+                inputs = [_parse(v) for v in check["witness"]["inputs"].values()]
+                defect = rows[check["axiom"]][1](*inputs)
+                assert _text(defect) == check["witness"]["defect"], (
+                    suite, check["axiom"])
+                replayed += 1
+        assert skipped == {"twist-membership", "twist-closed"}
+        assert replayed == 27
 
 
 class TestOneOrderSkewBreak:

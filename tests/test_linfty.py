@@ -237,6 +237,46 @@ class TestVerify:
                 "higher-coherence", "l2-skew", "l3-alternating"} <= axioms
 
 
+class TestLabels:
+    """An evaluated L∞ row is "sampled"; a row that a proof settles, with
+    nothing evaluated, is "proved"."""
+
+    @staticmethod
+    def labels(data, seed=0):
+        return {c.axiom: c.label for c in verify_linfty(data, seed=seed).checks}
+
+    def test_twisted_skew(self, ctwist4):
+        # l2 is skew on ct4; ∂ is the inclusion, so bracket-vs-boundary
+        # reads one l2 value twice
+        proved = {"l2-skew", "l3-alternating", "bracket-vs-boundary"}
+        assert self.labels(build_twisted(ctwist4)) == {
+            axiom: "proved" if axiom in proved else "sampled" for axiom in (
+                "l2-skew", "l3-alternating", "values-in-v1",
+                "bracket-vs-boundary", "boundary-action-symmetry",
+                "jacobi-up-to-boundary", "action-jacobi", "higher-coherence")}
+
+    def test_no_skew_samples_the_skew_rows(self, ctwist4):
+        labels = self.labels(build_twisted(corrupt_gram(ctwist4, 0, x(0))))
+        assert labels["l2-skew"] == labels["l3-alternating"] == "sampled"
+        assert labels["bracket-vs-boundary"] == "proved"
+
+    def test_classical(self, std2, so3):
+        labels = self.labels(build_classical(std2))
+        assert labels["bracket-vs-boundary"] == labels["action-jacobi"] == "sampled"
+        # over a point every V1 element is a constant, so the classical
+        # action-jacobi skips every tuple by its proof
+        assert self.labels(build_classical(so3))["action-jacobi"] == "proved"
+
+    def test_classical_action_jacobi_skips_constants(self, monkeypatch, std4):
+        # x▷1 = 0, l2(x,y)▷1 = 0 and ∂1 = 0: the tuples with v = 1 are zero
+        seen = []
+        equation = linfty._eq_action_jacobi
+        monkeypatch.setattr(linfty, "_eq_action_jacobi", lambda data, x, y, v:
+                            seen.append(v) or equation(data, x, y, v))
+        assert verify_linfty(build_classical(std4), seed=0).passed
+        assert len(seen) == 330 and not any(v.is_rational() for v in seen)
+
+
 class TestTables:
     def test_each_map_runs_once_per_ordered_tuple(self, monkeypatch, ctwist4):
         data = build_twisted(ctwist4)
@@ -343,6 +383,15 @@ class TestDecidedSkew:
             with monkeypatch.context() as m:
                 _force_full_path(m)
                 full = verify_linfty(build(spec), seed=seed).to_json()
+            # the labels differ only where a proof replaces the evaluation:
+            # l2-skew and l3-alternating, and a row whose skips left nothing
+            for d, f in zip(decided["checks"], full["checks"]):
+                labels = d.pop("label"), f.pop("label")
+                if skew and d["axiom"] in ("l2-skew", "l3-alternating"):
+                    assert labels == ("proved", "sampled"), (name, d["axiom"])
+                elif labels[0] != labels[1]:
+                    assert skew and labels == ("proved", "sampled"), (
+                        name, d["axiom"])
             assert decided == full, (name, seed)
 
     @staticmethod
@@ -372,11 +421,13 @@ class TestDecidedSkew:
     @pytest.mark.parametrize("name, decided, full", [
         ("ct4", (443, 347, 188), (540, 605, 330)),
         ("ct4b", (476, 377, 188), (587, 635, 330)),
-        ("std4", (146, 445, 385), (205, 615, 385)),
+        ("std4", (146, 390, 330), (203, 560, 330)),
     ])
     def test_evaluation_counts(self, request, monkeypatch, name, decided, full):
         # (l2 evaluations, l3 evaluations, action-jacobi tuples) at seed 0;
-        # the classical action-jacobi is not the Jacobi defect and keeps all
+        # the classical action-jacobi is not the Jacobi defect and skips
+        # only its 55 tuples with v = 1, where every term is zero, so it
+        # evaluates 55 fewer l3(x, y, ∂1) (and, forced full, two fewer l2)
         spec = DECIDED_CASES[name][0](request.getfixturevalue)
         keys = ("l2", "l3", "action-jacobi")
         for forced, want in ((False, decided), (True, full)):
