@@ -31,11 +31,14 @@ The ring/module (-cd) suites state invariance with ρ(ψ)f read as
 every structure: D₀ is solved through gram⁻¹, so ⟨ψ, D₀f⟩ = ψᵀ·G·G⁻¹·A·∇f
 = ρ(ψ)f, and both are zero over a point or without an anchor.
 
-Each check_axioms call builds two tables that it owns and drops when it
-returns: one of bracket(spec, φ, ψ) keyed by the ordered pair (φ, ψ), and
-one of rho_apply(spec, ψ, f) keyed by (ψ, f).  Every checker reads the
-bracket and ρ through them, the Jacobiator and the anchor-morphism defect
-included, so each distinct argument tuple is evaluated once per call.  Keys
+Each check_axioms call makes one _Call, which it owns and drops when it
+returns: the basis, x1, …, xn, (p, q), the verdicts of the rows evaluated
+so far, a table of bracket(spec, φ, ψ) keyed by the ordered pair (φ, ψ)
+and one of rho_apply(spec, ψ, f) keyed by (ψ, f).  Every checker takes the
+_Call alone and reads the bracket and ρ through its tables, the Jacobiator
+and the anchor-morphism defect included, so each distinct argument tuple,
+and each row that Jacobi reads, is evaluated once per call.  dirac's
+induced algebroid and linfty.verify_linfty (for S) make their own.  Keys
 are the exact ordered arguments, never filled from skewness or any other
 property under test.  The decision sets, not the tables, may drop a tuple
 whose defect is exactly ± that of an earlier one (a mirror): by formula in
@@ -196,17 +199,27 @@ class CheckReport:
 # -- the finite sets --------------------------------------------------------------
 
 
-@dataclass
-class _Tuples:
-    """Built once per check_axioms call: the basis, x1, …, xn, the indices of
-    the first basis pair (p, q) with ⟨p,q⟩ ≠ 0 (p = e1, the Gram matrix being
-    nondegenerate) and the verdicts of the rows evaluated so far."""
+class _Call:
+    """One call's context (see the module docstring).  (p, q) are the
+    indices of the first basis pair with ⟨p,q⟩ ≠ 0, p = e1 as the Gram
+    matrix is nondegenerate; the tables read the module's bindings of
+    bracket and rho_apply."""
 
-    basis: list[Section]
-    xs: list[Scalar]
-    p: int
-    q: int
-    verdicts: dict = field(default_factory=dict)
+    def __init__(self, spec: AlgebroidSpec):
+        self.spec = spec
+        self.basis = spec.basis_sections()
+        self.xs = [Scalar.variable(v) for v in range(spec.nvars)]
+        self.p = 0
+        self.q = next(j for j, g in enumerate(spec.gram.entries[0]) if not g.is_zero())
+        self.br = _tabled(partial(bracket, spec))
+        self.rho = _tabled(partial(rho_apply, spec))
+        self.verdicts: dict = {}
+
+    def verdict(self, checker: Callable) -> Verdict:
+        """checker's witness or None, and its label, evaluated once per call."""
+        if checker not in self.verdicts:
+            self.verdicts[checker] = checker(self)
+        return self.verdicts[checker]
 
     def pair_keys(self) -> Iterable[tuple[int, int, Scalar]]:
         """(i, j, f) for each pair (f·eᵢ, eⱼ) of pairs()."""
@@ -221,23 +234,14 @@ class _Tuples:
             yield self.basis[i] if f is ONE else self.basis[i].scale(f), self.basis[j]
 
 
-def _verdict(axiom: str, checker: Callable, spec: AlgebroidSpec, t: _Tuples,
-             br: Callable, rho: Callable) -> Verdict:
-    """The row's witness or None, and its label, evaluated once per call."""
-    if axiom not in t.verdicts:
-        t.verdicts[axiom] = checker(spec, t, br, rho)
-    return t.verdicts[axiom]
-
-
 # -- axiom checkers --------------------------------------------------------------
-# Each returns a witness dict on first failure, or None, and a label.
-# br(φ, ψ) and rho(ψ, f) are the bracket and ρ(ψ)f, read through
-# check_axioms's tables; A(φ,ψ) = ρ[φ,ψ] − [ρφ,ρψ] and T(f,ψ) = [D₀f,ψ] are
-# the anchor-morphism and derivation-bracket defects.
+# Each takes the call's _Call and returns a witness dict on first failure,
+# or None, and a label.  call.br(φ, ψ) and call.rho(ψ, f) are the bracket
+# and ρ(ψ)f, read through the call's tables; A(φ,ψ) = ρ[φ,ψ] − [ρφ,ρψ] and
+# T(f,ψ) = [D₀f,ψ] are the anchor-morphism and derivation-bracket defects.
 
 
-def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                   rho: Callable) -> Iterable[tuple[Section, Section, Section]]:
+def _jacobi_tuples(call: _Call) -> Iterable[tuple[Section, Section, Section]]:
     """Lemma B.  On every structure, by the two extension rules and
     ⟨D₀f,ψ⟩ = ρ(ψ)f, with S and I the symmetric-part and invariance defects:
 
@@ -266,7 +270,7 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
       (M2) Jac(a,b,c) + Jac(a,c,b) = [a,N(b,c)] − N([a,b],c) − N(b,[a,c])
 
     and Jac − H̃ obeys both, H̃ being alternating.  (1) skips (eₐ,e_b,e_c)
-    when a > b and N(eₐ,e_b) = 0, read through br, and when b > c, S = I = 0
+    when a > b and N(eₐ,e_b) = 0, read through call.br, and when b > c, S = I = 0
     and G_bc ∈ ℚ: then N(x,y) = D₀⟨x,y⟩ and I at (eₐ,e_b,e_c) turn (M2) into
     [eₐ,D₀G_bc] − D₀(ρ(eₐ)G_bc) = 0.  Either way the skipped defect is minus
     that at (b,a,c) or (a,c,b), which comes earlier in product order, so the
@@ -279,9 +283,9 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     (i, j, k) of its slots and the monomial f it holds in one of them (1 in
     (1), the pair's monomial times xᵥ in (2), xᵥ in (3)).
     """
-    basis, xs, gram = t.basis, t.xs, spec.gram.entries
-    lemma_c = not (_verdict("symmetric-part", _ax_symmetric_part, spec, t, br, rho)[0]
-                   or _verdict("invariance", _ax_invariance, spec, t, br, rho)[0])
+    basis, xs, gram, br = call.basis, call.xs, call.spec.gram.entries, call.br
+    lemma_c = not (call.verdict(_ax_symmetric_part)[0]
+                   or call.verdict(_ax_invariance)[0])
     r = range(len(basis))
     for i, j in itertools.product(r, repeat=2):
         a, b = basis[i], basis[j]
@@ -290,7 +294,7 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
         for k in r:
             if not (k < j and lemma_c and gram[j][k].is_rational()):
                 yield a, b, basis[k], (i, j, k), ONE
-    yield from _anchor_fallback(spec, br, basis, xs, t.pair_keys())
+    yield from _anchor_fallback(call, basis, call.pair_keys())
     if not lemma_c:
         for ijk in itertools.product(r, repeat=3):
             a, b, c = (basis[i] for i in ijk)
@@ -299,14 +303,15 @@ def _jacobi_tuples(spec: AlgebroidSpec, t: _Tuples, br: Callable,
                 yield a.scale(x), b, c, ijk, x
 
 
-def _anchor_fallback(spec: AlgebroidSpec, br: Callable, sections: list[Section],
-                     xs: list[Scalar], keys: Iterable[tuple]) -> Iterable[tuple]:
+def _anchor_fallback(call: _Call, sections: list[Section],
+                     keys: Iterable[tuple]) -> Iterable[tuple]:
     """Lemma B's step (2), over the basis or the generators of a Dirac L: for
     each key (i, j, f), (f·sᵢ, sⱼ, xᵥ·s₀) wherever A(f·sᵢ, sⱼ)xᵥ ≠ 0, with
     its indices (i, j, 0) and monomial f·xᵥ."""
+    xs = call.xs
     for i, j, f in keys:
         a, b = sections[i] if f is ONE else sections[i].scale(f), sections[j]
-        for v, component in enumerate(_anchor_morphism_defect(spec, br, a, b)):
+        for v, component in enumerate(_anchor_morphism_defect(call.spec, call.br, a, b)):
             if component.terms:
                 yield (a, b, sections[0].scale(xs[v]), (i, j, 0),
                        xs[v] if f is ONE else f * xs[v])
@@ -321,16 +326,15 @@ def _jacobi_defect(br: Callable, lookup: Callable, a: Section, b: Section,
     return jac if value is None else jac - value
 
 
-def _ax_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable, rho: Callable,
-               twisted: bool) -> Verdict:
+def _ax_jacobi(call: _Call, twisted: bool) -> Verdict:
     """Jac, or Jac − H̃ read through split_lookup over the basis, on Jacobi's set."""
-    lookup = split_lookup(spec, spec.twist, t.basis) if twisted else {}.get
-    return decide(_jacobi_tuples(spec, t, br, rho), ("phi", "psi1", "psi2"),
-                  partial(_jacobi_defect, br, lookup))
+    lookup = split_lookup(call.spec, call.spec.twist, call.basis) if twisted else {}.get
+    return decide(_jacobi_tuples(call), ("phi", "psi1", "psi2"),
+                  partial(_jacobi_defect, call.br, lookup))
 
 
-def _ax_twist_membership(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                         rho: Callable) -> Verdict:
+def _ax_twist_membership(call: _Call) -> Verdict:
+    spec = call.spec
     # ρ̃, computed whole, lists nonzero components only: the first is the witness
     return decide(
         ((spec.twist, f"d/dx{j + 1} ⊗ e{list(rest)}", value)
@@ -339,22 +343,21 @@ def _ax_twist_membership(spec: AlgebroidSpec, t: _Tuples, br: Callable,
         empty="vacuous" if spec._anchor_rows is None else "decided")
 
 
-def _ax_twist_closed(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                     rho: Callable) -> Verdict:
+def _ax_twist_closed(call: _Call) -> Verdict:
+    twist = call.spec.twist
     try:
-        defect = cov_derivative(spec, spec.twist)
+        defect = cov_derivative(call.spec, twist)
     except UncertifiedFormError:
         defect = "twist is not in ker ρ̃"
-    return decide([(spec.twist,)], ("twist",), lambda twist: defect)
+    return decide([(twist,)], ("twist",), lambda twist: defect)
 
 
-def _proved(*_) -> Verdict:
+def _proved(call: _Call) -> Verdict:
     """leibniz, by Lemma L."""
     return PROVED
 
 
-def _ax_symmetric_part(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                       rho: Callable) -> Verdict:
+def _ax_symmetric_part(call: _Call) -> Verdict:
     """Lemma C: S(φ,ψ) = [φ,ψ] + [ψ,φ] − D₀⟨φ,ψ⟩ is symmetric, and ℚ[x]-linear
     in ψ by the bracket's two extension rules and D₀(fh) = f·D₀h + h·D₀f.
     [ψ,ψ] − ½D₀⟨ψ,ψ⟩ is ½·S(ψ,ψ), so it needs no pass of its own.  On basis
@@ -362,7 +365,7 @@ def _ax_symmetric_part(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     is symmetric (the constructor checks it), S(e_b,eₐ) = S(eₐ,e_b) by
     formula, so the pairs a ≤ b in row-major order decide the row and give
     the first failing basis pair."""
-    basis, gram = t.basis, spec.gram.entries
+    spec, basis, br, gram = call.spec, call.basis, call.br, call.spec.gram.entries
     return decide(
         ((basis[a], basis[b], gram[a][b]) for a, b in
          itertools.combinations_with_replacement(range(len(basis)), 2)),
@@ -370,8 +373,7 @@ def _ax_symmetric_part(spec: AlgebroidSpec, t: _Tuples, br: Callable,
         lambda phi, psi, g: br(phi, psi) + br(psi, phi) - d0(spec, g))
 
 
-def _ax_invariance(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                   rho: Callable) -> Verdict:
+def _ax_invariance(call: _Call) -> Verdict:
     """Lemma C: the defect is symmetric in ψ₁, ψ₂ and ℚ[x]-linear in ψ₁ by
     the right rule; in φ, the left rule adds four terms that cancel in pairs
     since ⟨D₀f,ψ⟩ = ρ(ψ)f (see the module docstring).  On basis sections it
@@ -380,101 +382,93 @@ def _ax_invariance(spec: AlgebroidSpec, t: _Tuples, br: Callable,
     built once per (a, b), on first use.  The formula is symmetric in b, c
     (G_cb = G_bc), so (a,c,b) mirrors (a,b,c) and the triples (a, b ≤ c),
     in product order, decide the row and give its first failing triple."""
-    basis, gram = t.basis, spec.gram.entries
-    lowered: dict = {}
-
-    def row(a: int, b: int) -> dict:
-        if (a, b) not in lowered:
-            lowered[a, b] = _combine(spec._gram_rows, br(basis[a], basis[b]).entries)
-        return lowered[a, b]
-
+    spec, basis, br, gram = call.spec, call.basis, call.br, call.spec.gram.entries
+    row = _tabled(lambda a, b: _combine(spec._gram_rows, br(basis[a], basis[b]).entries))
     r = range(len(basis))
     return decide(
         ((basis[a], basis[b], basis[c], a, b, c)
          for a in r for b, c in itertools.combinations_with_replacement(r, 2)),
         ("phi", "psi1", "psi2"),
-        lambda phi, psi1, psi2, a, b, c: (rho(phi, gram[b][c])
+        lambda phi, psi1, psi2, a, b, c: (call.rho(phi, gram[b][c])
                                           - row(a, b).get(c, ZERO)
                                           - row(a, c).get(b, ZERO)))
 
 
-def _ax_anchor_morphism(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                        rho: Callable) -> Verdict:
+def _ax_anchor_morphism(call: _Call) -> Verdict:
     """A(φ,f·ψ) = f·A(φ,ψ) by the right rule, and A(f·φ,ψ) = f·A(φ,ψ) +
     ⟨φ,ψ⟩·ρ(D₀f) by the left rule, where ρ(D₀f) = Σᵥ ∂ᵥf·ρ(D₀xᵥ).  So A ≡ 0
     iff it vanishes on basis pairs and ρ(D₀xᵥ) = 0 for every v, and once the
     basis pairs pass, A(xᵥ·p, q) = ⟨p,q⟩·ρ(D₀xᵥ)."""
-    return decide(t.pairs(), ("phi", "psi"),
-                  partial(_anchor_morphism_defect, spec, br))
+    return decide(call.pairs(), ("phi", "psi"),
+                  partial(_anchor_morphism_defect, call.spec, call.br))
 
 
-def _ax_derivation_bracket(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                           rho: Callable) -> Verdict:
+def _ax_derivation_bracket(call: _Call) -> Verdict:
     """T is a derivation in f: by the left rule [f·D₀h + h·D₀f, ψ] = f·T(h,ψ)
     + h·T(f,ψ), the ρ terms cancelling as ⟨D₀h,ψ⟩ = ρ(ψ)h; T(xᵥ, g·ψ) =
     g·T(xᵥ,ψ) + ρ(D₀xᵥ)g·ψ by the right rule.  So (xᵥ, eᵢ) decide T(xᵥ,·) up
     to ρ(D₀xᵥ), which (xᵥ, xᵤ·p) then read.  D₀xᵥ rides along unnamed."""
-    gens = [d0_generator(spec, v) for v in range(len(t.xs))]
+    basis, xs = call.basis, call.xs
+    gens = [d0_generator(call.spec, v) for v in range(len(xs))]
     return decide(
-        ((x, phi, df) for x, df in zip(t.xs, gens)
-         for phi in t.basis + [t.basis[t.p].scale(u) for u in t.xs]),
-        ("f", "phi"), lambda f, phi, df: br(df, phi))
+        ((x, phi, df) for x, df in zip(xs, gens)
+         for phi in basis + [basis[call.p].scale(u) for u in xs]),
+        ("f", "phi"), lambda f, phi, df: call.br(df, phi))
 
 
-def _ax_derivation_isotropy(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                            rho: Callable) -> Verdict:
+def _ax_derivation_isotropy(call: _Call) -> Verdict:
     """⟨D₀f, D₀g⟩ = ρ(D₀f)g is a derivation in g, and in f since ρ(D₀f) =
     Σᵥ ∂ᵥf·ρ(D₀xᵥ), so (xᵤ, xᵥ) decide it."""
+    spec = call.spec
     return decide(
-        itertools.product(t.xs, repeat=2), ("f", "g"),
+        itertools.product(call.xs, repeat=2), ("f", "g"),
         lambda f, g: pairing(spec, d0(spec, f), d0(spec, g)))
 
 
-def _ax_anchor_action(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                      rho: Callable, names: tuple[str, ...]) -> Verdict:
+def _ax_anchor_action(call: _Call, names: tuple[str, ...]) -> Verdict:
     """ρ([a,b])f − ρ(a)ρ(b)f + ρ(b)ρ(a)f, named (φ, ψ, g) by
     anchor-representation.  anchor-compatibility names it (ψ, φ, f): its rule
     ⟨[ψ,φ],D₀f⟩ = ⟨ψ,D₀⟨φ,D₀f⟩⟩ − ⟨φ,D₀⟨ψ,D₀f⟩⟩ is this one, since ⟨χ,D₀h⟩ =
     ρ(χ)h (see the module docstring for the proof).  The defect is the vector
     field A(a,b) applied to f, so A's pairs × (x1, …, xn) decide it."""
+    br, rho = call.br, call.rho
     return decide(
-        ((a, b, f) for a, b in t.pairs() for f in t.xs), names,
+        ((a, b, f) for a, b in call.pairs() for f in call.xs), names,
         lambda a, b, f: (rho(br(a, b), f) - rho(a, rho(b, f))
                          + rho(b, rho(a, f))))
 
 
-def _ax_antisymmetry(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                     rho: Callable) -> Verdict:
+def _ax_antisymmetry(call: _Call) -> Verdict:
     """N(φ,ψ) = [φ,ψ] + [ψ,φ] is symmetric, and N(φ,f·ψ) = f·N(φ,ψ) +
     ⟨φ,ψ⟩·D₀f by the two rules.  So N ≡ 0 iff it vanishes on basis pairs
     and D₀xᵥ = 0 for every v, and once the basis pairs pass, N(xᵥ·p, q) =
     ⟨p,q⟩·D₀xᵥ."""
     return decide(
-        t.pairs(), ("phi", "psi"),
-        lambda phi, psi: br(phi, psi) + br(psi, phi))
+        call.pairs(), ("phi", "psi"),
+        lambda phi, psi: call.br(phi, psi) + call.br(psi, phi))
 
 
-def _degree_two_triples(t: _Tuples) -> Iterable[tuple[Section, Section, Section]]:
+def _degree_two_triples(call: _Call) -> Iterable[tuple[Section, Section, Section]]:
     """Lemma A's set at degree 2: (x^α·eᵢ, x^β·eⱼ, x^γ·eₖ) with |α| + |β| +
     |γ| ≤ 2, by total degree."""
-    xs = t.xs
+    basis, xs = call.basis, call.xs
     monomials = ([(0, ONE)] + [(1, x) for x in xs]
                  + [(2, u * v) for i, u in enumerate(xs) for v in xs[i:]])
     for total in range(3):
         for fs in itertools.product(monomials, repeat=3):
             if sum(d for d, _ in fs) == total:
                 yield from itertools.product(
-                    *(t.basis if f is ONE else [e.scale(f) for e in t.basis]
+                    *(basis if f is ONE else [e.scale(f) for e in basis]
                       for _, f in fs))
 
 
-def _ax_cyclic_jacobi(spec: AlgebroidSpec, t: _Tuples, br: Callable,
-                      rho: Callable) -> Verdict:
+def _ax_cyclic_jacobi(call: _Call) -> Verdict:
     """Each bracket differentiates once, so the cyclic Jacobiator has total
     order ≤ 2 and Lemma A at degree 2 decides it.  The set opens with the
     basis triples, and on a point base, with no x1, …, xn, it is them."""
+    br = call.br
     return decide(
-        _degree_two_triples(t), ("psi1", "psi2", "psi3"),
+        _degree_two_triples(call), ("psi1", "psi2", "psi3"),
         lambda a, b, c: (br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))))
 
 
@@ -548,14 +542,8 @@ def check_axioms(spec: AlgebroidSpec, suite: str) -> CheckReport:
     if suite in _NEEDS_TWIST and spec.twist is None:
         raise SuiteNotApplicableError(
             f"suite {suite!r} needs a twist, but the structure declares none")
-    basis = spec.basis_sections()
-    q = next(j for j, g in enumerate(spec.gram.entries[0]) if not g.is_zero())
-    t = _Tuples(basis, [Scalar.variable(v) for v in range(spec.nvars)], 0, q)
-    # the call's own tables (see the module docstring), built here from the
-    # module's bindings of bracket and rho_apply
-    br = _tabled(partial(bracket, spec))
-    rho = _tabled(partial(rho_apply, spec))
+    call = _Call(spec)
     report = CheckReport(suite=suite)
     for axiom, checker in SUITES[suite]:
-        report.add(axiom, *_verdict(axiom, checker, spec, t, br, rho))
+        report.add(axiom, *call.verdict(checker))
     return report

@@ -31,9 +31,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable
+from typing import Iterable
 
-from courantkit.axioms import (CheckReport, _anchor_fallback, _jacobi_defect,
+from courantkit.axioms import (CheckReport, _anchor_fallback, _Call, _jacobi_defect,
                                decide, first_failure, witness)
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, _eliminate
 from courantkit.kerforms import split_table, split_value, tilde_split, zero_form
@@ -41,7 +41,6 @@ from courantkit.structure import (
     AlgebroidSpec,
     Section,
     SpecInvariantError,
-    _tabled,
     anchor_apply,
     bracket,
     pairing,
@@ -291,7 +290,7 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
                         solved: Solved) -> tuple[dict, CheckReport]:
     """induced_htla on a subbundle that has already passed _check_dirac,
     which solved the generator brackets into ``solved``.  Every bracket is
-    read through one table owned by the call.
+    read through the table of the call's axioms._Call.
 
     twist-values-in-kernel: H̃ is alternating and ℚ[x]-trilinear and
     ker ρ ∩ L is a submodule, so the nonzero values on increasing generator
@@ -299,12 +298,12 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     L, so the pairs i < j and the diagonal, where [g,g] is ½·N(g,g), decide
     it.  leibniz is proved by structure.bracket's construction (see its
     docstring).  A row with an empty set is "vacuous", as is
-    twist-values-in-kernel without a twist or a generator triple.
+    twist-values-in-kernel without a twist or a generator triple, but
+    jacobi over a polynomial base: its set is built by evaluating A on every
+    generator pair, which decides the row when no triple is left.
     """
-    br = _tabled(partial(bracket, spec))
-    gens = sub.generators
-    g = sub.dim
-    xs = [Scalar.variable(v) for v in range(spec.nvars)]
+    call = _Call(spec)
+    br, gens, g = call.br, sub.generators, sub.dim
     report = CheckReport(suite="induced-twisted-lie-algebroid")
 
     table = split_table(spec, spec.twist, gens) if spec.twist is not None else {}
@@ -332,8 +331,9 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     report.add("antisymmetry", skew)
 
     report.add("jacobi", *decide(
-        _jacobi_triples(spec, gens, xs, br, skew is not None), ("x", "y", "z"),
-        partial(_jacobi_defect, br, table.get)))
+        _jacobi_triples(call, gens, skew is not None), ("x", "y", "z"),
+        partial(_jacobi_defect, br, table.get),
+        empty="decided" if spec.nvars else "vacuous"))
 
     report.add("leibniz", None, "proved")
 
@@ -355,7 +355,7 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
         return total
 
     report.add("twist-closed", *decide(
-        _closed_quads(gens, xs, skew is not None, escaped is not None),
+        _closed_quads(gens, call.xs, skew is not None, escaped is not None),
         ("w", "x", "y", "z"), closedness))
 
     data = {
@@ -382,8 +382,8 @@ def _keyed(gens: list[Section], arity: int, increasing: bool) -> Iterable[tuple]
             yield (*(gens[k] for k in key), key, ONE)
 
 
-def _jacobi_triples(spec: AlgebroidSpec, gens: list[Section], xs: list[Scalar],
-                    br: Callable, skew_fails: bool) -> Iterable[tuple]:
+def _jacobi_triples(call: _Call, gens: list[Section],
+                    skew_fails: bool) -> Iterable[tuple]:
     """Lemma B on L.  J = Jac − H̃; with ⟨a,b⟩ = 0 and I = 0 on L, the
     identities of axioms._jacobi_tuples become
 
@@ -409,12 +409,12 @@ def _jacobi_triples(spec: AlgebroidSpec, gens: list[Section], xs: list[Scalar],
     """
     g = range(len(gens))
     yield from _keyed(gens, 3, True)
-    yield from _anchor_fallback(spec, br, gens, xs, ((i, j, ONE) for i in g for j in g))
+    yield from _anchor_fallback(call, gens, ((i, j, ONE) for i in g for j in g))
     if skew_fails:
         yield from _keyed(gens, 3, False)
         for ijk in itertools.product(g, repeat=3):
             a, b, c = (gens[k] for k in ijk)
-            for x in xs:
+            for x in call.xs:
                 yield a.scale(x), b, c, ijk, x
 
 

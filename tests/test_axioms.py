@@ -485,9 +485,10 @@ class TestFiniteSets:
         def cyclic(a, b, c):
             return br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
 
-        basis = std1.basis_sections()
-        t = axioms._Tuples(basis, [x(0)], 0, 1)
-        assert axioms._ax_cyclic_jacobi(std1, t, br, None) == (None, "decided")
+        call = axioms._Call(std1)
+        assert (call.xs, call.p, call.q) == ([x(0)], 0, 1)
+        call.br = br
+        assert axioms._ax_cyclic_jacobi(call) == (None, "decided")
         assert first_failure(monomial_tuples(std1, "sss", 2), "abc", cyclic) is None
         # b₁′(c₁′a₂)′ = (2·x1)′ at (e2, x1·e1, x1²·e1)
         assert first_failure(monomial_tuples(std1, "sss", 3), "abc", cyclic) == {

@@ -585,7 +585,7 @@ class TestGolden:
         "linfty": (0,
             "441cf511c339430030fbb8667ce995caacf7882d850af8c74651dc4e1017b817"),
         "dirac-subspace": (0,
-            "865997ccb4e4a67d6baa374c83482e6604526ab3809cdd688b17e7573d180c0e"),
+            "24dd83b8f71ef839dfa06951da95ca6a2922e086258fffaea985772a7c6673ea"),
         "cohomology": (0,
             "048d9413c3f370eb007f15710925a69f4decbc67038735eb06c049171438c119"),
         "cohomology-truncated": (0,
@@ -599,7 +599,7 @@ class TestGolden:
         "dirac-frame-search": (0,
             "915de8fab96e83c71e026cab8b429c241553c83f13fee9d24a3b4043c0082018"),
         "dirac-frame-subspace": (0,
-            "4a933e9985aabf5cc35b2ace5e31864911a1423f2c0b182fd5ce8d5e94dc3e2b"),
+            "6e1ec034c529a4886ec4978b4625539a3ec5c331eb4f1cc5fc050e7fe04b2e71"),
         "make-ctwist4": (0,
             "97df5bc3479f99afbae47ca2b6355d0f65de012916300ca0bb7e0e830218d7f1"),
         "make-ctwist5": (0,

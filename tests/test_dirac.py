@@ -336,9 +336,10 @@ class TestCheckDirac:
 
 class TestInduced:
     def test_leibniz_brackets_each_pair_once(self, monkeypatch, std2):
+        import courantkit.axioms as axioms
         import courantkit.dirac as dirac
 
-        calls, bracket = [], dirac.bracket
+        calls, bracket = [], axioms.bracket
 
         def counting(spec, a, b):
             calls.append((a, b))
@@ -346,7 +347,8 @@ class TestInduced:
 
         sub = graph_of_two_form(std2, {(0, 1): x(0)})
         _, solved = dirac._check_dirac(std2, sub)
-        monkeypatch.setattr(dirac, "bracket", counting)
+        # the call's table is an axioms._Call's, built on axioms' binding
+        monkeypatch.setattr(axioms, "bracket", counting)
         dirac._build_induced_htla(std2, sub, solved)
         g = sub.dim
         # the restricted structure reads the g² solved pairs.  Through the
@@ -387,13 +389,19 @@ class TestInduced:
         assert data["h3"] == [{"indices": [0, 1, 2], "value": ["0", "0", "0", "1"]}]
         assert len(applied) <= 10
 
-    def test_labels(self, std2, ctwist4):
+    def test_labels(self, std2, ctwist4, hyperbolic4):
         # rank 2 and untwisted: no generator triple or quad, so jacobi and
-        # twist-closed have empty sets, and there is no H̃ to restrict
+        # twist-closed have empty sets, and there is no H̃ to restrict; but
+        # jacobi's set is built by evaluating A on the g² generator pairs,
+        # which decides the row over a polynomial base (Lemma B)
         _, report = induced_htla(std2, graph_of_two_form(std2, {(0, 1): x(0)}))
         assert {c.axiom: c.label for c in report.checks} == {
             "twist-values-in-kernel": "vacuous", "antisymmetry": "decided",
-            "jacobi": "vacuous", "leibniz": "proved", "twist-closed": "vacuous"}
+            "jacobi": "decided", "leibniz": "proved", "twist-closed": "vacuous"}
+        # over a point there is no variable: A is never evaluated
+        _, report = induced_htla(hyperbolic4, Subbundle(
+            hyperbolic4, [Section.basis(0, 4), Section.basis(1, 4)]))
+        assert {c.axiom: c.label for c in report.checks}["jacobi"] == "vacuous"
         sub = Subbundle(ctwist4, [Section.basis(i, 8) for i in (0, 1, 2, 7)])
         _, report = induced_htla(ctwist4, sub)
         assert {c.axiom: c.label for c in report.checks} == {

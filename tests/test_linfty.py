@@ -10,11 +10,11 @@ import pytest
 from conftest import corrupt_bracket, corrupt_gram, corrupt_twist, sec
 
 from courantkit import linfty
+from courantkit.axioms import _Call, _ax_symmetric_part
 from courantkit.exact import ONE, Scalar
 from courantkit.kerforms import KerForm, basis_wedge_form, zero_form
 from courantkit.linfty import (
     LInftyData,
-    _basis_l2,
     _check_l3_alternating,
     _check_values_in_v1,
     build_classical,
@@ -264,8 +264,10 @@ class TestLabels:
         labels = self.labels(build_classical(std2))
         assert labels["bracket-vs-boundary"] == labels["action-jacobi"] == "sampled"
         # over a point every V1 element is a constant, so the classical
-        # action-jacobi skips every tuple by its proof
-        assert self.labels(build_classical(so3))["action-jacobi"] == "proved"
+        # rows that act on V1 skip every tuple by their proof
+        labels = self.labels(build_classical(so3))
+        assert (labels["bracket-vs-boundary"] == labels["boundary-action-symmetry"]
+                == labels["action-jacobi"] == "proved")
 
     def test_classical_action_jacobi_skips_constants(self, monkeypatch, std4):
         # x▷1 = 0, l2(x,y)▷1 = 0 and ∂1 = 0: the tuples with v = 1 are zero
@@ -275,6 +277,44 @@ class TestLabels:
                             seen.append(v) or equation(data, x, y, v))
         assert verify_linfty(build_classical(std4), seed=0).passed
         assert len(seen) == 330 and not any(v.is_rational() for v in seen)
+
+    @pytest.mark.parametrize("name, count", [("_eq_bracket_vs_boundary", 66),
+                                             ("_eq_boundary_action", 21)])
+    def test_classical_boundary_rows_skip_constants(self, monkeypatch, std4,
+                                                    name, count):
+        # l2(x,∂1) = l2(x,0) = 0, x▷1 = 0 and ∂1 = 0: the tuples with v = 1
+        # (or w = 1) are zero; std4 at seed 0 has 11 of 77 in
+        # bracket-vs-boundary and 7 of 28 in boundary-action-symmetry
+        seen = []
+        equation = getattr(linfty, name)
+        monkeypatch.setattr(linfty, name, lambda data, *t:
+                            seen.append(t) or equation(data, *t))
+        assert verify_linfty(build_classical(std4), seed=0).passed
+        assert len(seen) == count
+        assert not any(isinstance(v, Scalar) and v.is_rational()
+                       for t in seen for v in t)
+
+    def test_skipped_constant_tuples_are_zero(self, request, monkeypatch):
+        # on every classical case, corrupted ones included, each tuple the
+        # classical rows skip is zero: (x, c) and (c, w) for a constant c,
+        # with x and w the entries the evaluated tuples show
+        for name, (make, _) in sorted(DECIDED_CASES.items()):
+            spec = make(request.getfixturevalue)
+            if not (name.endswith("(classical)") or spec.twist is None):
+                continue
+            data, pairs = build_classical(spec), []
+            equation = linfty._eq_bracket_vs_boundary
+            with monkeypatch.context() as m:
+                m.setattr(linfty, "_eq_bracket_vs_boundary", lambda d, x, v:
+                          pairs.append((x, v)) or equation(d, x, v))
+                verify_linfty(data, seed=0)
+            xs = set(data.v0_basis) | {x for x, _ in pairs}
+            vs = {v for _, v in pairs} | {ONE}
+            for c in (ONE, Scalar.rational(Fraction(-3, 2))):
+                assert all(linfty._eq_bracket_vs_boundary(data, x, c).is_zero()
+                           for x in xs), name
+                assert all(linfty._eq_boundary_action(data, c, w).is_zero()
+                           for w in vs), name
 
 
 class TestTables:
@@ -316,8 +356,9 @@ def _builder(spec):
 
 def _force_full_path(monkeypatch):
     """Make verify_linfty evaluate every distinct ordered pair and triple,
-    as it does when l2 is not skew: _basis_l2 then decides nothing."""
-    monkeypatch.setattr(linfty, "_basis_l2", lambda data: ({}, False))
+    as it does when l2 is not skew: the S verdict it reads then fails."""
+    monkeypatch.setattr(linfty, "_ax_symmetric_part",
+                        lambda call: ({"forced": "S ≢ 0"}, "decided"))
 
 
 def _decided_cases():
@@ -377,7 +418,7 @@ class TestDecidedSkew:
         spec = make(request.getfixturevalue)
         build = (build_classical if name.endswith("(classical)")
                  else _builder(spec))
-        assert _basis_l2(build(spec))[1] is skew
+        assert (_ax_symmetric_part(_Call(spec))[0] is None) is skew
         for seed in range(4):
             decided = verify_linfty(build(spec), seed=seed).to_json()
             with monkeypatch.context() as m:
@@ -419,15 +460,18 @@ class TestDecidedSkew:
         return n
 
     @pytest.mark.parametrize("name, decided, full", [
-        ("ct4", (443, 347, 188), (540, 605, 330)),
-        ("ct4b", (476, 377, 188), (587, 635, 330)),
-        ("std4", (146, 390, 330), (203, 560, 330)),
+        ("ct4", (411, 347, 188), (540, 605, 330)),
+        ("ct4b", (444, 377, 188), (587, 635, 330)),
+        ("std4", (114, 390, 330), (202, 560, 330)),
     ])
     def test_evaluation_counts(self, request, monkeypatch, name, decided, full):
         # (l2 evaluations, l3 evaluations, action-jacobi tuples) at seed 0;
-        # the classical action-jacobi is not the Jacobi defect and skips
-        # only its 55 tuples with v = 1, where every term is zero, so it
-        # evaluates 55 fewer l3(x, y, ∂1) (and, forced full, two fewer l2)
+        # S comes from the suites' symmetric-part row, so l2 fills lazily
+        # and, when skew, answers the reverse order by sign.  The classical
+        # action-jacobi is not the Jacobi defect and skips only its 55
+        # tuples with v = 1, where every term is zero, so it evaluates 55
+        # fewer l3(x, y, ∂1); bracket-vs-boundary skips its 11 tuples with
+        # v = 1 (forced full, one l2(x, ∂1) fewer)
         spec = DECIDED_CASES[name][0](request.getfixturevalue)
         keys = ("l2", "l3", "action-jacobi")
         for forced, want in ((False, decided), (True, full)):
@@ -454,3 +498,30 @@ class TestDecidedSkew:
         _force_full_path(monkeypatch)
         with pytest.raises(AssertionError, match="evaluated"):
             verify_linfty(build_twisted(ctwist4), seed=0)
+
+    @pytest.mark.parametrize("name", sorted(DECIDED_CASES) + ["std2_frame"])
+    def test_symmetric_part_matches_the_dense_oracle(self, request, name):
+        # verify_linfty's skew verdict is the suites' symmetric-part row;
+        # here S = [a,b] + [b,a] − D₀⟨a,b⟩ goes through oracles.dense_bracket
+        # on Lemma A's complete set at degree 1 (S has order ≤ 1), and its
+        # first failing basis pair a ≤ b is the row's witness
+        from oracles import dense_bracket, dense_pairing, monomial_tuples
+        from courantkit.axioms import first_failure
+        from courantkit.structure import d0
+
+        spec = (request.getfixturevalue(name) if name == "std2_frame"
+                else DECIDED_CASES[name][0](request.getfixturevalue))
+
+        def s(a, b):
+            return (dense_bracket(spec, a, b) + dense_bracket(spec, b, a)
+                    - d0(spec, dense_pairing(spec, a, b)))
+
+        failure, label = _ax_symmetric_part(_Call(spec))
+        assert label == "decided"
+        assert (failure is None) is all(
+            s(a, b).is_zero() for a, b in monomial_tuples(spec, "ss", 1))
+        assert failure == first_failure(
+            itertools.combinations_with_replacement(spec.basis_sections(), 2),
+            ("phi", "psi"), s)
+        if name in DECIDED_CASES:
+            assert (failure is None) is DECIDED_CASES[name][1]
