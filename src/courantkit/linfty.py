@@ -22,25 +22,46 @@ The action and l3 are methods that read l2 through self.l2, so the call
 tables that verify_linfty puts behind l2 are the ones both of them see.
 
 verify_linfty checks the five defining equations exactly on basis tuples and
-seeded random tuples.  The twisted packaging reads the pairing only through
-D and H̃, so its equations can pass where the axiom suite fails: split4
-twisted by e1∧e2∧e3 with Gram entry (0, 0) set to 2 fails h-twisted's
-invariance (over a point D = 0) and passes every equation.  Each call
-evaluates l2 and l3 through two tables keyed by the exact ordered argument
-values, which the call owns and drops when it returns.
+seeded random tuples, or proves them from the suites' verdicts (below).  The
+twisted packaging reads the pairing only through D and H̃, so its equations
+can pass where the axiom suite fails: split4 twisted by e1∧e2∧e3 with Gram
+entry (0, 0) set to 2 fails h-twisted's invariance (over a point D = 0) and
+passes every equation.  Each call evaluates l2 and l3 through two tables
+keyed by the exact ordered argument values, and l2's bracket through the
+_Call's bracket table, all of which the call owns and drops when it
+returns.
 
-Each call first decides whether l2 is skew: the pairing being symmetric,
-l2 + l2ᵀ is Lemma C's symmetric part S, so it reads the suites' verdict on
-S, axioms._ax_symmetric_part, which the basis pairs decide.  When S ≡ 0,
+Each call reads the suites' verdicts through one axioms._Call, and first
+decides whether l2 is skew: the pairing being symmetric, l2 + l2ᵀ is Lemma
+C's symmetric part S, so it reads the suites' verdict on S,
+axioms._ax_symmetric_part, which the basis pairs decide.  When S ≡ 0,
 the l2 table reads l2(x,y) as −l2(y,x) once (y,x) is in it, l2-skew and
 l3-alternating pass by proof (l3 alternates once l2 is skew), and the Jacobi
 row and the twisted action-Jacobi row skip each tuple with a repeated entry
 or with the set of an earlier tuple (both defects are then alternating),
 which never moves a witness.  When S ≢ 0, every distinct ordered pair and
 triple is evaluated, and nothing is filled from skewness or alternation,
-which are then among the properties being checked.  Rows so settled, the
-twisted bracket-vs-boundary and a row whose skips leave it no tuple are
-"proved"; the rest are "sampled".
+which are then among the properties being checked.
+
+The rows the suites settle.  Write Jac(x,y,z) = [x,[y,z]] − [[x,y],z] −
+[y,[x,z]] for the suites' Jacobiator, A(x,y) = ρ[x,y] − [ρx,ρy] for the
+anchor-morphism defect, I for the invariance defect, M for l3's metric term
+and D = D₀; ⟨Dg,z⟩ = ρ(z)g on every structure.  When S ≡ 0, I ≡ 0 and the
+suites' Jacobi row passes (Jac ≡ H̃ twisted, Jac ≡ 0 classically; each row
+decides its axiom on all sections), the Jacobi, action and boundary rows
+follow (verify_linfty's docstring, row by row) from
+
+  Lemma D.  [x,Df] = D(ρ(x)f).  The Jacobi row forces A ≡ 0 (Lemma B in
+  axioms._jacobi_tuples: Jac(a,b,f·c) = f·Jac − A(a,b)f·c, and H̃ is
+  tensorial).  Invariance at (x, Df, z) gives ⟨[x,Df],z⟩ = ρ(x)ρ(z)f −
+  ρ[x,z]f, which A ≡ 0 turns into ρ(z)ρ(x)f = ⟨D(ρ(x)f),z⟩; the Gram
+  matrix is nondegenerate.
+
+and its consequences under S ≡ 0: [Df,y] = D⟨Df,y⟩ − [y,Df] = 0, so the
+right rule [Df,g·y] = g·[Df,y] + ρ(Df)g·y gives ρ∘D = 0.  Hence l2(x,Df) =
+½D(ρ(x)f) = −l2(Df,x) and ρ∘l2 = [ρ·,ρ·].  Rows so settled, the twisted
+bracket-vs-boundary and a row whose skips leave it no tuple are "proved";
+the rest are "sampled".  higher-coherence is always evaluated.
 """
 
 from __future__ import annotations
@@ -50,7 +71,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from courantkit.axioms import (PROVED, CheckReport, _ax_symmetric_part, _Call,
+from courantkit.axioms import (PROVED, CheckReport, _ax_invariance, _ax_jacobi,
+                               _ax_symmetric_part, _ax_twist_membership, _Call,
                                decide, first_failure)
 from courantkit.exact import HALF, Scalar, ZERO
 from courantkit.kerforms import kerform_basis, tilde_split
@@ -79,7 +101,9 @@ class LInftyData:
     Scalars in the classical packaging and ker-ρ Sections in the twisted
     one; the maps accept and return accordingly.  ``split`` is the twisted
     packaging's H̃ = tilde_split(spec, spec.twist), and None in the
-    classical one.
+    classical one.  verify_linfty's proofs assume both, as build_twisted
+    makes them: ``split`` is the H̃ that the suites' twisted Jacobi row
+    subtracts, and V1 ⊂ ker ρ.
     """
 
     spec: AlgebroidSpec
@@ -97,8 +121,11 @@ class LInftyData:
 
     def l2(self, x: Section, y: Section) -> Section:
         """l2(x, y) = [x,y] − ½D₀⟨x,y⟩: V0 ⊗ V0 → V0."""
-        return (bracket(self.spec, x, y)
+        return (self._bracket(x, y)
                 - d0(self.spec, pairing(self.spec, x, y)).scale(HALF))
+
+    def _bracket(self, x: Section, y: Section) -> Section:
+        return bracket(self.spec, x, y)
 
     def act(self, x: Section, v):
         """x▷v: V0 ⊗ V1 → V1.  Classically ½⟨x,D₀f⟩ = ½·ρ(x)f: D₀f =
@@ -155,13 +182,19 @@ class _CallTables(LInftyData):
     a miss on (x, y) is answered by −l2(y, x) when (y, x) is in the table:
     l2(x,y) = S(x,y) − l2(y,x).  Without it nothing is filled from
     skewness or alternation, which are then among the properties checked.
+    l2 reads the bracket through call.br, the table the suites' rows filled,
+    so no ordered pair is bracketed twice in one call.
     """
 
-    def __init__(self, data: LInftyData, skew: bool):
+    def __init__(self, data: LInftyData, call: _Call, skew: bool):
         super().__init__(data.spec, data.classical, data.v1_basis, data.split)
         # plain dicts, not structure._tabled: a table holding a bound method
         # of self is a reference cycle, alive until the cyclic collector runs
         self._l2_values, self._l3_values, self._skew = {}, {}, skew
+        self._br = call.br
+
+    def _bracket(self, x: Section, y: Section) -> Section:
+        return self._br(x, y)
 
     def l2(self, x: Section, y: Section) -> Section:
         table = self._l2_values
@@ -275,6 +308,32 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
       then w takes slots i < j with sign (−1)^i·(−1)^(j−1) when u takes i,
       and w then u takes them with sign (−1)^j·(−1)^i, so swapping u and w
       negates each term and u = w cancels the terms in pairs.
+
+    If the suites' invariance and Jacobi rows (twisted-jacobi's Jac − H̃ in
+    the twisted packaging) pass as well, Lemma D and its consequences (module
+    docstring) prove four rows, which then evaluate nothing:
+
+    - jacobi-up-to-boundary.  Rewriting [[x,y],z] and [y,[x,z]] by S,
+      Σ_cyc[x,[y,z]] = Jac + D⟨[x,y],z⟩ + [y,D⟨x,z⟩].  Expanding l2 = [·,·]
+      − ½D⟨·,·⟩ and l3 by Lemma D gives J = (Jac − H̃) + DΦ (classically
+      J = Jac + DΦ), with Φ = P + b − ⅓(P + Q + R) − ⅓(a + b + c), where
+      P, Q, R are ⟨[x,y],z⟩, ⟨[y,z],x⟩, ⟨[z,x],y⟩ and a, b, c are
+      ρ(x)⟨y,z⟩, ρ(y)⟨z,x⟩, ρ(z)⟨x,y⟩.  Invariance at (x,y,z), with [x,z]
+      rewritten by S, reads a = b + P − R, and at (y,z,x) b = c + Q − P, so
+      Φ = 0: J = Jac − H̃ (J = Jac), which the Jacobi row shows vanishes.
+    - action-jacobi.  Twisted, it is J when S ≡ 0 (the note on its tuples).
+      Classically x▷f = ½ρ(x)f and ρ∘l2 = [ρ·,ρ·], so its first three terms
+      sum to ¼[ρx,ρy]f − ½[ρx,ρy]f; l2(y,Df) = ½D(ρ(y)f) = −l2(Df,y) gives
+      M(x,y,Df) = −⅙·(1 + ½)·[ρx,ρy]f = −¼[ρx,ρy]f, which cancels them.
+    - bracket-vs-boundary, classically: l2(x,Df) = ½D(ρ(x)f) = ∂(x▷f).
+    - boundary-action-symmetry: classically ½(ρ(Df)g + ρ(Dg)f) = 0, as
+      ρ∘D = 0; twisted, l2(v,w) + l2(w,v) = S(v,w) = 0.
+
+    values-in-v1 is proved too when the suites' twist-membership also
+    passes: V1 ⊂ ker ρ (LInftyData), ρ(l2(x,v)) = [ρx,ρv] = 0, ρ(DM) = 0,
+    and ρ(H̃(x,y,z)) is ± ρ̃(twist) contracted with x∧y∧z, which is zero.
+    When a verdict that a row's proof reads fails, the row is evaluated on
+    its tuples, so a failing report is the evaluation's own.
     """
     spec = data.spec
     rng = random.Random(seed)
@@ -286,16 +345,20 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
         rand_v1 = [rand_combination(rng, spec, data.v1_basis, degree)
                    for _ in range(2)]
     v1 = [*data.v1_basis, *rand_v1]
-    skew = _ax_symmetric_part(_Call(spec))[0] is None
-    data = _CallTables(data, skew)
+    call = _Call(spec)
+    skew = call.verdict(_ax_symmetric_part)[0] is None
+    settled = (skew and call.verdict(_ax_invariance)[0] is None
+               and _ax_jacobi(call, twisted=not data.classical)[0] is None)
+    data = _CallTables(data, call, skew)
     report = CheckReport(suite="l-infinity")
     report.add("l2-skew", *(PROVED if skew else decide(
         ((x,) for x in v0), ("x",), lambda x: data.l2(x, x), "sampled")))
     report.add("l3-alternating", *(PROVED if skew else (
         _check_l3_alternating(data, randoms), "sampled")))
     if not data.classical:
-        report.add("values-in-v1", _check_values_in_v1(data, v0, v1, randoms),
-                   "sampled")
+        report.add("values-in-v1", *(
+            PROVED if settled and call.verdict(_ax_twist_membership)[0] is None
+            else (_check_values_in_v1(data, v0, v1, randoms), "sampled")))
     # Classically x▷v = ½ρ(x)v and ∂v = D₀v, and a vector field and D₀ kill
     # a rational constant v: x▷v = 0, y▷0 = 0, l2(x,y)▷v = 0, ∂v = 0,
     # l2(x,0) = 0 and l3(x,y,0) = 0 (l2 and the pairing are ℚ-bilinear).
@@ -303,18 +366,16 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
     # zero on each tuple with such a v or w, and read only ``acting``; a set
     # that this empties, as over a point, is proved.
     acting = [v for v in v1 if not v.is_rational()] if data.classical else v1
-    if data.classical:
-        report.add("bracket-vs-boundary", *decide(
+    # Twisted, ∂ is the inclusion and x▷v = l2(x,v), so l2(x,∂v) − ∂(x▷v)
+    # reads one l2 value twice: zero on every structure
+    report.add("bracket-vs-boundary", *(
+        PROVED if settled or not data.classical else decide(
             ((x, v) for x in v0 for v in acting), ("x", "v"),
-            lambda *t: _eq_bracket_vs_boundary(data, *t), "sampled", "proved"))
-    else:
-        # ∂ is the inclusion and x▷v = l2(x,v), so l2(x,∂v) − ∂(x▷v) reads
-        # one l2 value twice: zero on every structure
-        report.add("bracket-vs-boundary", *PROVED)
-    report.add("boundary-action-symmetry", *decide(
+            lambda *t: _eq_bracket_vs_boundary(data, *t), "sampled", "proved")))
+    report.add("boundary-action-symmetry", *(PROVED if settled else decide(
         itertools.combinations_with_replacement(acting, 2), ("v", "w"),
         lambda *t: _eq_boundary_action(data, *t), "sampled",
-        "proved" if data.classical else "vacuous"))
+        "proved" if data.classical else "vacuous")))
     # With S ≡ 0 the Jacobi defect J(x,y,z) = Σ_cyc l2(a,l2(b,c)) − ∂l3(x,y,z)
     # alternates: the cyclic sum is unchanged by a rotation; swapping x and y
     # turns its terms into l2(y,l2(x,z)) = −l2(y,l2(z,x)), l2(x,l2(z,y)) =
@@ -327,7 +388,7 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
                 for t in range(len(randoms))] if randoms else []
     triples += _random_triples(data, randoms)[:1]
     # a set that these skips empty is proved, as each skipped defect is zero
-    jacobi, label = decide(
+    jacobi, label = PROVED if settled else decide(
         _first_of_each_set(triples) if skew else triples, ("x", "y", "z"),
         lambda *t: _eq_jacobi_boundary(data, *t), "sampled",
         "proved" if skew else "vacuous")
@@ -348,9 +409,9 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
             # sections.  A tuple of three such sections has A = J = 0, so it
             # cannot move the witness; over a point base that is every tuple.
             tuples = (t for t in tuples if not all(map(_rational, t)))
-    report.add("action-jacobi", *decide(
+    report.add("action-jacobi", *(PROVED if settled else decide(
         tuples, ("x", "y", "v"), lambda *t: _eq_action_jacobi(data, *t),
-        "sampled", "proved" if skew or data.classical else "vacuous"))
+        "sampled", "proved" if skew or data.classical else "vacuous")))
     quads = list(itertools.combinations(data.v0_basis, 4))
     if randoms:
         pool = randoms + data.v0_basis

@@ -32,7 +32,7 @@ PINS = {
     "05_dirac.py":
         "40aa0ca8906e8d70773c8cdc05fbe75963602ede6d073a5b2f97289467c48373",
     "06_homotopy_packaging.py":
-        "b22b330696da5de005036cdc92b18ce4d5ff7f9cd9c08a233c07bccfbf584ef6",
+        "45e95873dda466bc2c6c669ddd1fab435cc82d7e19f86c97a65f21e0128dfd56",
 }
 
 

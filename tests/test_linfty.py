@@ -10,7 +10,7 @@ import pytest
 from conftest import corrupt_bracket, corrupt_gram, corrupt_twist, sec
 
 from courantkit import linfty
-from courantkit.axioms import _Call, _ax_symmetric_part
+from courantkit.axioms import _Call, _ax_invariance, _ax_jacobi, _ax_symmetric_part
 from courantkit.exact import ONE, Scalar
 from courantkit.kerforms import KerForm, basis_wedge_form, zero_form
 from courantkit.linfty import (
@@ -22,7 +22,7 @@ from courantkit.linfty import (
     verify_linfty,
 )
 from courantkit.rand import rand_section, rand_wedge_coeffs
-from courantkit.structure import Section, SpecInvariantError
+from courantkit.structure import AlgebroidSpec, Section, SpecInvariantError
 from courantkit.twist import base_form, c_twist, twist_bracket
 
 x = Scalar.variable
@@ -105,13 +105,21 @@ class TestVerify:
             assert report.passed, report.failing()
 
     def test_zeroed_l3_fails_with_witness(self, monkeypatch, ctwist4):
-        data = build_twisted(ctwist4)
+        # with its twist doubled, ct4 fails the suites' twisted-jacobi, so
+        # the Jacobi and action rows evaluate, and a zeroed l3 moves the
+        # Jacobi witness (−e8 → e8) and fails action-jacobi; on ct4 those
+        # rows are proved, and TestSuitesProveTheRows sees the same fault
+        data = build_twisted(doubled_twist(ctwist4))
+        before = verify_linfty(data, seed=1)
         monkeypatch.setattr(LInftyData, "l3", lambda self, a, b, c: Section.zero(8))
         report = verify_linfty(data, seed=1)
-        assert "jacobi-up-to-boundary" in report.failing()
-        failed = [c for c in report.checks
-                  if c.axiom == "jacobi-up-to-boundary"][0]
-        assert failed.witness is not None
+        assert {"jacobi-up-to-boundary", "action-jacobi"} <= set(report.failing())
+
+        def jacobi(report):
+            return next(c for c in report.checks
+                        if c.axiom == "jacobi-up-to-boundary")
+        assert jacobi(report).label == "sampled"
+        assert jacobi(report).witness not in (None, jacobi(before).witness)
 
     def test_alternation_and_membership_see_random_sections(self, monkeypatch,
                                                             ctwist4):
@@ -237,6 +245,11 @@ class TestVerify:
                 "higher-coherence", "l2-skew", "l3-alternating"} <= axioms
 
 
+TWISTED_ROWS = ("l2-skew", "l3-alternating", "values-in-v1",
+                "bracket-vs-boundary", "boundary-action-symmetry",
+                "jacobi-up-to-boundary", "action-jacobi", "higher-coherence")
+
+
 class TestLabels:
     """An evaluated L∞ row is "sampled"; a row that a proof settles, with
     nothing evaluated, is "proved"."""
@@ -246,31 +259,49 @@ class TestLabels:
         return {c.axiom: c.label for c in verify_linfty(data, seed=seed).checks}
 
     def test_twisted_skew(self, ctwist4):
-        # l2 is skew on ct4; ∂ is the inclusion, so bracket-vs-boundary
-        # reads one l2 value twice
-        proved = {"l2-skew", "l3-alternating", "bracket-vs-boundary"}
+        # ct4 passes the suites' symmetric-part, invariance, twisted-jacobi
+        # and twist-membership rows, which prove every row but the higher
+        # coherence
         assert self.labels(build_twisted(ctwist4)) == {
-            axiom: "proved" if axiom in proved else "sampled" for axiom in (
-                "l2-skew", "l3-alternating", "values-in-v1",
-                "bracket-vs-boundary", "boundary-action-symmetry",
-                "jacobi-up-to-boundary", "action-jacobi", "higher-coherence")}
+            axiom: "sampled" if axiom == "higher-coherence" else "proved"
+            for axiom in TWISTED_ROWS}
+
+    def test_failing_jacobi_samples_the_rows(self, ctwist4):
+        # ct4 with its twist doubled: l2 is skew, twisted-jacobi fails
+        proved = {"l2-skew", "l3-alternating", "bracket-vs-boundary"}
+        assert self.labels(build_twisted(doubled_twist(ctwist4))) == {
+            axiom: "proved" if axiom in proved else "sampled"
+            for axiom in TWISTED_ROWS}
+
+    def test_values_in_v1_reads_twist_membership(self, monkeypatch, ctwist4):
+        monkeypatch.setattr(linfty, "_ax_twist_membership",
+                            lambda call: ({"forced": "ρ̃(twist) ≠ 0"}, "decided"))
+        labels = self.labels(build_twisted(ctwist4))
+        assert labels["values-in-v1"] == labels["higher-coherence"] == "sampled"
+        assert labels["jacobi-up-to-boundary"] == labels["action-jacobi"] == "proved"
 
     def test_no_skew_samples_the_skew_rows(self, ctwist4):
         labels = self.labels(build_twisted(corrupt_gram(ctwist4, 0, x(0))))
         assert labels["l2-skew"] == labels["l3-alternating"] == "sampled"
         assert labels["bracket-vs-boundary"] == "proved"
 
-    def test_classical(self, std2, so3):
-        labels = self.labels(build_classical(std2))
-        assert labels["bracket-vs-boundary"] == labels["action-jacobi"] == "sampled"
-        # over a point every V1 element is a constant, so the classical
-        # rows that act on V1 skip every tuple by their proof
-        labels = self.labels(build_classical(so3))
-        assert (labels["bracket-vs-boundary"] == labels["boundary-action-symmetry"]
-                == labels["action-jacobi"] == "proved")
+    def test_classical(self, std2, so3, std2_frame, ctwist4):
+        rows = ("bracket-vs-boundary", "boundary-action-symmetry",
+                "jacobi-up-to-boundary", "action-jacobi")
+        # the suites' courant rows pass on each, including so(3) over a
+        # point, where every V1 element is a constant as well
+        for spec in (std2, so3, std2_frame):
+            labels = self.labels(build_classical(spec))
+            assert [labels[axiom] for axiom in rows] == ["proved"] * 4
+            assert labels["higher-coherence"] == "sampled"
+        # ct4 without its twist fails the courant jacobi row
+        labels = self.labels(build_classical(untwisted(ctwist4)))
+        assert [labels[axiom] for axiom in rows] == ["sampled"] * 4
 
     def test_classical_action_jacobi_skips_constants(self, monkeypatch, std4):
-        # x▷1 = 0, l2(x,y)▷1 = 0 and ∂1 = 0: the tuples with v = 1 are zero
+        # x▷1 = 0, l2(x,y)▷1 = 0 and ∂1 = 0: the tuples with v = 1 are zero;
+        # the suites' verdicts are forced off, or the row would be proved
+        _force_full_path(monkeypatch)
         seen = []
         equation = linfty._eq_action_jacobi
         monkeypatch.setattr(linfty, "_eq_action_jacobi", lambda data, x, y, v:
@@ -284,7 +315,9 @@ class TestLabels:
                                                     name, count):
         # l2(x,∂1) = l2(x,0) = 0, x▷1 = 0 and ∂1 = 0: the tuples with v = 1
         # (or w = 1) are zero; std4 at seed 0 has 11 of 77 in
-        # bracket-vs-boundary and 7 of 28 in boundary-action-symmetry
+        # bracket-vs-boundary and 7 of 28 in boundary-action-symmetry; the
+        # suites' verdicts are forced off, or the rows would be proved
+        _force_full_path(monkeypatch)
         seen = []
         equation = getattr(linfty, name)
         monkeypatch.setattr(linfty, name, lambda data, *t:
@@ -305,6 +338,7 @@ class TestLabels:
             data, pairs = build_classical(spec), []
             equation = linfty._eq_bracket_vs_boundary
             with monkeypatch.context() as m:
+                _force_full_path(m)
                 m.setattr(linfty, "_eq_bracket_vs_boundary", lambda d, x, v:
                           pairs.append((x, v)) or equation(d, x, v))
                 verify_linfty(data, seed=0)
@@ -354,11 +388,28 @@ def _builder(spec):
     return build_twisted if spec.twist is not None else build_classical
 
 
+def doubled_twist(spec):
+    """spec with its twist doubled and its bracket kept (README's ct4t)."""
+    return AlgebroidSpec(spec.ring, spec.nvars, spec.rank, spec.gram,
+                         spec.anchor, dict(spec.bracket_table),
+                         {key: c + c for key, c in spec.twist.coeffs.items()},
+                         spec.kind)
+
+
+def untwisted(spec):
+    """spec with its twist dropped and its bracket kept."""
+    return AlgebroidSpec(spec.ring, spec.nvars, spec.rank, spec.gram,
+                         spec.anchor, dict(spec.bracket_table), None, "courant")
+
+
 def _force_full_path(monkeypatch):
-    """Make verify_linfty evaluate every distinct ordered pair and triple,
-    as it does when l2 is not skew: the S verdict it reads then fails."""
-    monkeypatch.setattr(linfty, "_ax_symmetric_part",
-                        lambda call: ({"forced": "S ≢ 0"}, "decided"))
+    """Make verify_linfty evaluate every row it can, and every distinct
+    ordered pair and triple, as it does when l2 is not skew: each verdict it
+    reads from the suites (S, invariance, Jacobi, twist membership) fails."""
+    for name in ("_ax_symmetric_part", "_ax_invariance", "_ax_jacobi",
+                 "_ax_twist_membership"):
+        monkeypatch.setattr(linfty, name, lambda call, **kwargs: (
+            {"forced": "off"}, "decided"))
 
 
 def _decided_cases():
@@ -400,10 +451,16 @@ def _decided_cases():
              False),
         "split4 + e1^e2^e3, [e1,e2] = 2e3 (twisted)": (split4_b, False),
         "split4 + e1^e2^e3, [e1,e2] = 2e3 (classical)": (split4_b, False),
+        "std2_frame": (lambda r: r("std2_frame"), True),
     }
 
 
 DECIDED_CASES = _decided_cases()
+
+
+# the rows that the suites' S, invariance and Jacobi verdicts prove
+SETTLED_ROWS = ("boundary-action-symmetry", "jacobi-up-to-boundary",
+                "action-jacobi")
 
 
 class TestDecidedSkew:
@@ -418,17 +475,24 @@ class TestDecidedSkew:
         spec = make(request.getfixturevalue)
         build = (build_classical if name.endswith("(classical)")
                  else _builder(spec))
-        assert (_ax_symmetric_part(_Call(spec))[0] is None) is skew
+        call = _Call(spec)
+        assert (call.verdict(_ax_symmetric_part)[0] is None) is skew
+        # the suites' verdicts that prove the Jacobi, action and boundary rows
+        settled = skew and not (call.verdict(_ax_invariance)[0] or _ax_jacobi(
+            call, twisted=build is build_twisted)[0])
         for seed in range(4):
             decided = verify_linfty(build(spec), seed=seed).to_json()
             with monkeypatch.context() as m:
                 _force_full_path(m)
                 full = verify_linfty(build(spec), seed=seed).to_json()
             # the labels differ only where a proof replaces the evaluation:
-            # l2-skew and l3-alternating, and a row whose skips left nothing
+            # l2-skew and l3-alternating, the rows the suites settle, and a
+            # row whose skips left nothing
             for d, f in zip(decided["checks"], full["checks"]):
                 labels = d.pop("label"), f.pop("label")
-                if skew and d["axiom"] in ("l2-skew", "l3-alternating"):
+                if settled and d["axiom"] in SETTLED_ROWS:
+                    assert labels[0] == "proved", (name, d["axiom"])
+                elif skew and d["axiom"] in ("l2-skew", "l3-alternating"):
                     assert labels == ("proved", "sampled"), (name, d["axiom"])
                 elif labels[0] != labels[1]:
                     assert skew and labels == ("proved", "sampled"), (
@@ -460,18 +524,20 @@ class TestDecidedSkew:
         return n
 
     @pytest.mark.parametrize("name, decided, full", [
-        ("ct4", (411, 347, 188), (540, 605, 330)),
-        ("ct4b", (444, 377, 188), (587, 635, 330)),
-        ("std4", (114, 390, 330), (202, 560, 330)),
+        ("ct4", (107, 156, 0), (540, 605, 330)),
+        ("ct4b", (129, 186, 0), (587, 635, 330)),
+        ("std4", (68, 111, 0), (202, 560, 330)),
     ])
     def test_evaluation_counts(self, request, monkeypatch, name, decided, full):
         # (l2 evaluations, l3 evaluations, action-jacobi tuples) at seed 0;
         # S comes from the suites' symmetric-part row, so l2 fills lazily
-        # and, when skew, answers the reverse order by sign.  The classical
-        # action-jacobi is not the Jacobi defect and skips only its 55
-        # tuples with v = 1, where every term is zero, so it evaluates 55
-        # fewer l3(x, y, ∂1); bracket-vs-boundary skips its 11 tuples with
-        # v = 1 (forced full, one l2(x, ∂1) fewer)
+        # and, when skew, answers the reverse order by sign.  All three pass
+        # the suites' invariance and Jacobi rows, so the decided path
+        # evaluates the higher coherence alone (and, twisted, no
+        # values-in-v1).  Forced full, the classical action-jacobi is not
+        # the Jacobi defect and skips only its 55 tuples with v = 1, where
+        # every term is zero; bracket-vs-boundary skips its 11 tuples with
+        # v = 1
         spec = DECIDED_CASES[name][0](request.getfixturevalue)
         keys = ("l2", "l3", "action-jacobi")
         for forced, want in ((False, decided), (True, full)):
@@ -499,7 +565,7 @@ class TestDecidedSkew:
         with pytest.raises(AssertionError, match="evaluated"):
             verify_linfty(build_twisted(ctwist4), seed=0)
 
-    @pytest.mark.parametrize("name", sorted(DECIDED_CASES) + ["std2_frame"])
+    @pytest.mark.parametrize("name", sorted(DECIDED_CASES))
     def test_symmetric_part_matches_the_dense_oracle(self, request, name):
         # verify_linfty's skew verdict is the suites' symmetric-part row;
         # here S = [a,b] + [b,a] − D₀⟨a,b⟩ goes through oracles.dense_bracket
@@ -509,8 +575,8 @@ class TestDecidedSkew:
         from courantkit.axioms import first_failure
         from courantkit.structure import d0
 
-        spec = (request.getfixturevalue(name) if name == "std2_frame"
-                else DECIDED_CASES[name][0](request.getfixturevalue))
+        spec, skew = DECIDED_CASES[name]
+        spec = spec(request.getfixturevalue)
 
         def s(a, b):
             return (dense_bracket(spec, a, b) + dense_bracket(spec, b, a)
@@ -523,5 +589,91 @@ class TestDecidedSkew:
         assert failure == first_failure(
             itertools.combinations_with_replacement(spec.basis_sections(), 2),
             ("phi", "psi"), s)
-        if name in DECIDED_CASES:
-            assert (failure is None) is DECIDED_CASES[name][1]
+        assert (failure is None) is skew
+
+
+def _identity_cases():
+    """name -> spec builder, for structures where the suites' S and
+    invariance rows pass and their Jacobi row fails, so that Jac − H̃ (Jac
+    when untwisted) is not zero.  The untwisted one runs the classical
+    packaging."""
+    ct4b = DECIDED_CASES["ct4b"][0]
+    return {
+        "ct4 twist (4,5,6,7) + x1":
+            lambda r: corrupt_twist(r("ctwist4"), (4, 5, 6, 7), x(0)),
+        "ct4 twist (0,1,2,3) + 1":
+            lambda r: corrupt_twist(r("ctwist4"), (0, 1, 2, 3), ONE),
+        "ct4b twist (1,5,6,7) + x3":
+            lambda r: corrupt_twist(ct4b(r), (1, 5, 6, 7), x(2)),
+        "ct4 untwisted": lambda r: untwisted(r("ctwist4")),
+    }
+
+
+IDENTITY_CASES = _identity_cases()
+
+
+class TestSuitesProveTheRows:
+    """When the suites' S, invariance and Jacobi rows pass, verify_linfty
+    reports jacobi-up-to-boundary, action-jacobi and the boundary rows as
+    proved and evaluates none of them.  The proof (linfty's docstrings)
+    rests on the identity J = Jac − H̃ (J = Jac classically) wherever S, I
+    and A vanish.  These tests hold the packaging's code to that identity
+    on structures where Jac − H̃ ≢ 0, so a fault in l2 or l3, which no
+    structure file can cause and the proved rows no longer see, shows."""
+
+    @staticmethod
+    def identity(spec, draws: int = 20, seed: int = 11):
+        """The first seeded random triple of degree-2 sections where J −
+        (Jac − H̃) ≠ 0, or None, and how many triples had Jac − H̃ ≠ 0.  J is
+        linfty's Jacobi defect on the packaging's own maps, read at call
+        time; Jac goes through oracles.dense_bracket."""
+        from functools import partial
+
+        from oracles import dense_bracket
+
+        from courantkit.axioms import first_failure
+        from courantkit.structure import _jacobiator
+
+        data = _builder(spec)(spec)
+        rng = random.Random(seed)
+        triples = [tuple(rand_section(rng, spec, 2) for _ in range(3))
+                   for _ in range(draws)]
+        expected = []
+        for t in triples:
+            jac = _jacobiator(partial(dense_bracket, spec), *t)
+            expected.append(jac if data.classical else jac - data.split(*t))
+        failure = first_failure(
+            ((*t, want) for t, want in zip(triples, expected)), ("x", "y", "z"),
+            lambda a, b, c, want: linfty._eq_jacobi_boundary(data, a, b, c) - want)
+        return failure, sum(not want.is_zero() for want in expected)
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+    def test_jacobi_defect_is_the_suites_jacobiator(self, request, name):
+        spec = IDENTITY_CASES[name](request.getfixturevalue)
+        call = _Call(spec)
+        assert call.verdict(_ax_symmetric_part)[0] is None
+        assert call.verdict(_ax_invariance)[0] is None
+        assert _ax_jacobi(call, twisted=spec.twist is not None)[0] is not None
+        failure, nonzero = self.identity(spec)
+        assert failure is None
+        assert nonzero >= 10, nonzero
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+    def test_identity_sees_a_zeroed_l3(self, request, monkeypatch, name):
+        # the fault that the proved Jacobi row hides on ct4 (the run-time
+        # variant on a doubled twist is TestVerify's)
+        spec = IDENTITY_CASES[name](request.getfixturevalue)
+        zero = Scalar.rational(0) if spec.twist is None else Section.zero(spec.rank)
+        monkeypatch.setattr(LInftyData, "l3", lambda self, a, b, c: zero)
+        assert self.identity(spec)[0] is not None
+
+    def test_proved_rows_evaluate_nothing(self, monkeypatch, ctwist4, std4):
+        def unexpected(*args):
+            raise AssertionError("a proved row was evaluated")
+
+        for name in ("_eq_bracket_vs_boundary", "_eq_boundary_action",
+                     "_eq_jacobi_boundary", "_eq_action_jacobi",
+                     "_check_values_in_v1"):
+            monkeypatch.setattr(linfty, name, unexpected)
+        assert verify_linfty(build_twisted(ctwist4), seed=0).passed
+        assert verify_linfty(build_classical(std4), seed=0).passed
