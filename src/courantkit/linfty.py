@@ -35,13 +35,10 @@ Each call reads the suites' verdicts through one axioms._Call, and first
 decides whether l2 is skew: the pairing being symmetric, l2 + l2ᵀ is Lemma
 C's symmetric part S, so it reads the suites' verdict on S,
 axioms._ax_symmetric_part, which the basis pairs decide.  When S ≡ 0,
-the l2 table reads l2(x,y) as −l2(y,x) once (y,x) is in it, l2-skew and
-l3-alternating pass by proof (l3 alternates once l2 is skew), and the Jacobi
-row and the twisted action-Jacobi row skip each tuple with a repeated entry
-or with the set of an earlier tuple (both defects are then alternating),
-which never moves a witness.  When S ≢ 0, every distinct ordered pair and
-triple is evaluated, and nothing is filled from skewness or alternation,
-which are then among the properties being checked.
+the l2 table reads l2(x,y) as −l2(y,x) once (y,x) is in it, and l2-skew and
+l3-alternating pass by proof (l3 alternates once l2 is skew).  When S ≢ 0,
+nothing is filled from skewness or alternation, which are then among the
+properties being checked.
 
 The rows the suites settle.  Write Jac(x,y,z) = [x,[y,z]] − [[x,y],z] −
 [y,[x,z]] for the suites' Jacobiator, A(x,y) = ρ[x,y] − [ρx,ρy] for the
@@ -59,9 +56,10 @@ follow (verify_linfty's docstring, row by row) from
 
 and its consequences under S ≡ 0: [Df,y] = D⟨Df,y⟩ − [y,Df] = 0, so the
 right rule [Df,g·y] = g·[Df,y] + ρ(Df)g·y gives ρ∘D = 0.  Hence l2(x,Df) =
-½D(ρ(x)f) = −l2(Df,x) and ρ∘l2 = [ρ·,ρ·].  Rows so settled, the twisted
-bracket-vs-boundary and a row whose skips leave it no tuple are "proved";
-the rest are "sampled".  higher-coherence is always evaluated.
+½D(ρ(x)f) = −l2(Df,x) and ρ∘l2 = [ρ·,ρ·].  Rows so settled are "proved"
+and evaluate nothing; every other row is evaluated on its whole set and is
+"sampled" ("vacuous" or "proved" when the set is empty, see
+verify_linfty).  higher-coherence is always evaluated.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from courantkit.axioms import (PROVED, CheckReport, _ax_invariance, _ax_jacobi,
                                _ax_symmetric_part, _ax_twist_membership, _Call,
@@ -214,26 +212,6 @@ class _CallTables(LInftyData):
             return value
 
 
-def _first_of_each_set(tuples: Iterable[tuple]) -> Iterator[tuple]:
-    """The tuples with distinct entries whose set no earlier tuple had.
-
-    Fed an alternating defect, first_failure returns the same witness: a
-    skipped tuple's defect is zero (a repeated entry) or ± the defect of an
-    earlier tuple on the same set, which passed or ended the walk.
-    """
-    seen: set = set()
-    for t in tuples:
-        key = frozenset(t)
-        if len(key) == len(t) and key not in seen:
-            seen.add(key)
-            yield t
-
-
-def _rational(section: Section) -> bool:
-    """Whether every coefficient of section is a rational constant."""
-    return all(c.is_rational() for _, c in section.entries)
-
-
 _UNSHUFFLES_22 = [((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
                   ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1)]
 # the action sum enters with the opposite orientation to the l3∘l2 sum,
@@ -321,7 +299,9 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
       ρ(x)⟨y,z⟩, ρ(y)⟨z,x⟩, ρ(z)⟨x,y⟩.  Invariance at (x,y,z), with [x,z]
       rewritten by S, reads a = b + P − R, and at (y,z,x) b = c + Q − P, so
       Φ = 0: J = Jac − H̃ (J = Jac), which the Jacobi row shows vanishes.
-    - action-jacobi.  Twisted, it is J when S ≡ 0 (the note on its tuples).
+    - action-jacobi.  Twisted, ∂ is the inclusion and x▷v = l2(x,v), so
+      the defect is J(x,y,v) − l2(y,S(v,x)) − S(v,l2(x,y)), l2 being
+      additive in each slot: J when S ≡ 0.
       Classically x▷f = ½ρ(x)f and ρ∘l2 = [ρ·,ρ·], so its first three terms
       sum to ¼[ρx,ρy]f − ½[ρx,ρy]f; l2(y,Df) = ½D(ρ(y)f) = −l2(Df,y) gives
       M(x,y,Df) = −⅙·(1 + ½)·[ρx,ρy]f = −¼[ρx,ρy]f, which cancels them.
@@ -376,42 +356,17 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
         itertools.combinations_with_replacement(acting, 2), ("v", "w"),
         lambda *t: _eq_boundary_action(data, *t), "sampled",
         "proved" if data.classical else "vacuous")))
-    # With S ≡ 0 the Jacobi defect J(x,y,z) = Σ_cyc l2(a,l2(b,c)) − ∂l3(x,y,z)
-    # alternates: the cyclic sum is unchanged by a rotation; swapping x and y
-    # turns its terms into l2(y,l2(x,z)) = −l2(y,l2(z,x)), l2(x,l2(z,y)) =
-    # −l2(x,l2(y,z)) and l2(z,l2(y,x)) = −l2(z,l2(x,y)); at x = y it is
-    # l2(x,S(x,z)) + ½·l2(z,S(x,x)) = 0; and ∂ is ℚ-linear, l3 alternating.
-    # So _first_of_each_set may drop tuples: here the two rotations of the
-    # first random triple.
     triples = list(itertools.combinations(data.v0_basis, 3))
     triples += [tuple(randoms[i % len(randoms)] for i in (t, t + 1, t + 2))
                 for t in range(len(randoms))] if randoms else []
     triples += _random_triples(data, randoms)[:1]
-    # a set that these skips empty is proved, as each skipped defect is zero
-    jacobi, label = PROVED if settled else decide(
-        _first_of_each_set(triples) if skew else triples, ("x", "y", "z"),
-        lambda *t: _eq_jacobi_boundary(data, *t), "sampled",
-        "proved" if skew else "vacuous")
-    report.add("jacobi-up-to-boundary", jacobi, label)
-    # In the twisted packaging ∂ is the inclusion and x▷v = l2(x,v), so the
-    # action defect A(x,y,v) = l2(x,l2(y,v)) − l2(y,l2(x,v)) − l2(l2(x,y),v)
-    # − l3(x,y,v) is J(x,y,v) − l2(y,S(v,x)) − S(v,l2(x,y)), l2 being
-    # additive in each slot: with S ≡ 0, A = J, which alternates.  The
-    # classical action is ½ρ(x)f, and its defect is no Jacobi defect.
-    tuples = ((x, y, v) for x, y in itertools.combinations(v0, 2) for v in acting)
-    if skew and not data.classical:
-        tuples = _first_of_each_set(tuples)
-        if jacobi is None:
-            # The Jacobi row passed every increasing basis triple.  J is
-            # ℚ-trilinear (l2 is ℚ-bilinear, l3 ℚ-trilinear, ∂ ℚ-linear) and
-            # alternates, so J(eₐ,e_b,e_c) is 0 or ± J on an increasing
-            # basis triple, and J vanishes on all ℚ-combinations of basis
-            # sections.  A tuple of three such sections has A = J = 0, so it
-            # cannot move the witness; over a point base that is every tuple.
-            tuples = (t for t in tuples if not all(map(_rational, t)))
+    report.add("jacobi-up-to-boundary", *(PROVED if settled else decide(
+        triples, ("x", "y", "z"), lambda *t: _eq_jacobi_boundary(data, *t),
+        "sampled")))
     report.add("action-jacobi", *(PROVED if settled else decide(
-        tuples, ("x", "y", "v"), lambda *t: _eq_action_jacobi(data, *t),
-        "sampled", "proved" if skew or data.classical else "vacuous")))
+        ((x, y, v) for x, y in itertools.combinations(v0, 2) for v in acting),
+        ("x", "y", "v"), lambda *t: _eq_action_jacobi(data, *t), "sampled",
+        "proved" if data.classical else "vacuous")))
     quads = list(itertools.combinations(data.v0_basis, 4))
     if randoms:
         pool = randoms + data.v0_basis

@@ -10,7 +10,8 @@ import pytest
 from conftest import corrupt_bracket, corrupt_gram, corrupt_twist, sec
 
 from courantkit import linfty
-from courantkit.axioms import _Call, _ax_invariance, _ax_jacobi, _ax_symmetric_part
+from courantkit.axioms import (_Call, _ax_invariance, _ax_jacobi,
+                               _ax_symmetric_part, _ax_twist_membership)
 from courantkit.exact import ONE, Scalar
 from courantkit.kerforms import KerForm, basis_wedge_form, zero_form
 from courantkit.linfty import (
@@ -298,6 +299,21 @@ class TestLabels:
         labels = self.labels(build_classical(untwisted(ctwist4)))
         assert [labels[axiom] for axiom in rows] == ["sampled"] * 4
 
+    def test_empty_jacobi_set_is_vacuous(self, std1):
+        # std1 with [e1,e2] = e1 = −[e2,e1]: l2 is skew, the suites'
+        # invariance and jacobi rows fail, so the row is evaluated on its
+        # set; with no random section, rank 2 leaves it no triple
+        bad = corrupt_bracket(corrupt_bracket(std1, 0, 1, sec(1, 0)),
+                              1, 0, sec(-1, 0))
+        call = _Call(bad)
+        assert call.verdict(_ax_symmetric_part)[0] is None
+        assert call.verdict(_ax_invariance)[0] is not None
+        assert _ax_jacobi(call, twisted=False)[0] is not None
+        for samples, want in ((0, ("pass", "vacuous")), (3, ("fail", "sampled"))):
+            rows = {c.axiom: (c.status, c.label) for c in verify_linfty(
+                build_classical(bad), seed=0, samples=samples).checks}
+            assert rows["jacobi-up-to-boundary"] == want, samples
+
     def test_classical_action_jacobi_skips_constants(self, monkeypatch, std4):
         # x▷1 = 0, l2(x,y)▷1 = 0 and ∂1 = 0: the tuples with v = 1 are zero;
         # the suites' verdicts are forced off, or the row would be proved
@@ -459,45 +475,85 @@ DECIDED_CASES = _decided_cases()
 
 
 # the rows that the suites' S, invariance and Jacobi verdicts prove
-SETTLED_ROWS = ("boundary-action-symmetry", "jacobi-up-to-boundary",
-                "action-jacobi")
+SETTLED_ROWS = ("bracket-vs-boundary", "boundary-action-symmetry",
+                "jacobi-up-to-boundary", "action-jacobi")
+
+
+def _decided_case(request, name):
+    """DECIDED_CASES[name]'s spec, its packaging's builder, whether l2 is
+    skew, and the rows that passing suites' verdicts prove beyond l2-skew
+    and l3-alternating: SETTLED_ROWS when S, invariance and Jacobi pass,
+    and values-in-v1 when twist-membership passes as well."""
+    make, skew = DECIDED_CASES[name]
+    spec = make(request.getfixturevalue)
+    build = build_classical if name.endswith("(classical)") else _builder(spec)
+    call = _Call(spec)
+    assert (call.verdict(_ax_symmetric_part)[0] is None) is skew
+    settled = skew and not (call.verdict(_ax_invariance)[0] or _ax_jacobi(
+        call, twisted=build is build_twisted)[0])
+    proved = SETTLED_ROWS if settled else ()
+    if (settled and build is build_twisted
+            and call.verdict(_ax_twist_membership)[0] is None):
+        proved += ("values-in-v1",)
+    return spec, build, skew, proved
 
 
 class TestDecidedSkew:
     """verify_linfty first decides whether l2 is skew on basis pairs (Lemma
-    C); when it is, it passes l2-skew and l3-alternating by proof, reads l2
-    by sign and skips Jacobi tuples that repeat a set.  None of that may move
-    a report."""
+    C); when it is, it passes l2-skew and l3-alternating by proof and reads
+    l2 by sign, and when the suites' invariance and Jacobi verdicts pass as
+    well, it proves the Jacobi, action and boundary rows.  Every other row
+    is evaluated on its whole set.  None of that may move a report."""
 
     @pytest.mark.parametrize("name", sorted(DECIDED_CASES))
     def test_report_equals_the_full_paths(self, request, monkeypatch, name):
-        make, skew = DECIDED_CASES[name]
-        spec = make(request.getfixturevalue)
-        build = (build_classical if name.endswith("(classical)")
-                 else _builder(spec))
-        call = _Call(spec)
-        assert (call.verdict(_ax_symmetric_part)[0] is None) is skew
-        # the suites' verdicts that prove the Jacobi, action and boundary rows
-        settled = skew and not (call.verdict(_ax_invariance)[0] or _ax_jacobi(
-            call, twisted=build is build_twisted)[0])
+        spec, build, skew, proved = _decided_case(request, name)
         for seed in range(4):
             decided = verify_linfty(build(spec), seed=seed).to_json()
             with monkeypatch.context() as m:
                 _force_full_path(m)
                 full = verify_linfty(build(spec), seed=seed).to_json()
-            # the labels differ only where a proof replaces the evaluation:
-            # l2-skew and l3-alternating, the rows the suites settle, and a
-            # row whose skips left nothing
+            # the labels differ only where a passing suites' verdict proves
+            # the row: l2-skew and l3-alternating, and the rows it settles
             for d, f in zip(decided["checks"], full["checks"]):
                 labels = d.pop("label"), f.pop("label")
-                if settled and d["axiom"] in SETTLED_ROWS:
+                if d["axiom"] in proved:
                     assert labels[0] == "proved", (name, d["axiom"])
                 elif skew and d["axiom"] in ("l2-skew", "l3-alternating"):
                     assert labels == ("proved", "sampled"), (name, d["axiom"])
-                elif labels[0] != labels[1]:
-                    assert skew and labels == ("proved", "sampled"), (
-                        name, d["axiom"])
+                else:
+                    assert labels[0] == labels[1], (name, d["axiom"], labels)
             assert decided == full, (name, seed)
+
+    def test_unsettled_rows_evaluate_the_full_paths_tuples(self, request,
+                                                          monkeypatch):
+        # a skew l2 whose suites' verdicts do not settle the Jacobi and
+        # action rows: each evaluates the tuples that the full path does
+        def evaluations(spec, build, seed, full):
+            n = {"_eq_jacobi_boundary": 0, "_eq_action_jacobi": 0}
+            with monkeypatch.context() as m:
+                for key in n:
+                    def counting(*args, key=key, fn=getattr(linfty, key)):
+                        n[key] += 1
+                        return fn(*args)
+                    m.setattr(linfty, key, counting)
+                if full:
+                    _force_full_path(m)
+                verify_linfty(build(spec), seed=seed)
+            return n
+
+        unsettled = []
+        for name in sorted(DECIDED_CASES):
+            spec, build, skew, proved = _decided_case(request, name)
+            if not skew or proved:
+                continue
+            unsettled.append(name)
+            for seed in range(4):
+                assert (evaluations(spec, build, seed, False)
+                        == evaluations(spec, build, seed, True)), (name, seed)
+        assert unsettled == ["ct4 gram (4,4) = 2", "ct4 twist (0,1,2,3) + x1",
+                             "ct4 twist (4,5,6,7) + 1",
+                             "ct4b twist (0,1,2,3) + x2"], unsettled
 
     @staticmethod
     def counts(monkeypatch, spec, build, full=False):
