@@ -583,7 +583,7 @@ class TestGolden:
         "verify-courant": (1,
             "5c0fc3f260c6a63e941a99fe8325754ea62e808e02d15499a4be7842835240de"),
         "linfty": (0,
-            "a0fabe7984e681e73043d10a469234d13c7b38fefdbc48f1336cec698c6e4c67"),
+            "5c905f8a60a8f7452d211a7bc1174343219fd0efd1ae5fbf83d9b2acaae2d220"),
         "dirac-subspace": (0,
             "24dd83b8f71ef839dfa06951da95ca6a2922e086258fffaea985772a7c6673ea"),
         "cohomology": (0,

@@ -32,7 +32,7 @@ PINS = {
     "05_dirac.py":
         "40aa0ca8906e8d70773c8cdc05fbe75963602ede6d073a5b2f97289467c48373",
     "06_homotopy_packaging.py":
-        "45e95873dda466bc2c6c669ddd1fab435cc82d7e19f86c97a65f21e0128dfd56",
+        "a82032cefb7a3a8b35f19fb4715ae13e8a2182f05e25c589708246c48cfdbc1e",
 }
 
 

@@ -11,7 +11,8 @@ from conftest import corrupt_bracket, corrupt_gram, corrupt_twist, sec
 
 from courantkit import linfty
 from courantkit.axioms import (_Call, _ax_invariance, _ax_jacobi,
-                               _ax_symmetric_part, _ax_twist_membership)
+                               _ax_symmetric_part, _ax_twist_closed,
+                               _ax_twist_membership, first_failure)
 from courantkit.exact import ONE, Scalar
 from courantkit.kerforms import KerForm, basis_wedge_form, zero_form
 from courantkit.linfty import (
@@ -260,12 +261,10 @@ class TestLabels:
         return {c.axiom: c.label for c in verify_linfty(data, seed=seed).checks}
 
     def test_twisted_skew(self, ctwist4):
-        # ct4 passes the suites' symmetric-part, invariance, twisted-jacobi
-        # and twist-membership rows, which prove every row but the higher
-        # coherence
+        # ct4 passes the suites' symmetric-part, invariance, twisted-jacobi,
+        # twist-membership and twist-closed rows, which prove every row
         assert self.labels(build_twisted(ctwist4)) == {
-            axiom: "sampled" if axiom == "higher-coherence" else "proved"
-            for axiom in TWISTED_ROWS}
+            axiom: "proved" for axiom in TWISTED_ROWS}
 
     def test_failing_jacobi_samples_the_rows(self, ctwist4):
         # ct4 with its twist doubled: l2 is skew, twisted-jacobi fails
@@ -288,16 +287,15 @@ class TestLabels:
 
     def test_classical(self, std2, so3, std2_frame, ctwist4):
         rows = ("bracket-vs-boundary", "boundary-action-symmetry",
-                "jacobi-up-to-boundary", "action-jacobi")
+                "jacobi-up-to-boundary", "action-jacobi", "higher-coherence")
         # the suites' courant rows pass on each, including so(3) over a
         # point, where every V1 element is a constant as well
         for spec in (std2, so3, std2_frame):
             labels = self.labels(build_classical(spec))
-            assert [labels[axiom] for axiom in rows] == ["proved"] * 4
-            assert labels["higher-coherence"] == "sampled"
+            assert [labels[axiom] for axiom in rows] == ["proved"] * 5
         # ct4 without its twist fails the courant jacobi row
         labels = self.labels(build_classical(untwisted(ctwist4)))
-        assert [labels[axiom] for axiom in rows] == ["sampled"] * 4
+        assert [labels[axiom] for axiom in rows] == ["sampled"] * 5
 
     def test_empty_jacobi_set_is_vacuous(self, std1):
         # std1 with [e1,e2] = e1 = −[e2,e1]: l2 is skew, the suites'
@@ -368,22 +366,26 @@ class TestLabels:
 
 
 class TestTables:
+    """On ct4 with its twist doubled, where l2 is skew and the suites'
+    twisted-jacobi fails, so that the rows are evaluated (on ct4 itself
+    every row is proved)."""
+
     def test_each_map_runs_once_per_ordered_tuple(self, monkeypatch, ctwist4):
-        data = build_twisted(ctwist4)
+        data = build_twisted(doubled_twist(ctwist4))
         pairs, triples = [], []
         l2, l3 = LInftyData.l2, LInftyData.l3
         monkeypatch.setattr(LInftyData, "l2", lambda self, a, b:
                             pairs.append((a, b)) or l2(self, a, b))
         monkeypatch.setattr(LInftyData, "l3", lambda self, *xs:
                             triples.append(xs) or l3(self, *xs))
-        assert verify_linfty(data, seed=0).passed
+        verify_linfty(data, seed=0)
         assert pairs and len(pairs) == len(set(pairs))
         assert triples and len(triples) == len(set(triples))
 
     def test_tables_belong_to_the_call(self, monkeypatch, ctwist4):
         # a second call on the same data evaluates every pair again, and
         # data's fields are the ones left on it afterwards
-        data = build_twisted(ctwist4)
+        data = build_twisted(doubled_twist(ctwist4))
         pairs = []
         l2 = LInftyData.l2
         monkeypatch.setattr(LInftyData, "l2", lambda self, a, b:
@@ -418,12 +420,17 @@ def untwisted(spec):
                          spec.anchor, dict(spec.bracket_table), None, "courant")
 
 
+# every verdict that verify_linfty reads from the suites
+PREMISES = ("_ax_symmetric_part", "_ax_invariance", "_ax_jacobi",
+            "_ax_twist_membership", "_ax_twist_closed")
+
+
 def _force_full_path(monkeypatch):
     """Make verify_linfty evaluate every row it can, and every distinct
     ordered pair and triple, as it does when l2 is not skew: each verdict it
-    reads from the suites (S, invariance, Jacobi, twist membership) fails."""
-    for name in ("_ax_symmetric_part", "_ax_invariance", "_ax_jacobi",
-                 "_ax_twist_membership"):
+    reads from the suites (S, invariance, Jacobi, twist membership, closed
+    twist) fails."""
+    for name in PREMISES:
         monkeypatch.setattr(linfty, name, lambda call, **kwargs: (
             {"forced": "off"}, "decided"))
 
@@ -482,8 +489,10 @@ SETTLED_ROWS = ("bracket-vs-boundary", "boundary-action-symmetry",
 def _decided_case(request, name):
     """DECIDED_CASES[name]'s spec, its packaging's builder, whether l2 is
     skew, and the rows that passing suites' verdicts prove beyond l2-skew
-    and l3-alternating: SETTLED_ROWS when S, invariance and Jacobi pass,
-    and values-in-v1 when twist-membership passes as well."""
+    and l3-alternating: SETTLED_ROWS when S, invariance and Jacobi pass;
+    twisted, values-in-v1 when twist-membership passes as well, and
+    higher-coherence when twist-closed does too (classically, with
+    SETTLED_ROWS)."""
     make, skew = DECIDED_CASES[name]
     spec = make(request.getfixturevalue)
     build = build_classical if name.endswith("(classical)") else _builder(spec)
@@ -492,9 +501,12 @@ def _decided_case(request, name):
     settled = skew and not (call.verdict(_ax_invariance)[0] or _ax_jacobi(
         call, twisted=build is build_twisted)[0])
     proved = SETTLED_ROWS if settled else ()
-    if (settled and build is build_twisted
-            and call.verdict(_ax_twist_membership)[0] is None):
+    if settled and build is build_classical:
+        proved += ("higher-coherence",)
+    elif settled and call.verdict(_ax_twist_membership)[0] is None:
         proved += ("values-in-v1",)
+        if call.verdict(_ax_twist_closed)[0] is None:
+            proved += ("higher-coherence",)
     return spec, build, skew, proved
 
 
@@ -580,20 +592,20 @@ class TestDecidedSkew:
         return n
 
     @pytest.mark.parametrize("name, decided, full", [
-        ("ct4", (107, 156, 0), (540, 605, 330)),
-        ("ct4b", (129, 186, 0), (587, 635, 330)),
-        ("std4", (68, 111, 0), (202, 560, 330)),
+        ("ct4", (0, 0, 0), (540, 605, 330)),
+        ("ct4b", (0, 0, 0), (587, 635, 330)),
+        ("std4", (0, 0, 0), (202, 560, 330)),
     ])
     def test_evaluation_counts(self, request, monkeypatch, name, decided, full):
         # (l2 evaluations, l3 evaluations, action-jacobi tuples) at seed 0;
         # S comes from the suites' symmetric-part row, so l2 fills lazily
         # and, when skew, answers the reverse order by sign.  All three pass
-        # the suites' invariance and Jacobi rows, so the decided path
-        # evaluates the higher coherence alone (and, twisted, no
-        # values-in-v1).  Forced full, the classical action-jacobi is not
-        # the Jacobi defect and skips only its 55 tuples with v = 1, where
-        # every term is zero; bracket-vs-boundary skips its 11 tuples with
-        # v = 1
+        # every suites' verdict that verify_linfty reads (twisted, the twist
+        # membership and closed twist too), so the decided path proves
+        # every row and evaluates no l2 or l3.  Forced full, the classical
+        # action-jacobi is not the Jacobi defect and skips only its 55
+        # tuples with v = 1, where every term is zero; bracket-vs-boundary
+        # skips its 11 tuples with v = 1
         spec = DECIDED_CASES[name][0](request.getfixturevalue)
         keys = ("l2", "l3", "action-jacobi")
         for forced, want in ((False, decided), (True, full)):
@@ -671,7 +683,7 @@ IDENTITY_CASES = _identity_cases()
 class TestSuitesProveTheRows:
     """When the suites' S, invariance and Jacobi rows pass, verify_linfty
     reports jacobi-up-to-boundary, action-jacobi and the boundary rows as
-    proved and evaluates none of them.  The proof (linfty's docstrings)
+    proved and evaluates none of them (higher-coherence: TestCoherence).  The proof (linfty's docstrings)
     rests on the identity J = Jac − H̃ (J = Jac classically) wherever S, I
     and A vanish.  These tests hold the packaging's code to that identity
     on structures where Jac − H̃ ≢ 0, so a fault in l2 or l3, which no
@@ -729,7 +741,160 @@ class TestSuitesProveTheRows:
 
         for name in ("_eq_bracket_vs_boundary", "_eq_boundary_action",
                      "_eq_jacobi_boundary", "_eq_action_jacobi",
-                     "_check_values_in_v1"):
+                     "_eq_higher_coherence", "_check_values_in_v1"):
             monkeypatch.setattr(linfty, name, unexpected)
         assert verify_linfty(build_twisted(ctwist4), seed=0).passed
         assert verify_linfty(build_classical(std4), seed=0).passed
+
+
+# the structures on which verify_linfty proves higher-coherence: the
+# DECIDED_CASES that pass every premise, and sl(3) over a point
+COHERENT_CASES = ("ct4", "ct4b", "so3", "split4 + e1^e2^e3", "std2",
+                  "std2_frame", "std4", "sl3")
+
+
+def _coherent_spec(request, name):
+    if name == "sl3":
+        return request.getfixturevalue("sl3")
+    return DECIDED_CASES[name][0](request.getfixturevalue)
+
+
+class _DenseBracket(LInftyData):
+    """The packaging with its bracket read through oracles.dense_bracket."""
+
+    def _bracket(self, x, y):
+        from oracles import dense_bracket
+
+        return dense_bracket(self.spec, x, y)
+
+
+class TestCoherence:
+    """When every suites' verdict that verify_linfty reads passes (S,
+    invariance and Jacobi; twisted, also twist-membership and twist-closed),
+    it reports higher-coherence as proved and evaluates no quad.  These
+    tests hold the packaging's code to the proof (verify_linfty's
+    docstring): the defect vanishes on the structures where it is proved,
+    a fault in l3 still shows, and each premise gates the row."""
+
+    @staticmethod
+    def coherence(spec, dense: bool = False, draws: int = 20, seed: int = 13):
+        """The first quad, among every increasing basis quad and ``draws``
+        seeded random quads of degree-3 sections, where the higher-coherence
+        defect of spec's packaging is not zero, or None.  The maps are
+        LInftyData's, read at call time; ``dense`` reads the bracket through
+        oracles.dense_bracket."""
+        data = _builder(spec)(spec)
+        if dense:
+            data = _DenseBracket(spec, data.classical, data.v1_basis, data.split)
+        rng = random.Random(seed)
+        quads = list(itertools.combinations(data.v0_basis, 4))
+        quads += [tuple(rand_section(rng, spec, 3) for _ in range(4))
+                  for _ in range(draws)]
+        return first_failure(quads, ("x1", "x2", "x3", "x4"),
+                             lambda *t: linfty._eq_higher_coherence(data, *t))
+
+    def test_the_coherent_cases_are_the_proved_ones(self, request):
+        proved = [name for name in sorted(DECIDED_CASES)
+                  if "higher-coherence" in _decided_case(request, name)[3]]
+        assert proved + ["sl3"] == list(COHERENT_CASES)
+        labels = {c.axiom: c.label for c in verify_linfty(
+            build_classical(request.getfixturevalue("sl3"))).checks}
+        assert set(labels.values()) == {"proved"}, labels
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["own", "dense"])
+    @pytest.mark.parametrize("name", COHERENT_CASES)
+    def test_defect_vanishes_where_proved(self, request, name, dense):
+        assert self.coherence(_coherent_spec(request, name), dense) is None
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["own", "dense"])
+    def test_defect_seen_where_jacobi_fails(self, ctwist4, dense):
+        # ⟨e5,e5⟩ = 2: the suites' S and invariance rows pass, their
+        # twisted Jacobi row fails, and so does the coherence
+        bad = corrupt_gram(ctwist4, 4, Scalar.rational(2))
+        call = _Call(bad)
+        assert call.verdict(_ax_symmetric_part)[0] is None
+        assert call.verdict(_ax_invariance)[0] is None
+        assert _ax_jacobi(call, twisted=True)[0] is not None
+        assert self.coherence(bad, dense) is not None
+
+    @pytest.mark.parametrize("name, fault", [
+        ("ct4", "drop H̃"), ("ct4", "double M"), ("ct4", "bracket in M"),
+        ("std4", "bracket in M")])
+    def test_a_broken_l3_shows(self, request, monkeypatch, name, fault):
+        # faults that the proved row hides: verify_linfty still passes.
+        # Doubling M classically doubles the whole defect, which is linear
+        # in l3 there (x▷f reads no l3), so std4 gets the fault that reads
+        # [a,b] for l2(a,b) in M, dropping l2's −½D⟨a,b⟩
+        from courantkit.structure import bracket, d0, pairing
+
+        spec = DECIDED_CASES[name][0](request.getfixturevalue)
+        l3 = LInftyData.l3
+
+        def broken(self, x, y, z):
+            value = l3(self, x, y, z)
+            split = Section.zero(spec.rank) if self.classical else self.split(x, y, z)
+            if fault == "drop H̃":
+                return value - split
+            if fault == "double M":
+                return value + value - split
+            metric = linfty._MINUS_SIXTH * sum(
+                (pairing(spec, bracket(spec, a, b), c) for a, b, c
+                 in ((x, y, z), (y, z, x), (z, x, y))), Scalar.rational(0))
+            return metric if self.classical else d0(spec, metric) + split
+
+        monkeypatch.setattr(LInftyData, "l3", broken)
+        assert verify_linfty(_builder(spec)(spec), seed=0).passed
+        assert self.coherence(spec) is not None
+
+    @pytest.mark.parametrize("name, premise", [
+        *(("ct4", premise) for premise in PREMISES),
+        *(("std4", premise) for premise in PREMISES[:3])])
+    def test_each_premise_gates_the_row(self, request, monkeypatch, name,
+                                        premise):
+        # one failing premise: the row is evaluated, and its status and
+        # witness are those of the full path
+        spec = DECIDED_CASES[name][0](request.getfixturevalue)
+
+        def row(report):
+            return next(c for c in report.checks
+                        if c.axiom == "higher-coherence").to_json()
+
+        with monkeypatch.context() as m:
+            _force_full_path(m)
+            full = row(verify_linfty(_builder(spec)(spec), seed=0))
+        monkeypatch.setattr(linfty, premise, lambda call, **kwargs: (
+            {"forced": "off"}, "decided"))
+        assert row(verify_linfty(_builder(spec)(spec), seed=0)) == full
+        assert full["label"] == "sampled"
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CASES) + ["ct4", "std4"])
+    def test_quartic_defect_is_the_jacobiators(self, request, name):
+        # the proof's Ψ = ¼·Σₖ εₖ⟨Jac(x̂ₖ),xₖ⟩: Ψ is the classical
+        # packaging's defect (its maps built directly, as build_classical
+        # refuses a twist) on a structure whose S, invariance and
+        # anchor-morphism rows pass, Jac goes through oracles.dense_bracket;
+        # Jac ≢ 0 on all but std4, where both sides vanish
+        from functools import partial
+
+        from oracles import dense_bracket
+
+        from courantkit.structure import _jacobiator, pairing
+
+        if name in IDENTITY_CASES:
+            spec = IDENTITY_CASES[name](request.getfixturevalue)
+        else:
+            spec = DECIDED_CASES[name][0](request.getfixturevalue)
+        data = LInftyData(spec, True, ())
+        rng = random.Random(17)
+        nonzero = 0
+        for _ in range(10):
+            xs = [rand_section(rng, spec, 2) for _ in range(4)]
+            want = Scalar.rational(0)
+            for k, rest, sign in linfty._UNSHUFFLES_13:
+                term = pairing(spec, _jacobiator(partial(dense_bracket, spec),
+                                                 *(xs[r] for r in rest)), xs[k])
+                want = want + (term if sign > 0 else -term)
+            want = want * Scalar.rational(Fraction(1, 4))
+            assert linfty._eq_higher_coherence(data, *xs) == want, xs
+            nonzero += not want.is_zero()
+        assert nonzero == 0 if name == "std4" else nonzero >= 5, nonzero
