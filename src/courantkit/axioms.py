@@ -41,10 +41,11 @@ and each row that Jacobi reads, is evaluated once per call.  dirac's
 induced algebroid and linfty.verify_linfty (for S) make their own.  Keys
 are the exact ordered arguments, never filled from skewness or any other
 property under test.  The decision sets, not the tables, may drop a tuple
-whose defect is exactly ± that of an earlier one (a mirror): by formula in
-symmetric-part and invariance, and in Jacobi only where the structure
-itself is checked to mirror it (see _jacobi_tuples), so the first failing
-tuple is never dropped.
+whose defect is exactly ± that of an earlier one (a mirror), or zero: by
+formula in symmetric-part and invariance, and in Jacobi only where the
+structure itself is checked to allow it, through N(eₐ,e_b) or the call's
+symmetric-part, invariance and derivation-bracket verdicts (see
+_jacobi_tuples), so the first failing tuple is never dropped.
 
 The two rows that are tensorial on their basis tuples also keep call-owned
 tables keyed by basis indices.  `twisted-jacobi` reads H̃ through
@@ -252,11 +253,16 @@ def _jacobi_tuples(call: _Call) -> Iterable[tuple[Section, Section, Section]]:
 
     and Jac − H̃ obeys them too, H̃ being alternating and tensorial.  The
     set: (1) the basis triples that no earlier one mirrors (see Mirrors);
-    (2) (a, b, xᵥ·e1) for each of A's pairs with A(a,b)xᵥ ≠ 0; (3) only
-    when S or I fails, each basis triple with one xᵥ in slot b or in slot
-    a.  If S = I = 0, invariance at (a, b, D₀f) gives A(a,b)f = ⟨b,T(f,a)⟩,
-    so Jac ≡ 0 iff (1) passes and A ≡ 0 (slot c, then b, then a by the
-    third identity; conversely the first forces A ≡ 0).
+    (2) unless `tensor` holds, (a, b, xᵥ·e1) for each of A's pairs with
+    A(a,b)xᵥ ≠ 0; (3) only when S or I fails, each basis triple with one
+    xᵥ in slot b or in slot a.  Here `tensor` means S = I = 0 and T ≡ 0,
+    T's verdict being the derivation-bracket row's, which decides T on
+    every structure.  If S = I = 0, invariance at (a, b, D₀f), with
+    [a,D₀f] = D₀(ρ(a)f) − T(f,a) from S(a,D₀f) = 0 and ⟨a,D₀f⟩ = ρ(a)f,
+    gives A(a,b)f = ⟨b,T(f,a)⟩ on all sections, so Jac ≡ 0 iff (1) passes
+    and A ≡ 0 (slot c, then b, then a by the third identity; conversely
+    the first forces A ≡ 0).  Under `tensor` that makes A ≡ 0, so (2)
+    would yield nothing and is not built.
     Once (1) and A's basis pairs pass, T(f,eᵢ) = 0, so slot a gives
     Jac(xᵤp,q,e1) = 0 and (2) reads −A(a,b)xᵥ·e1.  Otherwise, once A ≡ 0,
     the excess of slot b over f·Jac, and that of slot a, which by the third
@@ -269,15 +275,25 @@ def _jacobi_tuples(call: _Call) -> Iterable[tuple[Section, Section, Section]]:
       (M1) Jac(a,b,c) + Jac(b,a,c) = −[N(a,b),c]
       (M2) Jac(a,b,c) + Jac(a,c,b) = [a,N(b,c)] − N([a,b],c) − N(b,[a,c])
 
-    and Jac − H̃ obeys both, H̃ being alternating.  (1) skips (eₐ,e_b,e_c)
-    when a > b and N(eₐ,e_b) = 0, read through call.br, and when b > c, S = I = 0
-    and G_bc ∈ ℚ: then N(x,y) = D₀⟨x,y⟩ and I at (eₐ,e_b,e_c) turn (M2) into
-    [eₐ,D₀G_bc] − D₀(ρ(eₐ)G_bc) = 0.  Either way the skipped defect is minus
-    that at (b,a,c) or (a,c,b), which comes earlier in product order, so the
-    first nonzero basis triple is never skipped: (1) fails at the same
-    triple with the same defect as the full product, and passes iff every
-    basis triple does.  (e,e,e) is never skipped; where both rules hold
-    throughout, (1) is the C(r+2,3) triples a ≤ b ≤ c.
+    and Jac − H̃ obeys both, H̃ being alternating.  If S = I = 0, N(x,y) =
+    D₀⟨x,y⟩, so by the formula for [a,D₀f] above and I at (eₐ,e_b,e_c) they
+    read, on basis sections,
+
+      (M1′) Jac(a,b,c) + Jac(b,a,c) = −T(G_ab,c)
+      (M2′) Jac(a,b,c) + Jac(a,c,b) = [a,D₀G_bc] − D₀(ρ(a)G_bc) = −T(G_bc,a)
+
+    and T(g,·) = 0 for g ∈ ℚ, as D₀g = 0.  (1) skips (eₐ,e_b,e_c) when
+    a ≥ b and either N(eₐ,e_b) = 0, read through call.br, or `tensor`
+    holds; and when c ≤ b, S = I = 0, and either G_bc ∈ ℚ or `tensor`
+    holds.  Either way the rule's identity, (M1), (M1′) or (M2′), has a
+    zero right side, so the skipped defect is zero when a = b or b = c (it
+    is half of zero) and otherwise minus that at (b,a,c) or (a,c,b), which
+    comes earlier in product order.  So the first nonzero
+    basis triple is never skipped: (1) fails at the same triple with the
+    same defect as the full product, and passes iff every basis triple
+    does.  Under `tensor`, (1) is the C(r,3) triples a < b < c.  `tensor`
+    is read only where a rule needs it: after N(eₐ,e_b) ≠ 0 at a ≥ b, after
+    G_bc ∉ ℚ at c ≤ b, or before (2).
 
     Each tuple carries two entries past the witness names: the basis indices
     (i, j, k) of its slots and the monomial f it holds in one of them (1 in
@@ -286,15 +302,21 @@ def _jacobi_tuples(call: _Call) -> Iterable[tuple[Section, Section, Section]]:
     basis, xs, gram, br = call.basis, call.xs, call.spec.gram.entries, call.br
     lemma_c = not (call.verdict(_ax_symmetric_part)[0]
                    or call.verdict(_ax_invariance)[0])
+
+    def tensor() -> bool:
+        return lemma_c and call.verdict(_ax_derivation_bracket)[0] is None
+
     r = range(len(basis))
     for i, j in itertools.product(r, repeat=2):
         a, b = basis[i], basis[j]
-        if i > j and (br(a, b) + br(b, a)).is_zero():
+        if i >= j and ((br(a, b) + br(b, a)).is_zero() or tensor()):
             continue
         for k in r:
-            if not (k < j and lemma_c and gram[j][k].is_rational()):
+            if not (k <= j and lemma_c
+                    and (gram[j][k].is_rational() or tensor())):
                 yield a, b, basis[k], (i, j, k), ONE
-    yield from _anchor_fallback(call, basis, call.pair_keys())
+    if not tensor():
+        yield from _anchor_fallback(call, basis, call.pair_keys())
     if not lemma_c:
         for ijk in itertools.product(r, repeat=3):
             a, b, c = (basis[i] for i in ijk)

@@ -354,15 +354,6 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
     its tuples, so a failing report is the evaluation's own.
     """
     spec = data.spec
-    rng = random.Random(seed)
-    randoms = [rand_section(rng, spec, degree) for _ in range(samples)]
-    v0 = data.v0_basis + randoms
-    if data.classical:
-        rand_v1 = [rand_scalar(rng, spec.nvars, degree) for _ in range(2)]
-    else:
-        rand_v1 = [rand_combination(rng, spec, data.v1_basis, degree)
-                   for _ in range(2)]
-    v1 = [*data.v1_basis, *rand_v1]
     call = _Call(spec)
     skew = call.verdict(_ax_symmetric_part)[0] is None
     settled = (skew and call.verdict(_ax_invariance)[0] is None
@@ -371,6 +362,19 @@ def verify_linfty(data: LInftyData, seed: int = 0, degree: int = 2,
                           call.verdict(_ax_twist_membership)[0] is None)
     coherent = member and (data.classical or
                            call.verdict(_ax_twist_closed)[0] is None)
+    # the verdicts draw nothing, so the random sections, drawn only when
+    # some row is evaluated, are the same as if drawn first
+    randoms, rand_v1 = [], []
+    if not coherent:
+        rng = random.Random(seed)
+        randoms = [rand_section(rng, spec, degree) for _ in range(samples)]
+        if data.classical:
+            rand_v1 = [rand_scalar(rng, spec.nvars, degree) for _ in range(2)]
+        else:
+            rand_v1 = [rand_combination(rng, spec, data.v1_basis, degree)
+                       for _ in range(2)]
+    v0 = data.v0_basis + randoms
+    v1 = [*data.v1_basis, *rand_v1]
     data = _CallTables(data, call, skew)
     report = CheckReport(suite="l-infinity")
     report.add("l2-skew", *(PROVED if skew else decide(

@@ -568,6 +568,182 @@ class TestMirroredSets:
                     ), (suite, check.axiom)
 
 
+def _benchmark_structures() -> dict:
+    """perfbench/fixtures.build_all(): every structure a benchmark workload
+    names, keyed by its file stem."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures.py"
+    found = importlib.util.spec_from_file_location("perfbench_fixtures", path)
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    return module.build_all()
+
+
+BENCHMARK_STRUCTURES = _benchmark_structures()
+JACOBI_ROWS = {"courant": "jacobi", "courant-dorfman": "jacobi",
+               "h-twisted": "twisted-jacobi", "h-twisted-cd": "twisted-jacobi"}
+
+
+def reference_jacobi_tuples(spec):
+    """Jacobi's set before it read T: the r³ basis triples in product order;
+    then (a, b, xᵥ·e1) for each of A's pairs (the basis pairs, then (xᵥ·e1,
+    e_q)) with A(a,b)xᵥ ≠ 0; then, when S or I fails on a basis tuple, each
+    basis triple with one xᵥ in slot b, then in slot a.  S, I and A are
+    read through the dense oracles."""
+    rows = dense_rows(spec)
+    basis, xs = spec.basis_sections(), [x(v) for v in range(spec.nvars)]
+    yield from itertools.product(basis, repeat=3)
+    q = next(j for j, g in enumerate(spec.gram.entries[0]) if not g.is_zero())
+    pairs = list(itertools.product(basis, repeat=2))
+    pairs += [(basis[0].scale(u), basis[q]) for u in xs]
+    for a, b in pairs:
+        for u, component in zip(xs, rows["anchor-morphism"][1](a, b)):
+            if not component.is_zero():
+                yield a, b, basis[0].scale(u)
+    symmetric, invariance = rows["symmetric-part"][1], rows["invariance"][1]
+    if (any(not symmetric(*t).is_zero() for t in itertools.product(basis, repeat=2))
+            or any(not invariance(*t).is_zero()
+                   for t in itertools.product(basis, repeat=3))):
+        for a, b, c in itertools.product(basis, repeat=3):
+            for u in xs:
+                yield a, b.scale(u), c
+                yield a.scale(u), b, c
+
+
+class TestJacobiPremises:
+    """Jacobi's set reads the structure's own S, invariance and T verdicts:
+    with S = I = 0 and T ≡ 0 (`tensor`), A ≡ 0, so step (2) is not built,
+    and step (1) drops each basis triple whose defect is zero or minus an
+    earlier one's (axioms._jacobi_tuples).  Every verdict, label and
+    witness must be the one the full set gives, through the dense oracles,
+    on the benchmark's structures and on three that set the premises
+    apart: std2_frame (S, I and T pass, polynomial Gram), std2+rho (S and
+    I pass, T and A fail) and std2 with [e1,e1] = e1 (S and I fail, T
+    passes, A fails)."""
+
+    PREMISE_CASES = ["std2_frame", "std2+rho", "std2 [e1,e1] = e1"]
+
+    @staticmethod
+    def structure(request, name):
+        std2 = request.getfixturevalue("std2")
+        return {
+            "std2+rho": lambda: corrupt_anchor(std2, 2, 0, ONE),
+            "std2 [e1,e1] = e1": lambda: corrupt_bracket(
+                std2, 0, 0, Section.basis(0, 4)),
+            "std2 anchor (1,1) x1*x2": lambda: corrupt_anchor(
+                std2, 0, 0, x(0) * x(1)),
+            "std4 anchor (5,2) x3": lambda: corrupt_anchor(
+                request.getfixturevalue("std4"), 4, 1, x(2)),
+            "std2_frame": lambda: request.getfixturevalue("std2_frame"),
+        }.get(name, lambda: BENCHMARK_STRUCTURES[name])()
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_STRUCTURES) + PREMISE_CASES)
+    def test_row_is_the_full_sets(self, request, name):
+        spec = self.structure(request, name)
+        rows, expected = dense_rows(spec), {}
+        for suite, axiom in JACOBI_ROWS.items():
+            if spec.twist is None and axiom == "twisted-jacobi":
+                continue
+            if axiom not in expected:
+                witness = first_failure(reference_jacobi_tuples(spec),
+                                        ("phi", "psi1", "psi2"), rows[axiom][1])
+                expected[axiom] = ("pass" if witness is None else "fail",
+                                   "decided", witness)
+            check = next(c for c in check_axioms(spec, suite).checks
+                         if c.axiom == axiom)
+            assert (check.status, check.label, check.witness) == expected[axiom], suite
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_STRUCTURES) + PREMISE_CASES)
+    def test_dropped_triples_are_zero_or_mirrored(self, request, name):
+        # step (1) holds the tuples with monomial 1, in product order; each
+        # basis triple it drops has a zero defect or minus that of its
+        # mirror (j,i,k) or (i,k,j), which comes earlier
+        import courantkit.axioms as axioms
+
+        spec = self.structure(request, name)
+        rows, basis = dense_rows(spec), spec.basis_sections()
+        kept = [t[3] for t in itertools.takewhile(
+            lambda t: t[4] is ONE, axioms._jacobi_tuples(axioms._Call(spec)))]
+        assert kept == sorted(set(kept))
+        dropped = set(itertools.product(range(spec.rank), repeat=3)) - set(kept)
+        for axiom in ["jacobi"] + (["twisted-jacobi"] if spec.twist is not None else []):
+            def defect(i, j, k):
+                return rows[axiom][1](basis[i], basis[j], basis[k])
+
+            for i, j, k in sorted(dropped):
+                mirrors = ([(j, i, k)] if i > j else []) + ([(i, k, j)] if k < j else [])
+                value = defect(i, j, k)
+                assert value.is_zero() or any(
+                    value == -defect(*m) for m in mirrors), (axiom, i, j, k)
+
+    @pytest.mark.parametrize("name,premises", [
+        ("std2+rho", (True, True, False, False)),
+        ("std2 [e1,e1] = e1", (False, False, True, False))])
+    def test_failing_premise_keeps_step_two(self, request, name, premises):
+        # (S, I, T, A) passing as given: either way `tensor` fails, and
+        # step (2)'s tuples, the ones whose slot c is xᵥ·e1, are all of
+        # _anchor_fallback's, in its order
+        import courantkit.axioms as axioms
+
+        spec = self.structure(request, name)
+        call = axioms._Call(spec)
+        assert tuple(call.verdict(checker)[0] is None for checker in (
+            axioms._ax_symmetric_part, axioms._ax_invariance,
+            axioms._ax_derivation_bracket, axioms._ax_anchor_morphism)) == premises
+        fallback = list(axioms._anchor_fallback(call, call.basis, call.pair_keys()))
+        step_two = [t for t in axioms._jacobi_tuples(axioms._Call(spec))
+                    if t[2] not in call.basis]
+        assert fallback and step_two == fallback
+
+    @pytest.mark.parametrize("name", [
+        "std2", "std3", "std4", "ct4", "ct4b", "sl3", "ct4_twist",
+        "std2_frame", "std2+rho", "std2 anchor (1,1) x1*x2",
+        "std4 anchor (5,2) x3"])
+    def test_anchor_morphism_is_t_paired(self, request, name):
+        # the lemma that lets `tensor` skip step (2): with S = I = 0,
+        # A(a,b)xᵥ = ⟨b, T(xᵥ,a)⟩, T(f,ψ) = [D₀f,ψ], through the dense
+        # oracles on A's pairs, the basis pairs and (xᵤ·e1, e_q); on the
+        # last three T and A fail together
+        import courantkit.axioms as axioms
+        from oracles import dense_bracket, dense_pairing
+
+        from courantkit.structure import d0
+
+        spec = self.structure(request, name)
+        rows, basis = dense_rows(spec), spec.basis_sections()
+        assert all(rows["symmetric-part"][1](*t).is_zero()
+                   for t in itertools.product(basis, repeat=2))
+        assert all(rows["invariance"][1](*t).is_zero()
+                   for t in itertools.product(basis, repeat=3))
+        d0x = [d0(spec, x(v)) for v in range(spec.nvars)]
+        nonzero = False
+        for a, b in axioms._Call(spec).pairs():
+            value = rows["anchor-morphism"][1](a, b)
+            assert value == tuple(dense_pairing(spec, b, dense_bracket(spec, df, a))
+                                  for df in d0x), (a, b)
+            nonzero |= any(not c.is_zero() for c in value)
+        assert nonzero == (name in ("std2+rho", "std2 anchor (1,1) x1*x2",
+                                    "std4 anchor (5,2) x3"))
+
+    def test_t_and_a_fail_together(self, std2):
+        # every single anchor entry of std2 set to 1, x1, x2 or x1·x2 keeps
+        # S = I = 0; on each, the suites' T and A verdicts agree
+        import courantkit.axioms as axioms
+
+        failing = 0
+        for i, j in itertools.product(range(4), range(2)):
+            for value in (ONE, x(0), x(1), x(0) * x(1)):
+                call = axioms._Call(corrupt_anchor(std2, i, j, value))
+                s, inv, t, a = (call.verdict(checker)[0] is None for checker in (
+                    axioms._ax_symmetric_part, axioms._ax_invariance,
+                    axioms._ax_derivation_bracket, axioms._ax_anchor_morphism))
+                assert (s, inv, t) == (True, True, a), (i, j, value)
+                failing += not a
+        assert failing == 24
+
+
 class TestErrors:
     def test_unknown_suite(self, so3):
         with pytest.raises(UnknownSuiteError, match="unknown suite"):
@@ -828,12 +1004,14 @@ class TestCallTables:
         assert len(applied) == len(set(applied)) == count
 
     @pytest.mark.parametrize("fixture,suite,count", [
-        ("ctwist4", "h-twisted", 120), ("std3", "courant", 56)])
+        ("ctwist4", "h-twisted", 56), ("std3", "courant", 20),
+        ("std2_frame", "courant", 4)])
     def test_jacobi_skips_mirrored_basis_triples(self, monkeypatch, request,
                                                  fixture, suite, count):
-        # S = I = 0, each N(eₐ,e_b) is zero and each Gram entry constant, so
-        # Jacobi's step (1) reads the C(r+2,3) triples a ≤ b ≤ c of the r³
-        # (512 on ct4, 216 on std3), and step (2) reads none
+        # S = I = 0 and T ≡ 0, so Jacobi's step (1) reads the C(r,3)
+        # triples a < b < c of the r³ (512 on ct4, 216 on std3, 64 on
+        # std2_frame, whose Gram entries are not all constant), and step
+        # (2) is not built
         import courantkit.axioms as axioms
 
         jacobiator, calls = axioms._jacobiator, []
@@ -845,6 +1023,22 @@ class TestCallTables:
         monkeypatch.setattr(axioms, "_jacobiator", counted)
         assert check_axioms(request.getfixturevalue(fixture), suite).passed
         assert len(calls) == len(set(calls)) == count
+
+    def test_jacobi_evaluates_no_anchor_morphism(self, monkeypatch, ctwist4):
+        # S = I = 0 and T ≡ 0 prove A ≡ 0 (axioms._jacobi_tuples), so step
+        # (2), which evaluated A on the 8² + 4 = 68 pairs of
+        # _Call.pair_keys, is not built; h-twisted has no anchor-morphism row
+        import courantkit.axioms as axioms
+
+        defect, calls = axioms._anchor_morphism_defect, []
+
+        def counted(*args):
+            calls.append(args[2:])
+            return defect(*args)
+
+        monkeypatch.setattr(axioms, "_anchor_morphism_defect", counted)
+        assert check_axioms(ctwist4, "h-twisted").passed
+        assert calls == []
 
     def test_invariance_pairs_no_tuple(self, monkeypatch, ctwist4):
         # invariance reads the 8·36 = 288 basis triples (a, b ≤ c); its
