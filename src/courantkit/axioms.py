@@ -3,7 +3,8 @@
 Every row but leibniz decides its axiom exactly on a finite set of tuples,
 basis tuples first, and samples nothing.  Each checker's docstring states
 its set and the identity that makes the set decide the row (Jacobi's in
-_jacobi_tuples); (p, q) is the first basis pair with ⟨p,q⟩ ≠ 0.  Lemma A: a
+_jacobi_tuples, the one Jacobi set, which dirac's induced jacobi row reads
+over the generators of L); (p, q) is the first basis pair with ⟨p,q⟩ ≠ 0.  Lemma A: a
 ℚ-multilinear operator of total order ≤ k vanishes iff it vanishes on every
 tuple of x^β·eᵢ with Σ|β| ≤ k (by induction on Σ|β|: its value there is β!
 times its ∂^β coefficient plus terms already zero).  A row passes only when
@@ -43,9 +44,10 @@ are the exact ordered arguments, never filled from skewness or any other
 property under test.  The decision sets, not the tables, may drop a tuple
 whose defect is exactly ± that of an earlier one (a mirror), or zero: by
 formula in symmetric-part and invariance, and in Jacobi only where the
-structure itself is checked to allow it, through N(eₐ,e_b) or the call's
-symmetric-part, invariance and derivation-bracket verdicts (see
-_jacobi_tuples), so the first failing tuple is never dropped.
+structure itself is checked to allow it, through N(sₐ,s_b) or the
+premises its caller decides: the call's symmetric-part, invariance and
+derivation-bracket verdicts, or on L antisymmetry's (see _jacobi_tuples),
+so the first failing tuple is never dropped.
 
 The two rows that are tensorial on their basis tuples also keep call-owned
 tables keyed by basis indices.  `twisted-jacobi` reads H̃ through
@@ -242,9 +244,16 @@ class _Call:
 # T(f,ψ) = [D₀f,ψ] are the anchor-morphism and derivation-bracket defects.
 
 
-def _jacobi_tuples(call: _Call) -> Iterable[tuple[Section, Section, Section]]:
-    """Lemma B.  On every structure, by the two extension rules and
-    ⟨D₀f,ψ⟩ = ρ(ψ)f, with S and I the symmetric-part and invariance defects:
+def _jacobi_tuples(call: _Call, sections: list[Section],
+                   gram: Sequence[Sequence[Scalar]], keys: Iterable[tuple],
+                   lemma_c: bool, tensor: Callable[[], bool]) -> Iterable[tuple]:
+    """Lemma B, over the basis (_ax_jacobi) or over the generators of a
+    Dirac L (dirac._build_induced_htla): the one Jacobi set.  ``gram`` holds
+    the pairings of ``sections``, ``keys`` are step (2)'s (i, j, f), and the
+    caller decides the premises: ``lemma_c`` is S = I = 0 on their span, and
+    ``tensor()``, read only where a rule needs it, is T ≡ 0 as well.  On
+    every structure, by the two extension rules and ⟨D₀f,ψ⟩ = ρ(ψ)f, with S
+    and I the symmetric-part and invariance defects:
 
       Jac(a,b,f·c) = f·Jac − A(a,b)f·c
       Jac(a,f·b,c) = f·Jac + A(a,c)f·b − ⟨b,c⟩T(f,a) + ⟨b,c⟩S(a,D₀f)
@@ -252,17 +261,16 @@ def _jacobi_tuples(call: _Call) -> Iterable[tuple[Section, Section, Section]]:
       Jac(a,b,c) + Jac(b,a,c) = −[S(a,b),c] − T(⟨a,b⟩,c)
 
     and Jac − H̃ obeys them too, H̃ being alternating and tensorial.  The
-    set: (1) the basis triples that no earlier one mirrors (see Mirrors);
-    (2) unless `tensor` holds, (a, b, xᵥ·e1) for each of A's pairs with
-    A(a,b)xᵥ ≠ 0; (3) only when S or I fails, each basis triple with one
-    xᵥ in slot b or in slot a.  Here `tensor` means S = I = 0 and T ≡ 0,
-    T's verdict being the derivation-bracket row's, which decides T on
-    every structure.  If S = I = 0, invariance at (a, b, D₀f), with
-    [a,D₀f] = D₀(ρ(a)f) − T(f,a) from S(a,D₀f) = 0 and ⟨a,D₀f⟩ = ρ(a)f,
-    gives A(a,b)f = ⟨b,T(f,a)⟩ on all sections, so Jac ≡ 0 iff (1) passes
-    and A ≡ 0 (slot c, then b, then a by the third identity; conversely
-    the first forces A ≡ 0).  Under `tensor` that makes A ≡ 0, so (2)
-    would yield nothing and is not built.
+    set: (1) the triples of sections that no earlier one mirrors (see
+    Mirrors); (2) unless `tensor` holds, (f·sᵢ, sⱼ, xᵥ·s₀) for each key
+    with A(f·sᵢ,sⱼ)xᵥ ≠ 0; (3) only when `lemma_c` fails, each triple with
+    one xᵥ in slot b or in slot a.  On the basis the keys are A's pairs, and
+    the derivation-bracket row decides T on every structure.  If S = I = 0, invariance at (a, b, D₀f),
+    with [a,D₀f] = D₀(ρ(a)f) − T(f,a) from S(a,D₀f) = 0 and ⟨a,D₀f⟩ =
+    ρ(a)f, gives A(a,b)f = ⟨b,T(f,a)⟩ on all sections, so Jac ≡ 0 iff (1)
+    passes and A ≡ 0 (slot c, then b, then a by the third identity;
+    conversely the first forces A ≡ 0).  Under `tensor` that makes A ≡ 0, so
+    (2) would yield nothing and is not built.
     Once (1) and A's basis pairs pass, T(f,eᵢ) = 0, so slot a gives
     Jac(xᵤp,q,e1) = 0 and (2) reads −A(a,b)xᵥ·e1.  Otherwise, once A ≡ 0,
     the excess of slot b over f·Jac, and that of slot a, which by the third
@@ -282,54 +290,59 @@ def _jacobi_tuples(call: _Call) -> Iterable[tuple[Section, Section, Section]]:
       (M1′) Jac(a,b,c) + Jac(b,a,c) = −T(G_ab,c)
       (M2′) Jac(a,b,c) + Jac(a,c,b) = [a,D₀G_bc] − D₀(ρ(a)G_bc) = −T(G_bc,a)
 
-    and T(g,·) = 0 for g ∈ ℚ, as D₀g = 0.  (1) skips (eₐ,e_b,e_c) when
-    a ≥ b and either N(eₐ,e_b) = 0, read through call.br, or `tensor`
-    holds; and when c ≤ b, S = I = 0, and either G_bc ∈ ℚ or `tensor`
+    and T(g,·) = 0 for g ∈ ℚ, as D₀g = 0.  (1) skips (sₐ,s_b,s_c) when
+    a ≥ b and either N(sₐ,s_b) = 0, read through call.br, or `tensor`
+    holds; and when c ≤ b, `lemma_c` holds, and either G_bc ∈ ℚ or `tensor`
     holds.  Either way the rule's identity, (M1), (M1′) or (M2′), has a
     zero right side, so the skipped defect is zero when a = b or b = c (it
     is half of zero) and otherwise minus that at (b,a,c) or (a,c,b), which
-    comes earlier in product order.  So the first nonzero
-    basis triple is never skipped: (1) fails at the same triple with the
-    same defect as the full product, and passes iff every basis triple
-    does.  Under `tensor`, (1) is the C(r,3) triples a < b < c.  `tensor`
-    is read only where a rule needs it: after N(eₐ,e_b) ≠ 0 at a ≥ b, after
-    G_bc ∉ ℚ at c ≤ b, or before (2).
+    comes earlier in product order.  So the first nonzero triple is never
+    skipped: (1) fails at the same triple with the same defect as the full
+    product, and passes iff every triple of sections does.  Under `tensor`,
+    (1) is the C(r,3) triples a < b < c.
 
-    Each tuple carries two entries past the witness names: the basis indices
-    (i, j, k) of its slots and the monomial f it holds in one of them (1 in
-    (1), the pair's monomial times xᵥ in (2), xᵥ in (3)).
+    On L.  ⟨L,L⟩ = 0 and [L,L] ⊆ L, so I ≡ 0 and S = N on L: the caller
+    passes a zero ``gram``, "antisymmetry passes" as ``lemma_c``, and a
+    `tensor` that is always false, as D₀f ∉ L and T never applies.  With
+    J = Jac − H̃, slot c reads J(a,b,f·c) = f·J − A(a,b)f·c and slot b
+    J(a,f·b,c) = f·J + A(a,c)f·b.  (M1) is pure bilinearity, and (M2)'s
+    right side vanishes once N|L ≡ 0, as [a,b], [a,c] ∈ L: so (1) skips as
+    above, and is the increasing triples when antisymmetry passes.  A is
+    ℚ[x]-bilinear on L (see dirac's note), so constant keys decide it: once
+    (1) passes, (2) reads −A(gᵢ,gⱼ)xᵥ·g₁.  Once (1) and (2) pass, A ≡ 0 on
+    L, so (3)'s slot-b tuples are zero and never move a first failure; its
+    slot-a tuples read J(f·a,b,c) − f·J = (ρ(c)f)·N(a,b) − ⟨N(a,b),c⟩D₀f,
+    tensorial in a, b, c and a derivation in f, so they decide it.
+
+    Each tuple carries two entries past the witness names: the indices
+    (i, j, k) of its slots in ``sections`` and the monomial it holds in one
+    of them (1 in (1), f·xᵥ in (2), xᵥ in (3)).
     """
-    basis, xs, gram, br = call.basis, call.xs, call.spec.gram.entries, call.br
-    lemma_c = not (call.verdict(_ax_symmetric_part)[0]
-                   or call.verdict(_ax_invariance)[0])
-
-    def tensor() -> bool:
-        return lemma_c and call.verdict(_ax_derivation_bracket)[0] is None
-
-    r = range(len(basis))
+    br = call.br
+    r = range(len(sections))
     for i, j in itertools.product(r, repeat=2):
-        a, b = basis[i], basis[j]
+        a, b = sections[i], sections[j]
         if i >= j and ((br(a, b) + br(b, a)).is_zero() or tensor()):
             continue
         for k in r:
             if not (k <= j and lemma_c
                     and (gram[j][k].is_rational() or tensor())):
-                yield a, b, basis[k], (i, j, k), ONE
+                yield a, b, sections[k], (i, j, k), ONE
     if not tensor():
-        yield from _anchor_fallback(call, basis, call.pair_keys())
+        yield from _anchor_fallback(call, sections, keys)
     if not lemma_c:
         for ijk in itertools.product(r, repeat=3):
-            a, b, c = (basis[i] for i in ijk)
-            for x in xs:
+            a, b, c = (sections[i] for i in ijk)
+            for x in call.xs:
                 yield a, b.scale(x), c, ijk, x
                 yield a.scale(x), b, c, ijk, x
 
 
 def _anchor_fallback(call: _Call, sections: list[Section],
                      keys: Iterable[tuple]) -> Iterable[tuple]:
-    """Lemma B's step (2), over the basis or the generators of a Dirac L: for
-    each key (i, j, f), (f·sᵢ, sⱼ, xᵥ·s₀) wherever A(f·sᵢ, sⱼ)xᵥ ≠ 0, with
-    its indices (i, j, 0) and monomial f·xᵥ."""
+    """Lemma B's step (2): for each key (i, j, f), (f·sᵢ, sⱼ, xᵥ·s₀)
+    wherever A(f·sᵢ, sⱼ)xᵥ ≠ 0, with its indices (i, j, 0) and monomial
+    f·xᵥ."""
     xs = call.xs
     for i, j, f in keys:
         a, b = sections[i] if f is ONE else sections[i].scale(f), sections[j]
@@ -349,10 +362,23 @@ def _jacobi_defect(br: Callable, lookup: Callable, a: Section, b: Section,
 
 
 def _ax_jacobi(call: _Call, twisted: bool) -> Verdict:
-    """Jac, or Jac − H̃ read through split_lookup over the basis, on Jacobi's set."""
-    lookup = split_lookup(call.spec, call.spec.twist, call.basis) if twisted else {}.get
-    return decide(_jacobi_tuples(call), ("phi", "psi1", "psi2"),
-                  partial(_jacobi_defect, call.br, lookup))
+    """Jac, or Jac − H̃ read through split_lookup over the basis, on Jacobi's
+    set over the basis, with the call's S and I verdicts as `lemma_c` and
+    T's as well for `tensor`.  Over a polynomial base an empty set is still
+    "decided": it was built by evaluating T, or A on every pair."""
+    spec, basis = call.spec, call.basis
+    lookup = split_lookup(spec, spec.twist, basis) if twisted else {}.get
+    lemma_c = not (call.verdict(_ax_symmetric_part)[0]
+                   or call.verdict(_ax_invariance)[0])
+
+    def tensor() -> bool:
+        return lemma_c and call.verdict(_ax_derivation_bracket)[0] is None
+
+    return decide(
+        _jacobi_tuples(call, basis, spec.gram.entries, call.pair_keys(),
+                       lemma_c, tensor),
+        ("phi", "psi1", "psi2"), partial(_jacobi_defect, call.br, lookup),
+        empty="decided" if spec.nvars else "vacuous")
 
 
 def _ax_twist_membership(call: _Call) -> Verdict:

@@ -19,10 +19,11 @@ connection-based derivative: the usual covariant-derivative formula with the
 anchor terms replaced by ∇_ψ v = [ψ, v].  induced_htla samples nothing:
 each of its five rows reads a finite set of generator tuples, possibly
 scaled by one variable, that decides it exactly (the sets are listed in its
-docstring and proved in _build_induced_htla, _jacobi_triples and
+docstring and proved in _build_induced_htla, axioms._jacobi_tuples and
 _closed_quads), but leibniz, proved as in the suites.  H̃ on generator
-tuples is kerforms.split_table over the generators, and the jacobi row runs
-the axiom suites' code.
+tuples is kerforms.split_table over the generators.  The jacobi row is the
+axiom suites' own: their set builder and defect, read over the generators
+with antisymmetry as the premise that S = I = 0 is over the basis.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable
 
-from courantkit.axioms import (CheckReport, _anchor_fallback, _Call, _jacobi_defect,
+from courantkit.axioms import (CheckReport, _Call, _jacobi_defect, _jacobi_tuples,
                                decide, first_failure, witness)
 from courantkit.exact import Matrix, ONE, Scalar, ZERO, _eliminate
 from courantkit.kerforms import split_table, split_value, tilde_split, zero_form
@@ -263,15 +264,17 @@ def induced_htla(spec: AlgebroidSpec, sub: Subbundle) -> tuple[dict, CheckReport
     the bracket structure functions over the generators, and the restricted
     three-form values; the report checks, with witnesses, each row on a
     finite set of generator tuples that decides it (proofs in
-    _build_induced_htla, _jacobi_triples and _closed_quads):
+    _build_induced_htla, axioms._jacobi_tuples and _closed_quads):
 
       twist-values-in-kernel   H̃|L lands in ker ρ ∩ L: increasing triples
       antisymmetry             the restricted bracket is skew: pairs i < j,
                                then each generator with itself
-      jacobi                   Jacobi up to H̃|L: increasing triples, then
-                               (a, b, xᵥ·g₁) where A(a,b)xᵥ ≠ 0, and when
-                               antisymmetry fails every ordered triple and
-                               each with one xᵥ in slot a
+      jacobi                   Jacobi up to H̃|L, on the suites' set:
+                               increasing triples when antisymmetry passes,
+                               else the ordered triples but mirrors of
+                               earlier ones; then (a, b, xᵥ·g₁) where
+                               A(a,b)xᵥ ≠ 0, and when antisymmetry fails
+                               each triple with one xᵥ in slot b or slot a
       leibniz                  the anchor Leibniz rule along L: proved, as
                                structure.bracket builds it in
       twist-closed             the connection derivative of H̃|L vanishes:
@@ -296,11 +299,15 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     ker ρ ∩ L is a submodule, so the nonzero values on increasing generator
     triples decide it.  antisymmetry: N is symmetric and ℚ[x]-bilinear on
     L, so the pairs i < j and the diagonal, where [g,g] is ½·N(g,g), decide
-    it.  leibniz is proved by structure.bracket's construction (see its
+    it.  jacobi reads axioms._jacobi_tuples over the generators: zero
+    pairings, the g² constant pairs as step (2)'s keys, antisymmetry's pass
+    as `lemma_c` and `tensor` false (its docstring reduces Lemma B to L).
+    leibniz is proved by structure.bracket's construction (see its
     docstring).  A row with an empty set is "vacuous", as is
     twist-values-in-kernel without a twist or a generator triple, but
-    jacobi over a polynomial base: its set is built by evaluating A on every
-    generator pair, which decides the row when no triple is left.
+    jacobi over a polynomial base, as in the suites: its set is built by
+    evaluating A on every generator pair, which decides the row when no
+    triple is left.
     """
     call = _Call(spec)
     br, gens, g = call.br, sub.generators, sub.dim
@@ -330,9 +337,11 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
         ("generator",), lambda _, x: br(x, x))
     report.add("antisymmetry", skew)
 
+    pairs = ((i, j, ONE) for i, j in itertools.product(range(g), repeat=2))
     report.add("jacobi", *decide(
-        _jacobi_triples(call, gens, skew is not None), ("x", "y", "z"),
-        partial(_jacobi_defect, br, table.get),
+        _jacobi_tuples(call, gens, [[ZERO] * g] * g, pairs, skew is None,
+                       lambda: False),
+        ("x", "y", "z"), partial(_jacobi_defect, br, table.get),
         empty="decided" if spec.nvars else "vacuous"))
 
     report.add("leibniz", None, "proved")
@@ -374,50 +383,6 @@ def _build_induced_htla(spec: AlgebroidSpec, sub: Subbundle,
     return data, report
 
 
-def _keyed(gens: list[Section], arity: int, increasing: bool) -> Iterable[tuple]:
-    """(*sections, key, 1) for each generator index tuple key that strictly
-    increases, or for each other one, in index order."""
-    for key in itertools.product(range(len(gens)), repeat=arity):
-        if all(a < b for a, b in zip(key, key[1:])) == increasing:
-            yield (*(gens[k] for k in key), key, ONE)
-
-
-def _jacobi_triples(call: _Call, gens: list[Section],
-                    skew_fails: bool) -> Iterable[tuple]:
-    """Lemma B on L.  J = Jac − H̃; with ⟨a,b⟩ = 0 and I = 0 on L, the
-    identities of axioms._jacobi_tuples become
-
-      J(a,b,f·c) = f·J − A(a,b)f·c
-      J(a,f·b,c) = f·J + A(a,c)f·b
-      J(a,b,c) + J(b,a,c) = −[N(a,b),c]
-
-    and together J(f·a,b,c) = f·J − A(b,c)f·a + (ρ(c)f)·N(a,b) −
-    ⟨N(a,b),c⟩D₀f.  Also J(a,b,c) + J(a,c,b) = [a,N(b,c)] − N([a,b],c) −
-    N([a,c],b).  The set: (1) increasing generator triples; (2) (a, b, xᵥ·g₁)
-    for each ordered generator pair with A(a,b)xᵥ ≠ 0; (3) only when
-    antisymmetry fails, the other ordered generator triples, then every
-    generator triple with one xᵥ in slot a.  Suppose every tuple passes.
-    J vanishes on all generator triples: by (3), or, when N ≡ 0 on L, since
-    J is then alternating.  So (2) reads −A(a,b)xᵥ·g₁ ≠ 0; it is empty, and
-    A ≡ 0 on L.  Slots c and b are then tensorial, and slot a's excess over
-    f·J is (ρ(c)f)·N(a,b) − ⟨N(a,b),c⟩D₀f: zero when N ≡ 0, and otherwise
-    tensorial in a, b, c and a derivation in f, so (3)'s degree-1 tuples,
-    which read it, decide it.  Hence J ≡ 0 on L.
-
-    As in axioms._jacobi_tuples, a tuple (x, y, z, indices, f) carries its
-    generator indices and monomial; (2) is axioms._anchor_fallback.
-    """
-    g = range(len(gens))
-    yield from _keyed(gens, 3, True)
-    yield from _anchor_fallback(call, gens, ((i, j, ONE) for i in g for j in g))
-    if skew_fails:
-        yield from _keyed(gens, 3, False)
-        for ijk in itertools.product(g, repeat=3):
-            a, b, c = (gens[k] for k in ijk)
-            for x in call.xs:
-                yield a.scale(x), b, c, ijk, x
-
-
 def _closed_quads(gens: list[Section], xs: list[Scalar], skew_fails: bool,
                   values_escape: bool) -> Iterable[tuple]:
     """C(x₀,…,x₃) = Σₖ (−1)ᵏ[xₖ, H̃(x̂ₖ)] + Σ_{k<l} (−1)^{k+l} H̃([xₖ,xₗ], x̂ₖₗ),
@@ -441,14 +406,18 @@ def _closed_quads(gens: list[Section], xs: list[Scalar], skew_fails: bool,
     tuple: C is then alternating and tensorial, so zero.  Each quad carries
     its generator indices and the monomial in slot 0 (xᵥ in (3), else 1).
     """
-    yield from _keyed(gens, 4, True)
+    r = range(len(gens))
+    keys = list(itertools.combinations(r, 4))
     if skew_fails:
-        yield from _keyed(gens, 4, False)
+        keys += [key for key in itertools.product(r, repeat=4)
+                 if any(a >= b for a, b in zip(key, key[1:]))]
+    for key in keys:
+        yield (*(gens[k] for k in key), key, ONE)
     if values_escape:
         for i, a in enumerate(gens):
-            for *rest, key, _ in _keyed(gens, 3, True):
+            for key in itertools.combinations(r, 3):
                 for x in xs:
-                    yield (a.scale(x), *rest, (i, *key), x)
+                    yield (a.scale(x), *(gens[k] for k in key), (i, *key), x)
 
 
 def search_coordinate_dirac(spec: AlgebroidSpec) -> list[Subbundle]:

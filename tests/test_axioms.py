@@ -612,6 +612,19 @@ def reference_jacobi_tuples(spec):
                 yield a.scale(u), b, c
 
 
+def suite_jacobi_tuples(spec):
+    """axioms._jacobi_tuples over the basis, on the premises _ax_jacobi
+    passes: the call's S and I verdicts, and T's as well for `tensor`."""
+    import courantkit.axioms as axioms
+
+    call = axioms._Call(spec)
+    lemma_c = not (call.verdict(axioms._ax_symmetric_part)[0]
+                   or call.verdict(axioms._ax_invariance)[0])
+    return axioms._jacobi_tuples(
+        call, call.basis, spec.gram.entries, call.pair_keys(), lemma_c,
+        lambda: lemma_c and call.verdict(axioms._ax_derivation_bracket)[0] is None)
+
+
 class TestJacobiPremises:
     """Jacobi's set reads the structure's own S, invariance and T verdicts:
     with S = I = 0 and T ≡ 0 (`tensor`), A ≡ 0, so step (2) is not built,
@@ -660,12 +673,10 @@ class TestJacobiPremises:
         # step (1) holds the tuples with monomial 1, in product order; each
         # basis triple it drops has a zero defect or minus that of its
         # mirror (j,i,k) or (i,k,j), which comes earlier
-        import courantkit.axioms as axioms
-
         spec = self.structure(request, name)
         rows, basis = dense_rows(spec), spec.basis_sections()
         kept = [t[3] for t in itertools.takewhile(
-            lambda t: t[4] is ONE, axioms._jacobi_tuples(axioms._Call(spec)))]
+            lambda t: t[4] is ONE, suite_jacobi_tuples(spec))]
         assert kept == sorted(set(kept))
         dropped = set(itertools.product(range(spec.rank), repeat=3)) - set(kept)
         for axiom in ["jacobi"] + (["twisted-jacobi"] if spec.twist is not None else []):
@@ -693,7 +704,7 @@ class TestJacobiPremises:
             axioms._ax_symmetric_part, axioms._ax_invariance,
             axioms._ax_derivation_bracket, axioms._ax_anchor_morphism)) == premises
         fallback = list(axioms._anchor_fallback(call, call.basis, call.pair_keys()))
-        step_two = [t for t in axioms._jacobi_tuples(axioms._Call(spec))
+        step_two = [t for t in suite_jacobi_tuples(spec)
                     if t[2] not in call.basis]
         assert fallback and step_two == fallback
 
@@ -742,6 +753,34 @@ class TestJacobiPremises:
                 assert (s, inv, t) == (True, True, a), (i, j, value)
                 failing += not a
         assert failing == 24
+
+
+class TestFourForm:
+    """Where S, I and A vanish, Q(a,b,c,d) = ⟨Jac(a,b,c), e_d⟩ is a totally
+    skew 4-tensor, the paper's H: it changes sign under every adjacent swap
+    of its r⁴ basis indices, through the dense oracles.  The twisted
+    fixtures whose twist is corrupted keep their bracket, so Q too."""
+
+    @pytest.mark.parametrize("name", [
+        "std2", "std3", "std4", "ct4", "ct4b", "sl3", "so3xso3", "std2_frame",
+        "ct4_twist", "split4b_twist", "ct4b_twist"])
+    def test_q_changes_sign_under_adjacent_swaps(self, request, name):
+        from oracles import dense_pairing
+
+        spec = (request.getfixturevalue(name) if name == "std2_frame"
+                else BENCHMARK_STRUCTURES[name])
+        assert check_axioms(spec, "strongly-anchored").passed
+        jacobi, basis = dense_rows(spec)["jacobi"][1], spec.basis_sections()
+        r = range(spec.rank)
+        q = {}
+        for i, j, k in itertools.product(r, repeat=3):
+            value = jacobi(basis[i], basis[j], basis[k])
+            for d in r:
+                q[i, j, k, d] = dense_pairing(spec, value, basis[d])
+        for key, value in q.items():
+            for s in range(3):
+                swapped = key[:s] + (key[s + 1], key[s]) + key[s + 2:]
+                assert q[swapped] == -value, (key, s)
 
 
 class TestErrors:
@@ -849,6 +888,24 @@ class TestReportJson:
         assert labels(so3, "lie-rinehart")["anchor-representation"] == "vacuous"
         twisted_point = twist_bracket(split4, basis_wedge_form(split4, (0, 1, 2)))
         assert labels(twisted_point, "h-twisted")["twist-membership"] == "vacuous"
+
+    def test_empty_jacobi_set(self, std1):
+        # rank 2 with S, I and T passing: Jacobi's set holds no triple, as
+        # C(2,3) = 0, and no step (2).  Over a polynomial base T was
+        # evaluated to build it, so the row is decided; over a point
+        # nothing was evaluated
+        from courantkit.exact import Matrix
+        from courantkit.twist import make_point
+
+        def jacobi(spec, suite):
+            check = next(c for c in check_axioms(spec, suite).checks
+                         if c.axiom == "jacobi")
+            return check.status, check.label
+
+        assert jacobi(std1, "courant") == ("pass", "decided")
+        assert jacobi(std1, "courant-dorfman") == ("pass", "decided")
+        point = make_point(2, Matrix([[ZERO, ONE], [ONE, ZERO]]), {})
+        assert jacobi(point, "courant") == ("pass", "vacuous")
 
     def test_all_suites_have_checkers(self):
         assert set(SUITES) == {

@@ -751,6 +751,82 @@ class TestInducedFiniteSets:
                 replayed += 1
         assert replayed
 
+    NAMES = ["std2 graph", "std3 cotangent", "ct4 cotangent",
+             "rank-8 twisted point", "ct4 twist (1,2,3,4) += x1",
+             "ct4 twist (1,2,3,4) += 1", "ct4 twist (1,2,3,5) += x1",
+             "rank-6 skew", "std2ab", "std2 one-sided [e1,e2] = x1*e2",
+             "rank-8 twisted point, [e1,e2] += e6",
+             "std2 span(e1, e4), [e1,e1] = e4",
+             "rank-6 [e1,e1] = e2, [e2,e1] = e3"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_jacobi_row_is_the_full_sets(self, request, name):
+        # the suites' set builder, read on L, gives the status, label and
+        # witness of the full set through the dense oracles
+        from courantkit.axioms import first_failure
+
+        spec, gens = self.structure(request, name)
+        _, report = induced_htla(spec, Subbundle(spec, gens))
+        check = next(c for c in report.checks if c.axiom == "jacobi")
+        witness = first_failure(reference_induced_jacobi_tuples(spec, gens),
+                                ("x", "y", "z"),
+                                induced_dense_rows(spec, gens)["jacobi"][2])
+        assert (check.status, check.label, check.witness) == (
+            "pass" if witness is None else "fail", "decided", witness)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_dropped_triples_are_zero_or_mirrored(self, monkeypatch, request,
+                                                  name):
+        # step (1) holds the tuples with monomial 1, in product order; each
+        # generator triple it drops has a zero defect or minus that of its
+        # mirror (j,i,k) or (i,k,j), which comes earlier
+        import courantkit.axioms as axioms
+        import courantkit.dirac as dirac
+
+        spec, gens = self.structure(request, name)
+        arguments = []
+
+        def recorded(call, sections, gram, keys, lemma_c, tensor):
+            arguments.append((call, sections, gram, list(keys), lemma_c, tensor))
+            return axioms._jacobi_tuples(*arguments[-1])
+
+        monkeypatch.setattr(dirac, "_jacobi_tuples", recorded)
+        induced_htla(spec, Subbundle(spec, gens))
+        kept = [t[3] for t in itertools.takewhile(
+            lambda t: t[4] is ONE, axioms._jacobi_tuples(*arguments[0]))]
+        assert kept == sorted(set(kept))
+        dropped = set(itertools.product(range(len(gens)), repeat=3)) - set(kept)
+        jacobi = induced_dense_rows(spec, gens)["jacobi"][2]
+
+        def defect(i, j, k):
+            return jacobi(gens[i], gens[j], gens[k])
+
+        for i, j, k in sorted(dropped):
+            mirrors = ([(j, i, k)] if i > j else []) + ([(i, k, j)] if k < j else [])
+            value = defect(i, j, k)
+            assert value.is_zero() or any(
+                value == -defect(*m) for m in mirrors), (i, j, k)
+
+    @pytest.mark.parametrize("name,count", [
+        ("ct4 cotangent", 4), ("std3 cotangent", 1)])
+    def test_passing_jacobi_reads_the_increasing_triples(
+            self, monkeypatch, request, name, count):
+        # antisymmetry passes, so the set's triples are the C(g,3)
+        # increasing ones, each evaluated once
+        import courantkit.axioms as axioms
+
+        jacobiator, calls = axioms._jacobiator, []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return jacobiator(*args)
+
+        monkeypatch.setattr(axioms, "_jacobiator", counted)
+        spec, gens = self.structure(request, name)
+        _, report = induced_htla(spec, Subbundle(spec, gens))
+        assert report.passed, report.failing()
+        assert len(calls) == len(set(calls)) == count
+
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_std2ab_fails_jacobi_at_every_seed(self, std2, tmp_path, capsys, seed):
         # two generators leave no triple; A(e1,e2) = x1·∂2, so (e1, e2, x2·e1)
@@ -771,6 +847,28 @@ class TestInducedFiniteSets:
             "inputs": {"x": ["1", "0", "0", "0"], "y": ["0", "1", "0", "0"],
                        "z": ["x2", "0", "0", "0"]},
             "defect": ["-x1", "0", "0", "0"]}
+
+
+def reference_induced_jacobi_tuples(spec, gens):
+    """The induced jacobi row's full set: every ordered generator triple in
+    product order; then (a, b, xᵥ·g₁) for each ordered generator pair with
+    A(a,b)xᵥ ≠ 0; then, when antisymmetry fails on a generator pair, each
+    generator triple with one xᵥ in slot b, then in slot a.  A and N are
+    read through the dense oracles."""
+    from test_axioms import dense_rows
+
+    rows, xs = dense_rows(spec), [x(v) for v in range(spec.nvars)]
+    yield from itertools.product(gens, repeat=3)
+    pairs = list(itertools.product(gens, repeat=2))
+    for a, b in pairs:
+        for u, component in zip(xs, rows["anchor-morphism"][1](a, b)):
+            if not component.is_zero():
+                yield a, b, gens[0].scale(u)
+    if any(not rows["antisymmetry"][1](a, b).is_zero() for a, b in pairs):
+        for a, b, c in itertools.product(gens, repeat=3):
+            for u in xs:
+                yield a, b.scale(u), c
+                yield a.scale(u), b, c
 
 
 def std2ab(std2):
